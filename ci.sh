@@ -51,9 +51,9 @@ cargo run --release --offline -p chaser-bench --bin serve_smoke
 # and the superblock leg vs taint-idle (fusion margin), each scaled
 # down by the measured noise between two identical knobs-off legs, never
 # below a hard floor. Also gates intra-run rank parallelism: an 8-rank
-# workload must be digest-identical serial vs rank_threads=4 and faster by
-# 1.5x (calibrated down to the host's measured raw thread-scaling ceiling
-# on throttled CI containers). Records shard-scaling numbers (1 vs 4
+# workload at the default quantum must be digest-identical serial vs
+# rank_threads=min(4, cores) and faster by 1.5x (calibrated down to the
+# host's measured raw thread-scaling ceiling on throttled CI containers). Records shard-scaling numbers (1 vs 4
 # thread-worker shards, record-only) for later distributed work. Writes
 # BENCH_engine.json.
 cargo run --release --offline -p chaser-bench --bin perf_smoke
@@ -65,3 +65,10 @@ cargo run --release --offline -p chaser-bench --bin perf_smoke
 # injections/sec over trace=full. Merges injections_per_sec_off /
 # injections_per_sec_full / statistical_speedup into BENCH_engine.json.
 cargo run --release --offline -p chaser-bench --bin statistical_smoke
+
+# Ledger smoke: the benchmark's correctness gate on the rank-parallel
+# workload at 1/10 size (golden output == host reference, outcome CSV
+# identical across repetitions, traced rows == untraced rows, no failed
+# run). Exits non-zero on any of them; the numbers it prints are not
+# comparable (`--quick`).
+cargo run --release --offline -p chaser-bench --bin ledger -- --quick --workload clamr4_off_rankpar

@@ -65,17 +65,23 @@ const REMEASURE_COOLDOWN: std::time::Duration = std::time::Duration::from_secs(8
 
 /// Ranks (one per node) in the rank-parallelism scaling workload.
 const SCALING_RANKS: usize = 8;
-/// Worker threads for the parallel leg of the scaling workload.
-const RANK_THREADS: usize = 4;
+/// Worker threads for the parallel leg of the scaling workload: as many as
+/// the host can really run at once, up to 4. On a one-core host the leg
+/// degenerates to serial-vs-serial and gates only the digest identity.
+fn rank_threads() -> usize {
+    std::thread::available_parallelism()
+        .map_or(1, usize::from)
+        .min(4)
+}
 /// Timed repetitions per scaling leg (best-of, as above).
 const RANK_REPS: usize = 3;
 /// Required wall-clock speedup on a genuinely parallel host:
-/// `RANK_THREADS` workers vs serial, after the state digests are proven
+/// [`rank_threads`] workers vs serial, after the state digests are proven
 /// identical.
 const RANK_REQUIRED_SPEEDUP: f64 = 1.5;
 /// Fraction of the host's *raw* thread-scaling capacity the engine must
 /// reach. A cgroup-throttled CI container may cap even a plain busy loop
-/// well below `RANK_THREADS`x; the engine is gated against that measured
+/// well below [`rank_threads`]x; the engine is gated against that measured
 /// ceiling, not against hardware it does not have.
 const RANK_CAPACITY_FRACTION: f64 = 0.7;
 
@@ -310,10 +316,8 @@ fn scaling_run(prog: &Program, rank_threads: usize) -> (f64, u64, ParallelStats)
     let mut cluster = Cluster::new(ClusterConfig {
         nodes: SCALING_RANKS,
         rank_threads,
-        // A coarse quantum: compute-bound ranks need no fine-grained
-        // exchange, and fewer round barriers means less fork/join
-        // overhead per retired instruction.
-        quantum: 100_000,
+        // The default quantum on purpose: the leg measures what a round
+        // barrier costs, so it must not be tuned out of the picture.
         ..ClusterConfig::default()
     });
     let programs: Vec<&Program> = (0..SCALING_RANKS).map(|_| prog).collect();
@@ -329,11 +333,11 @@ fn scaling_run(prog: &Program, rank_threads: usize) -> (f64, u64, ParallelStats)
     )
 }
 
-/// Raw thread-scaling ceiling of this host: how much faster `RANK_THREADS`
+/// Raw thread-scaling ceiling of this host: how much faster `threads`
 /// plain busy loops finish than one, with no engine involved. On real
-/// multi-core hardware this approaches `RANK_THREADS`; a cgroup-throttled
+/// multi-core hardware this approaches `threads`; a cgroup-throttled
 /// CI container may cap it near 1.
-fn host_parallel_capacity() -> f64 {
+fn host_parallel_capacity(threads: usize) -> f64 {
     fn burn(n: u64) -> u64 {
         let mut x = 0u64;
         for i in 0..n {
@@ -349,8 +353,8 @@ fn host_parallel_capacity() -> f64 {
         let serial = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
         std::thread::scope(|s| {
-            for _ in 0..RANK_THREADS {
-                s.spawn(|| std::hint::black_box(burn(N / RANK_THREADS as u64)));
+            for _ in 0..threads {
+                s.spawn(|| std::hint::black_box(burn(N / threads as u64)));
             }
         });
         let par = t0.elapsed().as_secs_f64();
@@ -360,12 +364,13 @@ fn host_parallel_capacity() -> f64 {
 }
 
 /// Gate 4 + measurement: the 8-rank workload must reach the identical
-/// final state digest serial and parallel, and `RANK_THREADS` workers
+/// final state digest serial and parallel, and [`rank_threads`] workers
 /// must beat serial wall-clock by `RANK_REQUIRED_SPEEDUP` — or by
 /// `RANK_CAPACITY_FRACTION` of the host's measured raw thread-scaling
 /// ceiling when the host itself cannot deliver that much. Returns
 /// `(serial ips, parallel ips, host capacity, parallel stats)`.
 fn assert_and_measure_rank_scaling(prog: &Program) -> (f64, f64, f64, ParallelStats) {
+    let threads = rank_threads();
     let (_, serial_digest, _) = scaling_run(prog, 1);
     gated_measurement(
         "perf_smoke: rank-parallel speedup",
@@ -378,19 +383,24 @@ fn assert_and_measure_rank_scaling(prog: &Program) -> (f64, f64, f64, ParallelSt
                 let (ips, digest, _) = scaling_run(prog, 1);
                 assert_eq!(digest, serial_digest, "serial digest must be stable");
                 serial_ips = serial_ips.max(ips);
-                let (ips, digest, p) = scaling_run(prog, RANK_THREADS);
+                let (ips, digest, p) = scaling_run(prog, threads);
                 assert_eq!(
                     digest, serial_digest,
-                    "rank_threads={RANK_THREADS} diverged from the serial run"
+                    "rank_threads={threads} diverged from the serial run"
                 );
                 parallel_ips = parallel_ips.max(ips);
                 pstats = p;
             }
             assert!(
-                pstats.parallel_rounds > 0,
+                threads == 1 || pstats.parallel_rounds > 0,
                 "the parallel leg never ran a round on more than one worker"
             );
-            (serial_ips, parallel_ips, host_parallel_capacity(), pstats)
+            (
+                serial_ips,
+                parallel_ips,
+                host_parallel_capacity(threads),
+                pstats,
+            )
         },
         |r| {
             let (serial_ips, parallel_ips, capacity) = (r.0, r.1, r.2);
@@ -400,7 +410,7 @@ fn assert_and_measure_rank_scaling(prog: &Program) -> (f64, f64, f64, ParallelSt
                 Ok(())
             } else {
                 Err(format!(
-                    "{speedup:.2}x < {required:.2}x ({SCALING_RANKS} ranks, {RANK_THREADS} \
+                    "{speedup:.2}x < {required:.2}x ({SCALING_RANKS} ranks, {threads} \
                      threads, host capacity {capacity:.2}x)"
                 ))
             }
@@ -614,11 +624,12 @@ fn main() {
     let (rank_serial_ips, rank_parallel_ips, capacity, rank_pstats) =
         assert_and_measure_rank_scaling(&prog);
     let rank_speedup = rank_parallel_ips / rank_serial_ips.max(1.0);
+    let rank_threads = rank_threads();
     println!("perf_smoke: rank-parallel scaling ({SCALING_RANKS} ranks, best of {RANK_REPS}):");
     println!("  serial   (rank_threads=1)            : {rank_serial_ips:>12.0}");
-    println!("  parallel (rank_threads={RANK_THREADS})            : {rank_parallel_ips:>12.0}");
+    println!("  parallel (rank_threads={rank_threads})            : {rank_parallel_ips:>12.0}");
     println!("  speedup (digest-identical)           : {rank_speedup:.2}x");
-    println!("  host raw {RANK_THREADS}-thread capacity        : {capacity:.2}x");
+    println!("  host raw {rank_threads}-thread capacity        : {capacity:.2}x");
     println!(
         "  parallel-run counters: {}/{} rounds parallel, {:.3} imbalance",
         rank_pstats.parallel_rounds,
@@ -639,7 +650,8 @@ fn main() {
     // capacity itself sits near (or below) 1x, and a sub-1x shard speedup
     // reflects the host ceiling plus per-shard journal overhead, not a
     // sharding regression.
-    println!("  host raw {SHARD_FANOUT}-thread capacity        : {capacity:.2}x");
+    let shard_capacity = host_parallel_capacity(SHARD_FANOUT as usize);
+    println!("  host raw {SHARD_FANOUT}-thread capacity        : {shard_capacity:.2}x");
 
     let json = format!(
         "{{\n  \"workload\": \"hotloop ({} iters, 8 mem ops each)\",\n  \
@@ -663,7 +675,7 @@ fn main() {
          \"campaign_chain_hits_on\": {},\n  \
          \"campaign_chain_hits_off\": {},\n  \
          \"ranks_workload\": \"hotloop x {SCALING_RANKS} ranks, one per node\",\n  \
-         \"rank_threads\": {RANK_THREADS},\n  \
+         \"rank_threads\": {rank_threads},\n  \
          \"rank_serial_insns_per_sec\": {rank_serial_ips:.0},\n  \
          \"rank_parallel_insns_per_sec\": {rank_parallel_ips:.0},\n  \
          \"rank_parallel_speedup\": {rank_speedup:.3},\n  \
@@ -674,7 +686,7 @@ fn main() {
          \"shard_1_runs_per_sec\": {shard_1_rps:.1},\n  \
          \"shard_{SHARD_FANOUT}_runs_per_sec\": {shard_n_rps:.1},\n  \
          \"shard_speedup\": {shard_speedup:.3},\n  \
-         \"shard_host_capacity\": {capacity:.3},\n  \
+         \"shard_host_capacity\": {shard_capacity:.3},\n  \
          \"shard_note\": \"shard_speedup is bounded by shard_host_capacity (raw \
          {SHARD_FANOUT}-thread scaling of this host) plus per-shard journal overhead; \
          sub-1.0 on a throttled container is a host ceiling, not a sharding regression\"\n}}\n",

@@ -4,6 +4,7 @@
 use crate::collective::{CollKind, CollReq, CollectiveSlot};
 use crate::envelope::{Envelope, MpiError, MpiErrorKind, TaintCarrier, MAX_MSG_BYTES};
 use crate::net::{Faultiness, Interconnect, NetStats};
+use crate::pool::RankPool;
 use chaser_isa::abi::{self, MpiDatatype, MpiOp};
 use chaser_isa::Program;
 use chaser_taint::{ProvSet, TaintPolicy};
@@ -17,7 +18,8 @@ use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, OnceLock};
 
 /// Per-run watchdog budgets, enforced by the scheduler (rounds) and down in
 /// the `chaser-vm` engine loop (instructions). `0` disables a bound.
@@ -238,7 +240,10 @@ pub type SharedMpiObserver = Arc<Mutex<dyn MpiObserver + Send>>;
 /// compute-phase workers. Integer-only by design: wall-clock barrier times
 /// would differ between machines and replays, so the barrier cost is
 /// captured as counts (`parallel_rounds` — one barrier wait per fanned-out
-/// round) and the imbalance as instruction totals.
+/// round) and the imbalance as instruction totals. "Worker" means a chunk
+/// of the *configured* fan-out (`min(rank_threads, nodes)`): the counters
+/// are a function of the configuration and per-node icount deltas, never of
+/// how many threads the host really ran, so they replay on any machine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ParallelStats {
     /// Largest worker count a compute phase was fanned out over.
@@ -397,6 +402,38 @@ pub struct Cluster {
     /// Poll-failure stream for the hub sync path; only instantiated when
     /// `cfg.hub_sync.drop_prob > 0` so the reliable path is untouched.
     hub_rng: Option<SmallRng>,
+    /// Compute-phase helper threads: spawned by the first round with two
+    /// busy chunks, joined when the cluster drops. Never part of a
+    /// snapshot — a restored cluster grows its own.
+    pool: Option<RankPool>,
+    /// The host's `available_parallelism`, capping how many threads a
+    /// compute phase really uses (never what [`ParallelStats`] reports).
+    host_cores: usize,
+    /// Per-round buffers, reused so a steady-state round allocates nothing.
+    scratch: RoundScratch,
+}
+
+/// The vectors one [`Cluster::step_round`] fills and reads back.
+#[derive(Default)]
+struct RoundScratch {
+    /// Per node, the `(rank, pid)`s runnable at the round start.
+    per_node: Vec<Vec<(u32, u64)>>,
+    /// Per rank: blocked in MPI at the round start.
+    blocked: Vec<bool>,
+    /// Per rank: how its compute slice ended.
+    slice_exits: Vec<Option<SliceExit>>,
+    /// Per node: retired instructions before the compute phase.
+    pre_icounts: Vec<u64>,
+    /// Slice exits in completion order, before the scatter by rank.
+    exits: Vec<(u32, SliceExit)>,
+    /// Execution chunks with at least one runnable rank.
+    busy: Vec<usize>,
+}
+
+/// `available_parallelism`, read once per process (it walks cgroup files).
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
 impl std::fmt::Debug for Cluster {
@@ -443,6 +480,9 @@ impl Cluster {
             taint_sync_lost: 0,
             hub_rng: (cfg.hub_sync.drop_prob > 0.0)
                 .then(|| SmallRng::seed_from_u64(cfg.hub_sync.seed ^ 0x4B5D_CE11)),
+            pool: None,
+            host_cores: host_cores(),
+            scratch: RoundScratch::default(),
             cfg,
         }
     }
@@ -640,7 +680,8 @@ impl Cluster {
     ///
     /// **Compute phase**: every rank that was `Runnable` at the round start
     /// advances by one quantum on its node, with whole nodes fanned out
-    /// over up to [`ClusterConfig::rank_threads`] scoped worker threads
+    /// over up to [`ClusterConfig::rank_threads`] threads — this one plus
+    /// the cluster's persistent helpers, see `compute_phase`
     /// (ranks sharing a node run sequentially in ascending rank order, and
     /// processes own disjoint address spaces, so per-node results are
     /// independent of node placement on workers). Nothing shared mutates
@@ -677,77 +718,56 @@ impl Cluster {
         // Rank states sampled at the round start steer the whole round:
         // completions during the exchange phase make a rank runnable next
         // round, never mid-round.
-        let mut per_node: Vec<Vec<(u32, u64)>> = vec![Vec::new(); self.nodes.len()];
-        let mut blocked = vec![false; self.ranks.len()];
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let s = &mut scratch;
+        s.per_node.resize_with(self.nodes.len(), Vec::new);
+        s.per_node.iter_mut().for_each(Vec::clear);
+        s.blocked.clear();
+        s.blocked.resize(self.ranks.len(), false);
+        s.slice_exits.clear();
+        s.slice_exits.resize(self.ranks.len(), None);
         if !self.finished() {
             for rank in 0..self.ranks.len() as u32 {
                 let (ni, pid) = self.ranks[rank as usize];
                 match self.nodes[ni].process(pid).expect("rank process").state {
                     ProcState::Exited => {}
-                    ProcState::BlockedMpi => blocked[rank as usize] = true,
-                    ProcState::Runnable => per_node[ni].push((rank, pid)),
+                    ProcState::BlockedMpi => s.blocked[rank as usize] = true,
+                    ProcState::Runnable => s.per_node[ni].push((rank, pid)),
                 }
             }
         }
 
-        let quantum = self.cfg.quantum;
         let threads = self.cfg.rank_threads.max(1).min(self.nodes.len().max(1));
-        let mut slice_exits: Vec<Option<SliceExit>> = vec![None; self.ranks.len()];
-        let any_runnable = per_node.iter().any(|v| !v.is_empty());
-        if any_runnable {
-            let pre_icounts: Vec<u64> = self.nodes.iter().map(Node::total_icount).collect();
-            let chunk = self.nodes.len().div_ceil(threads);
-            let exits: Vec<(u32, SliceExit)> = if threads <= 1 {
-                let mut out = Vec::new();
-                for (node, ranks) in self.nodes.iter_mut().zip(&per_node) {
-                    run_node_slices(node, ranks, quantum, slice_budget, &mut out);
-                }
-                out
-            } else {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = self
-                        .nodes
-                        .chunks_mut(chunk)
-                        .zip(per_node.chunks(chunk))
-                        .map(|(nodes, ranks)| {
-                            s.spawn(move || {
-                                let mut out = Vec::new();
-                                for (node, ranks) in nodes.iter_mut().zip(ranks) {
-                                    run_node_slices(node, ranks, quantum, slice_budget, &mut out);
-                                }
-                                out
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("compute worker panicked"))
-                        .collect()
-                })
-            };
-            for (rank, exit) in exits {
-                slice_exits[rank as usize] = Some(exit);
+        if s.per_node.iter().any(|v| !v.is_empty()) {
+            s.pre_icounts.clear();
+            s.pre_icounts
+                .extend(self.nodes.iter().map(Node::total_icount));
+            self.compute_phase(s, threads, slice_budget);
+            for (rank, exit) in s.exits.drain(..) {
+                s.slice_exits[rank as usize] = Some(exit);
             }
 
             // Deterministic parallelism accounting: per-worker retired
-            // instructions come from icount deltas, not wall clocks.
-            let deltas: Vec<u64> = self
-                .nodes
-                .iter()
-                .zip(&pre_icounts)
-                .map(|(n, &pre)| n.total_icount() - pre)
-                .collect();
-            let workers_used = deltas.chunks(chunk).filter(|c| c.iter().any(|&d| d > 0));
+            // instructions come from icount deltas under the *configured*
+            // chunking, not from wall clocks or from what the pool did.
+            let chunk = self.nodes.len().div_ceil(threads);
+            let (mut workers_used, mut busiest, mut total) = (0u64, 0u64, 0u64);
+            for (nodes, pres) in self.nodes.chunks(chunk).zip(s.pre_icounts.chunks(chunk)) {
+                let retired: u64 = nodes
+                    .iter()
+                    .zip(pres)
+                    .map(|(n, &pre)| n.total_icount() - pre)
+                    .sum();
+                workers_used += u64::from(retired > 0);
+                busiest = busiest.max(retired);
+                total += retired;
+            }
             self.pstats.threads = self.pstats.threads.max(threads as u64);
-            if threads > 1 && workers_used.clone().count() > 1 {
+            if threads > 1 && workers_used > 1 {
                 self.pstats.parallel_rounds += 1;
             }
-            self.pstats.max_worker_insns += deltas
-                .chunks(chunk)
-                .map(|c| c.iter().sum::<u64>())
-                .max()
-                .unwrap_or(0);
-            self.pstats.total_worker_insns += deltas.iter().sum::<u64>();
+            self.pstats.max_worker_insns += busiest;
+            self.pstats.total_worker_insns += total;
         }
         self.pstats.rounds += 1;
 
@@ -759,7 +779,7 @@ impl Cluster {
             if self.finished() || self.mpi_error.is_some() {
                 break;
             }
-            if blocked[rank as usize] {
+            if s.blocked[rank as usize] {
                 if self.state[rank as usize].pending_recv.is_some() && self.try_complete_recv(rank)
                 {
                     progress = true;
@@ -768,7 +788,7 @@ impl Cluster {
                     progress = true;
                 }
             }
-            match slice_exits[rank as usize].take() {
+            match s.slice_exits[rank as usize].take() {
                 None | Some(SliceExit::Blocked) => {}
                 Some(SliceExit::QuantumExpired) | Some(SliceExit::Exited(_)) => progress = true,
                 Some(SliceExit::MpiCall(req)) => {
@@ -832,10 +852,96 @@ impl Cluster {
         {
             self.hang = true;
         }
+        self.scratch = scratch;
         RoundReport {
             progress,
             finished: self.finished(),
             total_insns,
+        }
+    }
+
+    /// Runs every runnable rank's slice, filling `s.exits`.
+    ///
+    /// The nodes are cut into as many contiguous chunks as threads can
+    /// really run (`threads` capped by the host's cores). Fewer than two
+    /// chunks with runnable ranks: everything runs here, in order, with no
+    /// handoff. Otherwise the calling thread keeps the lowest busy chunks
+    /// and *moves* each of the others into a pool helper's slot, taking the
+    /// nodes back — in place — once the helper is done.
+    ///
+    /// A panicking slice unwinds out of this call with its original
+    /// payload at every thread count; of several, the one serial execution
+    /// would have hit first (lowest node) wins.
+    fn compute_phase(&mut self, s: &mut RoundScratch, threads: usize, slice_budget: u64) {
+        let quantum = self.cfg.quantum;
+        let total = self.nodes.len();
+        let span = total.div_ceil(threads.min(self.host_cores));
+        s.busy.clear();
+        if span < total {
+            let chunks = s.per_node.chunks(span).enumerate();
+            s.busy.extend(
+                chunks
+                    .filter(|(_, c)| c.iter().any(|ranks| !ranks.is_empty()))
+                    .map(|(i, _)| i),
+            );
+        }
+        let Cluster { nodes, pool, .. } = self;
+        let lend = if s.busy.len() < 2 {
+            0
+        } else {
+            let pool = pool.get_or_insert_with(|| RankPool::spawn(total.div_ceil(span) - 1));
+            pool.helpers().min(s.busy.len() - 1)
+        };
+        if lend == 0 {
+            run_chunk(nodes, &s.per_node, quantum, slice_budget, &mut s.exits);
+            return;
+        }
+        let pool = pool.as_ref().expect("lending implies a pool");
+
+        let (own, lent) = s.busy.split_at(s.busy.len() - lend);
+        let range_of = |c: usize| c * span..((c + 1) * span).min(total);
+        // Lend from the tail, so the ranges below a drained chunk hold.
+        for (i, &c) in lent.iter().enumerate().rev() {
+            pool.post(i, |job| {
+                let ranks = &s.per_node[range_of(c)];
+                job.ranks.resize_with(ranks.len(), Vec::new);
+                for (dst, src) in job.ranks.iter_mut().zip(ranks) {
+                    dst.clear();
+                    dst.extend_from_slice(src);
+                }
+                job.nodes.extend(nodes.drain(range_of(c)));
+                job.quantum = quantum;
+                job.slice_budget = slice_budget;
+            });
+        }
+        // The helpers hold nodes of this cluster: an unwind must not leave
+        // before they are back, so the owner's share is caught too.
+        let mut panic = catch_unwind(AssertUnwindSafe(|| {
+            for &c in own {
+                let range = range_of(c);
+                run_chunk(
+                    &mut nodes[range.clone()],
+                    &s.per_node[range],
+                    quantum,
+                    slice_budget,
+                    &mut s.exits,
+                );
+            }
+        }))
+        .err();
+        // Ascending order: everything below a chunk is back in place by the
+        // time it is re-inserted at its own start.
+        for (i, &c) in lent.iter().enumerate() {
+            let start = range_of(c).start;
+            let theirs = pool.collect(i, |job| {
+                nodes.splice(start..start, job.nodes.drain(..));
+                s.exits.append(&mut job.exits);
+            });
+            panic = panic.or(theirs);
+        }
+        if let Some(payload) = panic {
+            self.pool = None; // joins the helpers before the unwind leaves
+            resume_unwind(payload);
         }
     }
 
@@ -989,6 +1095,9 @@ impl Cluster {
             cross_rank_tainted_deliveries: snap.cross_rank_tainted_deliveries,
             taint_sync_lost: snap.taint_sync_lost,
             hub_rng: snap.hub_rng.clone(),
+            pool: None,
+            host_cores: host_cores(),
+            scratch: RoundScratch::default(),
             cfg,
         }
     }
@@ -1980,22 +2089,25 @@ impl Cluster {
     }
 }
 
-/// Compute-phase worker body: advances every runnable rank of one node by
-/// one quantum, in ascending rank order. Pure node-local work — anything
-/// cross-rank is recorded in `out` (and in the node's taint buffer) for the
-/// serial exchange phase.
-fn run_node_slices(
-    node: &mut Node,
-    ranks: &[(u32, u64)],
+/// Compute-phase worker body: advances every listed `(rank, pid)` of every
+/// node by one quantum, in node then ascending rank order (`ranks[i]`
+/// belongs to `nodes[i]`). Pure node-local work — anything cross-rank is
+/// recorded in `out` (and in the node's taint buffer) for the serial
+/// exchange phase.
+pub(crate) fn run_chunk(
+    nodes: &mut [Node],
+    ranks: &[Vec<(u32, u64)>],
     quantum: u64,
     slice_budget: u64,
     out: &mut Vec<(u32, SliceExit)>,
 ) {
-    for &(rank, pid) in ranks {
-        if slice_budget != u64::MAX {
-            node.set_insn_budget(slice_budget);
+    for (node, ranks) in nodes.iter_mut().zip(ranks) {
+        for &(rank, pid) in ranks {
+            if slice_budget != u64::MAX {
+                node.set_insn_budget(slice_budget);
+            }
+            out.push((rank, node.run_slice(pid, quantum)));
         }
-        out.push((rank, node.run_slice(pid, quantum)));
     }
 }
 
@@ -2148,5 +2260,199 @@ mod snapshot_tests {
     fn snapshot_is_send_sync_and_clone() {
         fn assert_bounds<T: Send + Sync + Clone>() {}
         assert_bounds::<ClusterSnapshot>();
+    }
+}
+
+/// The compute-phase pool from the inside: which rounds hand chunks to
+/// helpers, how many helpers exist, and that none of it shows in results.
+#[cfg(test)]
+mod pool_tests {
+    use super::*;
+    use chaser_isa::{Asm, Cond, Instruction, Reg};
+    use chaser_vm::NodeTranslateHook;
+
+    /// Six rounds of "spin `40 × (rank + 1)` iterations, then allreduce":
+    /// ranks finish their compute at different rounds, so busy chunks come
+    /// and go, and every rank exits with the same global sum.
+    fn staggered_program() -> Program {
+        let mut a = Asm::new("stagger");
+        a.data_i64("mine", &[0]);
+        a.data_i64("sum", &[0]);
+        a.hypercall(abi::MPI_INIT);
+        a.hypercall(abi::MPI_COMM_RANK);
+        a.mov(Reg::R7, Reg::R0);
+        a.movi(Reg::R10, 0);
+        a.label("outer");
+        a.mov(Reg::R11, Reg::R7);
+        a.addi(Reg::R11, 1);
+        a.muli(Reg::R11, 40);
+        a.label("spin");
+        a.subi(Reg::R11, 1);
+        a.cmpi(Reg::R11, 0);
+        a.jcc(Cond::Ne, "spin");
+        a.lea(Reg::R8, "mine");
+        a.ld(Reg::R9, Reg::R8, 0);
+        a.add(Reg::R9, Reg::R7);
+        a.add(Reg::R9, Reg::R10);
+        a.st(Reg::R9, Reg::R8, 0);
+        a.lea(Reg::R1, "mine");
+        a.lea(Reg::R2, "sum");
+        a.movi(Reg::R3, 1); // count
+        a.movi(Reg::R4, 1); // I64
+        a.movi(Reg::R5, 1); // Sum
+        a.hypercall(abi::MPI_ALLREDUCE);
+        a.addi(Reg::R10, 1);
+        a.cmpi(Reg::R10, 6);
+        a.jcc(Cond::Ne, "outer");
+        a.lea(Reg::R8, "sum");
+        a.ld(Reg::R9, Reg::R8, 0);
+        a.hypercall(abi::MPI_FINALIZE);
+        a.exit_with(Reg::R9);
+        a.assemble().expect("assemble")
+    }
+
+    fn config(nodes: usize, rank_threads: usize) -> ClusterConfig {
+        ClusterConfig {
+            nodes,
+            quantum: 100,
+            phys_bytes: 8 << 20,
+            rank_threads,
+            ..ClusterConfig::default()
+        }
+    }
+
+    /// A launched cluster that believes the host has `cores` cores.
+    fn launched(nodes: usize, ranks: usize, rank_threads: usize, cores: usize) -> Cluster {
+        let mut cluster = Cluster::new(config(nodes, rank_threads));
+        cluster.host_cores = cores;
+        cluster
+            .launch_replicated(&staggered_program(), ranks)
+            .expect("launch");
+        cluster
+    }
+
+    fn helpers(cluster: &Cluster) -> Option<usize> {
+        cluster.pool.as_ref().map(RankPool::helpers)
+    }
+
+    /// Runs to completion, checking after every round that the helper
+    /// count only ever goes from "no pool" to `expect` and stays there.
+    fn run_checked(cluster: &mut Cluster, expect: usize) -> (ClusterRun, u64) {
+        while !cluster.finished() {
+            cluster.step_round();
+            let now = helpers(cluster);
+            assert!(
+                now.is_none_or(|n| n == expect),
+                "{now:?} helpers, not {expect}"
+            );
+        }
+        let run = cluster.result();
+        let first = run.rank_exits[0];
+        assert!(matches!(first, Some(ExitStatus::Exited(_))), "{run:?}");
+        assert!(run.rank_exits.iter().all(|e| *e == first), "{run:?}");
+        (run, cluster.state_digest())
+    }
+
+    #[test]
+    fn uneven_shapes_match_serial() {
+        // (nodes, rank_threads, host cores, helpers the pool must hold)
+        for (nodes, threads, cores, expect) in [
+            (3, 2, 8, 1), // chunks {0,1} {2}
+            (5, 4, 8, 2), // chunks {0,1} {2,3} {4}: three chunks for four threads
+            (2, 8, 8, 1), // threads > nodes: one node per chunk
+            (4, 4, 2, 1), // four configured, two cores: chunks {0,1} {2,3}
+            (5, 3, 8, 2), // chunks {0,1} {2,3} {4}
+        ] {
+            let (serial, serial_digest) = run_checked(&mut launched(nodes, nodes, 1, cores), 0);
+            let mut cluster = launched(nodes, nodes, threads, cores);
+            let (parallel, digest) = run_checked(&mut cluster, expect);
+            assert_eq!(helpers(&cluster), Some(expect), "{nodes} nodes / {threads}");
+            assert_eq!(serial, parallel, "{nodes} nodes / {threads} threads");
+            assert_eq!(serial_digest, digest, "{nodes} nodes / {threads} threads");
+            // The stats follow the configuration, not the pool.
+            let stats = cluster.parallel_stats();
+            assert_eq!(stats.threads, threads.min(nodes) as u64);
+            assert!(stats.parallel_rounds > 0);
+        }
+    }
+
+    #[test]
+    fn parallel_stats_ignore_the_host() {
+        let stats = |cores: usize| {
+            let mut cluster = launched(4, 4, 4, cores);
+            run_checked(&mut cluster, cores.min(4) - 1);
+            cluster.parallel_stats()
+        };
+        assert_eq!(stats(1), stats(2));
+        assert_eq!(stats(1), stats(8));
+    }
+
+    #[test]
+    fn one_core_host_runs_inline() {
+        let mut cluster = launched(4, 4, 4, 1);
+        run_checked(&mut cluster, 0);
+        assert_eq!(helpers(&cluster), None, "no helper on a one-core host");
+    }
+
+    #[test]
+    fn a_single_busy_chunk_runs_inline() {
+        // Two ranks on nodes 0 and 1, both in chunk 0 of {0,1} {2,3}: no
+        // round ever has work for a second chunk.
+        let mut cluster = launched(4, 2, 2, 8);
+        run_checked(&mut cluster, 0);
+        assert_eq!(helpers(&cluster), None, "one busy chunk must not hand off");
+        assert_eq!(cluster.parallel_stats().parallel_rounds, 0);
+    }
+
+    #[test]
+    fn a_restored_cluster_grows_its_own_pool() {
+        let mut original = launched(4, 4, 2, 8);
+        for _ in 0..3 {
+            original.step_round();
+        }
+        assert_eq!(helpers(&original), Some(1));
+        let snap = original.snapshot();
+        let mut restored = Cluster::from_snapshot(config(4, 2), &snap);
+        restored.host_cores = 8;
+        assert_eq!(helpers(&restored), None, "a pool is never restored");
+        let (run_a, digest_a) = run_checked(&mut original, 1);
+        let (run_b, digest_b) = run_checked(&mut restored, 1);
+        assert_eq!(helpers(&restored), Some(1));
+        assert_eq!(run_a, run_b);
+        assert_eq!(digest_a, digest_b);
+    }
+
+    /// Instruments nothing; panics when asked about `node`'s code.
+    struct PanicOnNode(u32);
+
+    impl NodeTranslateHook for PanicOnNode {
+        fn inject_point(&self, node: u32, _pid: u64, pc: u64, _insn: &Instruction) -> Option<u64> {
+            assert!(node != self.0, "hook refused node {node} at pc {pc:#x}");
+            None
+        }
+    }
+
+    #[test]
+    fn a_slice_panic_keeps_its_payload_at_every_thread_count() {
+        let message = |rank_threads: usize| {
+            // Node 1 is chunk 1 of {0} {1}: with two threads the panic is
+            // raised on the helper.
+            let mut cluster = launched(2, 2, rank_threads, 8);
+            cluster.for_each_node_mut(|n| n.hooks_mut().translate = Some(Arc::new(PanicOnNode(1))));
+            let payload = catch_unwind(AssertUnwindSafe(|| cluster.run())).expect_err("must panic");
+            assert!(cluster.pool.is_none(), "pool torn down before the unwind");
+            assert_eq!(cluster.nodes.len(), 2, "lent nodes came back");
+            drop(cluster); // must return: nothing left to join, nothing wedged
+            payload
+                .downcast::<String>()
+                .map(|s| *s)
+                .expect("assert! with arguments panics with a String")
+        };
+        let serial = message(1);
+        assert!(
+            serial.starts_with("hook refused node 1 at pc 0x"),
+            "{serial}"
+        );
+        assert_eq!(serial, message(2));
     }
 }

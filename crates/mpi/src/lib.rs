@@ -35,6 +35,7 @@ mod cluster;
 mod collective;
 mod envelope;
 mod net;
+mod pool;
 
 pub use cluster::{
     BudgetKind, Cluster, ClusterConfig, ClusterRun, ClusterSnapshot, CrossRankEdge, HangRank,

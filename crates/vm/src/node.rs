@@ -69,6 +69,9 @@ pub struct Node {
     /// `hooks.taint_events`); the owner drains them in deterministic order
     /// at its round barrier via [`Node::take_taint_events`].
     taint_buf: Vec<BufferedTaintEvent>,
+    /// The engine's TB-local temporaries, kept across slices so a slice
+    /// does not start with an allocation. Dead between slices.
+    locals: Vec<u64>,
 }
 
 impl Node {
@@ -91,6 +94,7 @@ impl Node {
             tuning: ExecTuning::default(),
             engine_stats: EngineStats::default(),
             taint_buf: Vec::new(),
+            locals: Vec::new(),
         }
     }
 
@@ -209,6 +213,7 @@ impl Node {
             self.tuning,
             &mut self.engine_stats,
             &mut self.taint_buf,
+            &mut self.locals,
         );
         if let SliceExit::Exited(status) = exit {
             let sinks = self.hooks.vmi.clone();
@@ -464,6 +469,7 @@ impl Node {
             tuning: ExecTuning::default(),
             engine_stats: EngineStats::default(),
             taint_buf: Vec::new(),
+            locals: Vec::new(),
         }
     }
 

@@ -12,7 +12,7 @@ use chaser::{
     RunOptions, Trigger,
 };
 use chaser_isa::{InsnClass, Program};
-use chaser_mpi::{Cluster, ClusterConfig};
+use chaser_mpi::{BudgetKind, Cluster, ClusterConfig, RunBudget};
 use chaser_workloads::matvec;
 use proptest::prelude::*;
 
@@ -42,7 +42,7 @@ fn spec(rank: u32, class: InsnClass, n: u64, flip: Option<u32>) -> InjectionSpec
 }
 
 fn threads_strategy() -> impl Strategy<Value = usize> {
-    prop_oneof![Just(2usize), Just(4)]
+    prop_oneof![Just(2usize), Just(3), Just(4)]
 }
 
 proptest! {
@@ -212,4 +212,73 @@ fn mid_round_injection_is_identical_across_thread_counts() {
     );
     assert_eq!(serial.parallel.threads, 1);
     assert_eq!(serial.parallel.parallel_rounds, 0);
+}
+
+/// A run stopped by the instruction budget — every rank cut off mid-compute,
+/// the overshoot bounded by the allowance sampled at the round start — ends
+/// in the identical cluster state, outcome CSV and work counters at every
+/// thread count, including one (3) that does not divide the node count.
+#[test]
+fn budget_exhausted_runs_are_identical_across_thread_counts() {
+    let golden = run_app(&app(200), &RunOptions::golden());
+    let budget = RunBudget {
+        max_insns: golden.cluster.total_insns / 2,
+        max_rounds: 0,
+    };
+
+    let stopped = |rank_threads: usize| {
+        let mv = matvec::MatvecConfig::default();
+        let program = matvec::program(&mv);
+        let mut cluster = Cluster::new(ClusterConfig {
+            nodes: 4,
+            quantum: 200,
+            rank_threads,
+            run_budget: budget,
+            ..ClusterConfig::default()
+        });
+        cluster
+            .launch_replicated(&program, mv.ranks as usize)
+            .expect("launch");
+        let run = cluster.run();
+        assert_eq!(run.budget_exhausted, Some(BudgetKind::Insns));
+        (run, cluster.state_digest(), cluster.parallel_stats())
+    };
+    let (serial_run, serial_digest, serial_stats) = stopped(1);
+    for threads in [2, 3, 4] {
+        let (run, digest, stats) = stopped(threads);
+        assert_eq!(serial_run, run, "rank_threads={threads}");
+        assert_eq!(serial_digest, digest, "rank_threads={threads}");
+        // The thread count shows in the stats as configured; the work does
+        // not depend on it, and a replay reproduces every counter.
+        assert_eq!(stats.threads, threads as u64);
+        assert_eq!(stats.rounds, serial_stats.rounds);
+        assert_eq!(stats.total_worker_insns, serial_stats.total_worker_insns);
+        assert_eq!(stats, stopped(threads).2, "rank_threads={threads} replay");
+    }
+
+    let campaign = |rank_threads: usize| {
+        Campaign::new(
+            app(200),
+            CampaignConfig {
+                runs: 6,
+                seed: 0xB0D6E7,
+                parallelism: 2,
+                classes: vec![InsnClass::FpArith],
+                rank_pool: RankPool::Random,
+                run_budget: budget,
+                rank_threads,
+                ..CampaignConfig::default()
+            },
+        )
+        .run()
+    };
+    let serial = campaign(1);
+    let parallel = campaign(3);
+    assert_eq!(serial.to_csv(), parallel.to_csv());
+    assert!(serial.to_csv().contains("budget"), "{}", serial.to_csv());
+    for (a, b) in serial.outcomes.iter().zip(&parallel.outcomes) {
+        assert_eq!(a.parallel.rounds, b.parallel.rounds);
+        assert_eq!(a.parallel.total_worker_insns, b.parallel.total_worker_insns);
+        assert_eq!(b.parallel.threads, 3);
+    }
 }
