@@ -43,18 +43,15 @@ cargo run --release --offline -p chaser-bench --bin provenance_smoke
 # (same-key campaigns must share one PreparedApp).
 cargo run --release --offline -p chaser-bench --bin serve_smoke
 
-# Hot-path perf smoke: prove the tb_chaining / superblocks /
-# taint_fast_path knobs observationally inert (outcome CSV — including
-# with only superblocks toggled — provenance exports, state digest
-# byte-identical), then require engine throughput to clear two
-# host-calibrated gates: taint-idle vs knobs-off (2x quiet-host target)
-# and the superblock leg vs taint-idle (fusion margin), each scaled
-# down by the measured noise between two identical knobs-off legs, never
-# below a hard floor. Also gates intra-run rank parallelism: an 8-rank
-# workload at the default quantum must be digest-identical serial vs
-# rank_threads=min(4, cores) and faster by 1.5x (calibrated down to the
-# host's measured raw thread-scaling ceiling on throttled CI containers). Records shard-scaling numbers (1 vs 4
-# thread-worker shards, record-only) for later distributed work. Writes
+# Hot-path smoke: prove the tb_chaining / taint_fast_path knobs
+# observationally inert (outcome CSV, provenance exports, state digest
+# byte-identical). Engine throughput is not timed here: the ledger's
+# bounds on injection campaigns are the performance gate. Also gates
+# intra-run rank parallelism: an 8-rank workload at the default quantum
+# must be digest-identical serial vs rank_threads=min(4, cores) and faster
+# by 1.5x (calibrated down to the host's measured raw thread-scaling
+# ceiling on throttled CI containers). Records shard-scaling numbers (1 vs
+# 4 thread-worker shards, record-only) for later distributed work. Writes
 # BENCH_engine.json.
 cargo run --release --offline -p chaser-bench --bin perf_smoke
 
@@ -66,9 +63,12 @@ cargo run --release --offline -p chaser-bench --bin perf_smoke
 # injections_per_sec_full / statistical_speedup into BENCH_engine.json.
 cargo run --release --offline -p chaser-bench --bin statistical_smoke
 
-# Ledger smoke: the benchmark's correctness gate on the rank-parallel
-# workload at 1/10 size (golden output == host reference, outcome CSV
-# identical across repetitions, traced rows == untraced rows, no failed
-# run). Exits non-zero on any of them; the numbers it prints are not
-# comparable (`--quick`).
+# Ledger smoke: the benchmark's correctness gate at 1/10 size (golden
+# output == host reference, outcome CSV identical across repetitions,
+# traced rows == untraced rows, no failed run) on the two halves of the
+# engine loop: the rank-parallel trace=off workload (clean regime
+# throughout) and the trace=taint lud workload (a third of its memory ops
+# on the tainted tiers, regime flip at the injection). Exits non-zero on
+# any check; the numbers it prints are not comparable (`--quick`).
 cargo run --release --offline -p chaser-bench --bin ledger -- --quick --workload clamr4_off_rankpar
+cargo run --release --offline -p chaser-bench --bin ledger -- --quick --workload lud1_taint_cold

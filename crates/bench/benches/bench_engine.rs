@@ -1,8 +1,8 @@
-//! Hot-path engine benchmarks: the four interpreter regimes the
-//! `perf_smoke` CI gate measures, under criterion's statistics — cold (no
-//! base cache, knobs off), warm (shared base cache, knobs off), chained
-//! (warm + TB chaining), and taint-idle (warm + chaining + the taint-idle
-//! fast path) — plus intra-run rank parallelism (`rank_threads` 1 vs 4 on
+//! Hot-path engine benchmarks: four interpreter regimes on a hook-free
+//! node, under criterion's statistics — cold (no base cache, knobs off),
+//! warm (shared base cache, knobs off), chained (warm + TB chaining), and
+//! taint-idle (warm + chaining + the taint-idle fast path) — plus
+//! intra-run rank parallelism (`rank_threads` 1 vs 4 on
 //! 8 compute-bound ranks), the same ladder on a fault-free golden
 //! cluster run, and the three campaign trace regimes (`off` / `taint` /
 //! `full`) on a small injected campaign.
@@ -20,7 +20,8 @@ use std::sync::Arc;
 
 const LOOP_ITERS: i64 = 20_000;
 
-/// The same memory-heavy read-modify-write loop `perf_smoke` times.
+/// The same memory-heavy read-modify-write loop `perf_smoke` scales
+/// across ranks.
 fn loop_program() -> Program {
     let mut a = Asm::new("hotloop");
     a.data_u64("buf", &[0; 8]);
@@ -72,17 +73,11 @@ fn regimes(c: &mut Criterion) {
     let base = warmed_base(&prog);
     let off = ExecTuning {
         tb_chaining: false,
-        superblocks: false,
         taint_fast_path: false,
     };
     let chained = ExecTuning {
         tb_chaining: true,
-        superblocks: false,
         taint_fast_path: false,
-    };
-    let taint_idle = ExecTuning {
-        superblocks: false,
-        ..ExecTuning::default()
     };
     // The vendored criterion has no throughput reporting; print the
     // retired-instruction count once so times convert to insns/sec.
@@ -97,9 +92,6 @@ fn regimes(c: &mut Criterion) {
         b.iter(|| run_once(&prog, chained, Some(&base)))
     });
     group.bench_function("taint_idle", |b| {
-        b.iter(|| run_once(&prog, taint_idle, Some(&base)))
-    });
-    group.bench_function("superblocks", |b| {
         b.iter(|| run_once(&prog, ExecTuning::default(), Some(&base)))
     });
     group.finish();
@@ -158,7 +150,6 @@ fn golden_cluster(c: &mut Criterion) {
         b.iter(|| {
             run(ExecTuning {
                 tb_chaining: false,
-                superblocks: false,
                 taint_fast_path: false,
             })
         })

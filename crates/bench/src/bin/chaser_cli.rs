@@ -443,13 +443,6 @@ impl Cli {
              {} skipped",
             counts.benign, counts.sdc, counts.terminated, result.skipped
         );
-        let eng = &result.engine_stats;
-        if eng.superblocks_formed > 0 {
-            println!(
-                "superblock stats: {} formed, {} fused executions, {} bail-outs",
-                eng.superblocks_formed, eng.superblock_execs, eng.superblock_bailouts
-            );
-        }
         let snap = result.snapshot_stats;
         if snap.restores > 0 {
             println!(

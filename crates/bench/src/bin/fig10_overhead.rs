@@ -185,7 +185,6 @@ fn hot_path_ablation() {
                 classes: vec![InsnClass::FpArith],
                 rank_pool: RankPool::Random,
                 tb_chaining: on,
-                superblocks: on,
                 taint_fast_path: on,
                 ..CampaignConfig::default()
             },

@@ -1,22 +1,17 @@
-//! Hot-path engine performance smoke: CI gate for the interpreter's
-//! fast paths (TB chaining, superblock formation and the taint-idle
-//! memory path).
+//! Hot-path engine smoke: CI gate for the interpreter's fast paths (TB
+//! chaining and the taint-idle memory path) and for intra-run rank
+//! parallelism.
 //!
-//! Measures engine throughput (guest insns/sec) on a memory-heavy loop in
-//! five regimes — cold (no base cache, knobs off), warm (shared base
-//! cache, knobs off), chained (warm + TB chaining), taint-idle (warm +
-//! chaining + taint-idle fast path) and superblocks (all knobs on) — and
-//! requires the optimized regimes to beat their baselines by
-//! *host-calibrated* margins: the knobs-off regime is measured twice,
-//! interleaved, and the ratio of the two identical legs calibrates each
-//! gate down from its quiet-host target (never below a hard floor). The
-//! taint-idle leg gates against the warm knobs-off leg; the superblock
-//! leg gates against the taint-idle leg, isolating the fusion win. Before
-//! trusting the speedups it proves the knobs observationally inert: a
-//! traced, provenance-recording campaign must produce byte-identical
-//! outcome CSVs (including with *only* superblocks toggled), an injected
-//! run must export byte-identical provenance DOT/JSON, and a fault-free
-//! cluster must reach the same state digest with the knobs on and off.
+//! Proves the `tb_chaining` / `taint_fast_path` knobs observationally
+//! inert: a traced, provenance-recording campaign must produce
+//! byte-identical outcome CSVs, an injected run must export byte-identical
+//! provenance DOT/JSON, and a fault-free cluster must reach the same state
+//! digest with the knobs on and off. Then gates rank parallelism (an
+//! 8-rank workload must be digest-identical serial vs parallel and faster
+//! by a host-calibrated margin) and records shard-scaling numbers.
+//! Engine throughput itself is gated by the ledger's bounds
+//! (`BENCHMARK.json`), on injection campaigns rather than a hook-free
+//! node.
 //!
 //! Writes the measured numbers to `BENCH_engine.json` (hand-rolled JSON;
 //! the vendored serde has no serializer).
@@ -27,34 +22,12 @@ use chaser::{AppSpec, Campaign, CampaignConfig, RankPool, RunOptions};
 use chaser_bench::gated_measurement;
 use chaser_isa::{Asm, Cond, InsnClass, Program, Reg};
 use chaser_mpi::{Cluster, ClusterConfig, ParallelStats};
-use chaser_tcg::BaseLayer;
-use chaser_vm::{EngineStats, ExecTuning, Node, SliceExit};
+use chaser_vm::{EngineStats, ExecTuning};
 use chaser_workloads::matvec;
-use std::sync::Arc;
 use std::time::Instant;
 
-/// Iterations of the measurement loop (8 memory ops each).
+/// Iterations of the scaling workload's loop (8 memory ops each).
 const LOOP_ITERS: i64 = 100_000;
-/// Timed repetitions per regime (the best is reported: noise only ever
-/// slows a run down, so the fastest rep is the truest measure and the
-/// regime ratio is far more stable than with medians).
-const REPS: usize = 7;
-/// Hot-path speedup target (both knobs on vs both knobs off) on a quiet
-/// host. The actual gate is calibrated down from this by the measured
-/// warm-leg noise — see [`hotpath_calibration`].
-const HOTPATH_TARGET_SPEEDUP: f64 = 2.0;
-/// Hard floor for the calibrated hot-path gate: no amount of measured
-/// noise excuses the knobs delivering less than this.
-const HOTPATH_MIN_SPEEDUP: f64 = 1.5;
-/// Superblock speedup target (all knobs on vs chaining + taint-idle
-/// without fusion) on a quiet host. Fusion only elides per-block dispatch
-/// overhead — follow, locals resize, clean-regime gate — so its win is
-/// structurally smaller than the taint-idle one; the gate is calibrated
-/// down by the same measured warm-leg noise.
-const SUPERBLOCK_TARGET_SPEEDUP: f64 = 1.10;
-/// Hard floor for the calibrated superblock gate: fused dispatch may
-/// never be a regression.
-const SUPERBLOCK_MIN_SPEEDUP: f64 = 1.02;
 /// Full remeasurements allowed before a below-gate speedup is a failure
 /// (the `attempts` argument of [`chaser_bench::gated_measurement`]).
 const MEASURE_ATTEMPTS: u32 = 3;
@@ -73,7 +46,8 @@ fn rank_threads() -> usize {
         .map_or(1, usize::from)
         .min(4)
 }
-/// Timed repetitions per scaling leg (best-of, as above).
+/// Timed repetitions per scaling leg (the best is reported: noise only
+/// ever slows a run down, so the fastest rep is the truest measure).
 const RANK_REPS: usize = 3;
 /// Required wall-clock speedup on a genuinely parallel host:
 /// [`rank_threads`] workers vs serial, after the state digests are proven
@@ -87,10 +61,7 @@ const RANK_CAPACITY_FRACTION: f64 = 0.7;
 
 /// A memory-heavy update loop: every iteration walks four slots of a small
 /// buffer with a load/add/store each — the read-modify-write access
-/// pattern that dominates real numeric kernels. It exercises everything
-/// the taint-idle regime elides at once: shadow and provenance lookups on
-/// the memory ops, mask propagation on the arithmetic, and (being a short
-/// block) cache-lookup overhead that TB chaining removes.
+/// pattern that dominates real numeric kernels.
 fn loop_program() -> Program {
     let mut a = Asm::new("hotloop");
     a.data_u64("buf", &[0; 8]);
@@ -109,65 +80,6 @@ fn loop_program() -> Program {
     a.assemble().expect("assemble hotloop")
 }
 
-/// Runs `prog` to completion on a fresh node under `tuning`, returning
-/// `(retired insns, seconds, stats)`. The node keeps its default precise
-/// taint policy — the taint machinery is *on* but idle, which is exactly
-/// the regime the taint-idle fast path targets.
-fn run_once(
-    prog: &Program,
-    tuning: ExecTuning,
-    base: Option<&Arc<BaseLayer>>,
-) -> (u64, f64, EngineStats) {
-    let mut node = Node::new(0);
-    node.set_exec_tuning(tuning);
-    if let Some(base) = base {
-        node.install_base_cache(Arc::clone(base));
-    }
-    let pid = node.spawn(prog).expect("spawn");
-    let t0 = Instant::now();
-    loop {
-        match node.run_slice(pid, 1_000_000) {
-            SliceExit::Exited(_) => break,
-            SliceExit::QuantumExpired => continue,
-            other => panic!("unexpected slice exit: {other:?}"),
-        }
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    (node.total_icount(), secs, node.engine_stats())
-}
-
-/// One timed rep of every regime, interleaved so slow drift (thermal,
-/// frequency scaling) hits all regimes alike. Returns per-regime
-/// `(best insns/sec so far, last stats)` accumulated into `acc`.
-fn measure_round(
-    prog: &Program,
-    regimes: &[(ExecTuning, Option<&Arc<BaseLayer>>)],
-    acc: &mut [(f64, EngineStats)],
-) {
-    for (i, (tuning, base)) in regimes.iter().enumerate() {
-        let (insns, secs, s) = run_once(prog, *tuning, *base);
-        let ips = insns as f64 / secs;
-        if ips > acc[i].0 {
-            acc[i].0 = ips;
-        }
-        acc[i].1 = s;
-    }
-}
-
-/// Seals a clean base translation layer warmed by one full run.
-fn warmed_base(prog: &Program) -> Arc<BaseLayer> {
-    let mut node = Node::new(0);
-    let pid = node.spawn(prog).expect("spawn");
-    loop {
-        match node.run_slice(pid, 1_000_000) {
-            SliceExit::Exited(_) => break,
-            SliceExit::QuantumExpired => continue,
-            other => panic!("unexpected slice exit: {other:?}"),
-        }
-    }
-    node.seal_cache()
-}
-
 /// The matvec application the correctness gates run on.
 fn matvec_app() -> AppSpec {
     let mv = matvec::MatvecConfig::default();
@@ -178,7 +90,7 @@ fn matvec_app() -> AppSpec {
 /// byte-identically with the knobs on and off, while the optimized run
 /// actually exercises the fast paths.
 fn assert_campaign_identity() -> (EngineStats, EngineStats) {
-    let campaign = |tb_chaining: bool, superblocks: bool, taint_fast_path: bool| {
+    let campaign = |on: bool| {
         Campaign::new(
             matvec_app(),
             CampaignConfig {
@@ -188,28 +100,19 @@ fn assert_campaign_identity() -> (EngineStats, EngineStats) {
                 rank_pool: RankPool::Random,
                 tracing: true,
                 provenance: true,
-                tb_chaining,
-                superblocks,
-                taint_fast_path,
+                tb_chaining: on,
+                taint_fast_path: on,
                 ..CampaignConfig::default()
             },
         )
         .run()
     };
-    let on = campaign(true, true, true);
-    let off = campaign(false, false, false);
-    // Only superblocks toggled: isolates the fusion knob against the
-    // otherwise fully optimized configuration.
-    let no_sb = campaign(true, false, true);
+    let on = campaign(true);
+    let off = campaign(false);
     assert_eq!(
         on.to_csv(),
         off.to_csv(),
         "outcome CSV must be byte-identical across the hot-path knobs"
-    );
-    assert_eq!(
-        on.to_csv(),
-        no_sb.to_csv(),
-        "outcome CSV must be byte-identical with only superblocks toggled"
     );
     assert!(
         on.engine_stats.tb_chain_hits > 0,
@@ -222,10 +125,6 @@ fn assert_campaign_identity() -> (EngineStats, EngineStats) {
     assert_eq!(
         off.engine_stats.fast_path_insns, 0,
         "knobs-off campaign must never take the taint-idle path"
-    );
-    assert_eq!(
-        no_sb.engine_stats.superblocks_formed, 0,
-        "superblocks-off campaign must never fuse"
     );
     (on.engine_stats, off.engine_stats)
 }
@@ -254,7 +153,6 @@ fn assert_provenance_identity() {
     let on = report(ExecTuning::default());
     let off = report(ExecTuning {
         tb_chaining: false,
-        superblocks: false,
         taint_fast_path: false,
     });
     let graph_on = on.provenance.expect("provenance graph (knobs on)");
@@ -292,20 +190,11 @@ fn assert_state_digest_identity() {
     let on = digest(ExecTuning::default());
     let off = digest(ExecTuning {
         tb_chaining: false,
-        superblocks: false,
         taint_fast_path: false,
-    });
-    let no_sb = digest(ExecTuning {
-        superblocks: false,
-        ..ExecTuning::default()
     });
     assert_eq!(
         on, off,
         "cluster state digest must be identical across the hot-path knobs"
-    );
-    assert_eq!(
-        on, no_sb,
-        "cluster state digest must be identical with only superblocks toggled"
     );
 }
 
@@ -473,40 +362,6 @@ fn measure_shard_scaling() -> (f64, f64, f64) {
     (best[0], best[1], best[1] / best[0].max(1e-9))
 }
 
-/// Calibrates the hot-path gate from the accumulated regime measurements.
-///
-/// `acc[1]` and `acc[4]` are the *same* configuration — warm, both knobs
-/// off — measured twice, interleaved with everything else. On a quiet host
-/// their best-of throughputs converge; their ratio (`noise`, >= 1) is the
-/// residual run-to-run noise best-of could not squeeze out. Noise can
-/// depress the optimized leg and inflate the warm leg independently, so
-/// the required speedup is the quiet-host target divided by `noise`
-/// squared, floored at [`HOTPATH_MIN_SPEEDUP`]. The measured speedup uses
-/// the *faster* warm leg as its denominator (the conservative choice).
-///
-/// Returns `(speedup, required, noise)`.
-fn hotpath_calibration(acc: &[(f64, EngineStats); 6]) -> (f64, f64, f64) {
-    let (warm_a, warm_b) = (acc[1].0, acc[4].0);
-    let noise = warm_a.max(warm_b) / warm_a.min(warm_b).max(1.0);
-    let required = (HOTPATH_TARGET_SPEEDUP / (noise * noise)).max(HOTPATH_MIN_SPEEDUP);
-    let speedup = acc[3].0 / warm_a.max(warm_b).max(1.0);
-    (speedup, required, noise)
-}
-
-/// Calibrates the superblock gate: the fused leg (`acc[5]`, all knobs on)
-/// against the taint-idle leg (`acc[3]`, identical except no fusion), with
-/// the same warm-leg-noise calibration as [`hotpath_calibration`] but the
-/// superblock target and floor.
-///
-/// Returns `(speedup, required, noise)`.
-fn superblock_calibration(acc: &[(f64, EngineStats); 6]) -> (f64, f64, f64) {
-    let (warm_a, warm_b) = (acc[1].0, acc[4].0);
-    let noise = warm_a.max(warm_b) / warm_a.min(warm_b).max(1.0);
-    let required = (SUPERBLOCK_TARGET_SPEEDUP / (noise * noise)).max(SUPERBLOCK_MIN_SPEEDUP);
-    let speedup = acc[5].0 / acc[3].0.max(1.0);
-    (speedup, required, noise)
-}
-
 fn main() {
     // Correctness gates first: a speedup measured on a divergent engine
     // would be meaningless.
@@ -515,112 +370,8 @@ fn main() {
     assert_state_digest_identity();
     println!("perf_smoke: correctness gates passed (outcome CSV, provenance exports, state digest byte-identical)");
 
-    let prog = loop_program();
-    let base = warmed_base(&prog);
-    let off = ExecTuning {
-        tb_chaining: false,
-        superblocks: false,
-        taint_fast_path: false,
-    };
-    let chained_only = ExecTuning {
-        tb_chaining: true,
-        superblocks: false,
-        taint_fast_path: false,
-    };
-    let taint_idle = ExecTuning {
-        superblocks: false,
-        ..ExecTuning::default()
-    };
-    let regimes = [
-        (off, None),
-        (off, Some(&base)),
-        (chained_only, Some(&base)),
-        (taint_idle, Some(&base)),
-        // Second, independent measurement of the warm knobs-off regime:
-        // the ratio of the two identical warm legs calibrates the gates
-        // (see `hotpath_calibration`).
-        (off, Some(&base)),
-        // All knobs on: taint-idle + superblock formation. Gated against
-        // the taint-idle leg to isolate the fusion win.
-        (ExecTuning::default(), Some(&base)),
-    ];
-    let mut acc = [(0.0f64, EngineStats::default()); 6];
-    let acc = gated_measurement(
-        "perf_smoke: hot-path speedup",
-        MEASURE_ATTEMPTS,
-        REMEASURE_COOLDOWN,
-        |_| {
-            // Accumulation keeps each regime's best-so-far across
-            // attempts: noise cannot inflate it.
-            for _ in 0..REPS {
-                measure_round(&prog, &regimes, &mut acc);
-            }
-            acc
-        },
-        |acc| {
-            let (speedup, required, noise) = hotpath_calibration(acc);
-            if speedup < required {
-                return Err(format!(
-                    "{speedup:.2}x < calibrated gate {required:.2}x (warm-leg noise {noise:.3}x)"
-                ));
-            }
-            let (sb_speedup, sb_required, noise) = superblock_calibration(acc);
-            if sb_speedup < sb_required {
-                return Err(format!(
-                    "superblock leg {sb_speedup:.2}x < calibrated gate {sb_required:.2}x \
-                     over taint-idle (warm-leg noise {noise:.3}x)"
-                ));
-            }
-            Ok(())
-        },
-    );
-    let (cold_ips, chained_ips, opt_ips, sb_ips) = (acc[0].0, acc[2].0, acc[3].0, acc[5].0);
-    let warm_ips = acc[1].0.max(acc[4].0);
-    let opt_stats = acc[3].1;
-    let sb_stats = acc[5].1;
-
-    let (speedup, required, noise) = hotpath_calibration(&acc);
-    let (sb_speedup, sb_required, _) = superblock_calibration(&acc);
-    println!("perf_smoke: engine throughput (guest insns/sec, best of {REPS}):");
-    println!("  cold       (knobs off, no base cache): {cold_ips:>12.0}");
-    println!("  warm       (knobs off, shared base)  : {warm_ips:>12.0}");
-    println!("  chained    (tb_chaining only)        : {chained_ips:>12.0}");
-    println!("  taint-idle (chaining + fast path)    : {opt_ips:>12.0}");
-    println!("  superblocks (all knobs on)           : {sb_ips:>12.0}");
-    println!(
-        "  speedup (taint-idle vs off, warm)    : {speedup:.2}x \
-         (calibrated gate {required:.2}x, warm-leg noise {noise:.3}x)"
-    );
-    println!(
-        "  speedup (superblocks vs taint-idle)  : {sb_speedup:.2}x \
-         (calibrated gate {sb_required:.2}x)"
-    );
-    println!(
-        "  optimized-run counters: {} chain hits, {} severs, {} fast-path / {} slow-path mem ops",
-        opt_stats.tb_chain_hits,
-        opt_stats.chain_severs,
-        opt_stats.fast_path_insns,
-        opt_stats.slow_path_insns
-    );
-    println!(
-        "  superblock-run counters: {} formed, {} fused executions, {} bail-outs",
-        sb_stats.superblocks_formed, sb_stats.superblock_execs, sb_stats.superblock_bailouts
-    );
-
-    assert!(
-        opt_stats.tb_chain_hits > 0 && opt_stats.slow_path_insns == 0,
-        "optimized run must chain and stay entirely on the taint-idle path"
-    );
-    assert_eq!(
-        opt_stats.superblocks_formed, 0,
-        "taint-idle leg has superblocks off and must never fuse"
-    );
-    assert!(
-        sb_stats.superblocks_formed >= 1 && sb_stats.superblock_execs > 0,
-        "superblock leg must fuse the hot loop and execute the fused trace"
-    );
-
     // Rank-parallelism scaling: digest-gated, then timed.
+    let prog = loop_program();
     let (rank_serial_ips, rank_parallel_ips, capacity, rank_pstats) =
         assert_and_measure_rank_scaling(&prog);
     let rank_speedup = rank_parallel_ips / rank_serial_ips.max(1.0);
@@ -654,25 +405,7 @@ fn main() {
     println!("  host raw {SHARD_FANOUT}-thread capacity        : {shard_capacity:.2}x");
 
     let json = format!(
-        "{{\n  \"workload\": \"hotloop ({} iters, 8 mem ops each)\",\n  \
-         \"insns_per_sec_cold\": {cold_ips:.0},\n  \
-         \"insns_per_sec_warm\": {warm_ips:.0},\n  \
-         \"insns_per_sec_chained\": {chained_ips:.0},\n  \
-         \"insns_per_sec_taint_idle\": {opt_ips:.0},\n  \
-         \"insns_per_sec_superblock\": {sb_ips:.0},\n  \
-         \"speedup_on_vs_off\": {speedup:.3},\n  \
-         \"hotpath_required_speedup\": {required:.3},\n  \
-         \"hotpath_warm_leg_noise\": {noise:.3},\n  \
-         \"speedup_superblock\": {sb_speedup:.3},\n  \
-         \"superblock_required_speedup\": {sb_required:.3},\n  \
-         \"superblocks_formed\": {},\n  \
-         \"superblock_execs\": {},\n  \
-         \"superblock_bailouts\": {},\n  \
-         \"tb_chain_hits\": {},\n  \
-         \"chain_severs\": {},\n  \
-         \"fast_path_insns\": {},\n  \
-         \"slow_path_insns\": {},\n  \
-         \"campaign_chain_hits_on\": {},\n  \
+        "{{\n  \"campaign_chain_hits_on\": {},\n  \
          \"campaign_chain_hits_off\": {},\n  \
          \"ranks_workload\": \"hotloop x {SCALING_RANKS} ranks, one per node\",\n  \
          \"rank_threads\": {rank_threads},\n  \
@@ -690,14 +423,6 @@ fn main() {
          \"shard_note\": \"shard_speedup is bounded by shard_host_capacity (raw \
          {SHARD_FANOUT}-thread scaling of this host) plus per-shard journal overhead; \
          sub-1.0 on a throttled container is a host ceiling, not a sharding regression\"\n}}\n",
-        LOOP_ITERS,
-        sb_stats.superblocks_formed,
-        sb_stats.superblock_execs,
-        sb_stats.superblock_bailouts,
-        opt_stats.tb_chain_hits,
-        opt_stats.chain_severs,
-        opt_stats.fast_path_insns,
-        opt_stats.slow_path_insns,
         stats_on.tb_chain_hits,
         stats_off.tb_chain_hits,
         rank_pstats.parallel_rounds,

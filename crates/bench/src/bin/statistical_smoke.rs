@@ -8,8 +8,7 @@
 //! times both regimes and gates trace=off at a *host-calibrated* >=2x
 //! injections/sec over trace=full: the off regime is measured twice per
 //! attempt and the ratio of the two identical legs calibrates the gate
-//! down from the quiet-host target (never below a hard floor), exactly
-//! like perf_smoke's hot-path gate.
+//! down from the quiet-host target (never below a hard floor).
 //!
 //! The workload is a memory-heavy read-modify-write loop that publishes
 //! its buffer as the run output (so SDC detection is a real golden-digest

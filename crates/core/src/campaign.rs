@@ -109,11 +109,6 @@ pub struct CampaignConfig {
     /// block-to-block without translation-cache hash lookups. Outcomes are
     /// byte-identical either way; off is the ablation baseline.
     pub tb_chaining: bool,
-    /// Superblock formation: fuse hot taken-chains of TBs into
-    /// straight-line traces dispatched and executed as one unit (requires
-    /// `tb_chaining`). Outcomes are byte-identical either way; off is the
-    /// ablation baseline. Part of the journal config fingerprint (v7).
-    pub superblocks: bool,
     /// Taint-idle fast path: while no taint (or provenance) is live in a
     /// node's shadow memory, guest memory operations skip all shadow work.
     /// Outcomes are byte-identical either way; off is the ablation
@@ -180,7 +175,6 @@ impl Default for CampaignConfig {
             warm_start: false,
             run_budget: RunBudget::default(),
             tb_chaining: true,
-            superblocks: true,
             taint_fast_path: true,
             rank_threads: 1,
             panic_runs: Vec::new(),
@@ -530,28 +524,25 @@ impl CampaignResult {
 
     /// Renders the per-run hot-path engine counters as CSV. Kept separate
     /// from [`CampaignResult::to_csv`] on purpose: outcome CSVs must stay
-    /// byte-identical across the `tb_chaining` / `superblocks` /
-    /// `taint_fast_path` ablation knobs, while these counters are exactly
-    /// what the knobs change.
+    /// byte-identical across the `tb_chaining` / `taint_fast_path`
+    /// ablation knobs, while these counters are exactly what the knobs
+    /// change.
     pub fn stats_csv(&self) -> String {
         let mut out = String::from(
-            "run_idx,tb_chain_hits,chain_severs,fast_path_insns,slow_path_insns,superblocks_formed,superblock_execs,superblock_bailouts,tb_lookups,tb_misses,rank_threads,parallel_rounds,max_worker_insns,total_worker_insns
+            "run_idx,tb_chain_hits,chain_severs,fast_path_insns,slow_path_insns,tb_lookups,tb_misses,rank_threads,parallel_rounds,max_worker_insns,total_worker_insns
 ",
         );
         for run in &self.outcomes {
             let e = run.engine_stats;
             let p = run.parallel;
             out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{}
+                "{},{},{},{},{},{},{},{},{},{},{}
 ",
                 run.run_idx,
                 e.tb_chain_hits,
                 e.chain_severs,
                 e.fast_path_insns,
                 e.slow_path_insns,
-                e.superblocks_formed,
-                e.superblock_execs,
-                e.superblock_bailouts,
                 run.cache_stats.lookups,
                 run.cache_stats.misses,
                 p.threads,
@@ -950,15 +941,13 @@ impl Campaign {
     /// only meaningful under the plan that created it. `trace_regime` is
     /// included (v6): the regime decides whether taint counters in the
     /// journaled rows are measurements or never-armed zeros, so rows from
-    /// different regimes must never mix. `superblocks` is included (v7) for
-    /// the same reason as the other execution-regime knobs: the journaled
-    /// engine counters it changes must stay comparable across rows.
+    /// different regimes must never mix.
     fn config_fingerprint(&self) -> u64 {
         let c = &self.cfg;
         let mut h = Fnv1a::new();
         h.write(
             format!(
-                "{};{};{:?};{:?};{};{:?};{};{:?};{};{};{};{:?};{};{};{};{};{:?};{};{}",
+                "{};{};{:?};{:?};{};{:?};{};{:?};{};{};{};{:?};{};{};{};{:?};{};{}",
                 c.runs,
                 c.seed,
                 c.classes,
@@ -972,7 +961,6 @@ impl Campaign {
                 c.warm_start,
                 c.run_budget,
                 c.tb_chaining,
-                c.superblocks,
                 c.taint_fast_path,
                 c.rank_threads,
                 c.panic_runs,
@@ -1142,7 +1130,6 @@ impl Campaign {
             budget: self.cfg.run_budget,
             exec_tuning: ExecTuning {
                 tb_chaining: self.cfg.tb_chaining,
-                superblocks: self.cfg.superblocks,
                 taint_fast_path: self.cfg.taint_fast_path,
             },
             rank_threads: self.cfg.rank_threads,

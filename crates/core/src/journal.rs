@@ -527,11 +527,10 @@ pub struct JournalHeader {
 /// fingerprint — rows journaled under the statistical `off` regime carry
 /// never-armed zeros in their taint counters and must not mix with `full`
 /// rows.
-/// Version 7 added superblock formation: the `superblocks` knob joined the
-/// config fingerprint, and outcome rows' `engine_stats` gained the
-/// `superblocks_formed` / `superblock_execs` / `superblock_bailouts`
-/// counters.
-pub const JOURNAL_VERSION: u64 = 7;
+/// Version 7 added a block-fusion knob to the config fingerprint and three
+/// fusion counters to outcome rows' `engine_stats`.
+/// Version 8 removed both again, with the fusion itself (DESIGN §14).
+pub const JOURNAL_VERSION: u64 = 8;
 
 /// Line 2 of a *shard* journal: which contiguous slice of the campaign's
 /// run-index range this file owns. The merge uses it to prove coverage
@@ -927,18 +926,6 @@ fn engine_stats_to_json(e: &EngineStats) -> Json {
             "slow_path_insns".into(),
             Json::Num(e.slow_path_insns as i128),
         ),
-        (
-            "superblocks_formed".into(),
-            Json::Num(e.superblocks_formed as i128),
-        ),
-        (
-            "superblock_execs".into(),
-            Json::Num(e.superblock_execs as i128),
-        ),
-        (
-            "superblock_bailouts".into(),
-            Json::Num(e.superblock_bailouts as i128),
-        ),
     ])
 }
 
@@ -948,9 +935,7 @@ fn engine_stats_from_json(v: &Json) -> Result<EngineStats, JournalError> {
         chain_severs: v.u64("chain_severs")?,
         fast_path_insns: v.u64("fast_path_insns")?,
         slow_path_insns: v.u64("slow_path_insns")?,
-        superblocks_formed: v.u64("superblocks_formed")?,
-        superblock_execs: v.u64("superblock_execs")?,
-        superblock_bailouts: v.u64("superblock_bailouts")?,
+        ..EngineStats::default()
     })
 }
 
@@ -1341,9 +1326,7 @@ mod tests {
                 chain_severs: 1,
                 fast_path_insns: 800,
                 slow_path_insns: 7,
-                superblocks_formed: 3,
-                superblock_execs: 20,
-                superblock_bailouts: 1,
+                ..EngineStats::default()
             },
             parallel: ParallelStats {
                 threads: 4,

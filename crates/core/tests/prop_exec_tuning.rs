@@ -1,6 +1,5 @@
-//! Property tests for the hot-path execution knobs: `tb_chaining`,
-//! `superblocks` and `taint_fast_path` are pure performance ablations.
-//! Every observable
+//! Property tests for the hot-path execution knobs: `tb_chaining` and
+//! `taint_fast_path` are pure performance ablations. Every observable
 //! artifact — rank outputs, outcome CSVs, provenance digests and exports,
 //! and the final cluster state digest — must be byte-identical with the
 //! knobs on and off, whether the campaign runs cold, warm-started, or
@@ -53,27 +52,14 @@ fn tuning_strategy() -> impl Strategy<Value = ExecTuning> {
     prop_oneof![
         Just(ExecTuning {
             tb_chaining: false,
-            superblocks: false,
             taint_fast_path: false,
         }),
         Just(ExecTuning {
             tb_chaining: true,
-            superblocks: false,
-            taint_fast_path: false,
-        }),
-        Just(ExecTuning {
-            tb_chaining: true,
-            superblocks: true,
             taint_fast_path: false,
         }),
         Just(ExecTuning {
             tb_chaining: false,
-            superblocks: false,
-            taint_fast_path: true,
-        }),
-        Just(ExecTuning {
-            tb_chaining: true,
-            superblocks: false,
             taint_fast_path: true,
         }),
     ]
@@ -164,7 +150,6 @@ proptest! {
             provenance: true,
             warm_start: warm,
             tb_chaining: tuning.tb_chaining,
-            superblocks: tuning.superblocks,
             taint_fast_path: tuning.taint_fast_path,
             ..CampaignConfig::default()
         };

@@ -7,19 +7,11 @@
 //! the VMI attach/detach flush cycle, so a 5 000-run campaign translates
 //! each guest block once instead of 5 000 times.
 
-use crate::{SbMember, TcgOp, TranslationBlock};
+use crate::TranslationBlock;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Number of times a block's taken-slot chain link must be followed within
-/// one epoch before the cache fuses the chain into a superblock.
-pub const SB_HOT_THRESHOLD: u64 = 16;
-
-/// Maximum number of members fused into one superblock. A self-loop chains
-/// to itself, so this is also the unroll factor for one-block hot loops.
-pub const SB_MAX_MEMBERS: usize = 8;
 
 /// Counters describing cache behaviour; used by the overhead benchmarks to
 /// show the cost of Chaser's cache flushes, and by campaign reports to show
@@ -165,10 +157,6 @@ pub struct DispatchBlock {
     id: u32,
     /// `links[slot] = [recording epoch, successor id]`; id 0 = unlinked.
     links: [[AtomicU64; 2]; 2],
-    /// Taken-slot follow hotness, `[observation epoch, follow count]` —
-    /// drives superblock formation once the count crosses
-    /// [`SB_HOT_THRESHOLD`] within one epoch.
-    hot: [AtomicU64; 2],
 }
 
 impl DispatchBlock {
@@ -220,11 +208,6 @@ pub struct TbCache {
     /// ids — the removed blocks' entries leak until the next full flush,
     /// which is bounded by the overlay's own size.
     slab: Vec<Arc<DispatchBlock>>,
-    /// Fused superblocks keyed by `(asid, head pc)`, each tagged with its
-    /// formation epoch. Severed on exactly the events that sever chain
-    /// links — every epoch bump clears the registry — because a fused
-    /// trace is only as valid as the chain it was cut from.
-    superblocks: HashMap<(u64, u64), (Arc<DispatchBlock>, u64)>,
     stats: CacheStats,
     /// Chain-link validity epoch; links recorded under an older epoch are
     /// dead. Bumped by every event that can invalidate a translation.
@@ -250,7 +233,6 @@ impl TbCache {
     pub fn set_base(&mut self, base: Arc<BaseLayer>) {
         self.overlay.clear();
         self.slab.clear();
-        self.superblocks.clear();
         self.epoch += 1;
         self.base = Some(base);
     }
@@ -265,7 +247,6 @@ impl TbCache {
                 [AtomicU64::new(0), AtomicU64::new(0)],
                 [AtomicU64::new(0), AtomicU64::new(0)],
             ],
-            hot: [AtomicU64::new(0), AtomicU64::new(0)],
         });
         self.slab.push(Arc::clone(&db));
         db
@@ -400,78 +381,6 @@ impl TbCache {
         }
     }
 
-    /// Records one follow of `pred`'s taken slot and returns the follow
-    /// count accumulated in the current epoch (the counter resets whenever
-    /// the epoch moves on, mirroring the links themselves). The engine
-    /// triggers superblock formation when this crosses
-    /// [`SB_HOT_THRESHOLD`].
-    pub fn note_taken_follow(&self, pred: &DispatchBlock) -> u64 {
-        let [epoch, count] = &pred.hot;
-        if epoch.load(Ordering::Relaxed) != self.epoch {
-            epoch.store(self.epoch, Ordering::Relaxed);
-            count.store(0, Ordering::Relaxed);
-        }
-        let n = count.load(Ordering::Relaxed) + 1;
-        count.store(n, Ordering::Relaxed);
-        n
-    }
-
-    /// The fused superblock registered for `(asid, pc)`, if one exists and
-    /// its formation epoch is still current.
-    pub fn superblock(&self, asid: u64, pc: u64) -> Option<Arc<DispatchBlock>> {
-        let (db, epoch) = self.superblocks.get(&(asid, pc))?;
-        (*epoch == self.epoch).then(|| Arc::clone(db))
-    }
-
-    /// Number of superblocks resident in the registry (stale entries from
-    /// older epochs included until the next flush clears them).
-    pub fn superblock_count(&self) -> usize {
-        self.superblocks.len()
-    }
-
-    /// Fuses the taken-slot chain starting at `head` into a straight-line
-    /// superblock and registers it under `(asid, head pc)`.
-    ///
-    /// The walk follows live taken links for up to [`SB_MAX_MEMBERS`]
-    /// members (a self-loop fuses with itself, i.e. unrolls). Each
-    /// non-final member must end in a direct terminator whose (taken)
-    /// target is the next member's start — `ExitTb` is elided outright,
-    /// `ExitTbCond` becomes a [`TcgOp::SbGuard`] side exit — while the
-    /// final member keeps its terminator verbatim. Every `InsnStart`
-    /// survives fusion, so icount accounting, quantum/budget checks and
-    /// PC recovery inside the fused trace are exact, and the recorded
-    /// [`SbMember`] boundaries make the member structure auditable.
-    ///
-    /// Returns `None` (and registers nothing) when the chain is shorter
-    /// than two members, crosses a non-direct terminator, or would fuse an
-    /// already-fused trace.
-    pub fn form_superblock(
-        &mut self,
-        asid: u64,
-        head: &Arc<DispatchBlock>,
-    ) -> Option<Arc<DispatchBlock>> {
-        let head_pc = head.tb().start_pc();
-        if self.superblock(asid, head_pc).is_some() {
-            return None;
-        }
-        let mut members = vec![Arc::clone(head)];
-        while members.len() < SB_MAX_MEMBERS {
-            let last = members.last().expect("members never empty");
-            match self.follow(last, ChainSlot::Taken) {
-                ChainFollow::Hit(succ) => members.push(succ),
-                ChainFollow::Severed | ChainFollow::Unlinked => break,
-            }
-        }
-        if members.len() < 2 {
-            return None;
-        }
-        let fused = fuse_members(&members)?;
-        let db = self.alloc_dispatch(Arc::new(fused));
-        self.superblocks
-            .insert((asid, head_pc), (Arc::clone(&db), self.epoch));
-        Some(db)
-    }
-
     /// Looks up without translating (overlay first, then base, unvalidated).
     pub fn get(&self, asid: u64, pc: u64) -> Option<Arc<TranslationBlock>> {
         if let Some((db, _)) = self.overlay.get(&(asid, pc)) {
@@ -489,19 +398,15 @@ impl TbCache {
     pub fn flush(&mut self) {
         self.overlay.clear();
         self.slab.clear();
-        self.superblocks.clear();
         self.stats.flushes += 1;
         self.epoch += 1;
     }
 
     /// Drops the overlay blocks of one address space. Chain links of
     /// *every* address space are severed (epoch bump) — conservative, but
-    /// links re-form on the next dispatch. Superblocks of every address
-    /// space are severed with them: a fused trace is only as valid as its
-    /// member chain.
+    /// links re-form on the next dispatch.
     pub fn flush_asid(&mut self, asid: u64) {
         self.overlay.retain(|(a, _), _| *a != asid);
-        self.superblocks.clear();
         self.stats.asid_flushes += 1;
         self.epoch += 1;
     }
@@ -542,63 +447,6 @@ impl TbCache {
             ..self.stats
         }
     }
-}
-
-/// Concatenates the members' op and instruction streams into one fused
-/// [`TranslationBlock`], eliding internal direct jumps (see
-/// [`TbCache::form_superblock`] for the contract). Returns `None` when a
-/// non-final member does not end in a direct terminator targeting the next
-/// member, or any member is itself a superblock.
-fn fuse_members(members: &[Arc<DispatchBlock>]) -> Option<TranslationBlock> {
-    let mut ops: Vec<TcgOp> = Vec::new();
-    let mut insns = Vec::new();
-    let mut bounds: Vec<SbMember> = Vec::with_capacity(members.len());
-    let mut n_locals = 0u16;
-    let mut instrumented = false;
-    for (k, member) in members.iter().enumerate() {
-        let tb = member.tb();
-        if tb.fused_members() > 0 {
-            return None;
-        }
-        bounds.push(SbMember {
-            start_pc: tb.start_pc(),
-            op_start: ops.len(),
-            insn_start: insns.len(),
-        });
-        n_locals = n_locals.max(tb.n_locals());
-        instrumented |= tb.is_instrumented();
-        let body = tb.ops();
-        if k + 1 < members.len() {
-            let next_pc = members[k + 1].tb().start_pc();
-            match *body.last()? {
-                TcgOp::ExitTb { next } if next == next_pc => {
-                    ops.extend_from_slice(&body[..body.len() - 1]);
-                }
-                TcgOp::ExitTbCond {
-                    cond,
-                    taken,
-                    fallthrough,
-                } if taken == next_pc => {
-                    ops.extend_from_slice(&body[..body.len() - 1]);
-                    ops.push(TcgOp::SbGuard { cond, fallthrough });
-                }
-                // The link was patched from a direct-jump exit, so a
-                // mismatch here means the chain moved under us — refuse.
-                _ => return None,
-            }
-        } else {
-            ops.extend_from_slice(body);
-        }
-        insns.extend_from_slice(tb.insns());
-    }
-    Some(TranslationBlock::new_fused(
-        members[0].tb().start_pc(),
-        ops,
-        insns,
-        n_locals,
-        instrumented,
-        bounds,
-    ))
 }
 
 #[cfg(test)]
@@ -907,202 +755,6 @@ mod tests {
             panic!("link patched in the wide epoch must hit");
         };
         assert!(Arc::ptr_eq(&succ, &b));
-    }
-
-    /// Three straight-line blocks at `CODE_BASE`: `movi; jmp b`,
-    /// `b: movi; jmp c`, `c: halt`. Returns the code and the three block
-    /// start addresses.
-    fn straight_line_code() -> (Vec<u8>, [u64; 3]) {
-        use chaser_isa::INSN_LEN;
-        let mut a = Asm::new("t");
-        a.movi(Reg::R1, 1);
-        a.jmp("b");
-        a.label("b");
-        a.movi(Reg::R2, 2);
-        a.jmp("c");
-        a.label("c");
-        a.halt();
-        let code = a.assemble().expect("assemble").code().to_vec();
-        (
-            code,
-            [
-                CODE_BASE,
-                CODE_BASE + 2 * INSN_LEN,
-                CODE_BASE + 4 * INSN_LEN,
-            ],
-        )
-    }
-
-    fn dispatch_at(cache: &mut TbCache, asid: u64, code: &[u8], pc: u64) -> Arc<DispatchBlock> {
-        cache.dispatch_get_or_translate_validated(
-            asid,
-            pc,
-            |_| true,
-            || translate_block(&SliceFetcher::new(CODE_BASE, code), pc, None),
-        )
-    }
-
-    #[test]
-    fn hot_taken_chain_fuses_into_a_superblock() {
-        let (code, [pa, pb, pc_]) = straight_line_code();
-        let mut cache = TbCache::new();
-        let a = dispatch_at(&mut cache, 1, &code, pa);
-        let b = dispatch_at(&mut cache, 1, &code, pb);
-        let c = dispatch_at(&mut cache, 1, &code, pc_);
-        cache.chain(&a, ChainSlot::Taken, &b);
-        cache.chain(&b, ChainSlot::Taken, &c);
-        let sb = cache.form_superblock(1, &a).expect("chain must fuse");
-        let tb = sb.tb();
-        assert_eq!(tb.fused_members(), 3);
-        assert_eq!(tb.start_pc(), pa);
-        // Internal direct jumps are elided: no ExitTb survives (the trace
-        // ends in the final member's Halt) and every instruction kept its
-        // InsnStart.
-        assert!(!tb.ops().iter().any(|op| matches!(op, TcgOp::ExitTb { .. })));
-        assert!(matches!(tb.ops().last(), Some(TcgOp::Halt)));
-        assert_eq!(tb.insns().len(), 5);
-        let starts: Vec<u64> = tb.member_boundaries().iter().map(|m| m.start_pc).collect();
-        assert_eq!(starts, vec![pa, pb, pc_]);
-        let insn_starts: Vec<usize> = tb
-            .member_boundaries()
-            .iter()
-            .map(|m| m.insn_start)
-            .collect();
-        assert_eq!(insn_starts, vec![0, 2, 4]);
-        // The registry serves it while the epoch holds.
-        let again = cache.superblock(1, pa).expect("registered");
-        assert!(Arc::ptr_eq(&again, &sb));
-        // Re-forming at the same head is refused (the registry entry wins).
-        assert!(cache.form_superblock(1, &a).is_none());
-    }
-
-    #[test]
-    fn self_loop_fuses_as_an_unrolled_trace_with_guards() {
-        use chaser_isa::INSN_LEN;
-        let mut a = Asm::new("t");
-        a.movi(Reg::R1, 0);
-        a.label("loop");
-        a.addi(Reg::R1, 1);
-        a.cmpi(Reg::R1, 1000);
-        a.jcc(chaser_isa::Cond::Lt, "loop");
-        a.halt();
-        let code = a.assemble().expect("assemble").code().to_vec();
-        let loop_pc = CODE_BASE + INSN_LEN;
-
-        let mut cache = TbCache::new();
-        let body = dispatch_at(&mut cache, 1, &code, loop_pc);
-        cache.chain(&body, ChainSlot::Taken, &body);
-        let sb = cache.form_superblock(1, &body).expect("self-loop fuses");
-        let tb = sb.tb();
-        assert_eq!(tb.fused_members(), SB_MAX_MEMBERS);
-        // Each internal back-edge became a guard; the final copy keeps the
-        // conditional exit.
-        let guards = tb
-            .ops()
-            .iter()
-            .filter(|op| matches!(op, TcgOp::SbGuard { .. }))
-            .count();
-        assert_eq!(guards, SB_MAX_MEMBERS - 1);
-        assert!(matches!(tb.ops().last(), Some(TcgOp::ExitTbCond { .. })));
-        assert_eq!(tb.insns().len(), 3 * SB_MAX_MEMBERS);
-    }
-
-    #[test]
-    fn superblocks_sever_on_flush() {
-        let (code, [pa, pb, pc_]) = straight_line_code();
-        let mut cache = TbCache::new();
-        let a = dispatch_at(&mut cache, 1, &code, pa);
-        let b = dispatch_at(&mut cache, 1, &code, pb);
-        let c = dispatch_at(&mut cache, 1, &code, pc_);
-        cache.chain(&a, ChainSlot::Taken, &b);
-        cache.chain(&b, ChainSlot::Taken, &c);
-        cache.form_superblock(1, &a).expect("fuses");
-        cache.flush();
-        assert!(cache.superblock(1, pa).is_none());
-        assert_eq!(cache.superblock_count(), 0);
-    }
-
-    #[test]
-    fn superblocks_sever_on_asid_flush_of_any_address_space() {
-        let (code, [pa, pb, pc_]) = straight_line_code();
-        let mut cache = TbCache::new();
-        let a = dispatch_at(&mut cache, 1, &code, pa);
-        let b = dispatch_at(&mut cache, 1, &code, pb);
-        let c = dispatch_at(&mut cache, 1, &code, pc_);
-        cache.chain(&a, ChainSlot::Taken, &b);
-        cache.chain(&b, ChainSlot::Taken, &c);
-        cache.form_superblock(1, &a).expect("fuses");
-        cache.flush_asid(7); // unrelated asid — still bumps the epoch
-        assert!(cache.superblock(1, pa).is_none());
-    }
-
-    #[test]
-    fn superblocks_sever_on_base_swap() {
-        let (code, [pa, pb, pc_]) = straight_line_code();
-        let mut warm = TbCache::new();
-        warm.get_or_translate(1, CODE_BASE, || {
-            translate_block(&SliceFetcher::new(CODE_BASE, &code), CODE_BASE, None)
-        });
-        let base = warm.seal();
-
-        let mut cache = TbCache::new();
-        let a = dispatch_at(&mut cache, 1, &code, pa);
-        let b = dispatch_at(&mut cache, 1, &code, pb);
-        let c = dispatch_at(&mut cache, 1, &code, pc_);
-        cache.chain(&a, ChainSlot::Taken, &b);
-        cache.chain(&b, ChainSlot::Taken, &c);
-        cache.form_superblock(1, &a).expect("fuses");
-        cache.set_base(base);
-        assert!(cache.superblock(1, pa).is_none());
-    }
-
-    #[test]
-    fn non_direct_terminators_refuse_to_fuse() {
-        // Both blocks end in Halt; a (manually) patched link across them
-        // must not produce a fused trace.
-        let code = code();
-        let mut cache = TbCache::new();
-        let a = dispatch(&mut cache, 1, CODE_BASE, &code);
-        let b = dispatch(&mut cache, 1, CODE_BASE + 64, &code);
-        cache.chain(&a, ChainSlot::Taken, &b);
-        assert!(cache.form_superblock(1, &a).is_none());
-    }
-
-    #[test]
-    fn superblock_registry_does_not_leak_blocks() {
-        // The registry and slab hold the only strong references; chain
-        // links into and out of the fused trace are id-based, so a full
-        // flush frees it.
-        let (code, [pa, pb, pc_]) = straight_line_code();
-        let mut cache = TbCache::new();
-        let a = dispatch_at(&mut cache, 1, &code, pa);
-        let b = dispatch_at(&mut cache, 1, &code, pb);
-        let c = dispatch_at(&mut cache, 1, &code, pc_);
-        cache.chain(&a, ChainSlot::Taken, &b);
-        cache.chain(&b, ChainSlot::Taken, &c);
-        let sb = cache.form_superblock(1, &a).expect("fuses");
-        cache.chain(&a, ChainSlot::Taken, &sb); // redirect, as the engine does
-        cache.chain(&sb, ChainSlot::Taken, &sb); // self-link
-        let weak = Arc::downgrade(&sb);
-        drop(sb);
-        drop((a, b, c));
-        cache.flush();
-        assert!(
-            weak.upgrade().is_none(),
-            "fused trace must not outlive the flush"
-        );
-    }
-
-    #[test]
-    fn taken_follow_counter_resets_across_epochs() {
-        let code = code();
-        let mut cache = TbCache::new();
-        let a = dispatch(&mut cache, 1, CODE_BASE, &code);
-        assert_eq!(cache.note_taken_follow(&a), 1);
-        assert_eq!(cache.note_taken_follow(&a), 2);
-        cache.flush_asid(7);
-        let a = dispatch(&mut cache, 1, CODE_BASE, &code);
-        assert_eq!(cache.note_taken_follow(&a), 1, "epoch bump resets hotness");
     }
 
     #[test]

@@ -381,21 +381,6 @@ pub enum TcgOp {
         /// Target when not taken.
         fallthrough: u64,
     },
-    /// A superblock-internal guard standing in for a fused conditional
-    /// exit: when the guest flags satisfy `cond`, execution falls through
-    /// into the next fused member's ops; otherwise the trace side-exits at
-    /// `fallthrough` exactly like the original [`TcgOp::ExitTbCond`] would
-    /// have. Never emitted by the translator — only superblock fusion
-    /// ([`crate::TbCache::form_superblock`]) elides a member's terminator
-    /// into one of these. Side exits must not patch chain slots: several
-    /// guards with different targets share one dispatch block.
-    SbGuard {
-        /// Condition under which execution continues into the fused
-        /// successor.
-        cond: Cond,
-        /// Side-exit target when the condition does not hold.
-        fallthrough: u64,
-    },
     /// End the block, continuing at a computed address (`ret`, `call reg`).
     ExitTbIndirect {
         /// Temp holding the next program counter.
@@ -479,9 +464,6 @@ impl fmt::Display for TcgOp {
                 taken,
                 fallthrough,
             } => write!(f, "exit_tb_cond {cond} {taken:#x} {fallthrough:#x}"),
-            O::SbGuard { cond, fallthrough } => {
-                write!(f, "sb_guard {cond} else {fallthrough:#x}")
-            }
             O::ExitTbIndirect { addr } => write!(f, "exit_tb_ind {addr}"),
             O::Hypercall { num, next } => write!(f, "hypercall {num} next={next:#x}"),
             O::Halt => write!(f, "halt"),

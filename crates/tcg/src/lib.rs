@@ -49,12 +49,9 @@ mod ir;
 mod tb;
 mod translate;
 
-pub use cache::{
-    BaseLayer, CacheStats, ChainFollow, ChainSlot, DispatchBlock, TbCache, SB_HOT_THRESHOLD,
-    SB_MAX_MEMBERS,
-};
+pub use cache::{BaseLayer, CacheStats, ChainFollow, ChainSlot, DispatchBlock, TbCache};
 pub use ir::{Global, Helper, TcgOp, Temp};
-pub use tb::{SbMember, TranslationBlock};
+pub use tb::TranslationBlock;
 pub use translate::{
     translate_block, CodeFetcher, InjectPointId, SliceFetcher, TranslateHook, MAX_TB_INSNS,
 };

@@ -4,23 +4,6 @@ use crate::TcgOp;
 use chaser_isa::Instruction;
 use serde::{Deserialize, Serialize};
 
-/// One member of a fused superblock: where the member's ops and
-/// instructions begin inside the concatenated streams, and the guest
-/// address the member started at. Recorded so any point inside a fused
-/// trace maps back to an exact (member, pc, icount) — the bail-out and
-/// side-exit paths recover the precise architectural position from the
-/// `InsnStart` ops, and these boundaries make the mapping auditable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SbMember {
-    /// Guest address of the member's first instruction.
-    pub start_pc: u64,
-    /// Index into [`TranslationBlock::ops`] where the member's ops begin.
-    pub op_start: usize,
-    /// Index into [`TranslationBlock::insns`] where the member's
-    /// instructions begin.
-    pub insn_start: usize,
-}
-
 /// A translated basic block of guest code.
 ///
 /// A TB covers guest instructions from [`TranslationBlock::start_pc`] up to
@@ -28,15 +11,6 @@ pub struct SbMember {
 /// [`crate::MAX_TB_INSNS`] limit. The decoded guest instructions are kept
 /// alongside the IR so trace logs and injection reports can show guest-level
 /// mnemonics.
-///
-/// A *superblock* is the same structure built by fusion instead of
-/// translation: the op streams of a hot chain of TBs concatenated
-/// back-to-back with the internal direct jumps elided, plus the
-/// [`SbMember`] boundary of every fused member. `fused_members()` > 0
-/// distinguishes it; everything else about the contract (every guest
-/// instruction still has its `InsnStart`, the final terminator is intact)
-/// is unchanged, which is what lets both engine loops execute it as an
-/// ordinary block.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TranslationBlock {
     start_pc: u64,
@@ -44,9 +18,6 @@ pub struct TranslationBlock {
     insns: Vec<(u64, Instruction)>,
     n_locals: u16,
     instrumented: bool,
-    /// Empty for ordinary blocks; one entry per fused member for
-    /// superblocks.
-    members: Vec<SbMember>,
 }
 
 impl TranslationBlock {
@@ -63,25 +34,6 @@ impl TranslationBlock {
             insns,
             n_locals,
             instrumented,
-            members: Vec::new(),
-        }
-    }
-
-    pub(crate) fn new_fused(
-        start_pc: u64,
-        ops: Vec<TcgOp>,
-        insns: Vec<(u64, Instruction)>,
-        n_locals: u16,
-        instrumented: bool,
-        members: Vec<SbMember>,
-    ) -> TranslationBlock {
-        TranslationBlock {
-            start_pc,
-            ops,
-            insns,
-            n_locals,
-            instrumented,
-            members,
         }
     }
 
@@ -105,21 +57,8 @@ impl TranslationBlock {
         self.n_locals
     }
 
-    /// True when a fault-injection callback was spliced into this block
-    /// (or, for a superblock, into any fused member).
+    /// True when a fault-injection callback was spliced into this block.
     pub fn is_instrumented(&self) -> bool {
         self.instrumented
-    }
-
-    /// Number of fused members: 0 for an ordinary translation block, ≥ 2
-    /// for a superblock.
-    pub fn fused_members(&self) -> usize {
-        self.members.len()
-    }
-
-    /// The per-member boundaries of a superblock (empty for ordinary
-    /// blocks).
-    pub fn member_boundaries(&self) -> &[SbMember] {
-        &self.members
     }
 }

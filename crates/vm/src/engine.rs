@@ -11,7 +11,7 @@ use chaser_isa::{abi, Flags, Instruction, PAGE_SIZE};
 use chaser_taint::{PropKind, ProvSet, TaintMask, TaintState};
 use chaser_tcg::{
     translate_block, ChainFollow, ChainSlot, CodeFetcher, DispatchBlock, Global, TbCache, TcgOp,
-    Temp, TranslateHook, TranslationBlock, SB_HOT_THRESHOLD,
+    Temp, TranslateHook, TranslationBlock,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -29,12 +29,6 @@ pub struct ExecTuning {
     /// provenance), guest loads and clean stores skip shadow reads/writes,
     /// provenance propagation and taint-hook dispatch.
     pub taint_fast_path: bool,
-    /// Superblock formation: once a block's taken-slot chain has been
-    /// followed [`chaser_tcg::SB_HOT_THRESHOLD`] times within one epoch,
-    /// the chain is fused into a straight-line trace dispatched as a
-    /// single block, eliminating the per-member dispatch round-trip.
-    /// Requires `tb_chaining` (no chains, nothing to fuse).
-    pub superblocks: bool,
 }
 
 impl Default for ExecTuning {
@@ -42,7 +36,6 @@ impl Default for ExecTuning {
         ExecTuning {
             tb_chaining: true,
             taint_fast_path: true,
-            superblocks: true,
         }
     }
 }
@@ -63,13 +56,13 @@ pub struct EngineStats {
     /// Guest memory operations that ran the full taint/provenance slow
     /// path.
     pub slow_path_insns: u64,
-    /// Hot taken-slot chains fused into straight-line superblocks.
+    /// Always zero, never written. Kept only because the frozen ledger
+    /// (`crates/bench/src/bin/ledger/layers.rs`) reads it; deliberately
+    /// absent from `absorb`, the journal row codec and `stats_csv`. Goes
+    /// with `tcg.superblocks_formed_per_run` in the next benchmark PR.
     pub superblocks_formed: u64,
-    /// Block dispatches that executed a fused superblock.
-    pub superblock_execs: u64,
-    /// Early exits from a fused trace: a guard side-exit at a member
-    /// boundary, or the taint regime flipping mid-trace (an injection
-    /// landed inside a fused member).
+    /// Always zero, never written: same as `superblocks_formed`, for the
+    /// ledger's `tcg.superblock_bailouts_per_run`.
     pub superblock_bailouts: u64,
 }
 
@@ -81,9 +74,6 @@ impl EngineStats {
         self.chain_severs += other.chain_severs;
         self.fast_path_insns += other.fast_path_insns;
         self.slow_path_insns += other.slow_path_insns;
-        self.superblocks_formed += other.superblocks_formed;
-        self.superblock_execs += other.superblock_execs;
-        self.superblock_bailouts += other.superblock_bailouts;
     }
 }
 
@@ -98,8 +88,6 @@ struct HotCounters {
     chain_severs: u64,
     fast: u64,
     slow: u64,
-    sb_execs: u64,
-    sb_bails: u64,
 }
 
 impl HotCounters {
@@ -109,8 +97,6 @@ impl HotCounters {
         stats.chain_severs += self.chain_severs;
         stats.fast_path_insns += self.fast;
         stats.slow_path_insns += self.slow;
-        stats.superblock_execs += self.sb_execs;
-        stats.superblock_bailouts += self.sb_bails;
         *self = HotCounters::default();
     }
 }
@@ -213,268 +199,6 @@ fn store_u64_tainted(
     Ok(paddr)
 }
 
-/// Chain-exit slow path for a taken link that just crossed the hotness
-/// threshold: returns the fused trace to dispatch instead of `head` —
-/// reusing a registered superblock or forming one from the live chain —
-/// and redirects `pred`'s taken link at it so steady-state follows reach
-/// the trace without a lookup. `None` when the chain cannot be fused
-/// (too short, non-direct terminator); the caller falls back to `head`.
-#[cold]
-fn hot_chain_superblock(
-    cache: &mut TbCache,
-    stats: &mut EngineStats,
-    asid: u64,
-    pred: &Arc<DispatchBlock>,
-    head: &Arc<DispatchBlock>,
-) -> Option<Arc<DispatchBlock>> {
-    let sb = match cache.superblock(asid, head.tb().start_pc()) {
-        Some(sb) => sb,
-        None => {
-            let sb = cache.form_superblock(asid, head)?;
-            stats.superblocks_formed += 1;
-            sb
-        }
-    };
-    cache.chain(pred, ChainSlot::Taken, &sb);
-    Some(sb)
-}
-
-/// Exit disposition of the fully-clean block executor.
-enum CleanStep {
-    /// Direct-jump terminator reached; `pc` is set, chain through `slot`.
-    Chain(ChainSlot),
-    /// Indirect terminator reached; `pc` is set, dispatch without chaining.
-    NoChain,
-    /// The quantum/budget bound hit at an instruction boundary; `pc` is set
-    /// to the safe resume point.
-    Limit,
-    /// An MPI hypercall; `pc` is set to the resume point and the request
-    /// registers are untouched, so the caller rebuilds the `MpiRequest`
-    /// (keeping this enum two words wide — returned in registers, not
-    /// through a stack slot).
-    Mpi(u16),
-    /// A kernel hypercall; `pc` is set to the resume point.
-    Kernel(u16),
-    Halt,
-    Fault(Signal),
-    /// An op this executor does not model (an injection callback); the
-    /// caller resumes the general loop at op index `idx`.
-    Bail(usize),
-    /// A superblock guard side-exited at a fused member boundary; `pc` is
-    /// set to the not-taken target. Dispatch without chaining: guards with
-    /// different targets share the trace's one dispatch block, so a
-    /// patched slot could be replayed for the wrong guard.
-    SideExit,
-}
-
-/// Executes one translation block under the fully-clean fast regime: no
-/// taint or provenance exists anywhere in the node (`fully_idle`), no guest
-/// function hooks are installed and no injector is wired, so every op
-/// reduces to its architectural effect. Keeping this loop entirely free of
-/// taint/hook/provenance code — rather than branching around it per op —
-/// shrinks the dispatch body enough to matter: the win is code locality and
-/// register pressure, not the (predictable) branches themselves.
-///
-/// On `Bail` the caller re-enters the general loop at the offending op with
-/// `executed` and the counters already flushed; every other variant is a
-/// block exit with `proc` in its architectural exit state.
-#[inline(never)]
-fn run_tb_clean(
-    tb: &TranslationBlock,
-    proc: &mut Process,
-    phys: &mut PhysMemory,
-    locals: &mut [u64],
-    executed: &mut u64,
-    limit: u64,
-    fast: &mut u64,
-) -> CleanStep {
-    let mut exec = *executed;
-    let mut n_fast = 0u64;
-
-    macro_rules! val {
-        ($t:expr) => {
-            match $t {
-                Temp::Global(Global::Reg(r)) => proc.cpu.reg(r),
-                Temp::Global(Global::FReg(r)) => proc.cpu.freg_bits(r),
-                Temp::Local(i) => locals[i as usize],
-            }
-        };
-    }
-    macro_rules! setval {
-        ($t:expr, $v:expr) => {
-            match $t {
-                Temp::Global(Global::Reg(r)) => proc.cpu.set_reg(r, $v),
-                Temp::Global(Global::FReg(r)) => proc.cpu.set_freg_bits(r, $v),
-                Temp::Local(i) => locals[i as usize] = $v,
-            }
-        };
-    }
-
-    let step = 'run: {
-        for (idx, op) in tb.ops().iter().enumerate() {
-            match *op {
-                TcgOp::InsnStart { pc } => {
-                    if exec >= limit {
-                        // Safe resume point: the instruction has not begun.
-                        proc.cpu.pc = pc;
-                        break 'run CleanStep::Limit;
-                    }
-                    exec += 1;
-                }
-                TcgOp::Movi { d, imm } => setval!(d, imm),
-                TcgOp::Mov { d, s } => {
-                    let v = val!(s);
-                    setval!(d, v);
-                }
-                TcgOp::Add { d, a, b } => {
-                    let v = val!(a).wrapping_add(val!(b));
-                    setval!(d, v);
-                }
-                TcgOp::Sub { d, a, b } => {
-                    let v = val!(a).wrapping_sub(val!(b));
-                    setval!(d, v);
-                }
-                TcgOp::Addi { d, a, imm } => {
-                    let v = val!(a).wrapping_add(imm);
-                    setval!(d, v);
-                }
-                TcgOp::Mul { d, a, b } => {
-                    let v = val!(a).wrapping_mul(val!(b));
-                    setval!(d, v);
-                }
-                TcgOp::Divs { d, a, b } => {
-                    let (av, bv) = (val!(a), val!(b));
-                    if bv == 0 {
-                        break 'run CleanStep::Fault(Signal::Fpe);
-                    }
-                    setval!(d, (av as i64).wrapping_div(bv as i64) as u64);
-                }
-                TcgOp::Divu { d, a, b } => {
-                    let (av, bv) = (val!(a), val!(b));
-                    if bv == 0 {
-                        break 'run CleanStep::Fault(Signal::Fpe);
-                    }
-                    setval!(d, av / bv);
-                }
-                TcgOp::Remu { d, a, b } => {
-                    let (av, bv) = (val!(a), val!(b));
-                    if bv == 0 {
-                        break 'run CleanStep::Fault(Signal::Fpe);
-                    }
-                    setval!(d, av % bv);
-                }
-                TcgOp::And { d, a, b } => {
-                    let v = val!(a) & val!(b);
-                    setval!(d, v);
-                }
-                TcgOp::Or { d, a, b } => {
-                    let v = val!(a) | val!(b);
-                    setval!(d, v);
-                }
-                TcgOp::Xor { d, a, b } => {
-                    let v = val!(a) ^ val!(b);
-                    setval!(d, v);
-                }
-                TcgOp::Shl { d, a, b } => {
-                    let v = val!(a) << (val!(b) & 63);
-                    setval!(d, v);
-                }
-                TcgOp::Shr { d, a, b } => {
-                    let v = val!(a) >> (val!(b) & 63);
-                    setval!(d, v);
-                }
-                TcgOp::Sar { d, a, b } => {
-                    let v = ((val!(a) as i64) >> (val!(b) & 63)) as u64;
-                    setval!(d, v);
-                }
-                TcgOp::Neg { d, a } => {
-                    let v = (val!(a) as i64).wrapping_neg() as u64;
-                    setval!(d, v);
-                }
-                TcgOp::Not { d, a } => {
-                    let v = !val!(a);
-                    setval!(d, v);
-                }
-                TcgOp::SetFlagsInt { a, b } => {
-                    proc.cpu.flags = Flags::from_int_cmp(val!(a), val!(b));
-                }
-                TcgOp::SetFlagsInti { a, imm } => {
-                    proc.cpu.flags = Flags::from_int_cmp(val!(a), imm);
-                }
-                TcgOp::SetFlagsFp { a, b } => {
-                    proc.cpu.flags =
-                        Flags::from_fp_cmp(f64::from_bits(val!(a)), f64::from_bits(val!(b)));
-                }
-                TcgOp::QemuLd { d, addr, disp } => {
-                    let vaddr = val!(addr).wrapping_add(disp as u64);
-                    n_fast += 1;
-                    match proc.aspace.read_u64(phys, vaddr) {
-                        Ok(value) => setval!(d, value),
-                        Err(_) => break 'run CleanStep::Fault(Signal::Segv),
-                    }
-                }
-                TcgOp::QemuSt { s, addr, disp } => {
-                    let vaddr = val!(addr).wrapping_add(disp as u64);
-                    let value = val!(s);
-                    n_fast += 1;
-                    if proc.aspace.write_u64(phys, vaddr, value).is_err() {
-                        break 'run CleanStep::Fault(Signal::Segv);
-                    }
-                }
-                TcgOp::CallHelper { helper, d, a, b } => {
-                    let out = helper.eval(val!(a), val!(b));
-                    setval!(d, out);
-                }
-                TcgOp::CallInject { .. } => break 'run CleanStep::Bail(idx),
-                TcgOp::ExitTb { next } => {
-                    proc.cpu.pc = next;
-                    break 'run CleanStep::Chain(ChainSlot::Taken);
-                }
-                TcgOp::ExitTbCond {
-                    cond,
-                    taken,
-                    fallthrough,
-                } => {
-                    let slot = if proc.cpu.flags.holds(cond) {
-                        proc.cpu.pc = taken;
-                        ChainSlot::Taken
-                    } else {
-                        proc.cpu.pc = fallthrough;
-                        ChainSlot::Fallthrough
-                    };
-                    break 'run CleanStep::Chain(slot);
-                }
-                TcgOp::SbGuard { cond, fallthrough } => {
-                    if !proc.cpu.flags.holds(cond) {
-                        proc.cpu.pc = fallthrough;
-                        break 'run CleanStep::SideExit;
-                    }
-                }
-                TcgOp::ExitTbIndirect { addr } => {
-                    proc.cpu.pc = val!(addr);
-                    break 'run CleanStep::NoChain;
-                }
-                TcgOp::Hypercall { num, next } => {
-                    proc.cpu.pc = next;
-                    if num >= abi::MPI_BASE {
-                        break 'run CleanStep::Mpi(num);
-                    }
-                    break 'run CleanStep::Kernel(num);
-                }
-                TcgOp::Halt => break 'run CleanStep::Halt,
-                TcgOp::BadFetch { .. } => break 'run CleanStep::Fault(Signal::Segv),
-                TcgOp::BadDecode { .. } => break 'run CleanStep::Fault(Signal::Ill),
-            }
-        }
-        // A well-formed TB always ends in a terminator; reaching here means
-        // the translator emitted a chained ExitTb which breaks above.
-        unreachable!("translation block fell through without a terminator");
-    };
-    *executed = exec;
-    *fast += n_fast;
-    step
-}
-
 /// The node's TB-temporaries buffer, held by one slice as a plain local and
 /// handed back on every exit path. The dispatch loop indexes the buffer on
 /// every op: as a local its pointer and length live in registers, behind
@@ -551,9 +275,6 @@ pub(crate) fn run_slice(
     let track_inject = hooks.inject.is_some();
     let chaining = tuning.tb_chaining;
     let fast_path = tuning.taint_fast_path;
-    // Superblocks ride on chain links: without chaining there are no
-    // follows to count and no chains to fuse.
-    let sb_enabled = tuning.superblocks && chaining;
     // The quantum and the run budget are checked at the same resume point;
     // fusing them into one bound leaves a single compare per instruction.
     let limit = quantum.min(insn_budget);
@@ -569,47 +290,33 @@ pub(crate) fn run_slice(
         let db: Arc<DispatchBlock> = match next_block.take() {
             Some(db) => db,
             None => {
-                // A registered superblock headed at this pc wins over the
-                // plain block: it is severed by exactly the events that
-                // would invalidate the member chain, so while it is
-                // served it is as valid as the blocks it fused.
-                let sb = if sb_enabled {
-                    cache.superblock(pid, start_pc)
-                } else {
-                    None
+                let fetcher = AspaceFetcher {
+                    aspace: &proc.aspace,
+                    phys,
                 };
-                let db = match sb {
-                    Some(sb) => sb,
-                    None => {
-                        let fetcher = AspaceFetcher {
-                            aspace: &proc.aspace,
-                            phys,
-                        };
-                        cache.dispatch_get_or_translate_validated(
-                            pid,
+                let db = cache.dispatch_get_or_translate_validated(
+                    pid,
+                    start_pc,
+                    // A clean block from the shared base layer is reusable
+                    // only if the active hook would leave every instruction
+                    // in it uninstrumented; otherwise it must be
+                    // retranslated so the injection callback gets spliced
+                    // in.
+                    |tb| match &adapter {
+                        Some(a) => tb
+                            .insns()
+                            .iter()
+                            .all(|(pc, insn)| a.inject_point(*pc, insn).is_none()),
+                        None => true,
+                    },
+                    || {
+                        translate_block(
+                            &fetcher,
                             start_pc,
-                            // A clean block from the shared base layer is
-                            // reusable only if the active hook would leave
-                            // every instruction in it uninstrumented;
-                            // otherwise it must be retranslated so the
-                            // injection callback gets spliced in.
-                            |tb| match &adapter {
-                                Some(a) => tb
-                                    .insns()
-                                    .iter()
-                                    .all(|(pc, insn)| a.inject_point(*pc, insn).is_none()),
-                                None => true,
-                            },
-                            || {
-                                translate_block(
-                                    &fetcher,
-                                    start_pc,
-                                    adapter.as_ref().map(|a| a as &dyn TranslateHook),
-                                )
-                            },
+                            adapter.as_ref().map(|a| a as &dyn TranslateHook),
                         )
-                    }
-                };
+                    },
+                );
                 if let Some((pred, slot)) = pending_patch.take() {
                     cache.chain(&pred, slot, &db);
                 }
@@ -620,31 +327,17 @@ pub(crate) fn run_slice(
         // that outlives the block body, so no refcount traffic is needed
         // (an `Arc::clone` here costs two atomic RMWs per block dispatch).
         let tb: &TranslationBlock = db.tb();
-        let fused = tb.fused_members() > 0;
-        if fused {
-            hot.sb_execs += 1;
-        }
 
         // Resolves a direct-jump exit to `slot`: dispatch through the live
         // link when one exists, otherwise fall back to the cache lookup and
-        // patch the slot afterwards. Taken-slot hits additionally feed the
-        // hotness counter that triggers superblock formation: exactly at
-        // the threshold the chain behind the link is fused and the link
-        // redirected at the trace.
+        // patch the slot afterwards.
         macro_rules! chain_exit {
             ($slot:expr) => {
                 if chaining {
                     match cache.follow(&db, $slot) {
                         ChainFollow::Hit(succ) => {
                             hot.chain_hits += 1;
-                            next_block = if sb_enabled
-                                && matches!($slot, ChainSlot::Taken)
-                                && cache.note_taken_follow(&db) == SB_HOT_THRESHOLD
-                            {
-                                hot_chain_superblock(cache, stats, pid, &db, &succ).or(Some(succ))
-                            } else {
-                                Some(succ)
-                            };
+                            next_block = Some(succ);
                         }
                         ChainFollow::Severed => {
                             hot.chain_severs += 1;
@@ -704,6 +397,23 @@ pub(crate) fn run_slice(
                 hot.flush_into(stats);
             };
         }
+        // What a guest-function hook or the injector sees at the
+        // instruction at `$pc`, with `icount` materialized like everywhere
+        // else.
+        macro_rules! guest_ctx {
+            ($pc:expr) => {
+                GuestCtx {
+                    cpu: &mut proc.cpu,
+                    aspace: &proc.aspace,
+                    phys,
+                    taint,
+                    node: node_id,
+                    pid,
+                    icount: icount_base + executed,
+                    pc: $pc,
+                }
+            };
+        }
         macro_rules! fault {
             ($sig:expr) => {{
                 sync_counters!();
@@ -725,77 +435,9 @@ pub(crate) fn run_slice(
             }};
         }
 
-        // Fully-clean blocks with no hooks in play dispatch through the
-        // specialized executor, which carries no taint/hook/provenance code
-        // at all (see `run_tb_clean`). `Bail` re-enters the general loop
-        // below at the op the executor does not model; the gate guarantees
-        // nothing in the block can flip the clean regime mid-block, so
-        // `clean` stays true across the bail.
-        let mut start_op = 0usize;
-        if clean && !has_fn_hooks && !track_inject {
-            match run_tb_clean(tb, proc, phys, locals, &mut executed, limit, &mut hot.fast) {
-                CleanStep::Chain(slot) => {
-                    chain_exit!(slot);
-                    continue 'outer;
-                }
-                CleanStep::NoChain => continue 'outer,
-                CleanStep::Limit => {
-                    sync_counters!();
-                    // The budget binding is terminal for the run, so it
-                    // wins over a simultaneous quantum expiry.
-                    return if executed >= insn_budget {
-                        SliceExit::BudgetExhausted
-                    } else {
-                        SliceExit::QuantumExpired
-                    };
-                }
-                CleanStep::Mpi(num) => {
-                    let args = [
-                        proc.cpu.reg(chaser_isa::Reg::R1),
-                        proc.cpu.reg(chaser_isa::Reg::R2),
-                        proc.cpu.reg(chaser_isa::Reg::R3),
-                        proc.cpu.reg(chaser_isa::Reg::R4),
-                        proc.cpu.reg(chaser_isa::Reg::R5),
-                        proc.cpu.reg(chaser_isa::Reg::R6),
-                    ];
-                    let req = MpiRequest {
-                        num,
-                        args,
-                        resume_pc: proc.cpu.pc,
-                    };
-                    proc.state = ProcState::BlockedMpi;
-                    proc.pending_mpi = Some(req);
-                    sync_counters!();
-                    return SliceExit::MpiCall(req);
-                }
-                CleanStep::Kernel(num) => {
-                    // Kernel calls observe `icount` (SYS_CLOCK).
-                    sync_counters!();
-                    match handle_kernel_call(num, phys, proc) {
-                        KernelOutcome::Continue => continue 'outer,
-                        KernelOutcome::Exit(status) => {
-                            proc.terminate(status);
-                            return SliceExit::Exited(status);
-                        }
-                    }
-                }
-                CleanStep::Halt => {
-                    sync_counters!();
-                    proc.terminate(ExitStatus::Halted);
-                    return SliceExit::Exited(ExitStatus::Halted);
-                }
-                CleanStep::Fault(sig) => fault!(sig),
-                CleanStep::Bail(idx) => start_op = idx,
-                CleanStep::SideExit => {
-                    hot.sb_bails += 1;
-                    continue 'outer;
-                }
-            }
-        }
-
         let policy = taint.policy();
         let taint_on = taint.is_enabled();
-        for op in &tb.ops()[start_op..] {
+        for op in tb.ops() {
             match *op {
                 TcgOp::InsnStart { pc } => {
                     if executed >= limit {
@@ -828,16 +470,7 @@ pub(crate) fn run_slice(
                     if has_fn_hooks {
                         if let Some(&hook_id) = hooks.fn_hooks.get(&(pid, pc)) {
                             if let Some(sink) = &hooks.fn_hook_sink {
-                                let mut ctx = GuestCtx {
-                                    cpu: &mut proc.cpu,
-                                    aspace: &proc.aspace,
-                                    phys,
-                                    taint,
-                                    node: node_id,
-                                    pid,
-                                    icount: icount_base + executed,
-                                    pc,
-                                };
+                                let mut ctx = guest_ctx!(pc);
                                 sink.lock().on_fn_entry(hook_id, &mut ctx);
                                 // The hook may have tainted registers or
                                 // memory: re-check the clean gate. Locals
@@ -848,12 +481,6 @@ pub(crate) fn run_slice(
                                     taint.begin_block(tb.n_locals());
                                     clean = false;
                                     cur_pc = pc;
-                                    if fused {
-                                        // The fast regime ended mid-trace;
-                                        // the rest of the fused stream runs
-                                        // the slow path op-exact.
-                                        hot.sb_bails += 1;
-                                    }
                                 }
                             }
                         }
@@ -1136,16 +763,7 @@ pub(crate) fn run_slice(
                             .map(|(_, i)| *i)
                             .unwrap_or(Instruction::Nop);
                         let action = {
-                            let mut ctx = GuestCtx {
-                                cpu: &mut proc.cpu,
-                                aspace: &proc.aspace,
-                                phys,
-                                taint,
-                                node: node_id,
-                                pid,
-                                icount: proc.icount,
-                                pc,
-                            };
+                            let mut ctx = guest_ctx!(pc);
                             sink.lock().on_inject_point(point, &insn, &mut ctx)
                         };
                         if action.flush_tb {
@@ -1158,12 +776,6 @@ pub(crate) fn run_slice(
                             taint.begin_block(tb.n_locals());
                             clean = false;
                             cur_pc = pc;
-                            if fused {
-                                // An injection landed inside a fused
-                                // member: leave the fast regime and finish
-                                // the trace op-exact on the slow path.
-                                hot.sb_bails += 1;
-                            }
                         }
                     }
                 }
@@ -1186,16 +798,6 @@ pub(crate) fn run_slice(
                     };
                     chain_exit!(slot);
                     continue 'outer;
-                }
-                TcgOp::SbGuard { cond, fallthrough } => {
-                    if !proc.cpu.flags.holds(cond) {
-                        // Side exit at a fused member boundary; never
-                        // chained (guards share the trace's one dispatch
-                        // block, see `CleanStep::SideExit`).
-                        proc.cpu.pc = fallthrough;
-                        hot.sb_bails += 1;
-                        continue 'outer;
-                    }
                 }
                 TcgOp::ExitTbIndirect { addr } => {
                     proc.cpu.pc = val!(addr);

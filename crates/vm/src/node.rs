@@ -807,15 +807,34 @@ mod more_engine_tests {
     use crate::kernel::Signal;
     use chaser_isa::{abi, Asm, FReg, Reg};
 
-    fn run(prog: &chaser_isa::Program) -> (Node, u64, ExitStatus) {
-        let mut node = Node::new(0);
-        let pid = node.spawn(prog).expect("spawn");
+    fn run_to_exit(node: &mut Node, pid: u64, quantum: u64) -> ExitStatus {
         loop {
-            match node.run_slice(pid, 1_000_000) {
-                SliceExit::Exited(status) => return (node, pid, status),
+            match node.run_slice(pid, quantum) {
+                SliceExit::Exited(status) => return status,
                 SliceExit::QuantumExpired => continue,
                 other => panic!("unexpected slice exit: {other:?}"),
             }
+        }
+    }
+
+    fn run(prog: &chaser_isa::Program) -> (Node, u64, ExitStatus) {
+        let mut node = Node::new(0);
+        let pid = node.spawn(prog).expect("spawn");
+        let status = run_to_exit(&mut node, pid, 1_000_000);
+        (node, pid, status)
+    }
+
+    /// Translate hook marking every store as an injection point.
+    struct TargetStores;
+    impl crate::hooks::NodeTranslateHook for TargetStores {
+        fn inject_point(
+            &self,
+            _n: u32,
+            _p: u64,
+            _pc: u64,
+            insn: &chaser_isa::Instruction,
+        ) -> Option<u64> {
+            matches!(insn, chaser_isa::Instruction::St { .. }).then_some(1)
         }
     }
 
@@ -936,30 +955,17 @@ mod more_engine_tests {
         let mut node = Node::new(0);
         node.set_exec_tuning(tuning);
         let pid = node.spawn(&loop_prog(100)).expect("spawn");
-        let status = loop {
-            match node.run_slice(pid, 1000) {
-                SliceExit::Exited(s) => break s,
-                SliceExit::QuantumExpired => continue,
-                other => panic!("unexpected slice exit: {other:?}"),
-            }
-        };
+        let status = run_to_exit(&mut node, pid, 1000);
         (node, status)
     }
 
     #[test]
     fn tb_chaining_hits_links_and_preserves_results() {
-        // Superblocks off in both arms: fusion absorbs chain follows, and
-        // this test isolates the chaining ablation itself.
-        let on = ExecTuning {
-            superblocks: false,
-            ..ExecTuning::default()
-        };
         let off = ExecTuning {
             tb_chaining: false,
             taint_fast_path: false,
-            superblocks: false,
         };
-        let (chained, s1) = run_tuned(on);
+        let (chained, s1) = run_tuned(ExecTuning::default());
         let (unchained, s2) = run_tuned(off);
         assert_eq!(s1, ExitStatus::Exited(4950));
         assert_eq!(s2, s1, "ablation must not change the outcome");
@@ -978,50 +984,18 @@ mod more_engine_tests {
         assert!(us.slow_path_insns > 0);
     }
 
-    /// Superblock formation must be observationally inert: the hot loop
-    /// produces the same outcome and retires the same instruction stream
-    /// with the knob on or off — only the dispatch accounting differs.
+    /// Injection flipping the taint regime in the middle of a hot, chained
+    /// loop must be exact under every tuning: outcome (here the final
+    /// icount via SYS_CLOCK), callback count and taint reach match the
+    /// all-knobs-off run, and the fast/slow memory-op split depends on
+    /// `taint_fast_path` alone.
     #[test]
-    fn superblocks_form_on_hot_loops_and_preserve_results() {
-        let (fused, s1) = run_tuned(ExecTuning::default());
-        let (plain, s2) = run_tuned(ExecTuning {
-            superblocks: false,
-            ..ExecTuning::default()
-        });
-        assert_eq!(s1, ExitStatus::Exited(4950));
-        assert_eq!(s2, s1, "the knob must not change the outcome");
-        let fs = fused.engine_stats();
-        let ps = plain.engine_stats();
-        assert!(fs.superblocks_formed >= 1, "hot self-loop must fuse");
-        assert!(fs.superblock_execs > 0, "the fused trace must actually run");
-        assert_eq!(ps.superblocks_formed, 0, "knob off must never fuse");
-        assert_eq!(ps.superblock_execs, 0);
-        // Each fused execution covers several chain follows, so the loop
-        // re-dispatches strictly less often.
-        assert!(fs.tb_chain_hits < ps.tb_chain_hits);
-        // Identical dynamic instruction stream: the per-path retire
-        // counters match exactly.
-        assert_eq!(fs.fast_path_insns, ps.fast_path_insns);
-        assert_eq!(fs.slow_path_insns, ps.slow_path_insns);
-    }
-
-    /// Injection flipping the taint regime *inside* a fused trace must
-    /// bail out at the exact architectural position: outcome (here the
-    /// final icount via SYS_CLOCK), taint reach, and retired-instruction
-    /// accounting all match the superblocks-off run byte for byte.
-    #[test]
-    fn injection_mid_superblock_bails_and_matches_unfused_run() {
-        use crate::hooks::{GuestCtx, InjectAction, InjectSink, NodeTranslateHook};
+    fn injection_mid_hot_loop_matches_all_knobs_off_run() {
+        use crate::hooks::{GuestCtx, InjectAction, InjectSink};
         use chaser_isa::Instruction;
         use chaser_taint::TaintMask;
         use parking_lot::Mutex;
 
-        struct TargetStores;
-        impl NodeTranslateHook for TargetStores {
-            fn inject_point(&self, _n: u32, _p: u64, _pc: u64, insn: &Instruction) -> Option<u64> {
-                matches!(insn, Instruction::St { .. }).then_some(1)
-            }
-        }
         struct TaintR2Late {
             fired: u32,
         }
@@ -1032,8 +1006,7 @@ mod more_engine_tests {
                 _insn: &Instruction,
                 ctx: &mut GuestCtx<'_>,
             ) -> InjectAction {
-                // Fire well past SB_HOT_THRESHOLD follows so the taint
-                // appears while the fused trace is executing.
+                // Fire well into the loop, after its back-edge is chained.
                 if self.fired == 40 {
                     ctx.taint_reg(Reg::R2, TaintMask::bit(0));
                 }
@@ -1064,43 +1037,111 @@ mod more_engine_tests {
             let sink = Arc::new(Mutex::new(TaintR2Late { fired: 0 }));
             node.hooks_mut().inject = Some(sink.clone());
             let pid = node.spawn(&prog).expect("spawn");
-            let status = loop {
-                match node.run_slice(pid, 1000) {
-                    SliceExit::Exited(s) => break s,
-                    SliceExit::QuantumExpired => continue,
-                    other => panic!("unexpected slice exit: {other:?}"),
-                }
-            };
+            let status = run_to_exit(&mut node, pid, 1000);
             let fired = sink.lock().fired;
             (node, status, fired)
         };
 
-        let (fused, s_on, fired_on) = run_with(ExecTuning::default());
+        let (tuned, s_on, fired_on) = run_with(ExecTuning::default());
         let (plain, s_off, fired_off) = run_with(ExecTuning {
-            superblocks: false,
+            tb_chaining: false,
+            taint_fast_path: false,
+        });
+        let (unchained, s_un, fired_un) = run_with(ExecTuning {
+            tb_chaining: false,
             ..ExecTuning::default()
         });
-        // Exact icount: SYS_CLOCK read at exit must agree to the insn.
-        assert_eq!(s_on, s_off, "fused bail-out must not perturb icount");
-        assert!(matches!(s_on, ExitStatus::Exited(n) if n > 0));
+        // Exact icount: lea + movi, 100 six-instruction iterations, and
+        // the SYS_CLOCK hypercall itself.
+        assert_eq!(s_on, ExitStatus::Exited(603));
+        assert_eq!(s_off, s_on, "tuning must not perturb icount");
+        assert_eq!(s_un, s_on);
         assert_eq!(fired_on, 100, "one callback per store execution");
         assert_eq!(fired_off, fired_on);
-        assert_eq!(
-            fused.taint().mem().tainted_bytes(),
-            plain.taint().mem().tainted_bytes(),
-            "injected taint must reach the same shadow bytes"
-        );
-        let fs = fused.engine_stats();
-        let ps = plain.engine_stats();
-        assert!(fs.superblocks_formed >= 1, "the hot loop must fuse");
-        assert!(
-            fs.superblock_bailouts >= 1,
-            "the regime flip must be charged as a superblock bail-out"
-        );
-        assert_eq!(ps.superblocks_formed, 0);
-        assert_eq!(ps.superblock_bailouts, 0);
-        assert_eq!(fs.fast_path_insns, ps.fast_path_insns);
-        assert_eq!(fs.slow_path_insns, ps.slow_path_insns);
+        assert_eq!(fired_un, fired_on);
+        assert!(tuned.taint().mem().tainted_bytes() > 0);
+        for other in [&plain, &unchained] {
+            assert_eq!(
+                tuned.taint().mem().tainted_bytes(),
+                other.taint().mem().tainted_bytes(),
+                "injected taint must reach the same shadow bytes"
+            );
+        }
+        let ts = tuned.engine_stats();
+        let us = unchained.engine_stats();
+        assert!(ts.tb_chain_hits > 50, "the loop back-edge must be chained");
+        assert!(ts.fast_path_insns > 0 && ts.slow_path_insns > 0);
+        assert_eq!(ts.fast_path_insns, us.fast_path_insns);
+        assert_eq!(ts.slow_path_insns, us.slow_path_insns);
+    }
+
+    /// The injector sees the victim's retired-instruction count at the
+    /// injection point — what `SYS_CLOCK` would read there — however the
+    /// run is sliced.
+    #[test]
+    fn injector_icount_is_quantum_invariant_and_matches_sys_clock() {
+        use crate::hooks::{GuestCtx, InjectAction, InjectSink};
+        use chaser_isa::Instruction;
+        use parking_lot::Mutex;
+
+        #[derive(Default)]
+        struct RecordIcount(Vec<u64>);
+        impl InjectSink for RecordIcount {
+            fn on_inject_point(
+                &mut self,
+                _point: u64,
+                _insn: &Instruction,
+                ctx: &mut GuestCtx<'_>,
+            ) -> InjectAction {
+                self.0.push(ctx.icount);
+                InjectAction::default()
+            }
+        }
+
+        // Five stores in a loop, each followed by a SYS_CLOCK read that is
+        // written to the output file: the clock retires one instruction
+        // after the store it follows.
+        let mut a = Asm::new("icount");
+        a.bss("buf", 64);
+        a.lea(Reg::R5, "buf");
+        a.movi(Reg::R6, 0);
+        a.label("loop");
+        a.st(Reg::R6, Reg::R5, 0);
+        a.hypercall(abi::SYS_CLOCK);
+        a.movi(Reg::R1, abi::FD_OUTPUT as i64);
+        a.mov(Reg::R2, Reg::R0);
+        a.hypercall(abi::SYS_WRITE_I64);
+        a.addi(Reg::R6, 1);
+        a.cmpi(Reg::R6, 5);
+        a.jcc(chaser_isa::Cond::Lt, "loop");
+        a.exit(0);
+        let prog = a.assemble().expect("assemble");
+
+        let run_with = |quantum: u64| {
+            let mut node = Node::new(0);
+            node.hooks_mut().translate = Some(Arc::new(TargetStores));
+            let sink = Arc::new(Mutex::new(RecordIcount::default()));
+            node.hooks_mut().inject = Some(sink.clone());
+            let pid = node.spawn(&prog).expect("spawn");
+            let status = run_to_exit(&mut node, pid, quantum);
+            assert!(status.is_success());
+            let output = &node.process(pid).expect("proc").files.output;
+            let clocks: Vec<u64> = std::str::from_utf8(output)
+                .expect("utf8")
+                .lines()
+                .map(|l| l.parse().expect("clock"))
+                .collect();
+            let recorded = std::mem::take(&mut sink.lock().0);
+            (recorded, clocks)
+        };
+
+        let (reference, clocks) = run_with(100_000);
+        assert_eq!(reference.len(), 5);
+        let after_store: Vec<u64> = reference.iter().map(|n| n + 1).collect();
+        assert_eq!(after_store, clocks);
+        for quantum in [1, 3] {
+            assert_eq!(run_with(quantum), (reference.clone(), clocks.clone()));
+        }
     }
 
     #[test]
@@ -1124,13 +1165,7 @@ mod more_engine_tests {
 
         node.write_guest_taint(pid, buf, &[0xff]).expect("taint");
         node.complete_mpi(pid, 0);
-        let status = loop {
-            match node.run_slice(pid, 100) {
-                SliceExit::Exited(s) => break s,
-                SliceExit::QuantumExpired => continue,
-                other => panic!("unexpected: {other:?}"),
-            }
-        };
+        let status = run_to_exit(&mut node, pid, 100);
         assert!(status.is_success());
         let after = node.engine_stats();
         assert!(
@@ -1147,17 +1182,11 @@ mod more_engine_tests {
     /// block — a store *after* the callback carries it into shadow memory.
     #[test]
     fn injection_mid_block_leaves_the_clean_regime() {
-        use crate::hooks::{GuestCtx, InjectAction, InjectSink, NodeTranslateHook};
+        use crate::hooks::{GuestCtx, InjectAction, InjectSink};
         use chaser_isa::Instruction;
         use chaser_taint::TaintMask;
         use parking_lot::Mutex;
 
-        struct TargetStores;
-        impl NodeTranslateHook for TargetStores {
-            fn inject_point(&self, _n: u32, _p: u64, _pc: u64, insn: &Instruction) -> Option<u64> {
-                matches!(insn, Instruction::St { .. }).then_some(1)
-            }
-        }
         struct TaintR2 {
             fired: u32,
         }
@@ -1191,13 +1220,7 @@ mod more_engine_tests {
         let sink = Arc::new(Mutex::new(TaintR2 { fired: 0 }));
         node.hooks_mut().inject = Some(sink.clone());
         let pid = node.spawn(&prog).expect("spawn");
-        let status = loop {
-            match node.run_slice(pid, 100_000) {
-                SliceExit::Exited(s) => break s,
-                SliceExit::QuantumExpired => continue,
-                other => panic!("unexpected slice exit: {other:?}"),
-            }
-        };
+        let status = run_to_exit(&mut node, pid, 100_000);
         assert!(status.is_success());
         assert_eq!(sink.lock().fired, 1, "one store, one callback");
         // The injected taint reached shadow memory through the store that

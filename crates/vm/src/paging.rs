@@ -6,12 +6,16 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Page permissions.
+///
+/// Invariant (W^X): no page is ever both writable and executable. The TB
+/// cache never invalidates on guest writes, which is sound only because
+/// translated code cannot be overwritten. The fields are private and the
+/// exported constants are the only values, so a writable-and-executable
+/// mapping cannot be expressed outside this module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PagePerms {
-    /// Writable.
-    pub write: bool,
-    /// Executable.
-    pub exec: bool,
+    write: bool,
+    exec: bool,
 }
 
 impl PagePerms {
@@ -329,5 +333,12 @@ mod tests {
         asp.map_region(&mut phys, 0x1000, PAGE_SIZE, PagePerms::RW)
             .expect("remap");
         assert_eq!(asp.read_u64(&phys, 0x1000).expect("read"), 42);
+    }
+
+    #[test]
+    fn no_exported_perms_are_writable_and_executable() {
+        for perms in [PagePerms::R, PagePerms::RW, PagePerms::RX] {
+            assert!(!(perms.write && perms.exec), "{perms:?} breaks W^X");
+        }
     }
 }

@@ -88,6 +88,23 @@ fn resume_rejects_a_corrupt_config_fingerprint() {
     );
 }
 
+#[test]
+fn resume_rejects_a_v7_journal() {
+    assert_eq!(chaser::JOURNAL_VERSION, 8);
+    let err = resume_mangled("v7", |text| {
+        let doctored = text.replacen("\"chaser_journal\":8", "\"chaser_journal\":7", 1);
+        assert_ne!(doctored, text, "header must carry the version field");
+        doctored
+    })
+    .expect_err("a v7 journal must not resume");
+    match &err {
+        chaser::JournalError::HeaderMismatch {
+            expected, found, ..
+        } => assert_eq!(expected.differing_fields(found), ["version"]),
+        other => panic!("unexpected error: {other}"),
+    }
+}
+
 /// Writes a journal under `wrote` and resumes it under `resumed`,
 /// asserting the cross-regime resume is refused with a header mismatch
 /// whose message names the `trace_regime` field.

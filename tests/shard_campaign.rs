@@ -454,6 +454,30 @@ fn merge_rejects_a_foreign_fingerprint() {
 }
 
 #[test]
+fn merge_rejects_a_v7_shard_journal() {
+    let (dir, paths, header) = merged_fixture("v7-shard");
+    assert_eq!(header.version, 8);
+    let lines = journal_lines(&paths[1]);
+    let doctored = lines[0].replace("\"chaser_journal\":8", "\"chaser_journal\":7");
+    assert_ne!(doctored, lines[0], "header must carry the version field");
+    let mut all = lines.clone();
+    all[0] = doctored;
+    fs::write(&paths[1], format!("{}\n", all.join("\n"))).expect("rewrite");
+    match merge_shard_journals(&paths, &header) {
+        Err(ShardError::Journal(JournalError::HeaderMismatch {
+            path,
+            expected,
+            found,
+        })) => {
+            assert!(path.ends_with("campaign.shard-1.jsonl"), "{path}");
+            assert_eq!(expected.differing_fields(&found), ["version"]);
+        }
+        other => panic!("v7 shard journal accepted: {other:?}"),
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn merge_rejects_mixed_trace_regimes() {
     let (dir, paths, header) = merged_fixture("mixed-regime");
     // Doctor shard-1's header to claim it ran trace=off while the campaign
