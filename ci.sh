@@ -21,15 +21,10 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # degrade to quarantined shard-lost rows with the campaign still completing.
 cargo run --release --offline -p chaser-bench --bin resilience_smoke
 
-# Warm-start smoke: the same small campaign cold vs restored from the
-# shared copy-on-write cluster checkpoint; outcome CSVs must be
-# byte-identical and the warm runs must skip measurable prefix work.
-cargo run --release --offline -p chaser-bench --bin warm_start_smoke
-
 # Provenance smoke: inject one worker fault into matvec, require the
 # provenance graph to carry it across ranks (>=1 message edge, reach >=2),
-# and require the DOT/JSON exports to stay byte-identical across cold,
-# warm-started and journal-resumed executions of the same seed.
+# and require the DOT/JSON exports to stay byte-identical across runs from
+# launch, runs restored from a ladder rung and journal-resumed campaigns.
 cargo run --release --offline -p chaser-bench --bin provenance_smoke
 
 # Serve smoke: campaign-as-a-service end to end. Starts the daemon on a
@@ -68,7 +63,12 @@ cargo run --release --offline -p chaser-bench --bin statistical_smoke
 # traced rows == untraced rows, no failed run) on the two halves of the
 # engine loop: the rank-parallel trace=off workload (clean regime
 # throughout) and the trace=taint lud workload (a third of its memory ops
-# on the tainted tiers, regime flip at the injection). Exits non-zero on
-# any check; the numbers it prints are not comparable (`--quick`).
+# on the tainted tiers, regime flip at the injection). The third run is the
+# traced half of the checkpoint ladder: on matvec4_full_cold (trace=full +
+# provenance) the frozen traced driver executes every run from launch while
+# `Campaign::run` restores from the ladder, and their rows must match.
+# Exits non-zero on any check; the numbers it prints are not comparable
+# (`--quick`).
 cargo run --release --offline -p chaser-bench --bin ledger -- --quick --workload clamr4_off_rankpar
 cargo run --release --offline -p chaser-bench --bin ledger -- --quick --workload lud1_taint_cold
+cargo run --release --offline -p chaser-bench --bin ledger -- --quick --workload matvec4_full_cold

@@ -177,7 +177,6 @@ fn trace_regime(c: &mut Criterion) {
                 tracing: regime == TraceRegime::Full,
                 provenance: regime == TraceRegime::Full,
                 trace_regime: regime,
-                warm_start: true,
                 ..CampaignConfig::default()
             },
         )

@@ -24,7 +24,6 @@ struct Cli {
     /// worker needs to rebuild the identical campaign.
     loaded: Option<(String, u64, u64)>,
     golden: Option<chaser::RunReport>,
-    warm_start: bool,
 }
 
 fn build_app(name: &str, args: &HarnessArgs) -> Option<AppSpec> {
@@ -50,7 +49,6 @@ impl Cli {
             app: None,
             loaded: None,
             golden: None,
-            warm_start: false,
         }
     }
 
@@ -106,20 +104,6 @@ impl Cli {
             },
             "run" => self.run_pending(),
             "trace" => self.trace_pending(parts.next() == Some("dot")),
-            "warm" => match parts.next() {
-                Some("on") => {
-                    self.warm_start = true;
-                    println!("warm start on: campaigns restore runs from a CoW checkpoint");
-                }
-                Some("off") => {
-                    self.warm_start = false;
-                    println!("warm start off: campaigns execute every run from launch");
-                }
-                _ => println!(
-                    "warm start is {} (use `warm on` / `warm off`)",
-                    if self.warm_start { "on" } else { "off" }
-                ),
-            },
             "campaign" => {
                 let mut runs = 50;
                 let mut shards = 0;
@@ -348,8 +332,9 @@ impl Cli {
         }
     }
 
-    /// Runs a fault-injection campaign over the loaded app, honouring the
-    /// `warm` toggle, and dumps outcome counts plus snapshot statistics.
+    /// Runs a fault-injection campaign over the loaded app (every run
+    /// restored from the checkpoint ladder) and dumps outcome counts plus
+    /// snapshot statistics.
     /// With `shards > 1` the campaign runs under the shard supervisor —
     /// in-process worker threads by default, or self-exec subprocess
     /// workers (the hidden `shard-worker` mode) with `subprocess`. The
@@ -368,7 +353,7 @@ impl Cli {
             println!("no app loaded (use `load <app>` first)");
             return;
         };
-        let Some(mut cfg) = campaign_config(runs, shards, self.warm_start, trace) else {
+        let Some(mut cfg) = campaign_config(runs, shards, trace) else {
             println!("unknown trace regime `{trace}` (use trace=off|taint|full)");
             return;
         };
@@ -393,22 +378,16 @@ impl Cli {
                 ranks.to_string(),
                 runs.to_string(),
                 shards.to_string(),
-                u64::from(self.warm_start).to_string(),
                 trace.to_string(),
             ]);
         }
         let campaign = Campaign::new(app, cfg);
         println!(
-            "running {} injection runs ({}{})...",
+            "running {} injection runs{}...",
             runs,
-            if self.warm_start {
-                "warm-started from a CoW checkpoint"
-            } else {
-                "cold"
-            },
             if shards > 1 {
                 format!(
-                    ", {shards} supervised {} shards",
+                    " ({shards} supervised {} shards)",
                     if subprocess { "subprocess" } else { "thread" }
                 )
             } else {
@@ -451,7 +430,9 @@ impl Cli {
                 snap.restores, snap.insns_skipped, snap.pages_shared, snap.pages_cow
             );
         } else {
-            println!("snapshot stats: no restores (cold campaign or no usable checkpoint)");
+            println!(
+                "snapshot stats: no restores in this process (runs executed by shard workers)"
+            );
         }
         let shard = &result.shard_stats;
         if shard.shards > 1 {
@@ -480,7 +461,6 @@ impl Cli {
         println!("  inject_fault_group …         arm the group injector");
         println!("  run                          execute the armed injection (traced)");
         println!("  trace [dot]                  run and walk the propagation provenance graph");
-        println!("  warm [on|off]                toggle campaign warm start (CoW checkpoint)");
         println!(
             "  campaign [runs] [shards] [proc] [trace=off|taint|full] [sync=N] [hb=MS] [retries=N]"
         );
@@ -529,18 +509,12 @@ impl CampaignKnobs {
 /// their regimes ([`TraceRegime::TaintOnly`] / [`TraceRegime::Off`] — the
 /// latter is the native-speed statistical mode). `None` for any other
 /// token.
-fn campaign_config(
-    runs: u64,
-    shards: u64,
-    warm_start: bool,
-    trace: &str,
-) -> Option<CampaignConfig> {
+fn campaign_config(runs: u64, shards: u64, trace: &str) -> Option<CampaignConfig> {
     let mut cfg = CampaignConfig {
         runs,
         shards,
         classes: vec![InsnClass::FpArith, InsnClass::Mov],
         rank_pool: RankPool::Random,
-        warm_start,
         ..CampaignConfig::default()
     };
     match trace {
@@ -557,7 +531,7 @@ fn campaign_config(
 }
 
 /// Hidden subprocess-worker mode: `chaser_cli shard-worker <app> <size>
-/// <ranks> <runs> <shards> <warm> <trace>` rebuilds the supervisor's
+/// <ranks> <runs> <shards> <trace>` rebuilds the supervisor's
 /// campaign and executes the shard assignment in the `CHASER_SHARD_*`
 /// environment. Exits 0 on success, 1 on any error (the supervisor treats
 /// a nonzero exit as a dead worker and retries).
@@ -566,9 +540,9 @@ fn shard_worker_main(args: &[String]) -> ! {
         eprintln!("shard-worker: {msg}");
         std::process::exit(1);
     };
-    let [name, size, ranks, runs, shards, warm, trace] = args else {
+    let [name, size, ranks, runs, shards, trace] = args else {
         fail(format!(
-            "expected <app> <size> <ranks> <runs> <shards> <warm> <trace>, got {args:?}"
+            "expected <app> <size> <ranks> <runs> <shards> <trace>, got {args:?}"
         ));
     };
     let parse = |what: &str, s: &String| -> u64 {
@@ -583,12 +557,7 @@ fn shard_worker_main(args: &[String]) -> ! {
     let Some(app) = build_app(name, &harness) else {
         fail(format!("unknown app `{name}`"));
     };
-    let Some(cfg) = campaign_config(
-        parse("runs", runs),
-        parse("shards", shards),
-        parse("warm", warm) != 0,
-        trace,
-    ) else {
+    let Some(cfg) = campaign_config(parse("runs", runs), parse("shards", shards), trace) else {
         fail(format!("unknown trace regime `{trace}`"));
     };
     match Campaign::new(app, cfg).shard_worker_from_env() {

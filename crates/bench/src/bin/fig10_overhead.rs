@@ -106,7 +106,6 @@ fn main() {
     );
 
     shared_cache_ablation();
-    warm_start_ablation();
     hot_path_ablation();
 }
 
@@ -231,68 +230,5 @@ fn hot_path_ablation() {
             "slow-path mem ops",
         ],
         &[row("knobs on", t_on, &on), row("knobs off", t_off, &off)],
-    );
-}
-
-/// The snapshot/fork ablation: the same 100-run matvec campaign executed
-/// cold vs warm-started from the shared copy-on-write cluster checkpoint.
-/// Outcome CSVs must be byte-identical; the win is the fault-free prefix
-/// every warm run skips instead of re-executing.
-fn warm_start_ablation() {
-    let campaign = |warm_start: bool| {
-        let mv = matvec::MatvecConfig::default();
-        let mut app = AppSpec::replicated(matvec::program(&mv), mv.ranks as usize, 4);
-        app.cluster.quantum = 200;
-        let campaign = Campaign::new(
-            app,
-            CampaignConfig {
-                runs: 100,
-                seed: 0xCAFE,
-                classes: vec![InsnClass::FpArith],
-                rank_pool: RankPool::Random,
-                warm_start,
-                ..CampaignConfig::default()
-            },
-        );
-        let t0 = Instant::now();
-        let result = campaign.run();
-        (t0.elapsed().as_secs_f64(), result)
-    };
-    let (t_warm, warm) = campaign(true);
-    let (t_cold, cold) = campaign(false);
-    assert_eq!(
-        warm.to_csv(),
-        cold.to_csv(),
-        "warm and cold campaigns must classify identically"
-    );
-
-    let row = |label: &str, t: f64, r: &chaser::CampaignResult| {
-        let s = r.snapshot_stats;
-        let executed: u64 = r.outcomes.iter().map(|o| o.total_insns).sum();
-        let skipped_pct = 100.0 * s.insns_skipped as f64 / executed.max(1) as f64;
-        vec![
-            label.to_string(),
-            format!("{:.1}ms", t * 1e3),
-            format!("{:.3}x", t / t_cold),
-            format!("{}", s.restores),
-            format!("{} ({:.1}%)", s.insns_skipped, skipped_pct),
-            format!("{}/{}", s.pages_cow, s.pages_shared),
-        ]
-    };
-    print_table(
-        "Warm start: 100-run matvec campaign, CoW checkpoint vs cold \
-         (identical outcome sets)",
-        &[
-            "config",
-            "wall clock",
-            "vs cold",
-            "restores",
-            "insns skipped",
-            "pages CoW/shared",
-        ],
-        &[
-            row("warm_start=true", t_warm, &warm),
-            row("warm_start=false", t_cold, &cold),
-        ],
     );
 }

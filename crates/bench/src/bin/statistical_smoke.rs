@@ -92,9 +92,6 @@ fn stat_config(regime: TraceRegime) -> CampaignConfig {
         tracing: regime == TraceRegime::Full,
         provenance: regime == TraceRegime::Full,
         trace_regime: regime,
-        // Warm-start amortizes the per-run prefix for both regimes alike,
-        // keeping the comparison about the injected suffix.
-        warm_start: true,
         ..CampaignConfig::default()
     }
 }

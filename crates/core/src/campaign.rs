@@ -8,8 +8,8 @@ use crate::journal::{
 use crate::outcome::{Outcome, TermCause};
 use crate::provenance::ProvenanceGraph;
 use crate::session::{
-    prepare_app, run_app, run_prepared, run_warm, warm_start_for, AppSpec, PreparedApp, RunOptions,
-    RunReport, SnapshotStats, TraceRegime, WarmStartOptions,
+    prepare_with_ladder, run_app, run_warm, AppSpec, PreparedApp, RunOptions, RunReport,
+    SnapshotStats, TraceRegime,
 };
 use crate::shard::{ShardChaos, ShardCtl, ShardStats, ShardSupervision, ShardWorkers};
 use crate::spec::{Corruption, InjectionSpec, OperandSel, Trigger};
@@ -88,18 +88,14 @@ pub struct CampaignConfig {
     pub trace_regime: TraceRegime,
     /// Share one immutable base layer of clean translation blocks (warmed
     /// by the golden run) across all injection runs, so each run only
-    /// translates the handful of blocks it instruments. Off = the cold
-    /// path: every run translates from scratch. Outcomes are identical
-    /// either way; this is the ablation knob behind the Fig. 10 numbers.
+    /// translates the handful of blocks it instruments. Off: every run
+    /// translates from scratch. Outcomes are identical either way; this is
+    /// the ablation knob behind the Fig. 10 numbers.
     pub shared_tb_cache: bool,
-    /// Warm-start: execute the fault-free prefix once, freeze the cluster
-    /// in a copy-on-write [`chaser_mpi::ClusterSnapshot`] at the last
-    /// round boundary before any targetable instruction executes, and
-    /// restore every injection run from that shared checkpoint so workers
-    /// execute only the suffix. The outcome CSV is byte-identical to a
-    /// cold campaign on the same seed; the win is the skipped prefix
-    /// instructions (reported in
-    /// [`CampaignResult::snapshot_stats`]).
+    /// Inert: every campaign run restores from the checkpoint ladder
+    /// ([`crate::WarmStart`]) whatever this says, and it is not part of the
+    /// config fingerprint. Kept only because the frozen benchmark sets it;
+    /// the next benchmark PR deletes it.
     pub warm_start: bool,
     /// Per-run watchdog budget (instructions / rounds) applied to every
     /// injection run; merged with the cluster configuration's own budget,
@@ -227,6 +223,8 @@ pub struct RunOutcome {
     /// The injection record, when the fault fired.
     pub record: Option<InjectionRecord>,
     /// Translation-cache statistics for this run (all nodes combined).
+    /// Like the two counter structs below, it covers the suffix executed
+    /// after the run's ladder rung, not the skipped prefix.
     pub cache_stats: CacheStats,
     /// Hot-path engine counters for this run (all nodes combined): chain
     /// hits/severs and fast- vs slow-path memory operations.
@@ -338,8 +336,8 @@ pub struct PoolStats {
     /// Campaigns that found their warmed [`crate::PreparedApp`] already in
     /// the pool.
     pub prepared_hits: u64,
-    /// Campaigns that had to prepare (golden + profiling run, base cache,
-    /// warm-start snapshot) from scratch.
+    /// Campaigns that had to prepare (golden pass, base cache, profiled
+    /// pass with its checkpoint ladder) from scratch.
     pub prepared_misses: u64,
     /// Prepared apps evicted to make room (LRU order).
     pub prepared_evictions: u64,
@@ -375,16 +373,19 @@ pub struct CampaignResult {
     /// (skipped runs included; the golden and profiling runs are not).
     pub cache_stats: CacheStats,
     /// Snapshot/restore counters summed over the injection runs this
-    /// process executed (all zero unless `warm_start` was on; rows a
+    /// process executed: one restore per run that reached a cluster, and
+    /// in `insns_skipped` the fault-free prefix the ladder saved (rows a
     /// resume replayed from a journal contribute nothing — the row codec
     /// carries outcomes, not performance counters).
     pub snapshot_stats: SnapshotStats,
     /// Hot-path engine counters summed over every classified run (skipped
-    /// runs excluded). Outcome rows journal their own counters, so a
-    /// resumed campaign reports the same totals as an uninterrupted one.
+    /// runs excluded), each covering the suffix the run executed after its
+    /// rung. Outcome rows journal their own counters, so a resumed campaign
+    /// reports the same totals as an uninterrupted one.
     pub engine_stats: EngineStats,
     /// Scheduler-parallelism counters summed over every classified run
-    /// (skipped runs excluded; journaled per row like `engine_stats`).
+    /// (skipped runs excluded; journaled per row like `engine_stats`, and
+    /// like them covering the executed suffix).
     pub parallel_stats: ParallelStats,
     /// Shard-supervision counters (shards, worker retries, reassigned and
     /// quarantined runs, per-shard wall times); all zero/empty unless the
@@ -804,44 +805,26 @@ impl Campaign {
         run_app(&self.app, &RunOptions::golden())
     }
 
-    /// Prepares the application for this campaign: golden run, profiling
-    /// run, and (warmed by the golden run) the per-node base translation
-    /// caches shared across workers when `cfg.shared_tb_cache` is set.
-    /// With `cfg.warm_start`, additionally captures the shared
-    /// copy-on-write checkpoint every injection run restores from.
+    /// Prepares the application for this campaign in two fault-free
+    /// passes: the hook-free golden pass (reference outputs and the
+    /// per-node base translation caches workers share when
+    /// `cfg.shared_tb_cache` is set), then one profiled pass under the
+    /// regime the injection runs execute with, which yields both the
+    /// per-`(rank, class)` execution counts and the checkpoint ladder
+    /// ([`crate::WarmStart`]) every run restores from.
     pub fn prepare(&self) -> PreparedApp {
-        let mut prepared = prepare_app(&self.app, &self.cfg.classes);
-        if self.cfg.warm_start {
-            let ranks: Vec<u32> = match self.cfg.rank_pool {
-                RankPool::Master => vec![0],
-                RankPool::Random => (0..self.app.nranks()).collect(),
-            };
-            let (eff_tracing, eff_provenance) = self
-                .cfg
-                .trace_regime
-                .effective(self.cfg.tracing, self.cfg.provenance);
-            prepared.warm = warm_start_for(
-                &prepared,
-                &WarmStartOptions {
-                    classes: self.cfg.classes.clone(),
-                    ranks,
-                    // The prefix must be captured under the regime the
-                    // injection runs execute with, so the regime-effective
-                    // flags go in, not the raw config booleans.
-                    tracing: eff_tracing,
-                    provenance: eff_provenance,
-                    budget: self.cfg.run_budget,
-                },
-            );
-        }
-        prepared
+        let (tracing, provenance) = self
+            .cfg
+            .trace_regime
+            .effective(self.cfg.tracing, self.cfg.provenance);
+        prepare_with_ladder(&self.app, &self.cfg.classes, tracing || provenance)
     }
 
-    /// Executes the campaign: one golden + one profiling run, then
-    /// `cfg.runs` seeded injection runs across worker threads. With
-    /// `cfg.shared_tb_cache` every worker's runs start from the
-    /// golden-warmed base translation cache; outcomes are bit-identical to
-    /// the cold path either way.
+    /// Executes the campaign: [`Campaign::prepare`], then `cfg.runs` seeded
+    /// injection runs across worker threads, each restored from the ladder
+    /// rung below its trigger. With `cfg.shared_tb_cache` every worker's
+    /// runs also start from the golden-warmed base translation cache;
+    /// outcomes are bit-identical either way.
     pub fn run(&self) -> CampaignResult {
         let prepared = self.prepare();
         let indices: Vec<u64> = (0..self.cfg.runs).collect();
@@ -931,9 +914,9 @@ impl Campaign {
     /// computed a row never changes it, so `parallelism`, the shard worker
     /// kind (`shard_workers`), the supervision timing (`shard_supervision`),
     /// the durability interval (`journal_sync_rows`) and the supervisor
-    /// chaos knob (`shard_chaos`) stay out. `shared_tb_cache`, `warm_start`,
+    /// chaos knob (`shard_chaos`) stay out. `shared_tb_cache`,
     /// `tb_chaining`, `taint_fast_path` and `rank_threads` *are* included
-    /// even though all five are replay-equivalent knobs — a journal must be
+    /// even though all four are replay-equivalent knobs — a journal must be
     /// finished under the exact execution regime that started it, or its
     /// rows mix provenances silently (the journaled engine and parallelism
     /// counters would be incomparable across rows). `shards` is included
@@ -947,7 +930,7 @@ impl Campaign {
         let mut h = Fnv1a::new();
         h.write(
             format!(
-                "{};{};{:?};{:?};{};{:?};{};{:?};{};{};{};{:?};{};{};{};{:?};{};{}",
+                "{};{};{:?};{:?};{};{:?};{};{:?};{};{};{:?};{};{};{};{:?};{};{}",
                 c.runs,
                 c.seed,
                 c.classes,
@@ -958,7 +941,6 @@ impl Campaign {
                 c.tracer,
                 c.provenance,
                 c.shared_tb_cache,
-                c.warm_start,
                 c.run_budget,
                 c.tb_chaining,
                 c.taint_fast_path,
@@ -1074,18 +1056,13 @@ impl Campaign {
         }
     }
 
-    /// Draws the run's fault parameters and executes it. Always returns the
-    /// run's cache and snapshot statistics; the outcome is `None` when the
-    /// fault never fired.
-    fn one_run(
-        &self,
-        idx: u64,
-        prepared: &PreparedApp,
-    ) -> (CacheStats, SnapshotStats, Option<RunOutcome>) {
-        if self.cfg.panic_runs.contains(&idx) {
-            panic!("forced harness panic (run {idx})");
-        }
-        let golden = &prepared.golden;
+    /// The fault run `idx` injects — target rank, class, trigger count and
+    /// corruption seed, all drawn from `(cfg.seed, idx)` and `prepared`'s
+    /// profile counts — and its trigger count again on its own. `None` when
+    /// the drawn rank executes none of the campaign's classes (the run is
+    /// skipped without touching a cluster). This is the whole recipe of a
+    /// row: [`crate::run_app`] on it reproduces the run from launch.
+    pub fn fault_for(&self, prepared: &PreparedApp, idx: u64) -> Option<(InjectionSpec, u64)> {
         let profile = &prepared.profile_counts;
         let mut rng = SmallRng::seed_from_u64(
             self.cfg
@@ -1100,27 +1077,28 @@ impl Campaign {
         let viable: Vec<usize> = (0..self.cfg.classes.len())
             .filter(|&ci| profile.get(&(rank, ci)).copied().unwrap_or(0) > 0)
             .collect();
-        let Some(&class_idx) = viable.get(
+        let &class_idx = viable.get(
             rng.gen_range(0..viable.len().max(1))
                 .min(viable.len().saturating_sub(1)),
-        ) else {
-            return (CacheStats::default(), SnapshotStats::default(), None);
-        };
-        let class = self.cfg.classes[class_idx];
-        let dyn_count = profile[&(rank, class_idx)];
-        let trigger_n = rng.gen_range(1..=dyn_count);
-
+        )?;
+        let trigger_n = rng.gen_range(1..=profile[&(rank, class_idx)]);
         let spec = InjectionSpec {
             target_program: self.app.name.clone(),
             target_rank: rank,
-            class,
+            class: self.cfg.classes[class_idx],
             trigger: Trigger::AfterN(trigger_n),
             corruption: Corruption::FlipRandomBits(self.cfg.bits_per_fault),
             operand: self.cfg.operand,
             max_injections: 1,
             seed: rng.gen(),
         };
-        let opts = RunOptions {
+        Some((spec, trigger_n))
+    }
+
+    /// The per-run options every injection run of this campaign executes
+    /// under, injecting `spec`.
+    pub fn run_options(&self, spec: InjectionSpec) -> RunOptions {
+        RunOptions {
             spec: Some(spec),
             tracing: self.cfg.tracing,
             tracer: self.cfg.tracer,
@@ -1133,20 +1111,32 @@ impl Campaign {
                 taint_fast_path: self.cfg.taint_fast_path,
             },
             rank_threads: self.cfg.rank_threads,
+        }
+    }
+
+    /// Executes run `idx`: draws its fault ([`Campaign::fault_for`]) and
+    /// runs it from the ladder rung below the trigger. Always returns the
+    /// run's cache and snapshot statistics; the outcome is `None` when the
+    /// fault never fired.
+    fn one_run(
+        &self,
+        idx: u64,
+        prepared: &PreparedApp,
+    ) -> (CacheStats, SnapshotStats, Option<RunOutcome>) {
+        if self.cfg.panic_runs.contains(&idx) {
+            panic!("forced harness panic (run {idx})");
+        }
+        let Some((spec, trigger_n)) = self.fault_for(prepared, idx) else {
+            return (CacheStats::default(), SnapshotStats::default(), None);
         };
-        let report = if prepared.warm.is_some() {
-            run_warm(prepared, &opts, self.cfg.shared_tb_cache)
-        } else if self.cfg.shared_tb_cache {
-            run_prepared(prepared, &opts)
-        } else {
-            run_app(&self.app, &opts)
-        };
+        let (class, rank) = (spec.class, spec.target_rank);
+        let report = run_warm(prepared, &self.run_options(spec), self.cfg.shared_tb_cache);
         let cache_stats = report.cache_stats;
         let snap_stats = report.snapshot;
         if !report.injected() {
             return (cache_stats, snap_stats, None);
         }
-        let outcome = report.classify_against(golden);
+        let outcome = report.classify_against(&prepared.golden);
         let prov = report.provenance.as_ref();
         let outcome = RunOutcome {
             run_idx: idx,

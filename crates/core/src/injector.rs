@@ -14,6 +14,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A register operand of a guest instruction.
@@ -178,13 +179,23 @@ pub struct Injector {
 impl Injector {
     /// An injector executing `spec`.
     pub fn new(spec: InjectionSpec) -> Arc<Injector> {
+        Injector::resuming(spec, 0)
+    }
+
+    /// An injector executing `spec` on a run restored from a checkpoint at
+    /// which the target rank had already executed `exec_count` instructions
+    /// of the targeted class, none of which could fire (see
+    /// [`crate::WarmStart`]): the trigger counter carries on from there, so
+    /// the fault lands on the same dynamic instruction as in a run from
+    /// launch and every reported count matches.
+    pub fn resuming(spec: InjectionSpec, exec_count: u64) -> Arc<Injector> {
         let rng = SmallRng::seed_from_u64(spec.seed);
         Arc::new(Injector {
             spec,
             state: Mutex::new(InjState {
                 seen_creations: 0,
                 active: None,
-                exec_count: 0,
+                exec_count,
                 injections_done: 0,
                 rng,
                 records: Vec::new(),
@@ -429,61 +440,93 @@ impl VmiSink for InjectorHandle {
 // ---- profiling ----
 
 /// Counts per-rank, per-class executions of targeted instructions during a
-/// golden run. Campaigns use the counts to draw the deterministic trigger's
-/// `n` uniformly over the class's dynamic execution count.
+/// fault-free run. Campaigns use the counts to draw the deterministic
+/// trigger's `n` uniformly over the class's dynamic execution count, and the
+/// checkpoint ladder annotates each rung with the counts reached so far.
+///
+/// An instruction counts under *every* listed class it belongs to (classes
+/// overlap by design: a `fadd` is in `Fadd`, `FpArith` and `Any`), which is
+/// what an [`Injector`] armed for any one of them counts. The rank and the
+/// matching classes are resolved once, at translation time, and travel in
+/// the inject point id (rank in the high half, a bitmask over the class
+/// list in the low half); the per-instruction callback only bumps dense
+/// counters.
 #[derive(Debug)]
 pub struct ProfileHook {
     program: String,
     classes: Vec<chaser_isa::InsnClass>,
-    state: Mutex<ProfileState>,
-}
-
-#[derive(Debug, Default)]
-struct ProfileState {
-    seen_creations: u32,
-    rank_of: HashMap<(u32, u64), u32>,
-    counts: HashMap<(u32, usize), u64>,
+    nranks: u32,
+    /// `(node, pid)` of each rank seen so far, in creation order.
+    procs: Mutex<Vec<(u32, u64)>>,
+    /// `counts[rank * classes.len() + class index]`. `Relaxed` throughout:
+    /// the counters publish nothing else, each is only ever bumped by the
+    /// thread running its rank's node, and they are read at round
+    /// boundaries, after the scheduler has taken every node back.
+    counts: Vec<AtomicU64>,
 }
 
 impl ProfileHook {
-    /// Profiles executions of `classes` in every rank of `program`.
+    /// Profiles executions of `classes` in the first `nranks` processes
+    /// named `program`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `classes` lists more than 32 entries (the inject point id
+    /// carries the matching classes as a 32-bit mask).
     pub fn new(
         program: impl Into<String>,
         classes: Vec<chaser_isa::InsnClass>,
+        nranks: u32,
     ) -> Arc<ProfileHook> {
+        assert!(classes.len() <= 32, "at most 32 profiled classes");
+        let slots = nranks as usize * classes.len();
         Arc::new(ProfileHook {
             program: program.into(),
             classes,
-            state: Mutex::new(ProfileState::default()),
+            nranks,
+            procs: Mutex::new(Vec::new()),
+            counts: (0..slots).map(|_| AtomicU64::new(0)).collect(),
         })
     }
 
     /// The dynamic execution count of `classes[class_idx]` in `rank`.
     pub fn count(&self, rank: u32, class_idx: usize) -> u64 {
-        *self
-            .state
-            .lock()
-            .counts
-            .get(&(rank, class_idx))
-            .unwrap_or(&0)
+        if rank >= self.nranks || class_idx >= self.classes.len() {
+            return 0;
+        }
+        self.counts[rank as usize * self.classes.len() + class_idx].load(Ordering::Relaxed)
     }
 
-    /// All `(rank, class index) → count` pairs.
+    /// All non-zero `(rank, class index) → count` pairs.
     pub fn counts(&self) -> HashMap<(u32, usize), u64> {
-        self.state.lock().counts.clone()
+        let ncls = self.classes.len();
+        self.counts_dense()
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, n)| n > 0)
+            .map(|(i, n)| (((i / ncls) as u32, i % ncls), n))
+            .collect()
+    }
+
+    /// Every counter, `[rank * classes.len() + class index]`.
+    pub fn counts_dense(&self) -> Vec<u64> {
+        self.counts
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect()
     }
 }
 
 impl NodeTranslateHook for ProfileHook {
     fn inject_point(&self, node: u32, pid: u64, _pc: u64, insn: &Instruction) -> Option<u64> {
-        let st = self.state.lock();
-        if !st.rank_of.contains_key(&(node, pid)) {
-            return None;
-        }
-        self.classes
+        let rank = self.procs.lock().iter().position(|&p| p == (node, pid))?;
+        let mask = self
+            .classes
             .iter()
-            .position(|c| insn.is_in_class(*c))
-            .map(|i| i as u64)
+            .enumerate()
+            .filter(|(_, c)| insn.is_in_class(**c))
+            .fold(0u64, |mask, (i, _)| mask | 1 << i);
+        (mask != 0).then_some((rank as u64) << 32 | mask)
     }
 }
 
@@ -496,11 +539,14 @@ impl InjectSink for ProfileHandle {
         &mut self,
         point: u64,
         _insn: &Instruction,
-        ctx: &mut GuestCtx<'_>,
+        _ctx: &mut GuestCtx<'_>,
     ) -> InjectAction {
-        let mut st = self.0.state.lock();
-        if let Some(&rank) = st.rank_of.get(&(ctx.node, ctx.pid)) {
-            *st.counts.entry((rank, point as usize)).or_insert(0) += 1;
+        let base = (point >> 32) as usize * self.0.classes.len();
+        let mut mask = point as u32;
+        while mask != 0 {
+            let class_idx = mask.trailing_zeros() as usize;
+            self.0.counts[base + class_idx].fetch_add(1, Ordering::Relaxed);
+            mask &= mask - 1;
         }
         InjectAction::default()
     }
@@ -508,13 +554,11 @@ impl InjectSink for ProfileHandle {
 
 impl VmiSink for ProfileHandle {
     fn on_process_created(&mut self, node: u32, pid: u64, name: &str) -> VmiAction {
-        if name != self.0.program {
+        let mut procs = self.0.procs.lock();
+        if name != self.0.program || procs.len() >= self.0.nranks as usize {
             return VmiAction::NONE;
         }
-        let mut st = self.0.state.lock();
-        let rank = st.seen_creations;
-        st.seen_creations += 1;
-        st.rank_of.insert((node, pid), rank);
+        procs.push((node, pid));
         VmiAction::FLUSH
     }
 }
@@ -577,6 +621,48 @@ mod tests {
         assert!(operand_candidates(&Instruction::Ret).is_empty());
         assert!(operand_candidates(&Instruction::Jmp { target: 0 }).is_empty());
         assert!(operand_candidates(&Instruction::Nop).is_empty());
+    }
+
+    /// 40 iterations of two `fadd`s and a handful of integer instructions.
+    fn fadd_loop() -> crate::AppSpec {
+        use chaser_isa::{Asm, Cond};
+        let mut a = Asm::new("fadds");
+        a.fmovi(FReg::F0, 0.0).fmovi(FReg::F1, 0.5);
+        a.movi(Reg::R1, 0);
+        a.label("loop");
+        a.fadd(FReg::F0, FReg::F1).fadd(FReg::F0, FReg::F1);
+        a.addi(Reg::R1, 1);
+        a.cmpi(Reg::R1, 40);
+        a.jcc(Cond::Lt, "loop");
+        a.exit(0);
+        crate::AppSpec::single(a.assemble().expect("assemble"))
+    }
+
+    #[test]
+    fn overlapping_classes_each_profile_what_their_injector_counts() {
+        let app = fadd_loop();
+        for classes in [
+            [InsnClass::FpArith, InsnClass::Fadd],
+            [InsnClass::Any, InsnClass::Mov],
+        ] {
+            let (_, counts) = crate::profile_app(&app, &classes);
+            for (class_idx, class) in classes.into_iter().enumerate() {
+                // A trigger that never comes: the injector counts the whole run.
+                let spec = InjectionSpec::deterministic("fadds", class, u64::MAX, vec![0]);
+                let counted = crate::run_app(&app, &crate::RunOptions::inject(spec));
+                assert!(!counted.injected());
+                assert_eq!(
+                    counts.get(&(0, class_idx)).copied().unwrap_or(0),
+                    counted.injector_exec_count,
+                    "{class:?} listed at {class_idx} in {classes:?}"
+                );
+                assert!(counted.injector_exec_count > 0, "{class:?} never executes");
+            }
+        }
+        // The only fp arithmetic is the fadds, so the two classes agree.
+        let (_, counts) = crate::profile_app(&app, &[InsnClass::FpArith, InsnClass::Fadd]);
+        assert_eq!(counts[&(0, 0)], 80);
+        assert_eq!(counts[&(0, 1)], 80);
     }
 
     #[test]

@@ -530,7 +530,12 @@ pub struct JournalHeader {
 /// Version 7 added a block-fusion knob to the config fingerprint and three
 /// fusion counters to outcome rows' `engine_stats`.
 /// Version 8 removed both again, with the fusion itself (DESIGN §14).
-pub const JOURNAL_VERSION: u64 = 8;
+/// Version 9 came with the checkpoint ladder (DESIGN §7): `warm_start` left
+/// the config fingerprint (it stopped being a choice), and the per-row
+/// `cache_stats` / `engine_stats` / `parallel` counters describe only the
+/// suffix a run executed after its ladder rung, so they must not mix with
+/// v8 rows that counted whole runs.
+pub const JOURNAL_VERSION: u64 = 9;
 
 /// Line 2 of a *shard* journal: which contiguous slice of the campaign's
 /// run-index range this file owns. The merge uses it to prove coverage

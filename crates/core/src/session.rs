@@ -5,7 +5,7 @@ use crate::injector::{FnHookLogger, Injector, InjectorHandle, ProfileHandle, Pro
 use crate::outcome::{classify, Outcome};
 use crate::plugin::{FiInterface, FiPlugin, HostState, PluginError, PluginHost};
 use crate::provenance::{ProvenanceGraph, ProvenanceRecorder, PROV_LOG_CAPACITY};
-use crate::spec::InjectionSpec;
+use crate::spec::{InjectionSpec, Trigger};
 use crate::tracer::{TraceSummary, Tracer, TracerConfig};
 use chaser_isa::{abi, InsnClass, Program};
 use chaser_mpi::{
@@ -20,7 +20,7 @@ use chaser_vm::{
 };
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// The application under test: one guest program per rank plus the cluster
@@ -197,18 +197,20 @@ impl RunOptions {
 }
 
 /// Snapshot/restore counters for one run (or summed over a campaign).
-/// All zero on cold runs; a warm-started run reports one restore plus its
-/// copy-on-write page traffic.
+/// A run restored from a ladder rung ([`run_warm`], which is how every
+/// campaign run executes) reports one restore plus its copy-on-write page
+/// traffic; the single-run API ([`run_app`], [`run_prepared`]) executes from
+/// launch and reports all zeros.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SnapshotStats {
-    /// Cluster restores performed (1 for a warm run, 0 for a cold one).
+    /// Cluster restores performed (1 for a run restored from a rung).
     pub restores: u64,
-    /// Pages adopted `Arc`-shared (zero-copy) from the snapshot.
+    /// Pages adopted `Arc`-shared (zero-copy) from the rung.
     pub pages_shared: u64,
     /// Shared pages privatised by a suffix write (the run's dirty set).
     pub pages_cow: u64,
-    /// Guest instructions the checkpointed prefix covered — work a warm
-    /// run did *not* re-execute.
+    /// Guest instructions the restored rung covered — fault-free prefix
+    /// work the run did *not* re-execute.
     pub insns_skipped: u64,
 }
 
@@ -256,7 +258,7 @@ pub struct RunReport {
     /// Hot-path engine counters aggregated over the run's nodes (chain
     /// hits/severs, fast- vs slow-path memory operations).
     pub engine_stats: EngineStats,
-    /// Snapshot/restore counters (all zero on cold runs).
+    /// Snapshot/restore counters (all zero on runs executed from launch).
     pub snapshot: SnapshotStats,
     /// Scheduler-parallelism counters: threads used, rounds that ran work
     /// on more than one worker, and the per-worker instruction balance.
@@ -387,8 +389,9 @@ pub fn run_app(app: &AppSpec, opts: &RunOptions) -> RunReport {
 /// (DECAF++-style elastic tainting): with tracing off, no shadow state is
 /// maintained at all, which is what makes the FI-only configuration nearly
 /// free (Fig. 10). The per-run watchdog budget is merged in (tighter bound
-/// wins). A warm-start prefix must be captured under this same effective
-/// configuration, or replay equivalence breaks.
+/// wins). The checkpoint ladder is captured under this same effective taint
+/// policy ([`run_warm`] asserts it); the budget only decides which rungs a
+/// run may use.
 fn effective_cluster_cfg(app: &AppSpec, opts: &RunOptions) -> ClusterConfig {
     let mut cluster_cfg = app.cluster.clone();
     let (tracing, provenance) = opts.effective_trace();
@@ -570,144 +573,281 @@ pub struct PreparedApp {
     pub profile_counts: HashMap<(u32, usize), u64>,
     /// Clean-TB base layers, one per node, warmed by the golden run.
     pub base_caches: Vec<Arc<BaseLayer>>,
-    /// Warm-start checkpoint, when one was captured (see
-    /// [`warm_start_for`]). `None` means every run executes from launch.
+    /// The checkpoint ladder, when one was built: always on a
+    /// [`crate::Campaign::prepare`]d application, only after an explicit
+    /// [`warm_start_for`] on a [`prepare_app`]ed one.
     pub warm: Option<WarmStart>,
 }
 
-/// A warm-start checkpoint shared by every injection run of a campaign:
-/// the cluster frozen at the last round boundary *before any targetable
-/// instruction executes*. Each run's trigger count is at least 1, so no
-/// fault can fire inside the checkpointed prefix — restoring it and
-/// executing only the suffix is replay-equivalent to a cold run.
+/// Instruction-spaced rungs a ladder places above rung 0, at most. A mean
+/// run re-executes half a spacing below its trigger — 6.3 %, 3.1 %, 1.6 %
+/// of a golden run at 8, 16, 32 — and every doubling costs the pages
+/// dirtied per interval once more: measured on the ledger at 8 / 16 / 32,
+/// `clamr4_off_warm` 830 / 906 / 958 runs/s at 7.8 / 9.1 / 11.6 MiB peak
+/// RSS and `matvec4_full_cold` 1 613 / 1 868 / 2 313 at 11.1 / 11.8 /
+/// 13.7 MiB. 16 is the largest count at which every ledger workload still
+/// peaks below the ladder-free parent (11.9 and 13.9 MiB on those two);
+/// DESIGN §7 has the table.
+const LADDER_MAX_RUNGS: u64 = 16;
+
+/// Guest pages (4 KiB each) the rungs above rung 0 may keep alive between
+/// them; a ladder over this drops every other rung until it fits. 1 024
+/// pages = 4 MiB: the 16-rung ladders of the ledger's applications hold
+/// 66 (lud48), 120 (matvec64), 180 (clamr256) and 4 (bfs512) pages, so none
+/// of them is thinned, while an application that rewrites megabytes per
+/// rung interval gets a shorter ladder instead of a resident set that grows
+/// with the golden run's length.
+const LADDER_PAGE_BUDGET: u64 = 1024;
+
+/// One rung of the checkpoint ladder: the fault-free cluster frozen at a
+/// round boundary, annotated with how many instructions of each campaign
+/// class every rank had executed by then.
 #[derive(Debug, Clone)]
-pub struct WarmStart {
-    /// The copy-on-write checkpoint every warm run restores from. Guest
-    /// pages inside are `Arc`-shared across worker threads; each run
-    /// privatises only the pages its suffix writes.
-    pub snapshot: Arc<ClusterSnapshot>,
-    /// Scheduler rounds the checkpointed prefix covers.
-    pub safe_rounds: u64,
-    /// Guest instructions the prefix retired (skipped by every warm run).
-    pub prefix_insns: u64,
+struct Rung {
+    snapshot: Arc<ClusterSnapshot>,
+    /// `[rank * classes.len() + class index]`, as [`ProfileHook`] counts.
+    counts: Vec<u64>,
 }
 
-/// What a warm-start capture must know about the campaign it serves: the
-/// `(rank, class)` pairs faults may target, and the per-run execution
-/// regime (tracing, watchdog budget) the prefix must be captured under.
+impl Rung {
+    /// Does a run under `budget` pass through this rung's state? Every
+    /// slice of the prefix retired fewer instructions than the budget had
+    /// left (strictly: a slice that *reaches* its cap reports the budget
+    /// stop), and the round counter is below the round cap.
+    fn within(&self, budget: RunBudget) -> bool {
+        (budget.max_insns == 0 || self.snapshot.total_insns() < budget.max_insns)
+            && (budget.max_rounds == 0 || self.snapshot.round() < budget.max_rounds)
+    }
+}
+
+/// The checkpoint ladder every injection run of a campaign restores from:
+/// copy-on-write snapshots of the fault-free execution at round boundaries,
+/// spaced evenly in retired instructions. Rung 0 is the post-launch state.
+///
+/// A run whose fault fires at the `n`-th instruction of a class on a rank
+/// restores the last rung at which that rank had executed **fewer than
+/// `n`** of them (strictly — the injector fires when its counter *reaches*
+/// `n`, so the `n`-th execution itself must happen in the run) and arms the
+/// injector with the rung's count. The prefix it skips is bit-identical to
+/// the one it would have executed, so the report equals a run from launch
+/// in everything but the work counters — see [`run_warm`].
+#[derive(Debug, Clone)]
+pub struct WarmStart {
+    /// The lowest rung (post-launch, nothing executed). Guest pages inside
+    /// are `Arc`-shared across rungs and worker threads; each run
+    /// privatises only the pages its suffix writes.
+    pub snapshot: Arc<ClusterSnapshot>,
+    /// Guest instructions [`WarmStart::snapshot`] had retired (0).
+    pub prefix_insns: u64,
+    /// The class list the rung counts are indexed by.
+    classes: Vec<InsnClass>,
+    /// Whether the rungs were captured with the taint machinery armed.
+    taint_armed: bool,
+    /// Ascending in round, instructions and every count.
+    rungs: Vec<Rung>,
+}
+
+impl WarmStart {
+    /// Number of rungs, rung 0 included.
+    pub fn rungs(&self) -> usize {
+        self.rungs.len()
+    }
+
+    /// The rung a run of `app` injecting `spec` under `budget` restores,
+    /// and the count to arm its injector with. Anything the ladder cannot
+    /// place — no fault, a trigger other than [`Trigger::AfterN`], a class
+    /// it was not built for, a program or rank that never arms — restores
+    /// rung 0.
+    fn rung_for(
+        &self,
+        app: &AppSpec,
+        spec: Option<&InjectionSpec>,
+        budget: RunBudget,
+    ) -> (&Rung, u64) {
+        let placed = spec.and_then(|s| {
+            let Trigger::AfterN(n) = s.trigger else {
+                return None;
+            };
+            let class_idx = self.classes.iter().position(|c| *c == s.class)?;
+            let arms = s.target_program == app.name
+                && s.target_rank < app.nranks()
+                && s.max_injections > 0;
+            arms.then_some((s.target_rank as usize * self.classes.len() + class_idx, n))
+        });
+        let Some((slot, n)) = placed else {
+            return (&self.rungs[0], 0);
+        };
+        // Counts, instructions and rounds all grow along the ladder, so the
+        // usable rungs are a prefix of it (rung 0 always is).
+        let usable = self
+            .rungs
+            .partition_point(|r| r.counts[slot] < n && r.within(budget));
+        let rung = &self.rungs[usable.max(1) - 1];
+        (rung, rung.counts[slot])
+    }
+}
+
+/// What a ladder must know about the campaign it serves.
 #[derive(Debug, Clone)]
 pub struct WarmStartOptions {
     /// Instruction classes faults may target.
     pub classes: Vec<InsnClass>,
-    /// Ranks faults may target (the campaign's rank pool, expanded).
+    /// Ranks faults may target. Unused: rungs are annotated for every rank.
     pub ranks: Vec<u32>,
     /// Whether campaign runs trace fault propagation.
     pub tracing: bool,
     /// Whether campaign runs record provenance graphs (keeps the taint
     /// machinery on, like `tracing`).
     pub provenance: bool,
-    /// The campaign's per-run watchdog budget.
+    /// The campaign's per-run watchdog budget. Unused at capture: a run's
+    /// own budget decides which rungs it may restore.
     pub budget: RunBudget,
 }
 
-/// Captures a warm-start checkpoint for `prepared` under `wopts`, in two
-/// passes over the fault-free execution:
-///
-/// 1. **Trigger-site analysis** — a profiled cluster steps round by round
-///    to find the largest prefix with zero dynamic executions of any
-///    campaign class on any targetable rank. Since every run draws a
-///    trigger count of at least 1, no fault can fire inside that prefix.
-/// 2. **Capture** — a hook-free cluster replays the safe prefix under the
-///    exact effective configuration injection runs execute with (same
-///    taint policy, same merged budget — RNG streams and round clocks must
-///    line up), and is frozen at the round boundary.
-///
-/// Returns `None` when warm-starting cannot help: the first targetable
-/// instruction executes in round 0, or none ever executes (every campaign
-/// run would skip anyway).
-pub fn warm_start_for(prepared: &PreparedApp, wopts: &WarmStartOptions) -> Option<WarmStart> {
-    let app = &prepared.app;
-    let run_opts = RunOptions {
-        tracing: wopts.tracing,
-        provenance: wopts.provenance,
-        budget: wopts.budget,
-        ..RunOptions::default()
-    };
-    let cfg = effective_cluster_cfg(app, &run_opts);
-    let program_refs: Vec<&Program> = app.programs.iter().collect();
-
-    let mut probe = Cluster::new(cfg.clone());
-    let profile = ProfileHook::new(app.name.clone(), wopts.classes.clone());
+/// A cluster of `app` under `cfg`, launched with a [`ProfileHook`] for
+/// `classes` wired in.
+fn launch_profiled(
+    app: &AppSpec,
+    cfg: ClusterConfig,
+    classes: &[InsnClass],
+) -> (Cluster, Arc<ProfileHook>) {
+    let mut cluster = Cluster::new(cfg);
+    let profile = ProfileHook::new(app.name.clone(), classes.to_vec(), app.nranks());
     HookRegistry::new()
         .instrument(
             Arc::clone(&profile) as SharedTranslateHook,
             ProfileHandle(Arc::clone(&profile)),
         )
-        .apply(&mut probe);
-    probe.launch(&program_refs).expect("launch application");
-    let mut safe_rounds = 0;
-    loop {
-        if probe.finished() {
-            return None;
-        }
-        probe.step_round();
-        let counts = profile.counts();
-        let fired = wopts.ranks.iter().any(|&r| {
-            (0..wopts.classes.len()).any(|ci| counts.get(&(r, ci)).copied().unwrap_or(0) > 0)
-        });
-        if fired {
-            break;
-        }
-        safe_rounds = probe.round();
-    }
-    if safe_rounds == 0 {
-        return None;
-    }
-
-    let mut prefix = Cluster::new(cfg);
-    prefix.install_base_caches(&prepared.base_caches);
-    prefix.launch(&program_refs).expect("launch application");
-    for _ in 0..safe_rounds {
-        prefix.step_round();
-    }
-    let snap = prefix.snapshot();
-    Some(WarmStart {
-        safe_rounds,
-        prefix_insns: snap.total_insns(),
-        snapshot: Arc::new(snap),
-    })
+        .apply(&mut cluster);
+    let program_refs: Vec<&Program> = app.programs.iter().collect();
+    cluster.launch(&program_refs).expect("launch application");
+    (cluster, profile)
 }
 
-/// Runs the prepared application once from its warm-start checkpoint:
-/// restores the shared snapshot (zero-copy; guest pages go copy-on-write),
-/// wires this run's hooks, replays VMI process-creation events so the
-/// injector arms exactly as a cold run's would, and executes only the
-/// suffix. With `share_base_caches`, nodes are also born holding the
-/// golden-warmed base translation layers.
+/// Guest pages `rungs` keep alive beyond what rung 0 holds anyway.
+fn pages_above_rung0(rungs: &[Rung]) -> u64 {
+    let mut ids = HashSet::new();
+    for rung in rungs {
+        rung.snapshot.for_each_page_id(|id| {
+            ids.insert(id);
+        });
+    }
+    ids.len() as u64 - rungs[0].snapshot.resident_pages()
+}
+
+/// Drops every other rung (never rung 0) until the rest keep at most
+/// `budget` pages alive above rung 0.
+fn thin(rungs: &mut Vec<Rung>, budget: u64) {
+    while rungs.len() > 1 && pages_above_rung0(rungs) > budget {
+        *rungs = std::mem::take(rungs).into_iter().step_by(2).collect();
+    }
+}
+
+/// The one profiled fault-free pass behind a campaign: runs `app` to
+/// completion under the taint policy injection runs will execute with
+/// (`taint_armed`: they trace or record provenance), counting `classes` per
+/// rank, and freezes a rung after launch and then at
+/// the first round boundary past every `golden_insns / LADDER_MAX_RUNGS`
+/// retired instructions (rounds differ in length by two orders of magnitude,
+/// so spacing by rounds would bunch the rungs). Returns the final counts and
+/// the ladder.
 ///
-/// Replay-equivalent to [`run_prepared`] under the same options: the
-/// checkpoint predates every possible trigger site and RNG streams resume
-/// at their captured positions, so the report matches a cold run's (modulo
-/// `cache_stats` and the `snapshot` counters).
+/// Capturing from the *profiled* cluster is sound because nothing the
+/// profile adds is snapshot state: hooks, translated blocks and engine
+/// counters stay behind, and the callbacks never touch the guest.
+fn ladder_pass(
+    app: &AppSpec,
+    golden_insns: u64,
+    classes: &[InsnClass],
+    taint_armed: bool,
+) -> (HashMap<(u32, usize), u64>, WarmStart) {
+    let run_opts = RunOptions {
+        tracing: taint_armed,
+        ..RunOptions::default()
+    };
+    let (mut cluster, profile) =
+        launch_profiled(app, effective_cluster_cfg(app, &run_opts), classes);
+    let capture = |cluster: &mut Cluster| Rung {
+        snapshot: Arc::new(cluster.snapshot()),
+        counts: profile.counts_dense(),
+    };
+    let spacing = golden_insns.div_ceil(LADDER_MAX_RUNGS).max(1);
+    let mut rungs = vec![capture(&mut cluster)];
+    let mut next = spacing;
+    while !cluster.finished() {
+        cluster.step_round();
+        let insns = cluster.total_insns();
+        if insns >= next && !cluster.finished() {
+            rungs.push(capture(&mut cluster));
+            next = (insns / spacing + 1) * spacing;
+        }
+    }
+    thin(&mut rungs, LADDER_PAGE_BUDGET);
+    let warm = WarmStart {
+        snapshot: Arc::clone(&rungs[0].snapshot),
+        prefix_insns: rungs[0].snapshot.total_insns(),
+        classes: classes.to_vec(),
+        taint_armed,
+        rungs,
+    };
+    (profile.counts(), warm)
+}
+
+/// Builds the checkpoint ladder for `prepared` under `wopts` (see
+/// [`WarmStart`]): one profiled fault-free pass. Always `Some` — rung 0
+/// exists for every application; the `Option` is the signature the
+/// benchmark was frozen with.
+pub fn warm_start_for(prepared: &PreparedApp, wopts: &WarmStartOptions) -> Option<WarmStart> {
+    let (_, warm) = ladder_pass(
+        &prepared.app,
+        prepared.golden.cluster.total_insns,
+        &wopts.classes,
+        wopts.tracing || wopts.provenance,
+    );
+    Some(warm)
+}
+
+/// Runs the prepared application once from its checkpoint ladder: picks the
+/// rung for `opts.spec` (see [`WarmStart`]), restores it (zero-copy; guest
+/// pages go copy-on-write), wires this run's hooks, replays VMI
+/// process-creation events so the injector arms exactly as it would at
+/// launch — with the rung's class count already on its trigger counter —
+/// and executes only the suffix. With `share_base_caches`, nodes are also
+/// born holding the golden-warmed base translation layers.
+///
+/// The report equals [`run_prepared`]'s under the same options in every
+/// field except the work counters `cache_stats`, `engine_stats`, `parallel`
+/// and `snapshot`, which describe the executed suffix, and
+/// `trace.tainted_byte_samples`, whose series starts at the rung. A budget
+/// that ends before a rung excludes that rung, so a run the watchdog stops
+/// early still stops at the same instruction.
 ///
 /// # Panics
 ///
-/// Panics when `prepared` carries no checkpoint, or when
-/// `opts.hook_mpi_symbols` is set (unsupported on the warm path).
+/// Panics when `prepared` carries no ladder, when the ladder was captured
+/// under a different effective tracing regime than `opts` asks for, or when
+/// `opts.hook_mpi_symbols` is set (unsupported on this path).
 pub fn run_warm(prepared: &PreparedApp, opts: &RunOptions, share_base_caches: bool) -> RunReport {
     let warm = prepared
         .warm
         .as_ref()
-        .expect("prepared application has no warm-start checkpoint");
+        .expect("prepared application has no checkpoint ladder");
     assert!(
         !opts.hook_mpi_symbols,
-        "symbol hooks are not supported on the warm path"
+        "symbol hooks are not supported on the ladder path"
+    );
+    let (tracing, provenance) = opts.effective_trace();
+    assert_eq!(
+        tracing || provenance,
+        warm.taint_armed,
+        "the ladder was captured under a different tracing regime"
     );
     let app = &prepared.app;
-    let mut cluster = Cluster::from_snapshot(effective_cluster_cfg(app, opts), &warm.snapshot);
+    let cfg = effective_cluster_cfg(app, opts);
+    let (rung, seen) = warm.rung_for(app, opts.spec.as_ref(), cfg.run_budget);
+    let mut cluster = Cluster::from_snapshot(cfg, &rung.snapshot);
 
-    let injector = opts.spec.clone().map(Injector::new);
-    let (tracing, provenance) = opts.effective_trace();
+    let injector = opts.spec.clone().map(|s| Injector::resuming(s, seen));
     let tracer = tracing.then(|| Arc::new(Mutex::new(Tracer::new(opts.tracer))));
     let recorder =
         provenance.then(|| Arc::new(Mutex::new(ProvenanceRecorder::new(PROV_LOG_CAPACITY))));
@@ -723,7 +863,7 @@ pub fn run_warm(prepared: &PreparedApp, opts: &RunOptions, share_base_caches: bo
         restores: 1,
         pages_shared: mem.pages_shared,
         pages_cow: mem.pages_cow,
-        insns_skipped: warm.prefix_insns,
+        insns_skipped: rung.snapshot.total_insns(),
     };
     build_report(
         &cluster,
@@ -736,20 +876,19 @@ pub fn run_warm(prepared: &PreparedApp, opts: &RunOptions, share_base_caches: bo
     )
 }
 
-/// Prepares `app` for repeated runs: executes one hook-free golden run,
-/// seals every node's translation cache into a shareable base layer, and
-/// profiles the dynamic execution counts of `classes`.
+/// The hook-free golden pass: the reference report and every node's
+/// translation cache sealed into a shareable base layer.
 ///
-/// The warm-up must be the *golden* run, not the profiling run: with no
-/// translate hook installed every block translates clean, so sealing
-/// captures the whole guest working set. [`ProfileHook`] instruments the
-/// target's blocks, and sealing drops instrumented TBs.
+/// It must be hook-free: with no translate hook installed every block
+/// translates clean, so sealing captures the whole guest working set.
+/// [`ProfileHook`] instruments the target's blocks, and sealing drops
+/// instrumented TBs.
 ///
 /// # Panics
 ///
 /// Panics when the golden run hangs — the application or cluster
 /// configuration is broken.
-pub fn prepare_app(app: &AppSpec, classes: &[InsnClass]) -> PreparedApp {
+fn golden_pass(app: &AppSpec) -> (RunReport, Vec<Arc<BaseLayer>>) {
     let mut cluster_cfg = app.cluster.clone();
     cluster_cfg.taint_policy = chaser_taint::TaintPolicy::Disabled;
     let mut cluster = Cluster::new(cluster_cfg);
@@ -769,7 +908,41 @@ pub fn prepare_app(app: &AppSpec, classes: &[InsnClass]) -> PreparedApp {
         SnapshotStats::default(),
         None,
     );
-    let base_caches = cluster.seal_tb_caches();
+    (golden, cluster.seal_tb_caches())
+}
+
+/// Prepares `app` the way a campaign does: the golden pass, then the one
+/// profiled pass that yields both `profile_counts` and the checkpoint
+/// ladder, captured with the taint machinery on when `taint_armed` (the
+/// campaign's regime-effective `tracing || provenance`).
+pub(crate) fn prepare_with_ladder(
+    app: &AppSpec,
+    classes: &[InsnClass],
+    taint_armed: bool,
+) -> PreparedApp {
+    let (golden, base_caches) = golden_pass(app);
+    let (profile_counts, warm) = ladder_pass(app, golden.cluster.total_insns, classes, taint_armed);
+    PreparedApp {
+        app: app.clone(),
+        golden,
+        profile_counts,
+        base_caches,
+        warm: Some(warm),
+    }
+}
+
+/// Prepares `app` for repeated single runs ([`run_prepared`]): the golden
+/// pass (reference report + sealed base caches) and a profiling pass for the
+/// dynamic execution counts of `classes`. Carries no checkpoint ladder —
+/// campaigns prepare through [`crate::Campaign::prepare`], which folds
+/// profiling and ladder capture into one pass.
+///
+/// # Panics
+///
+/// Panics when the golden run hangs — the application or cluster
+/// configuration is broken.
+pub fn prepare_app(app: &AppSpec, classes: &[InsnClass]) -> PreparedApp {
+    let (golden, base_caches) = golden_pass(app);
     let (_, profile_counts) = profile_app(app, classes);
     PreparedApp {
         app: app.clone(),
@@ -797,16 +970,7 @@ pub fn profile_app(
     app: &AppSpec,
     classes: &[InsnClass],
 ) -> (RunReport, HashMap<(u32, usize), u64>) {
-    let mut cluster = Cluster::new(app.cluster.clone());
-    let profile = ProfileHook::new(app.name.clone(), classes.to_vec());
-    HookRegistry::new()
-        .instrument(
-            Arc::clone(&profile) as SharedTranslateHook,
-            ProfileHandle(Arc::clone(&profile)),
-        )
-        .apply(&mut cluster);
-    let program_refs: Vec<&Program> = app.programs.iter().collect();
-    cluster.launch(&program_refs).expect("launch application");
+    let (mut cluster, profile) = launch_profiled(app, app.cluster.clone(), classes);
     let cluster_run = cluster.run();
     let report = build_report(
         &cluster,
@@ -920,5 +1084,258 @@ impl Chaser {
             .take_pending_spec()
             .expect("no pending injection spec; run an inject_fault command first");
         run_app(app, &RunOptions::inject_traced(spec))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::{Corruption, OperandSel};
+    use chaser_workloads::matvec;
+
+    /// Matvec on a fine quantum: ~50 rounds, so a full ladder.
+    fn app() -> AppSpec {
+        let mv = matvec::MatvecConfig::default();
+        let mut app = AppSpec::replicated(matvec::program(&mv), mv.ranks as usize, 4);
+        app.cluster.quantum = 200;
+        app
+    }
+
+    const CLASSES: [InsnClass; 2] = [InsnClass::Mov, InsnClass::FpArith];
+
+    fn ladder(app: &AppSpec, tracing: bool) -> WarmStart {
+        let golden = run_app(app, &RunOptions::golden()).cluster.total_insns;
+        ladder_pass(app, golden, &CLASSES, tracing).1
+    }
+
+    fn spec(rank: u32, class: InsnClass, trigger: Trigger) -> InjectionSpec {
+        InjectionSpec {
+            target_program: "matvec".into(),
+            target_rank: rank,
+            class,
+            trigger,
+            corruption: Corruption::FlipBits(vec![3]),
+            operand: OperandSel::Dst,
+            max_injections: 1,
+            seed: 1,
+        }
+    }
+
+    /// Index of the rung `rung_for` picked.
+    fn picked(
+        warm: &WarmStart,
+        app: &AppSpec,
+        spec: Option<&InjectionSpec>,
+        budget: RunBudget,
+    ) -> (usize, u64) {
+        let (rung, seen) = warm.rung_for(app, spec, budget);
+        let idx = warm
+            .rungs
+            .iter()
+            .position(|r| Arc::ptr_eq(&r.snapshot, &rung.snapshot))
+            .expect("a rung of this ladder");
+        (idx, seen)
+    }
+
+    #[test]
+    fn rungs_are_spaced_in_instructions_from_the_launch_state_up() {
+        let app = app();
+        let golden = run_app(&app, &RunOptions::golden()).cluster;
+        let warm = ladder(&app, false);
+        assert!(warm.rungs() > 8 && warm.rungs() as u64 <= LADDER_MAX_RUNGS + 1);
+        assert_eq!(warm.prefix_insns, 0);
+        assert!(Arc::ptr_eq(&warm.snapshot, &warm.rungs[0].snapshot));
+        assert_eq!(warm.rungs[0].snapshot.round(), 0);
+        assert!(warm.rungs[0].counts.iter().all(|&c| c == 0));
+        let spacing = golden.total_insns.div_ceil(LADDER_MAX_RUNGS);
+        for pair in warm.rungs.windows(2) {
+            let (lo, hi) = (&pair[0], &pair[1]);
+            assert!(lo.snapshot.round() < hi.snapshot.round());
+            // Never two rungs inside one spacing interval.
+            assert!(lo.snapshot.total_insns() / spacing < hi.snapshot.total_insns() / spacing);
+            assert!(lo.counts.iter().zip(&hi.counts).all(|(a, b)| a <= b));
+        }
+        let last = warm.rungs.last().expect("rungs");
+        assert!(last.snapshot.total_insns() < golden.total_insns);
+        assert!(pages_above_rung0(&warm.rungs) <= LADDER_PAGE_BUDGET);
+    }
+
+    #[test]
+    fn thinning_halves_the_ladder_until_it_fits_and_keeps_rung_0() {
+        let warm = ladder(&app(), false);
+        let full = pages_above_rung0(&warm.rungs);
+        assert!(full > 8, "matvec dirties pages between rungs");
+        let mut rungs = warm.rungs.clone();
+        thin(&mut rungs, full / 2);
+        assert!(rungs.len() < warm.rungs() && pages_above_rung0(&rungs) <= full / 2);
+        assert!(Arc::ptr_eq(&rungs[0].snapshot, &warm.snapshot));
+        // What is left is every 2^k-th rung, in order.
+        let stride = (0..8)
+            .map(|k| 1usize << k)
+            .find(|stride| (warm.rungs() - 1) / stride + 1 == rungs.len())
+            .expect("a whole number of halvings");
+        assert!(stride > 1);
+        for (i, rung) in rungs.iter().enumerate() {
+            assert!(Arc::ptr_eq(
+                &rung.snapshot,
+                &warm.rungs[i * stride].snapshot
+            ));
+        }
+        thin(&mut rungs, 0);
+        assert_eq!(rungs.len(), 1, "an impossible budget leaves rung 0 alone");
+    }
+
+    #[test]
+    fn rung_selection_is_strict_at_the_boundary() {
+        let app = app();
+        let warm = ladder(&app, false);
+        let unlimited = RunBudget::default();
+        // Worker rank 1's integer moves (class index 0): find a rung with
+        // the count moving on both sides, so each boundary separates two
+        // distinct rungs.
+        let slot = CLASSES.len();
+        let count = |k: usize| warm.rungs[k].counts[slot];
+        let k = (1..warm.rungs() - 1)
+            .find(|&k| count(k - 1) < count(k) && count(k) < count(k + 1))
+            .expect("rank 1 executes moves across three rungs");
+        let at_k = count(k);
+        let mov = |n| spec(1, InsnClass::Mov, Trigger::AfterN(n));
+
+        // count == n - 1: the n-th execution is still ahead — taken.
+        assert_eq!(
+            picked(&warm, &app, Some(&mov(at_k + 1)), unlimited),
+            (k, at_k)
+        );
+        // count == n: the n-th execution is in the rung's past — not taken.
+        let (below, seen) = picked(&warm, &app, Some(&mov(at_k)), unlimited);
+        assert!(below < k && seen < at_k);
+        // A trigger past the golden count restores the last rung.
+        assert_eq!(
+            picked(&warm, &app, Some(&mov(u64::MAX)), unlimited).0,
+            warm.rungs() - 1
+        );
+
+        // Everything the ladder cannot place restores rung 0, unseeded.
+        let rung0 = (0, 0);
+        assert_eq!(picked(&warm, &app, None, unlimited), rung0);
+        for trigger in [
+            Trigger::WithProbability(0.5),
+            Trigger::Always,
+            Trigger::Periodic {
+                start: at_k + 1,
+                period: 2,
+            },
+            Trigger::AfterN(0),
+        ] {
+            let s = spec(1, InsnClass::Mov, trigger);
+            assert_eq!(picked(&warm, &app, Some(&s), unlimited), rung0, "{s:?}");
+        }
+        let foreign_class = spec(1, InsnClass::Fmul, Trigger::AfterN(at_k + 1));
+        assert_eq!(picked(&warm, &app, Some(&foreign_class), unlimited), rung0);
+        let mut stranger = mov(at_k + 1);
+        stranger.target_program = "other".into();
+        assert_eq!(picked(&warm, &app, Some(&stranger), unlimited), rung0);
+        let mut disarmed = mov(at_k + 1);
+        disarmed.max_injections = 0;
+        assert_eq!(picked(&warm, &app, Some(&disarmed), unlimited), rung0);
+        let no_such_rank = spec(9, InsnClass::Mov, Trigger::AfterN(at_k + 1));
+        assert_eq!(picked(&warm, &app, Some(&no_such_rank), unlimited), rung0);
+
+        // A budget that ends at the rung (or before) excludes it; one
+        // instruction, or one round, more lets it in.
+        let snap = &warm.rungs[k].snapshot;
+        for (tight, enough) in [
+            (
+                RunBudget {
+                    max_insns: snap.total_insns(),
+                    max_rounds: 0,
+                },
+                RunBudget {
+                    max_insns: snap.total_insns() + 1,
+                    max_rounds: 0,
+                },
+            ),
+            (
+                RunBudget {
+                    max_insns: 0,
+                    max_rounds: snap.round(),
+                },
+                RunBudget {
+                    max_insns: 0,
+                    max_rounds: snap.round() + 1,
+                },
+            ),
+        ] {
+            assert!(picked(&warm, &app, Some(&mov(at_k + 1)), tight).0 < k);
+            assert_eq!(picked(&warm, &app, Some(&mov(at_k + 1)), enough).0, k);
+        }
+    }
+
+    #[test]
+    fn run_warm_restores_the_selected_rung() {
+        let app = app();
+        let campaign = crate::Campaign::new(
+            app.clone(),
+            crate::CampaignConfig {
+                classes: CLASSES.to_vec(),
+                ..crate::CampaignConfig::default()
+            },
+        );
+        let prepared = campaign.prepare();
+        let warm = prepared.warm.as_ref().expect("campaigns carry a ladder");
+        let last = warm.rungs.last().expect("rungs");
+        let late = spec(1, InsnClass::FpArith, Trigger::AfterN(u64::MAX));
+        let report = run_warm(&prepared, &RunOptions::inject(late), true);
+        assert_eq!(report.snapshot.restores, 1);
+        assert_eq!(report.snapshot.insns_skipped, last.snapshot.total_insns());
+        assert_eq!(
+            report.cluster.total_insns,
+            prepared.golden.cluster.total_insns
+        );
+        // Seeded with the rung's count, it ends on the profiled count.
+        assert_eq!(report.injector_exec_count, prepared.profile_counts[&(1, 1)]);
+        let fault_free = run_warm(&prepared, &RunOptions::golden(), true);
+        assert_eq!(fault_free.snapshot.insns_skipped, 0);
+        assert_eq!(fault_free.outputs, prepared.golden.outputs);
+    }
+
+    #[test]
+    #[should_panic(expected = "different tracing regime")]
+    fn run_warm_refuses_a_ladder_from_another_regime() {
+        let prepared = prepare_with_ladder(&app(), &CLASSES, false);
+        let traced = spec(1, InsnClass::FpArith, Trigger::AfterN(1));
+        run_warm(&prepared, &RunOptions::inject_traced(traced), true);
+    }
+
+    /// The profiled pass the rungs are captured from must not perturb the
+    /// state: every rung restores to exactly what a hook-free cluster holds
+    /// after the same number of rounds.
+    #[test]
+    fn every_rung_restores_the_state_a_hook_free_cluster_reaches() {
+        let app = app();
+        for tracing in [false, true] {
+            let warm = ladder(&app, tracing);
+            let opts = RunOptions {
+                tracing,
+                ..RunOptions::default()
+            };
+            let cfg = effective_cluster_cfg(&app, &opts);
+            let mut reference = Cluster::new(cfg.clone());
+            let programs: Vec<&Program> = app.programs.iter().collect();
+            reference.launch(&programs).expect("launch");
+            for rung in &warm.rungs {
+                while reference.round() < rung.snapshot.round() {
+                    reference.step_round();
+                }
+                assert_eq!(reference.total_insns(), rung.snapshot.total_insns());
+                let restored = Cluster::from_snapshot(cfg.clone(), &rung.snapshot);
+                assert_eq!(
+                    restored.state_digest(),
+                    reference.state_digest(),
+                    "rung at round {} (tracing {tracing})",
+                    rung.snapshot.round()
+                );
+            }
+        }
     }
 }

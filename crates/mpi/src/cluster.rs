@@ -1021,7 +1021,6 @@ impl Cluster {
     /// per-run wiring and derived state, re-attached after a restore the
     /// same way a cold run wires them.
     pub fn snapshot(&mut self) -> ClusterSnapshot {
-        let digest = self.state_digest();
         let total_insns = self.total_insns();
         ClusterSnapshot {
             nodes: self.nodes.iter_mut().map(Node::snapshot).collect(),
@@ -1040,7 +1039,6 @@ impl Cluster {
             taint_sync_lost: self.taint_sync_lost,
             hub_rng: self.hub_rng.clone(),
             total_insns,
-            digest,
         }
     }
 
@@ -2164,7 +2162,7 @@ fn reduce_into(acc: &mut [u8], src: &[u8], dtype: MpiDatatype, op: MpiOp) {
 
 // ---- Cluster snapshots ----
 
-/// A deterministic, digest-stamped checkpoint of a whole simulated cluster.
+/// A deterministic checkpoint of a whole simulated cluster.
 ///
 /// Captures per-node CPU/FPU state, guest memory as `Arc`-shared
 /// copy-on-write pages, taint shadow state, the VMI process tables,
@@ -2194,23 +2192,16 @@ pub struct ClusterSnapshot {
     taint_sync_lost: u64,
     hub_rng: Option<SmallRng>,
     total_insns: u64,
-    digest: u64,
 }
 
 impl ClusterSnapshot {
-    /// The [`Cluster::state_digest`] at capture time — restoring and
-    /// immediately digesting must reproduce this value.
-    pub fn digest(&self) -> u64 {
-        self.digest
-    }
-
     /// The scheduler round the snapshot was taken at.
     pub fn round(&self) -> u64 {
         self.round
     }
 
-    /// Total retired guest instructions at capture — the work a warm-started
-    /// run skips.
+    /// Total retired guest instructions at capture — the work a run
+    /// restored from here skips.
     pub fn total_insns(&self) -> u64 {
         self.total_insns
     }
@@ -2218,6 +2209,16 @@ impl ClusterSnapshot {
     /// Resident guest-RAM pages captured across all nodes.
     pub fn resident_pages(&self) -> u64 {
         self.nodes.iter().map(NodeSnapshot::resident_pages).sum()
+    }
+
+    /// Visits the storage identity of every captured guest-RAM page.
+    /// Successive snapshots of one cluster share the pages no write touched
+    /// in between, so the distinct identities over a set of snapshots count
+    /// the pages that set keeps alive.
+    pub fn for_each_page_id(&self, mut f: impl FnMut(usize)) {
+        for node in &self.nodes {
+            node.for_each_page_id(&mut f);
+        }
     }
 }
 

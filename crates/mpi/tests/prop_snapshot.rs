@@ -161,11 +161,12 @@ fn check_equivalence(
         original.step_round();
         stepped += 1;
     }
+    let captured = original.state_digest();
     let snap = original.snapshot();
     prop_assert_eq!(
         original.state_digest(),
-        snap.digest(),
-        "digest must cover exactly the captured state"
+        captured,
+        "capturing must not change the captured state"
     );
 
     // The snapshotted original resumes unperturbed (CoW leaves it intact).
@@ -177,7 +178,7 @@ fn check_equivalence(
     let mut restored = Cluster::from_snapshot(config(nodes, quantum), &snap);
     prop_assert_eq!(
         restored.state_digest(),
-        snap.digest(),
+        captured,
         "restore must reproduce the captured state exactly"
     );
     restored.replay_vmi_creations(); // no hooks wired: must be a no-op

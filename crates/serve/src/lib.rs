@@ -12,9 +12,9 @@
 //! back to the submitting client *as they are journaled*.
 //!
 //! Concurrent campaigns with the same prepare-relevant configuration
-//! (application, classes, warm-start regime, budget) share one warmed
+//! (application, classes, tracing regime) share one warmed
 //! [`chaser::PreparedApp`] — golden translation-block base layer plus
-//! warm-start snapshot — through an LRU [`PreparedPool`] with hit, miss and
+//! checkpoint ladder — through an LRU [`PreparedPool`] with hit, miss and
 //! eviction counters ([`chaser::PoolStats`]). `drain` is a graceful
 //! shutdown: admission stops, in-flight shards finish or checkpoint at run
 //! granularity via [`chaser::StopSignal`], and every interrupted job stays

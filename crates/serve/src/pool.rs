@@ -1,7 +1,7 @@
 //! The warmed prepared-app pool.
 //!
 //! Preparing an application — golden reference run, translation-block base
-//! layer, warm-start snapshot — dominates small-campaign latency. Jobs
+//! layer, checkpoint ladder — dominates small-campaign latency. Jobs
 //! whose specs agree on every prepare-relevant field (see
 //! [`crate::CampaignSpec::pool_key`]) share one [`PreparedApp`] through
 //! this LRU pool; `PreparedApp` is `Sync` and campaigns only ever borrow

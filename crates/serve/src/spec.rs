@@ -84,8 +84,6 @@ pub struct CampaignSpec {
     ///
     /// [`PreparedApp`]: chaser::PreparedApp
     pub trace_regime: TraceRegime,
-    /// Warm-start every run from a shared prefix snapshot.
-    pub warm_start: bool,
     /// Inter-run worker threads per shard (0 = all cores).
     pub parallelism: usize,
     /// Intra-run scheduler threads.
@@ -123,7 +121,6 @@ impl Default for CampaignSpec {
             tracing: false,
             provenance: false,
             trace_regime: TraceRegime::default(),
-            warm_start: false,
             parallelism: 2,
             rank_threads: base.rank_threads,
             max_insns: 0,
@@ -217,7 +214,6 @@ impl CampaignSpec {
                 "trace".to_string(),
                 Json::Str(self.trace_regime.name().to_string()),
             ),
-            ("warm_start".to_string(), Json::Bool(self.warm_start)),
             (
                 "parallelism".to_string(),
                 Json::Num(self.parallelism as i128),
@@ -368,7 +364,6 @@ impl CampaignSpec {
                 TraceRegime::from_name(trace)
                     .ok_or_else(|| SpecError::new("trace", format!("unknown regime `{trace}`")))?
             },
-            warm_start: get_bool(v, "warm_start", d.warm_start)?,
             parallelism: usize::try_from(get_u64(v, "parallelism", d.parallelism as u64)?)
                 .map_err(|_| SpecError::new("parallelism", "out of usize range"))?,
             rank_threads: usize::try_from(get_u64(v, "rank_threads", d.rank_threads as u64)?)
@@ -463,24 +458,22 @@ impl CampaignSpec {
     }
 
     /// The prepared-app pool key: exactly the fields
-    /// [`Campaign::prepare`] depends on (application identity, classes,
-    /// rank pool, tracing/provenance regime, warm start, per-run budget).
-    /// Seeds and run counts are deliberately absent — campaigns differing
-    /// only there share one warmed [`chaser::PreparedApp`].
+    /// [`Campaign::prepare`] depends on — application identity, classes and
+    /// the tracing/provenance regime its checkpoint ladder is captured
+    /// under. Seeds, run counts, the rank pool and the per-run budget are
+    /// deliberately absent (a run's budget only decides which rungs it may
+    /// restore) — campaigns differing only there share one warmed
+    /// [`chaser::PreparedApp`].
     pub fn pool_key(&self) -> String {
         format!(
-            "{}|{}|{}|{:?}|{}|{}|{}|{}|{}|{}|{}",
+            "{}|{}|{}|{:?}|{}|{}|{}",
             self.app,
             self.size,
             self.ranks,
             self.classes,
-            self.rank_pool.name(),
             self.tracing,
             self.provenance,
             self.trace_regime.name(),
-            self.warm_start,
-            self.max_insns,
-            self.max_rounds,
         )
     }
 
@@ -506,7 +499,6 @@ impl CampaignSpec {
             tracing: self.tracing,
             provenance: self.provenance,
             trace_regime: self.trace_regime,
-            warm_start: self.warm_start,
             run_budget: RunBudget {
                 max_insns: self.max_insns,
                 max_rounds: self.max_rounds,
@@ -560,7 +552,6 @@ mod tests {
             tracing: true,
             provenance: true,
             trace_regime: TraceRegime::TaintOnly,
-            warm_start: true,
             parallelism: 3,
             rank_threads: 2,
             max_insns: 9_000,
@@ -646,6 +637,8 @@ mod tests {
             seed: 1,
             runs: 500,
             shards: 4,
+            rank_pool: RankPool::Random,
+            max_insns: 9_000,
             ..a.clone()
         };
         assert_eq!(a.pool_key(), b.pool_key());
@@ -661,6 +654,16 @@ mod tests {
             ..a.clone()
         };
         assert_ne!(a.pool_key(), d.pool_key());
+    }
+
+    #[test]
+    fn a_warm_start_key_from_an_old_client_is_ignored() {
+        let line = CampaignSpec::default()
+            .to_line()
+            .replacen('{', "{\"warm_start\":true,", 1);
+        let parsed = CampaignSpec::from_line(&line).expect("old specs still parse");
+        assert_eq!(parsed, CampaignSpec::default());
+        assert!(!parsed.to_line().contains("warm_start"));
     }
 
     #[test]

@@ -2,6 +2,9 @@
 //!
 //! Memory is page-granular and lazily materialised: a page holds no storage
 //! until first written, reads of untouched pages serve a shared zero page.
+//! The frame index is lazy too: it reaches only as far as the highest frame
+//! ever written (capacity is kept as a number), so creating, snapshotting
+//! and restoring a 64 MiB node costs a few hundred slots, not 16 384.
 //! Pages are either `Owned` (private, writable in place) or `Shared`
 //! (`Arc`-backed, adopted from a [`MemSnapshot`]); writing a `Shared` page
 //! copies it on write. This is what lets a whole cluster checkpoint be
@@ -96,10 +99,12 @@ impl MemStats {
 
 /// A frozen, `Arc`-shared image of a `PhysMemory`, cheap to clone and safe
 /// to hand to many worker threads at once. Never-written pages stay `None`
-/// so a snapshot costs storage proportional to the resident set only.
+/// and the index ends at the highest written frame, so a snapshot costs
+/// storage proportional to the resident set only.
 #[derive(Debug, Clone)]
 pub struct MemSnapshot {
     pages: Vec<Option<Arc<Page>>>,
+    npages: usize,
     next_frame: u64,
 }
 
@@ -107,6 +112,16 @@ impl MemSnapshot {
     /// Number of resident (captured) pages in the snapshot.
     pub fn resident_pages(&self) -> u64 {
         self.pages.iter().filter(|p| p.is_some()).count() as u64
+    }
+
+    /// Visits the identity of every captured page's storage. Two snapshots
+    /// of one memory report the same identity for a page neither run of
+    /// writes touched in between, so the number of distinct identities over
+    /// a set of snapshots is the number of pages that set keeps alive.
+    pub fn for_each_page_id(&self, mut f: impl FnMut(usize)) {
+        for page in self.pages.iter().flatten() {
+            f(Arc::as_ptr(page) as usize);
+        }
     }
 }
 
@@ -122,18 +137,23 @@ impl MemSnapshot {
 /// accesses per page before touching physical memory.
 #[derive(Clone)]
 pub struct PhysMemory {
+    /// Frame index, grown on demand: slot `i` backs frame `i`, frames past
+    /// the end have never been written.
     pages: Vec<Option<PageState>>,
+    /// Capacity in pages.
+    npages: usize,
     next_frame: u64,
     stats: MemStats,
 }
 
 impl PhysMemory {
     /// Allocates `size` bytes of zeroed guest RAM (rounded up to a page).
-    /// Storage is lazy: untouched pages occupy no memory.
+    /// Storage is lazy: untouched pages occupy no memory, and neither
+    /// does the part of the frame index above them.
     pub fn new(size: u64) -> PhysMemory {
-        let npages = size.div_ceil(PAGE_SIZE) as usize;
         PhysMemory {
-            pages: vec![None; npages],
+            pages: Vec::new(),
+            npages: size.div_ceil(PAGE_SIZE) as usize,
             next_frame: 0,
             stats: MemStats::default(),
         }
@@ -141,7 +161,7 @@ impl PhysMemory {
 
     /// Total capacity in bytes.
     pub fn capacity(&self) -> u64 {
-        self.pages.len() as u64 * PAGE_SIZE
+        self.npages as u64 * PAGE_SIZE
     }
 
     /// Allocates one zeroed frame, returning its physical base address, or
@@ -156,20 +176,29 @@ impl PhysMemory {
         Some(base)
     }
 
-    /// The resident page backing `paddr` for reads, or the zero page.
+    /// The resident page backing `paddr` for reads, or the zero page —
+    /// also for every frame past the end of the index.
     #[inline]
     fn page(&self, paddr: u64) -> &Page {
-        match &self.pages[(paddr / PAGE_SIZE) as usize] {
-            Some(state) => state.bytes(),
-            None => &ZERO_PAGE,
+        let idx = (paddr / PAGE_SIZE) as usize;
+        debug_assert!(idx < self.npages, "physical read beyond capacity");
+        match self.pages.get(idx) {
+            Some(Some(state)) => state.bytes(),
+            _ => &ZERO_PAGE,
         }
     }
 
-    /// The private, writable page backing `paddr`, materialising zero pages
-    /// and copying shared pages on demand.
+    /// The private, writable page backing `paddr`, growing the index up to
+    /// its frame, materialising zero pages and copying shared pages on
+    /// demand.
     #[inline]
     fn page_mut(&mut self, paddr: u64) -> &mut Page {
-        let slot = &mut self.pages[(paddr / PAGE_SIZE) as usize];
+        let idx = (paddr / PAGE_SIZE) as usize;
+        if idx >= self.pages.len() {
+            assert!(idx < self.npages, "physical write beyond capacity");
+            self.pages.resize_with(idx + 1, || None);
+        }
+        let slot = &mut self.pages[idx];
         match slot {
             Some(PageState::Owned(p)) => p,
             Some(PageState::Shared(shared)) => {
@@ -190,17 +219,19 @@ impl PhysMemory {
         }
     }
 
-    /// Reads one byte of physical memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `paddr` is beyond capacity — physical addresses only come
-    /// from the page tables, so this indicates a VM bug, not a guest fault.
+    /// Reads one byte of physical memory. Physical addresses only come
+    /// from the page tables, so an address beyond capacity indicates a VM
+    /// bug, not a guest fault: debug builds assert, release builds read
+    /// the zero page like any other never-written frame.
     pub fn read_u8(&self, paddr: u64) -> u8 {
         self.page(paddr)[(paddr % PAGE_SIZE) as usize]
     }
 
     /// Writes one byte of physical memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `paddr` is beyond capacity (a VM bug, as above).
     pub fn write_u8(&mut self, paddr: u64, v: u8) {
         self.page_mut(paddr)[(paddr % PAGE_SIZE) as usize] = v;
     }
@@ -269,6 +300,7 @@ impl PhysMemory {
             .collect();
         MemSnapshot {
             pages,
+            npages: self.npages,
             next_frame: self.next_frame,
         }
     }
@@ -289,6 +321,7 @@ impl PhysMemory {
             .collect();
         PhysMemory {
             pages,
+            npages: snap.npages,
             next_frame: snap.next_frame,
             stats: MemStats {
                 pages_shared: shared,
@@ -376,6 +409,62 @@ mod tests {
         let mut resident = 0;
         m.for_each_resident_page(|_, _| resident += 1);
         assert_eq!(resident, 0, "reads must not materialise pages");
+    }
+
+    #[test]
+    fn frame_index_reaches_only_the_highest_written_frame() {
+        let mut m = PhysMemory::new(DEFAULT_PHYS_BYTES);
+        assert_eq!(m.pages.len(), 0, "a fresh memory indexes nothing");
+        for frame in [0, 1, 5] {
+            m.write_u8(frame * PAGE_SIZE, frame as u8 + 1);
+        }
+        assert_eq!(m.pages.len(), 6);
+        assert_eq!(m.capacity(), DEFAULT_PHYS_BYTES);
+
+        let snap = m.snapshot();
+        assert_eq!(snap.pages.len(), 6);
+        assert_eq!(snap.resident_pages(), 3);
+        let mut r = PhysMemory::from_snapshot(&snap);
+        assert_eq!(r.pages.len(), 6);
+        assert_eq!(r.capacity(), DEFAULT_PHYS_BYTES);
+        assert_eq!(r.read_u8(5 * PAGE_SIZE), 6);
+
+        // Past the index: reads serve zeros without growing it, a write
+        // grows it exactly as far as its frame.
+        assert_eq!(r.read_u64(1000 * PAGE_SIZE + 8), 0);
+        assert_eq!(r.read_u8(DEFAULT_PHYS_BYTES - 1), 0);
+        assert_eq!(r.pages.len(), 6);
+        r.write_u8(40 * PAGE_SIZE + 3, 9);
+        assert_eq!(r.pages.len(), 41);
+        assert_eq!(r.read_u8(40 * PAGE_SIZE + 3), 9);
+        assert_eq!(r.stats().pages_cow, 0, "a fresh zero page is not a CoW");
+        assert_eq!(m.pages.len(), 6, "the snapshotted memory is untouched");
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond capacity")]
+    fn a_write_past_capacity_panics() {
+        let mut m = PhysMemory::new(2 * PAGE_SIZE);
+        m.write_u8(2 * PAGE_SIZE, 1);
+    }
+
+    #[test]
+    fn snapshots_share_the_pages_no_write_touched_in_between() {
+        let mut m = PhysMemory::new(4 * PAGE_SIZE);
+        m.write_u8(0, 1);
+        m.write_u8(PAGE_SIZE, 2);
+        let first = m.snapshot();
+        m.write_u8(PAGE_SIZE, 3);
+        let second = m.snapshot();
+        let mut ids = std::collections::BTreeSet::new();
+        first.for_each_page_id(|id| {
+            ids.insert(id);
+        });
+        second.for_each_page_id(|id| {
+            ids.insert(id);
+        });
+        // Frame 0 is one page in both; frame 1 was copied on write.
+        assert_eq!(ids.len(), 3);
     }
 
     #[test]

@@ -512,6 +512,12 @@ impl NodeSnapshot {
     pub fn resident_pages(&self) -> u64 {
         self.phys.resident_pages()
     }
+
+    /// Visits the storage identity of every captured guest-RAM page (see
+    /// [`MemSnapshot::for_each_page_id`]).
+    pub fn for_each_page_id(&self, f: impl FnMut(usize)) {
+        self.phys.for_each_page_id(f)
+    }
 }
 
 /// Writes bytes through read translation only — the kernel loader may write

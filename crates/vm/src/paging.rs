@@ -4,6 +4,7 @@ use crate::mem::{MemFault, MemFaultKind, PhysMemory};
 use chaser_isa::PAGE_SIZE;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Page permissions.
 ///
@@ -68,10 +69,15 @@ const TLB_EXEC_BIT: u64 = 1 << (TLB_TAG_BITS + TLB_FRAME_BITS + 1);
 /// page-table hash map. Mappings are only ever *added* (`map_region` skips
 /// pages already present and nothing unmaps), so a cached entry can never
 /// go stale and the TLB needs no invalidation.
+///
+/// The table is `Arc`-shared between clones (snapshots and the processes
+/// restored from them) and copied only by the clone that maps something
+/// new, so a checkpoint ladder holds one table per process, not one per
+/// rung.
 #[derive(Debug)]
 pub struct AddressSpace {
     asid: u64,
-    pages: HashMap<u64, Pte>,
+    pages: Arc<HashMap<u64, Pte>>,
     tlb: [AtomicU64; TLB_SIZE],
 }
 
@@ -79,7 +85,7 @@ impl Clone for AddressSpace {
     fn clone(&self) -> AddressSpace {
         AddressSpace {
             asid: self.asid,
-            pages: self.pages.clone(),
+            pages: Arc::clone(&self.pages),
             tlb: std::array::from_fn(|i| AtomicU64::new(self.tlb[i].load(Ordering::Relaxed))),
         }
     }
@@ -90,7 +96,7 @@ impl AddressSpace {
     pub fn new(asid: u64) -> AddressSpace {
         AddressSpace {
             asid,
-            pages: HashMap::new(),
+            pages: Arc::new(HashMap::new()),
             tlb: [const { AtomicU64::new(0) }; TLB_SIZE],
         }
     }
@@ -120,7 +126,7 @@ impl AddressSpace {
                 vaddr: vpn * PAGE_SIZE,
                 kind: MemFaultKind::Unmapped,
             })?;
-            self.pages.insert(vpn, Pte { frame, perms });
+            Arc::make_mut(&mut self.pages).insert(vpn, Pte { frame, perms });
         }
         Ok(())
     }

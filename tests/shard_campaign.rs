@@ -454,11 +454,11 @@ fn merge_rejects_a_foreign_fingerprint() {
 }
 
 #[test]
-fn merge_rejects_a_v7_shard_journal() {
-    let (dir, paths, header) = merged_fixture("v7-shard");
-    assert_eq!(header.version, 8);
+fn merge_rejects_a_v8_shard_journal() {
+    let (dir, paths, header) = merged_fixture("v8-shard");
+    assert_eq!(header.version, 9);
     let lines = journal_lines(&paths[1]);
-    let doctored = lines[0].replace("\"chaser_journal\":8", "\"chaser_journal\":7");
+    let doctored = lines[0].replace("\"chaser_journal\":9", "\"chaser_journal\":8");
     assert_ne!(doctored, lines[0], "header must carry the version field");
     let mut all = lines.clone();
     all[0] = doctored;
@@ -472,7 +472,7 @@ fn merge_rejects_a_v7_shard_journal() {
             assert!(path.ends_with("campaign.shard-1.jsonl"), "{path}");
             assert_eq!(expected.differing_fields(&found), ["version"]);
         }
-        other => panic!("v7 shard journal accepted: {other:?}"),
+        other => panic!("v8 shard journal accepted: {other:?}"),
     }
     let _ = fs::remove_dir_all(&dir);
 }
