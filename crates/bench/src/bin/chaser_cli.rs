@@ -13,7 +13,6 @@ use chaser::{
     AppSpec, Campaign, CampaignConfig, Chaser, DeterministicInjector, GroupInjector,
     IntermittentInjector, ProbabilisticInjector, RankPool, RunOptions, ShardWorkers, TraceRegime,
 };
-use chaser_bench::HarnessArgs;
 use chaser_isa::InsnClass;
 use std::io::{BufRead, Write};
 
@@ -24,17 +23,6 @@ struct Cli {
     /// worker needs to rebuild the identical campaign.
     loaded: Option<(String, u64, u64)>,
     golden: Option<chaser::RunReport>,
-}
-
-fn build_app(name: &str, args: &HarnessArgs) -> Option<AppSpec> {
-    Some(match name {
-        "matvec" => chaser_bench::matvec_app(args).0,
-        "clamr" | "clamr_sim" => chaser_bench::clamr_app(args).0,
-        "bfs" => chaser_bench::bfs_app(args).0,
-        "kmeans" => chaser_bench::kmeans_app(args).0,
-        "lud" => chaser_bench::lud_app(args).0,
-        _ => return None,
-    })
 }
 
 impl Cli {
@@ -66,14 +54,9 @@ impl Cli {
             "apps" => println!("available targets: matvec, clamr, bfs, kmeans, lud"),
             "load" => {
                 let name = parts.next().unwrap_or("");
-                let size = parts.next().and_then(|s| s.parse().ok()).unwrap_or(0);
-                let ranks = parts.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-                let args = HarnessArgs {
-                    size,
-                    ranks,
-                    ..HarnessArgs::default()
-                };
-                match build_app(name, &args) {
+                let size: usize = parts.next().and_then(|s| s.parse().ok()).unwrap_or(0);
+                let ranks: u32 = parts.next().and_then(|s| s.parse().ok()).unwrap_or(4);
+                match chaser_serve::build_app(name, size, ranks) {
                     Some(app) => {
                         println!(
                             "loaded `{}`: {} rank(s) on {} node(s)",
@@ -82,8 +65,7 @@ impl Cli {
                             app.cluster.nodes
                         );
                         self.app = Some(app);
-                        self.loaded =
-                            Some((name.to_string(), args.size as u64, u64::from(args.ranks)));
+                        self.loaded = Some((name.to_string(), size as u64, u64::from(ranks)));
                         self.golden = None;
                     }
                     None => println!("unknown app `{name}` (try `apps`)"),
@@ -549,12 +531,8 @@ fn shard_worker_main(args: &[String]) -> ! {
         s.parse()
             .unwrap_or_else(|_| fail(format!("{what} is not a number: `{s}`")))
     };
-    let harness = HarnessArgs {
-        size: parse("size", size) as usize,
-        ranks: parse("ranks", ranks) as u32,
-        ..HarnessArgs::default()
-    };
-    let Some(app) = build_app(name, &harness) else {
+    let (size, ranks) = (parse("size", size) as usize, parse("ranks", ranks) as u32);
+    let Some(app) = chaser_serve::build_app(name, size, ranks) else {
         fail(format!("unknown app `{name}`"));
     };
     let Some(cfg) = campaign_config(parse("runs", runs), parse("shards", shards), trace) else {

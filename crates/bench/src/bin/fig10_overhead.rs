@@ -12,13 +12,10 @@
 //!
 //! `cargo run --release -p chaser-bench --bin fig10_overhead -- --runs 9`
 
-use chaser::{
-    run_app, AppSpec, Campaign, CampaignConfig, Corruption, InjectionSpec, OperandSel, RankPool,
-    RunOptions, Trigger,
-};
-use chaser_bench::{clamr_app, matvec_app, print_table, HarnessArgs};
+use chaser::{run_app, AppSpec, Corruption, InjectionSpec, OperandSel, RunOptions, Trigger};
+use chaser_bench::{clamr_app, lud_app, matvec_app, print_table, HarnessArgs};
 use chaser_isa::InsnClass;
-use chaser_workloads::matvec;
+use chaser_mpi::TaintCarrier;
 use std::time::Instant;
 
 /// Median wall-clock seconds over `reps` runs.
@@ -35,6 +32,21 @@ fn time_runs(app: &AppSpec, opts: &RunOptions, reps: u64) -> f64 {
     times[times.len() / 2]
 }
 
+/// An identity fault (the original value written back) in rank 0's `class`
+/// after `n` executions.
+fn identity(program: &str, class: InsnClass, n: u64) -> InjectionSpec {
+    InjectionSpec {
+        target_program: program.into(),
+        target_rank: 0,
+        class,
+        trigger: Trigger::AfterN(n),
+        corruption: Corruption::Identity,
+        operand: OperandSel::Dst,
+        max_injections: 1,
+        seed: 0,
+    }
+}
+
 fn main() {
     let args = HarnessArgs::parse_with(HarnessArgs {
         runs: 9, // repetitions per configuration here
@@ -43,16 +55,7 @@ fn main() {
     let reps = args.runs;
 
     // The paper injects into fadd after 1000 executions.
-    let identity = |program: &str| InjectionSpec {
-        target_program: program.into(),
-        target_rank: 0,
-        class: InsnClass::Fadd,
-        trigger: Trigger::AfterN(1000),
-        corruption: Corruption::Identity,
-        operand: OperandSel::Dst,
-        max_injections: 1,
-        seed: 0,
-    };
+    let paper_fault = |program: &str| identity(program, InsnClass::Fadd, 1000);
 
     let mut rows = Vec::new();
     let apps: Vec<(&str, AppSpec)> = vec![
@@ -61,7 +64,7 @@ fn main() {
     ];
     for (name, app) in &apps {
         let baseline = time_runs(app, &RunOptions::golden(), reps);
-        let fi_only = time_runs(app, &RunOptions::inject(identity(&app.name)), reps);
+        let fi_only = time_runs(app, &RunOptions::inject(paper_fault(&app.name)), reps);
         let trace_only = time_runs(
             app,
             &RunOptions {
@@ -70,7 +73,11 @@ fn main() {
             },
             reps,
         );
-        let fi_trace = time_runs(app, &RunOptions::inject_traced(identity(&app.name)), reps);
+        let fi_trace = time_runs(
+            app,
+            &RunOptions::inject_traced(paper_fault(&app.name)),
+            reps,
+        );
 
         let norm = |t: f64| {
             format!(
@@ -100,135 +107,67 @@ fn main() {
     );
     println!(
         "note: absolute milliseconds are simulator times, not native times; \
-         only the *ratios* correspond to the paper's figure. The criterion \
-         bench (`cargo bench -p chaser-bench --bench overhead`) measures the \
-         same four configurations with rigorous statistics."
+         only the *ratios* correspond to the paper's figure."
     );
 
-    shared_cache_ablation();
-    hot_path_ablation();
+    design_arguments(&args);
 }
 
-/// The layered-translation-cache ablation: the same 100-run matvec
-/// campaign with the golden-warmed shared base layer on vs off. Outcomes
-/// must classify identically; the win is pure translation avoidance.
-fn shared_cache_ablation() {
-    let campaign = |shared_tb_cache: bool| {
-        let mv = matvec::MatvecConfig::default();
-        let app = AppSpec::replicated(matvec::program(&mv), mv.ranks as usize, 4);
-        let campaign = Campaign::new(
-            app,
-            CampaignConfig {
-                runs: 100,
-                seed: 0xCAFE,
-                classes: vec![InsnClass::FpArith],
-                rank_pool: RankPool::Random,
-                shared_tb_cache,
-                ..CampaignConfig::default()
-            },
-        );
-        let t0 = Instant::now();
-        let result = campaign.run();
-        (t0.elapsed().as_secs_f64(), result)
+/// The two design arguments the paper makes with a cost attached, timed
+/// like the table above. Targeted instrumentation is nearly free where
+/// F-SEFI-style instrument-everything is not: identical lud runs whose
+/// never-firing injector instruments nothing, `fmul` only, or every
+/// instruction. And the TaintHub against per-message taint headers on the
+/// receive path with no fault in flight: fault-free traced matvec.
+fn design_arguments(args: &HarnessArgs) {
+    const INSTR: &str = "instrumentation (lud)";
+    const CARRIER: &str = "taint carrier (traced matvec, no fault)";
+    let (lud, _) = lud_app(args);
+    let never_firing = |class| RunOptions::inject(identity(&lud.name, class, u64::MAX));
+    let traced = RunOptions {
+        tracing: true,
+        ..RunOptions::default()
     };
-    let (t_shared, shared) = campaign(true);
-    let (t_cold, cold) = campaign(false);
-    assert_eq!(
-        shared.to_csv(),
-        cold.to_csv(),
-        "shared and cold campaigns must classify identically"
-    );
-
-    let row = |label: &str, t: f64, r: &chaser::CampaignResult| {
-        let s = r.cache_stats;
-        vec![
-            label.to_string(),
-            format!("{:.1}ms", t * 1e3),
-            format!("{:.3}x", t / t_cold),
-            format!("{}", s.misses),
-            format!("{}", s.base_hits),
-            format!("{:.1}%", 100.0 * s.base_hit_rate()),
-        ]
+    let matvec = |carrier| {
+        let (mut app, _) = matvec_app(args);
+        app.cluster.taint_carrier = carrier;
+        (app, traced.clone())
     };
+    let configs = [
+        (INSTR, "uninstrumented", (lud.clone(), RunOptions::golden())),
+        (
+            INSTR,
+            "JIT: fmul only",
+            (lud.clone(), never_firing(InsnClass::Fmul)),
+        ),
+        (
+            INSTR,
+            "F-SEFI style: every instruction",
+            (lud.clone(), never_firing(InsnClass::Any)),
+        ),
+        (CARRIER, "TaintHub", matvec(TaintCarrier::Hub)),
+        (CARRIER, "per-message header", matvec(TaintCarrier::Header)),
+        (CARRIER, "none", matvec(TaintCarrier::None)),
+    ];
+    let mut first = ("", 0.0);
+    let rows: Vec<Vec<String>> = configs
+        .iter()
+        .map(|(group, label, (app, opts))| {
+            let t = time_runs(app, opts, args.runs);
+            if first.0 != *group {
+                first = (group, t);
+            }
+            vec![
+                group.to_string(),
+                label.to_string(),
+                format!("{:.2}ms", t * 1e3),
+                format!("{:.3}x", t / first.1),
+            ]
+        })
+        .collect();
     print_table(
-        "Layered TB cache: 100-run matvec campaign, shared base vs cold \
-         (identical outcome sets)",
-        &[
-            "config",
-            "wall clock",
-            "vs cold",
-            "translations",
-            "base hits",
-            "base hit rate",
-        ],
-        &[
-            row("shared_tb_cache=true", t_shared, &shared),
-            row("shared_tb_cache=false", t_cold, &cold),
-        ],
-    );
-}
-
-/// The hot-path execution ablation: the same 100-run matvec campaign with
-/// TB chaining and the taint-idle fast path on vs off. Outcome CSVs must
-/// be byte-identical; the engine counters show where the win comes from
-/// (chained dispatches and memory ops that skipped all shadow work).
-fn hot_path_ablation() {
-    let campaign = |on: bool| {
-        let mv = matvec::MatvecConfig::default();
-        let app = AppSpec::replicated(matvec::program(&mv), mv.ranks as usize, 4);
-        let campaign = Campaign::new(
-            app,
-            CampaignConfig {
-                runs: 100,
-                seed: 0xCAFE,
-                classes: vec![InsnClass::FpArith],
-                rank_pool: RankPool::Random,
-                tb_chaining: on,
-                taint_fast_path: on,
-                ..CampaignConfig::default()
-            },
-        );
-        let t0 = Instant::now();
-        let result = campaign.run();
-        (t0.elapsed().as_secs_f64(), result)
-    };
-    let (t_on, on) = campaign(true);
-    let (t_off, off) = campaign(false);
-    assert_eq!(
-        on.to_csv(),
-        off.to_csv(),
-        "optimized and unoptimized campaigns must classify identically"
-    );
-
-    let row = |label: &str, t: f64, r: &chaser::CampaignResult| {
-        let s = r.engine_stats;
-        let mem_ops = s.fast_path_insns + s.slow_path_insns;
-        vec![
-            label.to_string(),
-            format!("{:.1}ms", t * 1e3),
-            format!("{:.3}x", t / t_off),
-            format!("{}", s.tb_chain_hits),
-            format!("{}", s.chain_severs),
-            format!(
-                "{} ({:.1}%)",
-                s.fast_path_insns,
-                100.0 * s.fast_path_insns as f64 / mem_ops.max(1) as f64
-            ),
-            format!("{}", s.slow_path_insns),
-        ]
-    };
-    print_table(
-        "Hot-path execution: 100-run matvec campaign, tb_chaining + \
-         taint_fast_path on vs off (identical outcome sets)",
-        &[
-            "config",
-            "wall clock",
-            "vs off",
-            "chain hits",
-            "severs",
-            "fast-path mem ops",
-            "slow-path mem ops",
-        ],
-        &[row("knobs on", t_on, &on), row("knobs off", t_off, &off)],
+        "Design arguments: cost relative to each group's first row",
+        &["argument", "configuration", "median", "vs first"],
+        &rows,
     );
 }

@@ -1,8 +1,10 @@
 //! # chaser-bench
 //!
-//! Harness binaries and Criterion benchmarks regenerating every table and
-//! figure of the Chaser paper's evaluation (see DESIGN.md §4 for the
-//! experiment index and EXPERIMENTS.md for paper-vs-measured results).
+//! Harness binaries regenerating every table and figure of the Chaser
+//! paper's evaluation (see DESIGN.md §4 for the experiment index and
+//! EXPERIMENTS.md for paper-vs-measured results), the `chaser_cli`
+//! terminal, and the `ledger` — the repository's one performance
+//! instrument (`BENCHMARK.json`, `src/bin/ledger/README.md`).
 //!
 //! | Artefact | Binary |
 //! |---|---|
@@ -17,10 +19,10 @@
 //! | §IV-B CLAMR detection stats | `clamr_case_study` |
 //! | Cross-rank propagation provenance (Matvec) | `fig6_propagation` |
 //!
-//! Every binary accepts `--runs N`, `--seed N`, `--size N` and `--ranks N`
-//! so the full paper-scale campaign (thousands of runs) is reproducible
-//! when given the cycles; defaults keep each binary in the tens of
-//! seconds.
+//! Every artefact binary accepts `--runs N`, `--seed N`, `--size N`,
+//! `--ranks N` and `--csv PATH` so the full paper-scale campaign (thousands
+//! of runs) is reproducible when given the cycles; defaults keep each
+//! binary in the tens of seconds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,27 +57,49 @@ impl Default for HarnessArgs {
     }
 }
 
+/// What the artefact binaries print (to stderr, exit status 2) on a bad
+/// command line.
+const USAGE: &str = "usage: [--runs N] [--seed N] [--size N] [--ranks N] [--csv PATH]";
+
 impl HarnessArgs {
-    /// Parses `--runs / --seed / --size / --ranks` from `std::env::args`,
-    /// starting from the given defaults.
-    pub fn parse_with(mut defaults: HarnessArgs) -> HarnessArgs {
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i + 1 < args.len() {
-            let value = &args[i + 1];
-            match args[i].as_str() {
-                "--runs" => defaults.runs = value.parse().expect("--runs takes a number"),
-                "--seed" => defaults.seed = value.parse().expect("--seed takes a number"),
-                "--size" => defaults.size = value.parse().expect("--size takes a number"),
-                "--ranks" => defaults.ranks = value.parse().expect("--ranks takes a number"),
-                "--csv" => defaults.csv = Some(value.clone()),
-                other => {
-                    panic!("unknown argument `{other}` (try --runs/--seed/--size/--ranks/--csv)")
-                }
-            }
-            i += 2;
+    /// Parses `--runs / --seed / --size / --ranks / --csv` from `args` (the
+    /// command line without the program name), starting from the given
+    /// defaults.
+    ///
+    /// # Errors
+    ///
+    /// A one-line message naming the flag that has no value, the value
+    /// that is not a number, or the argument that is not a flag.
+    pub fn parse_from(
+        mut defaults: HarnessArgs,
+        mut args: impl Iterator<Item = String>,
+    ) -> Result<HarnessArgs, String> {
+        fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+            value
+                .parse()
+                .map_err(|_| format!("{flag} takes a number, got `{value}`"))
         }
-        defaults
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} takes a value"));
+            match flag.as_str() {
+                "--runs" => defaults.runs = number(&flag, &value()?)?,
+                "--seed" => defaults.seed = number(&flag, &value()?)?,
+                "--size" => defaults.size = number(&flag, &value()?)?,
+                "--ranks" => defaults.ranks = number(&flag, &value()?)?,
+                "--csv" => defaults.csv = Some(value()?),
+                _ => return Err(format!("unknown argument `{flag}`")),
+            }
+        }
+        Ok(defaults)
+    }
+
+    /// Parses `std::env::args` over the given defaults; a bad command line
+    /// prints one usage line to stderr and exits with status 2.
+    pub fn parse_with(defaults: HarnessArgs) -> HarnessArgs {
+        HarnessArgs::parse_from(defaults, std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}\n{USAGE}");
+            std::process::exit(2)
+        })
     }
 
     /// Parses with the standard defaults.
@@ -171,36 +195,6 @@ pub fn lud_app(args: &HarnessArgs) -> (AppSpec, lud::LudConfig) {
     (AppSpec::single(lud::program(&cfg)), cfg)
 }
 
-/// Runs `measure` up to `attempts` times, accepting the first result that
-/// passes `gate` and sleeping `cooldown` between tries.
-///
-/// This is the shared noise-retry loop of the perf gates (hot-path,
-/// rank-scaling, statistical-mode): interference from co-tenants can only
-/// *lower* a measured speedup, never raise it, so remeasuring until the
-/// gate passes does not mask a real regression. `gate` returns
-/// `Err(shortfall)` with a human-readable deficit; the final attempt's
-/// shortfall panics with `"{what} regressed: {shortfall}"`.
-pub fn gated_measurement<T>(
-    what: &str,
-    attempts: u32,
-    cooldown: std::time::Duration,
-    mut measure: impl FnMut(u32) -> T,
-    mut gate: impl FnMut(&T) -> Result<(), String>,
-) -> T {
-    for attempt in 1..=attempts {
-        let result = measure(attempt);
-        match gate(&result) {
-            Ok(()) => return result,
-            Err(shortfall) => {
-                assert!(attempt < attempts, "{what} regressed: {shortfall}");
-                println!("{what}: {shortfall} (attempt {attempt}; host noisy, remeasuring)");
-                std::thread::sleep(cooldown);
-            }
-        }
-    }
-    unreachable!("the final attempt either returned or panicked");
-}
-
 /// Renders an aligned text table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");
@@ -267,6 +261,51 @@ mod tests {
         assert_eq!(app.nranks(), 1);
         let (app, _) = lud_app(&args);
         assert_eq!(app.nranks(), 1);
+
+        // The daemon's registry restates these defaults; the two must
+        // build the same programs until there is one registry.
+        let served = |name| chaser_serve::build_app(name, 0, 4).expect("listed app");
+        assert_eq!(matvec_app(&args).0.programs, served("matvec").programs);
+        assert_eq!(clamr_app(&args).0.programs, served("clamr_sim").programs);
+        assert_eq!(bfs_app(&args).0.programs, served("bfs").programs);
+        assert_eq!(kmeans_app(&args).0.programs, served("kmeans").programs);
+        assert_eq!(lud_app(&args).0.programs, served("lud").programs);
+    }
+
+    fn parse(args: &[&str]) -> Result<HarnessArgs, String> {
+        HarnessArgs::parse_from(HarnessArgs::default(), args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn parse_reads_every_flag() {
+        let parsed = parse(&[
+            "--runs", "7", "--seed", "9", "--size", "32", "--ranks", "2", "--csv", "out.csv",
+        ]);
+        assert_eq!(
+            parsed,
+            Ok(HarnessArgs {
+                runs: 7,
+                seed: 9,
+                size: 32,
+                ranks: 2,
+                csv: Some("out.csv".into()),
+            })
+        );
+        assert_eq!(parse(&[]), Ok(HarnessArgs::default()));
+    }
+
+    #[test]
+    fn parse_rejects_bad_command_lines() {
+        // A trailing flag used to be dropped silently: `--runs` ran 200.
+        assert_eq!(
+            parse(&["--seed", "1", "--runs"]).unwrap_err(),
+            "--runs takes a value"
+        );
+        assert_eq!(
+            parse(&["--runs", "many"]).unwrap_err(),
+            "--runs takes a number, got `many`"
+        );
+        assert_eq!(parse(&["--help"]).unwrap_err(), "unknown argument `--help`");
     }
 
     #[test]

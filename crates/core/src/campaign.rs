@@ -17,7 +17,7 @@ use crate::tracer::TracerConfig;
 use chaser_isa::InsnClass;
 use chaser_mpi::{ParallelStats, RunBudget};
 use chaser_tcg::CacheStats;
-use chaser_vm::{EngineStats, ExecTuning};
+use chaser_vm::EngineStats;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -86,12 +86,6 @@ pub struct CampaignConfig {
     /// classifies runs purely from termination cause plus golden-digest
     /// comparison. Part of the journal config fingerprint (v6).
     pub trace_regime: TraceRegime,
-    /// Share one immutable base layer of clean translation blocks (warmed
-    /// by the golden run) across all injection runs, so each run only
-    /// translates the handful of blocks it instruments. Off: every run
-    /// translates from scratch. Outcomes are identical either way; this is
-    /// the ablation knob behind the Fig. 10 numbers.
-    pub shared_tb_cache: bool,
     /// Inert: every campaign run restores from the checkpoint ladder
     /// ([`crate::WarmStart`]) whatever this says, and it is not part of the
     /// config fingerprint. Kept only because the frozen benchmark sets it;
@@ -101,15 +95,6 @@ pub struct CampaignConfig {
     /// injection run; merged with the cluster configuration's own budget,
     /// tighter bound wins. Default unlimited.
     pub run_budget: RunBudget,
-    /// TB chaining: patch direct block exits so steady-state dispatch jumps
-    /// block-to-block without translation-cache hash lookups. Outcomes are
-    /// byte-identical either way; off is the ablation baseline.
-    pub tb_chaining: bool,
-    /// Taint-idle fast path: while no taint (or provenance) is live in a
-    /// node's shadow memory, guest memory operations skip all shadow work.
-    /// Outcomes are byte-identical either way; off is the ablation
-    /// baseline.
-    pub taint_fast_path: bool,
     /// Worker threads each run's scheduler fans its nodes out over during
     /// the compute phase of every round (intra-run parallelism, on top of
     /// the inter-run `parallelism` workers). Outcomes, provenance digests
@@ -167,11 +152,8 @@ impl Default for CampaignConfig {
             tracer: TracerConfig::default(),
             provenance: false,
             trace_regime: TraceRegime::default(),
-            shared_tb_cache: true,
             warm_start: false,
             run_budget: RunBudget::default(),
-            tb_chaining: true,
-            taint_fast_path: true,
             rank_threads: 1,
             panic_runs: Vec::new(),
             shards: 0,
@@ -525,9 +507,9 @@ impl CampaignResult {
 
     /// Renders the per-run hot-path engine counters as CSV. Kept separate
     /// from [`CampaignResult::to_csv`] on purpose: outcome CSVs must stay
-    /// byte-identical across the `tb_chaining` / `taint_fast_path`
-    /// ablation knobs, while these counters are exactly what the knobs
-    /// change.
+    /// byte-identical across `rank_threads` and the test-only
+    /// `ExecTuning` reference paths, while these counters are exactly what
+    /// those change.
     pub fn stats_csv(&self) -> String {
         let mut out = String::from(
             "run_idx,tb_chain_hits,chain_severs,fast_path_insns,slow_path_insns,tb_lookups,tb_misses,rank_threads,parallel_rounds,max_worker_insns,total_worker_insns
@@ -807,11 +789,10 @@ impl Campaign {
 
     /// Prepares the application for this campaign in two fault-free
     /// passes: the hook-free golden pass (reference outputs and the
-    /// per-node base translation caches workers share when
-    /// `cfg.shared_tb_cache` is set), then one profiled pass under the
-    /// regime the injection runs execute with, which yields both the
-    /// per-`(rank, class)` execution counts and the checkpoint ladder
-    /// ([`crate::WarmStart`]) every run restores from.
+    /// per-node base translation caches every worker shares), then one
+    /// profiled pass under the regime the injection runs execute with,
+    /// which yields both the per-`(rank, class)` execution counts and the
+    /// checkpoint ladder ([`crate::WarmStart`]) every run restores from.
     pub fn prepare(&self) -> PreparedApp {
         let (tracing, provenance) = self
             .cfg
@@ -822,9 +803,8 @@ impl Campaign {
 
     /// Executes the campaign: [`Campaign::prepare`], then `cfg.runs` seeded
     /// injection runs across worker threads, each restored from the ladder
-    /// rung below its trigger. With `cfg.shared_tb_cache` every worker's
-    /// runs also start from the golden-warmed base translation cache;
-    /// outcomes are bit-identical either way.
+    /// rung below its trigger and started from the golden-warmed base
+    /// translation cache.
     pub fn run(&self) -> CampaignResult {
         let prepared = self.prepare();
         let indices: Vec<u64> = (0..self.cfg.runs).collect();
@@ -914,23 +894,22 @@ impl Campaign {
     /// computed a row never changes it, so `parallelism`, the shard worker
     /// kind (`shard_workers`), the supervision timing (`shard_supervision`),
     /// the durability interval (`journal_sync_rows`) and the supervisor
-    /// chaos knob (`shard_chaos`) stay out. `shared_tb_cache`,
-    /// `tb_chaining`, `taint_fast_path` and `rank_threads` *are* included
-    /// even though all four are replay-equivalent knobs — a journal must be
-    /// finished under the exact execution regime that started it, or its
-    /// rows mix provenances silently (the journaled engine and parallelism
-    /// counters would be incomparable across rows). `shards` is included
-    /// (v5) because it fixes the shard plan: a shard journal's meta line is
-    /// only meaningful under the plan that created it. `trace_regime` is
-    /// included (v6): the regime decides whether taint counters in the
-    /// journaled rows are measurements or never-armed zeros, so rows from
-    /// different regimes must never mix.
+    /// chaos knob (`shard_chaos`) stay out. `rank_threads` *is* included
+    /// even though it is replay-equivalent — a journal must be finished
+    /// under the exact execution regime that started it, or its rows mix
+    /// provenances silently (the journaled parallelism counters would be
+    /// incomparable across rows). `shards` is included (v5) because it
+    /// fixes the shard plan: a shard journal's meta line is only meaningful
+    /// under the plan that created it. `trace_regime` is included (v6): the
+    /// regime decides whether taint counters in the journaled rows are
+    /// measurements or never-armed zeros, so rows from different regimes
+    /// must never mix.
     fn config_fingerprint(&self) -> u64 {
         let c = &self.cfg;
         let mut h = Fnv1a::new();
         h.write(
             format!(
-                "{};{};{:?};{:?};{};{:?};{};{:?};{};{};{:?};{};{};{};{:?};{};{}",
+                "{};{};{:?};{:?};{};{:?};{};{:?};{};{:?};{};{:?};{};{}",
                 c.runs,
                 c.seed,
                 c.classes,
@@ -940,10 +919,7 @@ impl Campaign {
                 c.tracing,
                 c.tracer,
                 c.provenance,
-                c.shared_tb_cache,
                 c.run_budget,
-                c.tb_chaining,
-                c.taint_fast_path,
                 c.rank_threads,
                 c.panic_runs,
                 c.shards,
@@ -1106,11 +1082,8 @@ impl Campaign {
             regime: self.cfg.trace_regime,
             hook_mpi_symbols: false,
             budget: self.cfg.run_budget,
-            exec_tuning: ExecTuning {
-                tb_chaining: self.cfg.tb_chaining,
-                taint_fast_path: self.cfg.taint_fast_path,
-            },
             rank_threads: self.cfg.rank_threads,
+            ..RunOptions::default()
         }
     }
 
@@ -1130,7 +1103,7 @@ impl Campaign {
             return (CacheStats::default(), SnapshotStats::default(), None);
         };
         let (class, rank) = (spec.class, spec.target_rank);
-        let report = run_warm(prepared, &self.run_options(spec), self.cfg.shared_tb_cache);
+        let report = run_warm(prepared, &self.run_options(spec), true);
         let cache_stats = report.cache_stats;
         let snap_stats = report.snapshot;
         if !report.injected() {

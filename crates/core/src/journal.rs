@@ -535,7 +535,11 @@ pub struct JournalHeader {
 /// `cache_stats` / `engine_stats` / `parallel` counters describe only the
 /// suffix a run executed after its ladder rung, so they must not mix with
 /// v8 rows that counted whole runs.
-pub const JOURNAL_VERSION: u64 = 9;
+/// Version 10 removed `shared_tb_cache`, `tb_chaining` and `taint_fast_path`
+/// from the config fingerprint with the campaign knobs themselves (DESIGN
+/// §16): no campaign can run with them off, so a journal has nothing to
+/// record.
+pub const JOURNAL_VERSION: u64 = 10;
 
 /// Line 2 of a *shard* journal: which contiguous slice of the campaign's
 /// run-index range this file owns. The merge uses it to prove coverage

@@ -57,7 +57,6 @@
 pub mod analysis;
 mod campaign;
 mod injector;
-mod insn_trace;
 mod journal;
 pub mod models;
 mod outcome;
@@ -76,7 +75,6 @@ pub use injector::{
     effective_address, operand_candidates, FnHookLogger, InjectionRecord, Injector, InjectorHandle,
     OperandLoc, ProfileHandle, ProfileHook,
 };
-pub use insn_trace::{InsnLevelTracer, InsnTraceHandle, InsnTraceSummary};
 pub use journal::{
     class_from_name, class_name, encode as encode_json, golden_digest, parse_json, CampaignJournal,
     JournalError, JournalHeader, JournalRow, Json, ShardMeta, DEFAULT_SYNC_ROWS, JOURNAL_VERSION,
@@ -91,9 +89,9 @@ pub use provenance::{
     SinkKind, PROV_LOG_CAPACITY, UNRESOLVED_RANK,
 };
 pub use session::{
-    prepare_app, profile_app, run_app, run_app_insn_traced, run_prepared, run_warm, warm_start_for,
-    AppSpec, Chaser, HookRegistry, PreparedApp, RunOptions, RunReport, SnapshotStats, TraceRegime,
-    WarmStart, WarmStartOptions,
+    prepare_app, profile_app, run_app, run_prepared, run_warm, warm_start_for, AppSpec, Chaser,
+    HookRegistry, PreparedApp, RunOptions, RunReport, SnapshotStats, TraceRegime, WarmStart,
+    WarmStartOptions,
 };
 pub use shard::{
     is_shard_lost, merge_shard_journals, shard_journal_path, ChaosKind, ShardChaos, ShardError,
@@ -102,7 +100,7 @@ pub use shard::{
     ENV_SHARD_START,
 };
 
-// Re-exported so cache-aware callers (benches, campaign analyses) can name
+// Re-exported so cache-aware callers (harnesses, campaign analyses) can name
 // the layered-translation-cache types without depending on chaser-tcg.
 pub use chaser_tcg::{BaseLayer, CacheStats};
 pub use spec::{Corruption, InjectionSpec, OperandSel, Trigger};

@@ -153,9 +153,10 @@ pub struct RunOptions {
     /// Per-run watchdog budget, merged (tighter bound wins) with the
     /// cluster configuration's own [`RunBudget`].
     pub budget: RunBudget,
-    /// Hot-path engine knobs (TB chaining, taint-idle fast path). Both
-    /// default on; turning either off is observationally equivalent but
-    /// slower — see `DESIGN.md` §9.
+    /// Hot-path engine paths (TB chaining, taint-idle fast path). Test-only:
+    /// no campaign surface sets it; the knobs-off paths are the reference
+    /// the inertness tests compare the defaults against — see `DESIGN.md`
+    /// §9 and §16.
     pub exec_tuning: ExecTuning,
     /// Worker threads the cluster scheduler's compute phase may fan nodes
     /// out over. `0` inherits the application's own
@@ -813,7 +814,9 @@ pub fn warm_start_for(prepared: &PreparedApp, wopts: &WarmStartOptions) -> Optio
 /// process-creation events so the injector arms exactly as it would at
 /// launch — with the rung's class count already on its trigger counter —
 /// and executes only the suffix. With `share_base_caches`, nodes are also
-/// born holding the golden-warmed base translation layers.
+/// born holding the golden-warmed base translation layers; campaigns always
+/// pass `true`, and `false` is the translate-from-scratch reference the
+/// tests compare against (`DESIGN.md` §16).
 ///
 /// The report equals [`run_prepared`]'s under the same options in every
 /// field except the work counters `cache_stats`, `engine_stats`, `parallel`
@@ -982,42 +985,6 @@ pub fn profile_app(
         None,
     );
     (report, profile.counts())
-}
-
-/// Runs `app` under *instruction-level* tracing (see
-/// [`crate::InsnLevelTracer`]): every instruction of the target is
-/// instrumented, the rejected-alternative baseline for the granularity
-/// ablation. With `seed_taint`, `F0` is marked fully tainted at the first
-/// traced instruction so there is live taint to chase.
-pub fn run_app_insn_traced(
-    app: &AppSpec,
-    seed_taint: bool,
-) -> (RunReport, crate::InsnTraceSummary) {
-    // The per-instruction log records firing order from inside the compute
-    // phase; keep it deterministic by running serial.
-    let mut cluster_cfg = app.cluster.clone();
-    cluster_cfg.rank_threads = 1;
-    let mut cluster = Cluster::new(cluster_cfg);
-    let tracer = crate::InsnLevelTracer::new(app.name.clone(), seed_taint);
-    HookRegistry::new()
-        .instrument(
-            Arc::clone(&tracer) as SharedTranslateHook,
-            crate::InsnTraceHandle(Arc::clone(&tracer)),
-        )
-        .apply(&mut cluster);
-    let program_refs: Vec<&Program> = app.programs.iter().collect();
-    cluster.launch(&program_refs).expect("launch application");
-    let cluster_run = cluster.run();
-    let report = build_report(
-        &cluster,
-        cluster_run,
-        None,
-        None,
-        None,
-        SnapshotStats::default(),
-        None,
-    );
-    (report, tracer.summary())
 }
 
 /// The top-level session object: owns the plugin registry and pending

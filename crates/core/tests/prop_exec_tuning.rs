@@ -1,19 +1,24 @@
-//! Property tests for the hot-path execution knobs: `tb_chaining` and
-//! `taint_fast_path` are pure performance ablations. Every observable
-//! artifact — rank outputs, outcome CSVs, provenance digests and exports,
-//! and the final cluster state digest — must be byte-identical with the
-//! knobs on and off, whether the campaign runs cold, warm-started, or
-//! resumed from a truncated journal.
+//! Property tests for the hot-path execution paths: `ExecTuning`'s
+//! `tb_chaining` and `taint_fast_path` select pure performance paths, and
+//! the knobs-off paths are the reference the defaults are checked against.
+//! Every observable artifact — rank outputs, provenance digests and
+//! exports, the final cluster state digest, and every contract field of a
+//! campaign run restored from its ladder rung — must be byte-identical
+//! with the knobs on and off.
 
 use chaser::{
-    run_app, AppSpec, Campaign, CampaignConfig, Corruption, InjectionSpec, OperandSel, RankPool,
-    RunOptions, Trigger,
+    run_app, run_warm, AppSpec, Campaign, CampaignConfig, Corruption, InjectionSpec, OperandSel,
+    RankPool, RunOptions, Trigger,
 };
 use chaser_isa::{InsnClass, Program};
 use chaser_mpi::{Cluster, ClusterConfig};
 use chaser_vm::ExecTuning;
 use chaser_workloads::matvec;
 use proptest::prelude::*;
+
+#[path = "../../../tests/support/contract.rs"]
+mod support;
+use support::contract_diff;
 
 fn app(quantum: u64) -> AppSpec {
     let mv = matvec::MatvecConfig::default();
@@ -129,61 +134,35 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Campaign-level inertness, across every execution mode: a cold
-    /// knobs-off campaign, an ablated cold campaign, an ablated
-    /// warm-started campaign and an ablated journal-resumed campaign (cut
-    /// off after a random number of rows) all produce the same outcome CSV
-    /// and per-run provenance digests.
+    /// Ladder-level inertness, on the path every campaign run takes: each
+    /// fault a campaign draws, restored from its rung (`from_snapshot`
+    /// re-applies the tuning), reports the same under the default and any
+    /// ablated tuning in every field of the equivalence contract. No
+    /// campaign surface sets the tuning, so there is no journal leg.
     #[test]
     fn knobs_are_inert_on_campaigns(
         seed in any::<u64>(),
-        keep_rows in 0usize..6,
         ablated in tuning_strategy(),
-        warm_start in any::<bool>(),
     ) {
-        let config = |tuning: ExecTuning, warm: bool| CampaignConfig {
+        let campaign = Campaign::new(app(200), CampaignConfig {
             runs: 6,
             seed,
-            parallelism: 2,
             classes: vec![InsnClass::FpArith],
             rank_pool: RankPool::Random,
             provenance: true,
-            warm_start: warm,
-            tb_chaining: tuning.tb_chaining,
-            taint_fast_path: tuning.taint_fast_path,
             ..CampaignConfig::default()
-        };
-        let baseline = Campaign::new(app(200), config(ExecTuning::default(), false)).run();
-
-        // Ablated, cold.
-        let cold = Campaign::new(app(200), config(ablated, false)).run();
-        prop_assert_eq!(baseline.to_csv(), cold.to_csv());
-
-        // Ablated, warm-started.
-        let warm = Campaign::new(app(200), config(ablated, warm_start)).run();
-        prop_assert_eq!(baseline.to_csv(), warm.to_csv());
-
-        // Ablated, journaled, truncated after `keep_rows` rows, resumed.
-        let dir = std::env::temp_dir().join(format!(
-            "chaser-tuning-prop-{}-{seed:x}-{keep_rows}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("campaign.jsonl");
-        Campaign::new(app(200), config(ablated, warm_start))
-            .run_journaled(&path)
-            .expect("journaled run");
-        let full = std::fs::read_to_string(&path).expect("read journal");
-        let keep: Vec<&str> = full.lines().take(1 + keep_rows).collect();
-        std::fs::write(&path, format!("{}\n", keep.join("\n"))).expect("truncate journal");
-        let resumed = Campaign::new(app(200), config(ablated, warm_start))
-            .resume(&path)
-            .expect("resume");
-        let _ = std::fs::remove_dir_all(&dir);
-        prop_assert_eq!(baseline.to_csv(), resumed.to_csv());
-
-        let a: Vec<u64> = baseline.outcomes.iter().map(|r| r.prov_digest).collect();
-        let b: Vec<u64> = resumed.outcomes.iter().map(|r| r.prov_digest).collect();
-        prop_assert_eq!(a, b);
+        });
+        let prepared = campaign.prepare();
+        for idx in 0..6 {
+            let Some((spec, _)) = campaign.fault_for(&prepared, idx) else { continue };
+            let opts = campaign.run_options(spec);
+            let on = run_warm(&prepared, &opts, true);
+            let off = run_warm(&prepared, &RunOptions { exec_tuning: ablated, ..opts }, true);
+            prop_assert_eq!(contract_diff(&off, &on), None, "run {}", idx);
+            prop_assert_eq!(off.snapshot, on.snapshot, "run {}: same rung, same dirty set", idx);
+            // The ablated run really took the reference paths.
+            prop_assert!(ablated.tb_chaining || off.engine_stats.tb_chain_hits == 0);
+            prop_assert!(ablated.taint_fast_path || off.engine_stats.fast_path_insns == 0);
+        }
     }
 }

@@ -154,13 +154,13 @@ fn resume_rejects_journal_from_a_different_execution_regime() {
     // with the choice it used to make.
     let flipped = Campaign::new(app(), config(true, false)).resume(&path);
     assert!(flipped.is_ok(), "the inert field must not bind a journal");
-    // Cache sharing still is one.
+    // The scheduler's thread count still is one.
     let mut cfg = config(false, false);
-    cfg.shared_tb_cache = false;
-    let uncached = Campaign::new(app(), cfg).resume(&path);
+    cfg.rank_threads = 2;
+    let threaded = Campaign::new(app(), cfg).resume(&path);
     assert!(
-        matches!(uncached, Err(chaser::JournalError::HeaderMismatch { .. })),
-        "resume accepted a journal from a different shared_tb_cache regime"
+        matches!(threaded, Err(chaser::JournalError::HeaderMismatch { .. })),
+        "resume accepted a journal from a different rank_threads regime"
     );
 
     // Unchanged config still resumes cleanly.

@@ -165,7 +165,7 @@ pub struct ClusterConfig {
     /// TaintHub sync-path reliability policy; default fully reliable.
     pub hub_sync: HubSyncPolicy,
     /// Hot-path execution tuning for every node (TB chaining, taint-idle
-    /// fast path); default all on.
+    /// fast path); default all on, turned off only by tests.
     pub exec_tuning: ExecTuning,
     /// Worker threads the compute phase of [`Cluster::step_round`] may fan
     /// nodes out over (`0` and `1` both mean serial). Observationally

@@ -692,7 +692,6 @@ mod tests {
         assert_eq!(cfg.journal_sync_rows, 4);
         // Service campaigns keep the deterministic defaults for everything
         // the spec does not carry.
-        assert!(cfg.shared_tb_cache);
         assert!(cfg.panic_runs.is_empty());
     }
 }

@@ -16,9 +16,10 @@ use chaser_tcg::{
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Hot-path execution tuning: ablation knobs for the interpreter fast
-/// paths. All default to on; campaigns expose them so the optimized and
-/// unoptimized regimes can be proven byte-identical.
+/// Hot-path execution tuning: selects the interpreter fast paths. All
+/// default to on and no campaign surface turns one off; the off paths stay
+/// as the reference the tests prove the fast paths byte-identical against
+/// (`DESIGN.md` §16).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecTuning {
     /// TB chaining / direct block linking: steady-state execution jumps

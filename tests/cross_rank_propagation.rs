@@ -56,6 +56,16 @@ fn slave_fault_reaches_the_master_via_hub() {
         "every hit comes from a poll ({stats:?})"
     );
 
+    // The provenance graph carries the fault across ranks too.
+    let graph = report.provenance.as_ref().expect("provenance recorded");
+    assert!(
+        !graph.msg_edges.is_empty(),
+        "the fault must cross rank boundaries as a message edge"
+    );
+    let reach = graph.rank_reach();
+    assert!(reach.len() >= 2, "tainted accesses on {reach:?} only");
+    assert!(graph.blast_radius_bytes() > 0, "tainted writes must land");
+
     // Taint activity is visible on more than one (node, pid).
     let trace = report.trace.expect("traced");
     let procs: std::collections::HashSet<_> = trace

@@ -240,29 +240,6 @@ fn memory_operand_corruption_hits_the_accessed_word() {
 }
 
 #[test]
-fn insn_level_tracing_observes_every_instruction() {
-    let cfg = lud::LudConfig { n: 8, seed: 17 };
-    let app = AppSpec::single(lud::program(&cfg));
-    let golden = run_app(&app, &RunOptions::golden());
-    let (report, summary) = chaser::run_app_insn_traced(&app, true);
-    assert!(report.cluster.all_success());
-    assert_eq!(
-        report.outputs, golden.outputs,
-        "instrumentation must not perturb the computation"
-    );
-    assert_eq!(
-        summary.insns_observed, report.cluster.total_insns,
-        "every retired instruction is observed"
-    );
-    assert!(
-        summary.tainted_insns > 0,
-        "seeded taint must be seen live at some instructions"
-    );
-    assert!(summary.tainted_insns <= summary.insns_observed);
-    assert!(!summary.log.is_empty());
-}
-
-#[test]
 fn memory_operand_selection_falls_back_to_registers() {
     // Targeting `fsub` (no memory operand) with OperandSel::Memory must
     // fall back to a register operand rather than skipping the fault.

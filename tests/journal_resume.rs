@@ -89,14 +89,14 @@ fn resume_rejects_a_corrupt_config_fingerprint() {
 }
 
 #[test]
-fn resume_rejects_a_v8_journal() {
-    assert_eq!(chaser::JOURNAL_VERSION, 9);
-    let err = resume_mangled("v8", |text| {
-        let doctored = text.replacen("\"chaser_journal\":9", "\"chaser_journal\":8", 1);
+fn resume_rejects_a_v9_journal() {
+    assert_eq!(chaser::JOURNAL_VERSION, 10);
+    let err = resume_mangled("v9", |text| {
+        let doctored = text.replacen("\"chaser_journal\":10", "\"chaser_journal\":9", 1);
         assert_ne!(doctored, text, "header must carry the version field");
         doctored
     })
-    .expect_err("a v8 journal must not resume");
+    .expect_err("a v9 journal must not resume");
     match &err {
         chaser::JournalError::HeaderMismatch {
             expected, found, ..

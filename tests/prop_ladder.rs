@@ -24,6 +24,10 @@ use chaser_workloads::{clamr, lud, matvec};
 use proptest::prelude::*;
 use std::fs;
 
+#[path = "support/contract.rs"]
+mod support;
+use support::contract_diff;
+
 const RUNS: u64 = 8;
 
 /// Small applications with many scheduler rounds, so the ladder has real
@@ -136,49 +140,6 @@ fn rebuild(
     }
 }
 
-/// Everything the equivalence contract covers, field by field.
-fn contract(report: &RunReport) -> Vec<(&'static str, String)> {
-    let trace = report.trace.as_ref().map(|t| {
-        let mut reads: Vec<_> = t.reads_per_proc.iter().collect();
-        let mut writes: Vec<_> = t.writes_per_proc.iter().collect();
-        reads.sort();
-        writes.sort();
-        format!(
-            "{} {} {reads:?} {writes:?} {:?} {}",
-            t.taint_reads, t.taint_writes, t.events, t.dropped_events
-        )
-    });
-    let prov = report.provenance.as_ref();
-    vec![
-        ("cluster", format!("{:?}", report.cluster)),
-        ("outputs", format!("{:?}", report.outputs)),
-        ("stdouts", format!("{:?}", report.stdouts)),
-        ("injections", format!("{:?}", report.injections)),
-        (
-            "injector_exec_count",
-            report.injector_exec_count.to_string(),
-        ),
-        ("trace", format!("{trace:?}")),
-        (
-            "hub",
-            format!(
-                "{:?} {} {}",
-                report.hub_stats, report.hub_pending, report.hub_published
-            ),
-        ),
-        ("net", format!("{:?}", report.net)),
-        ("provenance dot", format!("{:?}", prov.map(|g| g.to_dot()))),
-        (
-            "provenance json",
-            format!("{:?}", prov.map(|g| g.to_json())),
-        ),
-        (
-            "provenance digest",
-            format!("{:?}", prov.map(|g| g.digest())),
-        ),
-    ]
-}
-
 fn rows(result: &CampaignResult) -> Vec<String> {
     result.outcomes.iter().map(row).collect()
 }
@@ -222,9 +183,7 @@ proptest! {
             let opts = campaign.run_options(spec.clone());
             let launch = run_app(&application, &opts);
             let ladder = run_warm(&prepared, &opts, true);
-            for ((field, got), (_, want)) in contract(&ladder).into_iter().zip(contract(&launch)) {
-                prop_assert_eq!(got, want, "run {}: {}", idx, field);
-            }
+            prop_assert_eq!(contract_diff(&ladder, &launch), None, "run {}", idx);
             prop_assert_eq!(ladder.snapshot.restores, 1);
             prop_assert!(ladder.cluster.total_insns >= ladder.snapshot.insns_skipped);
             skipped_prefix += ladder.snapshot.insns_skipped;

@@ -129,5 +129,9 @@ proptest! {
         let mut full_as_off = full.clone();
         full_as_off.trace_regime = TraceRegime::Off;
         prop_assert_eq!(full_as_off.to_csv(), off.to_csv());
+        // The Off CSV keeps the schema with those columns empty; Full's
+        // carry real data.
+        prop_assert!(off.to_csv().lines().skip(1).all(|l| l.contains(",,,,,,,")));
+        prop_assert_ne!(off.to_csv(), full.to_csv());
     }
 }

@@ -1,11 +1,13 @@
 //! Campaign-as-a-service end-to-end: two tenants submit concurrent
 //! campaigns over a Unix socket and get outcome + stats CSVs byte-identical
 //! to the same campaigns run standalone through
-//! [`Campaign::run_journaled`], across {thread, subprocess} shard workers;
-//! a resubmission hits the warmed prepared-app pool; `drain` checkpoints an
-//! in-flight job whose restart-resumed output is again byte-identical; and
-//! admission control rejects unknown applications, exhausted tenant
-//! budgets and unknown job ids.
+//! [`Campaign::run_journaled`], across {thread, subprocess} shard workers
+//! (one subprocess worker is killed mid-campaign and must be recovered by
+//! the daemon's shard supervisor); a resubmission hits the warmed
+//! prepared-app pool; `drain` checkpoints an in-flight job whose
+//! restart-resumed output is again byte-identical; and admission control
+//! rejects unknown applications, exhausted tenant budgets and unknown job
+//! ids.
 //!
 //! Subprocess shard workers self-exec this test binary: the daemon spawns
 //! `current_exe serve_worker_entry --exact` with the shard assignment in
@@ -13,7 +15,7 @@
 //! job directory's `spec.json` (the journal header check proves the
 //! rebuild matched the supervisor's).
 
-use chaser::{Campaign, CampaignResult, OperandSel};
+use chaser::{Campaign, CampaignResult, ChaosKind, OperandSel, ShardChaos, ShardSupervision};
 use chaser_isa::InsnClass;
 use chaser_serve::{
     drain, results, shard_worker_from_spec_env, status, submit, CampaignSpec, Daemon, Frame,
@@ -62,8 +64,11 @@ fn spec_alice(subprocess: bool) -> CampaignSpec {
     }
 }
 
+/// On subprocess workers, chaos kills shard 1's first worker (exit(9), the
+/// SIGKILL shape) after two journaled rows: the daemon's shard supervisor
+/// must relaunch it and resume the shard journal.
 fn spec_bob(subprocess: bool) -> CampaignSpec {
-    CampaignSpec {
+    let mut spec = CampaignSpec {
         tenant: "bob".into(),
         runs: 12,
         seed: 0xB0B,
@@ -73,14 +78,31 @@ fn spec_bob(subprocess: bool) -> CampaignSpec {
         shards: 3,
         subprocess_workers: subprocess,
         ..CampaignSpec::default()
+    };
+    if subprocess {
+        spec.supervision = ShardSupervision {
+            backoff_base_ms: 1,
+            backoff_cap_ms: 10,
+            ..ShardSupervision::default()
+        };
+        spec.chaos = vec![ShardChaos {
+            shard: 1,
+            after_rows: 2,
+            attempts: 1,
+            kind: ChaosKind::Kill,
+        }];
     }
+    spec
 }
 
 /// The standalone reference: the exact same config run through
 /// `run_journaled` (shards is fingerprinted but `run_journaled` executes
-/// unsharded, which is precisely the byte-identity claim under test).
+/// unsharded, which is precisely the byte-identity claim under test), with
+/// the chaos directives cleared — chaos is operational, not fingerprinted;
+/// it harasses shard workers, and the reference has none.
 fn standalone(spec: &CampaignSpec, dir: &Path, name: &str) -> CampaignResult {
-    let (app, cfg) = spec.build().expect("spec builds");
+    let (app, mut cfg) = spec.build().expect("spec builds");
+    cfg.shard_chaos.clear();
     Campaign::new(app, cfg)
         .run_journaled(&dir.join(name))
         .expect("standalone campaign")
@@ -141,13 +163,29 @@ fn run_pair(tag: &str, subprocess: bool) {
         let reference = standalone(spec, &dir, name);
         assert_eq!(served.outcome_csv, reference.to_csv(), "{name} outcome CSV");
         assert_eq!(served.stats_csv, reference.stats_csv(), "{name} stats CSV");
-        // Every journaled row (outcomes + skips) was streamed exactly once
-        // — no worker died, so at-least-once collapses to exactly-once.
-        assert_eq!(
-            rows.len() as u64,
-            reference.outcomes.len() as u64 + reference.skipped,
-            "{name} streamed rows"
-        );
+        // Every journaled row (outcomes + skips) was streamed; where no
+        // worker died, at-least-once collapses to exactly-once.
+        let journaled = reference.outcomes.len() as u64 + reference.skipped;
+        if spec.chaos.is_empty() {
+            assert_eq!(rows.len() as u64, journaled, "{name} streamed rows");
+        } else {
+            assert!(rows.len() as u64 >= journaled, "{name} streamed rows");
+            // The kill was real: the chaos shard took more than one attempt.
+            let shard = spec.chaos[0].shard.to_string();
+            let attempts: u64 = served
+                .shard_csv
+                .lines()
+                .skip(1)
+                .map(|line| line.split(',').collect::<Vec<_>>())
+                .find(|cols| cols[0] == shard)
+                .map(|cols| cols[3].parse().expect("attempts column"))
+                .expect("chaos shard in shards.csv");
+            assert!(
+                attempts >= 2,
+                "{name}: {attempts} attempt(s)\n{}",
+                served.shard_csv
+            );
+        }
     }
 
     // Alice's fault model was prepared once; resubmitting it must hit the

@@ -454,11 +454,11 @@ fn merge_rejects_a_foreign_fingerprint() {
 }
 
 #[test]
-fn merge_rejects_a_v8_shard_journal() {
-    let (dir, paths, header) = merged_fixture("v8-shard");
-    assert_eq!(header.version, 9);
+fn merge_rejects_a_v9_shard_journal() {
+    let (dir, paths, header) = merged_fixture("v9-shard");
+    assert_eq!(header.version, 10);
     let lines = journal_lines(&paths[1]);
-    let doctored = lines[0].replace("\"chaser_journal\":9", "\"chaser_journal\":8");
+    let doctored = lines[0].replace("\"chaser_journal\":10", "\"chaser_journal\":9");
     assert_ne!(doctored, lines[0], "header must carry the version field");
     let mut all = lines.clone();
     all[0] = doctored;
@@ -472,7 +472,7 @@ fn merge_rejects_a_v8_shard_journal() {
             assert!(path.ends_with("campaign.shard-1.jsonl"), "{path}");
             assert_eq!(expected.differing_fields(&found), ["version"]);
         }
-        other => panic!("v8 shard journal accepted: {other:?}"),
+        other => panic!("v9 shard journal accepted: {other:?}"),
     }
     let _ = fs::remove_dir_all(&dir);
 }

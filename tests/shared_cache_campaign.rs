@@ -1,16 +1,25 @@
-//! Campaign-level guarantees of the shared translation cache: turning
-//! `shared_tb_cache` on must not change a single outcome (the serialized
-//! result sets are byte-identical), while serving the overwhelming
-//! majority of lookups from the golden-warmed base layer.
+//! Campaign-level guarantees of the shared translation cache: the
+//! golden-warmed base layer every campaign run starts from must not change
+//! a single outcome against the translate-from-scratch reference
+//! (`run_warm(.., false)`), while serving the overwhelming majority of
+//! lookups.
 
-use chaser::{AppSpec, Campaign, CampaignConfig, CampaignResult, RankPool};
+use chaser::{run_warm, AppSpec, CacheStats, Campaign, CampaignConfig, CampaignResult, RankPool};
 use chaser_isa::InsnClass;
 use chaser_workloads::matvec;
 
-fn run_campaign(cfg: CampaignConfig) -> CampaignResult {
+#[path = "support/contract.rs"]
+mod support;
+use support::contract_diff;
+
+fn matvec_campaign(cfg: CampaignConfig) -> Campaign {
     let mv = matvec::MatvecConfig::default();
     let app = AppSpec::replicated(matvec::program(&mv), mv.ranks as usize, 4);
-    Campaign::new(app, cfg).run()
+    Campaign::new(app, cfg)
+}
+
+fn run_campaign(cfg: CampaignConfig) -> CampaignResult {
+    matvec_campaign(cfg).run()
 }
 
 #[test]
@@ -19,29 +28,35 @@ fn shared_cache_preserves_outcomes_bit_for_bit() {
     // instrument a large share of the master's blocks and the crashes
     // diverge from the golden path, making this the adversarial case for
     // cache-state leaking into semantics.
-    let cfg = |shared_tb_cache: bool| CampaignConfig {
+    let campaign = matvec_campaign(CampaignConfig {
         runs: 50,
         seed: 0xCAFE,
-        parallelism: 2,
         classes: vec![InsnClass::Mov],
-        shared_tb_cache,
         ..CampaignConfig::default()
-    };
-    let shared = run_campaign(cfg(true));
-    let cold = run_campaign(cfg(false));
+    });
+    let prepared = campaign.prepare();
+    let (mut shared, mut cold) = (CacheStats::default(), CacheStats::default());
+    for idx in 0..50 {
+        let (spec, _) = campaign
+            .fault_for(&prepared, idx)
+            .expect("the master executes movs");
+        let opts = campaign.run_options(spec);
+        let with_base = run_warm(&prepared, &opts, true);
+        let without = run_warm(&prepared, &opts, false);
 
-    // Same seeds, same faults, same classifications — the serialized
-    // outcome sets must match byte for byte.
-    assert_eq!(shared.to_csv(), cold.to_csv());
-    assert_eq!(shared.skipped, cold.skipped);
-    assert_eq!(shared.outcome_counts(), cold.outcome_counts());
+        // Same fault, same rung — every field of the contract must match
+        // (cluster result and outputs, so the classification too).
+        assert_eq!(contract_diff(&with_base, &without), None, "run {idx}");
+        shared.absorb(with_base.cache_stats);
+        cold.absorb(without.cache_stats);
+    }
 
-    // The cold path never sees a base layer; the shared path avoids most
+    // The reference never sees a base layer; the shared path avoids most
     // of its translation work.
-    assert_eq!(cold.cache_stats.base_hits, 0);
-    assert!(cold.cache_stats.misses > 0);
-    assert!(shared.cache_stats.base_hit_rate() > 0.9);
-    assert!(shared.cache_stats.misses < cold.cache_stats.misses / 2);
+    assert_eq!(cold.base_hits, 0);
+    assert!(cold.misses > 0);
+    assert!(shared.base_hit_rate() > 0.9);
+    assert!(shared.misses < cold.misses / 2);
 }
 
 #[test]
@@ -55,7 +70,6 @@ fn shared_runs_serve_over_ninety_percent_from_base() {
         parallelism: 2,
         classes: vec![InsnClass::FpArith],
         rank_pool: RankPool::Random,
-        shared_tb_cache: true,
         ..CampaignConfig::default()
     });
 
