@@ -22,8 +22,9 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # output == host reference, outcome CSV identical across repetitions,
 # traced rows == untraced rows, no failed run) on the two halves of the
 # engine loop: the rank-parallel trace=off workload (clean regime
-# throughout) and the trace=taint lud workload (a third of its memory ops
-# on the tainted tiers, regime flip at the injection). The third run is the
+# throughout) and the trace=taint lud workload (regime flip at the
+# injection; about a third of its memory ops then take the page-gated
+# shadow path, with provenance pages live). The third run is the
 # traced half of the checkpoint ladder: on matvec4_full_cold (trace=full +
 # provenance) the frozen traced driver executes every run from launch while
 # `Campaign::run` restores from the ladder, and their rows must match.

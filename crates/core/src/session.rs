@@ -78,19 +78,22 @@ impl AppSpec {
 ///
 /// * [`TraceRegime::Full`] (the default) honors the `tracing` and
 ///   `provenance` flags exactly as configured — today's behavior.
-/// * [`TraceRegime::TaintOnly`] forces taint tracing on and provenance
-///   recording off.
+/// * [`TraceRegime::TaintOnly`] forces taint tracing on and the provenance
+///   *recorder* off: no graph is built. The provenance *shadow* is still
+///   maintained — the injector stamps each fault's set under every traced
+///   regime and the tracer's `prov` column carries it.
 /// * [`TraceRegime::Off`] forces both off: the taint policy is
 ///   `Disabled`, so no shadow state is ever materialised, no taint sink
 ///   or observer hooks are registered, the TaintHub never publishes, and
-///   every clean block executes through the fast-path memory tier.
+///   every memory op takes the shadow-free tier of the two.
 ///   Outcomes are still classified soundly — see `DESIGN.md` §13.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceRegime {
     /// Statistical mode: never arm taint or provenance, whatever the
     /// `tracing`/`provenance` flags say.
     Off,
-    /// Taint tracing without provenance graphs.
+    /// Taint tracing without provenance graphs (the provenance shadow is
+    /// still maintained; only the recorder is off).
     TaintOnly,
     /// Honor the `tracing`/`provenance` flags as configured.
     #[default]
@@ -153,7 +156,7 @@ pub struct RunOptions {
     /// Per-run watchdog budget, merged (tighter bound wins) with the
     /// cluster configuration's own [`RunBudget`].
     pub budget: RunBudget,
-    /// Hot-path engine paths (TB chaining, taint-idle fast path). Test-only:
+    /// Hot-path engine paths (TB chaining, clean-block regime). Test-only:
     /// no campaign surface sets it; the knobs-off paths are the reference
     /// the inertness tests compare the defaults against — see `DESIGN.md`
     /// §9 and §16.
@@ -453,7 +456,7 @@ fn build_report(
         stdouts,
         injections: injector.map(|i| i.records()).unwrap_or_default(),
         injector_exec_count: injector.map_or(0, |i| i.exec_count()),
-        trace: tracer.map(|tr| tr.lock().summary().clone()),
+        trace: tracer.map(|tr| tr.lock().take_summary()),
         hub_stats: cluster.hub().stats(),
         hub_pending: cluster.hub().pending(),
         hub_published: cluster.hub().published_total(),

@@ -157,9 +157,11 @@ impl Tracer {
         }
     }
 
-    /// Final results (consumes the tracer).
-    pub fn into_summary(self) -> TraceSummary {
-        self.summary
+    /// Final results, moved out: the tracer is left with an empty summary.
+    /// The report takes the log this way instead of copying up to
+    /// `log_capacity` events.
+    pub fn take_summary(&mut self) -> TraceSummary {
+        std::mem::take(&mut self.summary)
     }
 
     /// Results so far.
@@ -322,5 +324,15 @@ mod tests {
         assert_eq!(t.summary().tainted_byte_samples, vec![(100, 2), (230, 4)]);
         assert_eq!(t.summary().peak_tainted_bytes(), 4);
         assert_eq!(t.summary().final_tainted_bytes(), 4);
+    }
+
+    #[test]
+    fn take_summary_moves_the_log_out() {
+        let mut t = Tracer::new(TracerConfig::default());
+        t.on_taint_read(&ev(0, 1));
+        t.maybe_sample(100_000, 8);
+        let before = t.summary().clone();
+        assert_eq!(t.take_summary(), before);
+        assert_eq!(t.summary(), &TraceSummary::default());
     }
 }

@@ -164,8 +164,8 @@ pub struct ClusterConfig {
     pub net_faultiness: Faultiness,
     /// TaintHub sync-path reliability policy; default fully reliable.
     pub hub_sync: HubSyncPolicy,
-    /// Hot-path execution tuning for every node (TB chaining, taint-idle
-    /// fast path); default all on, turned off only by tests.
+    /// Hot-path execution tuning for every node (TB chaining, clean-block
+    /// regime); default all on, turned off only by tests.
     pub exec_tuning: ExecTuning,
     /// Worker threads the compute phase of [`Cluster::step_round`] may fan
     /// nodes out over (`0` and `1` both mean serial). Observationally
@@ -1193,7 +1193,9 @@ impl Cluster {
     /// Drains every node's buffered taint events into the registered sinks
     /// in canonical `(round, rank)` order. Within one rank the events keep
     /// execution order (ranks sharing a node run sequentially, so a node's
-    /// buffer is already segmented by rank).
+    /// buffer is already segmented by rank). Each sink is locked once per
+    /// round and sees what it always saw: the `on_round` prime, then every
+    /// event in that order.
     fn drain_taint_events(&mut self) {
         if self.taint_sinks.is_empty() {
             // No consumers: clear any buffers so a gate opened without a
@@ -1203,28 +1205,40 @@ impl Cluster {
             }
             return;
         }
-        let mut per_rank: Vec<Vec<BufferedTaintEvent>> = vec![Vec::new(); self.ranks.len() + 1];
+        let unranked = self.ranks.len();
+        let mut per_rank: Vec<Vec<BufferedTaintEvent>> = Vec::new();
+        let mut rank_of: Vec<((u32, u64), usize)> = Vec::new();
         for node in &mut self.nodes {
-            for ev in node.take_taint_events() {
-                let rank = self
+            let events = node.take_taint_events();
+            if events.is_empty() {
+                continue;
+            }
+            if per_rank.is_empty() {
+                // Built once per drain, and only for a round that logged
+                // something: `(node, pid) → rank`, sorted for search.
+                per_rank.resize_with(unranked + 1, Vec::new);
+                rank_of = self
                     .ranks
                     .iter()
-                    .position(|&(ni, pid)| ni as u32 == ev.ev.node && pid == ev.ev.pid)
-                    .unwrap_or(self.ranks.len());
+                    .enumerate()
+                    .map(|(rank, &(ni, pid))| ((ni as u32, pid), rank))
+                    .collect();
+                rank_of.sort_unstable();
+            }
+            for ev in events {
+                let rank = rank_of
+                    .binary_search_by_key(&(ev.ev.node, ev.ev.pid), |&(key, _)| key)
+                    .map_or(unranked, |i| rank_of[i].1);
                 per_rank[rank].push(ev);
             }
         }
         for sink in &self.taint_sinks {
-            sink.lock().on_round(self.round);
-        }
-        for events in &per_rank {
-            for be in events {
-                for sink in &self.taint_sinks {
-                    let mut s = sink.lock();
-                    match be.kind {
-                        TaintAccessKind::Read => s.on_taint_read(&be.ev),
-                        TaintAccessKind::Write => s.on_taint_write(&be.ev),
-                    }
+            let mut s = sink.lock();
+            s.on_round(self.round);
+            for be in per_rank.iter().flatten() {
+                match be.kind {
+                    TaintAccessKind::Read => s.on_taint_read(&be.ev),
+                    TaintAccessKind::Write => s.on_taint_write(&be.ev),
                 }
             }
         }

@@ -43,18 +43,25 @@ fn repop(count: &mut u32, old: TaintMask, new: TaintMask) {
 }
 
 impl TaintState {
-    /// A fully clean state under `policy`.
+    /// A fully clean state under `policy`, shadowing a default-sized node
+    /// (64 MiB).
     pub fn new(policy: TaintPolicy) -> TaintState {
+        TaintState::with_capacity(policy, crate::shadow::DEFAULT_CAPACITY)
+    }
+
+    /// A fully clean state under `policy` shadowing `phys_bytes` of
+    /// physical memory: a taint or provenance write past it panics.
+    pub fn with_capacity(policy: TaintPolicy, phys_bytes: u64) -> TaintState {
         TaintState {
             policy,
             regs: [TaintMask::CLEAN; NUM_REGS],
             fregs: [TaintMask::CLEAN; NUM_FREGS],
             locals: Vec::new(),
-            mem: ShadowMem::new(),
+            mem: ShadowMem::with_capacity(phys_bytes),
             prov_regs: [ProvSet::EMPTY; NUM_REGS],
             prov_fregs: [ProvSet::EMPTY; NUM_FREGS],
             prov_locals: Vec::new(),
-            prov_mem: ProvMem::new(),
+            prov_mem: ProvMem::with_capacity(phys_bytes),
             prov_any: false,
             tainted_globals: 0,
             tainted_locals: 0,
@@ -299,6 +306,7 @@ impl TaintState {
 
     /// Union provenance of the 8 bytes at `paddr` (the provenance of an
     /// 8-byte guest load).
+    #[inline]
     pub fn prov_load8(&self, paddr: u64) -> ProvSet {
         if !self.prov_any {
             return ProvSet::EMPTY;
@@ -308,20 +316,13 @@ impl TaintState {
 
     /// Stores provenance `p` over the 8 bytes at `paddr`, byte-gated by
     /// `mask`: bytes whose taint byte is clean get empty provenance.
+    #[inline]
     pub fn prov_store8(&mut self, paddr: u64, mask: TaintMask, p: ProvSet) {
         if !p.is_empty() {
             self.prov_any = true;
         }
-        if !self.prov_any {
-            return;
-        }
-        for i in 0..8u64 {
-            let bp = if mask.byte(i as usize) != 0 {
-                p
-            } else {
-                ProvSet::EMPTY
-            };
-            self.prov_mem.set_byte(paddr + i, bp);
+        if self.prov_any {
+            self.prov_mem.store8(paddr, mask, p);
         }
     }
 
@@ -336,14 +337,9 @@ impl TaintState {
             + self.fregs.iter().map(|m| m.count()).sum::<u32>()
     }
 
-    /// True when *memory* carries no taint and no provenance: the engine's
-    /// taint-idle fast-path gate for guest loads and clean stores. Two
-    /// counter reads, no hashing.
-    ///
-    /// Registers/temps may still be tainted while this holds — that is
-    /// fine: a load from idle memory produces a clean mask regardless, and
-    /// a store of a tainted temp is excluded from the fast path by its own
-    /// mask check.
+    /// True when *memory* carries no taint and no provenance. Two counter
+    /// reads; registers and temps may still be tainted while this holds.
+    /// Half of [`TaintState::fully_idle`].
     pub fn mem_idle(&self) -> bool {
         self.mem.is_idle() && (!self.prov_any || self.prov_mem.provenanced_bytes() == 0)
     }

@@ -26,9 +26,10 @@ pub struct ExecTuning {
     /// block-to-block through patched successor slots instead of hashing
     /// into the translation cache at every block boundary.
     pub tb_chaining: bool,
-    /// Taint-idle fast path: while shadow memory holds no taint (and no
-    /// provenance), guest loads and clean stores skip shadow reads/writes,
-    /// provenance propagation and taint-hook dispatch.
+    /// The clean-block regime: while nothing anywhere carries taint or
+    /// provenance, blocks run with no per-op shadow bookkeeping and memory
+    /// ops skip the shadow entirely. Off, every op of a taint-enabled node
+    /// runs its shadow path.
     pub taint_fast_path: bool,
 }
 
@@ -51,11 +52,12 @@ pub struct EngineStats {
     /// Stale chain links encountered and discarded (the predecessor was
     /// patched in an earlier flush epoch, or its successor was dropped).
     pub chain_severs: u64,
-    /// Guest memory operations that took the taint-idle (or taint-disabled)
-    /// fast path, skipping all shadow work.
+    /// Guest memory operations that skipped the shadow entirely: taint
+    /// disabled, or the clean-block regime (nothing carries taint).
     pub fast_path_insns: u64,
-    /// Guest memory operations that ran the full taint/provenance slow
-    /// path.
+    /// Guest memory operations that ran the page-gated shadow path: every
+    /// memory op outside the clean-block regime, on tainted and untainted
+    /// pages alike.
     pub slow_path_insns: u64,
     /// Always zero, never written. Kept only because the frozen ledger
     /// (`crates/bench/src/bin/ledger/layers.rs`) reads it; deliberately
@@ -134,7 +136,8 @@ impl TranslateHook for HookAdapter<'_> {
 }
 
 /// Loads a guest u64 with its taint mask and provenance; returns
-/// `(value, mask, prov, paddr)`.
+/// `(value, mask, prov, paddr)`. Provenance is read only under a tainted
+/// mask: a clean result carries none wherever it lands.
 fn load_u64_tainted(
     aspace: &AddressSpace,
     phys: &PhysMemory,
@@ -143,12 +146,13 @@ fn load_u64_tainted(
 ) -> Result<(u64, TaintMask, ProvSet, u64), MemFault> {
     let paddr = aspace.translate_read(vaddr)?;
     if vaddr % PAGE_SIZE <= PAGE_SIZE - 8 {
-        Ok((
-            phys.read_u64(paddr),
-            taint.mem().load8(paddr),
-            taint.prov_load8(paddr),
-            paddr,
-        ))
+        let mask = taint.mem().load8(paddr);
+        let prov = if mask.is_tainted() {
+            taint.prov_load8(paddr)
+        } else {
+            ProvSet::EMPTY
+        };
+        Ok((phys.read_u64(paddr), mask, prov, paddr))
     } else {
         let mut val = [0u8; 8];
         let mut mask = [0u8; 8];
@@ -644,22 +648,8 @@ pub(crate) fn run_slice(
                         }
                         continue;
                     }
-                    if fast_path && taint.mem_idle() {
-                        // Taint-idle fast path: the shadow holds no taint
-                        // and no provenance, so the load's mask is CLEAN
-                        // and its provenance EMPTY by construction — skip
-                        // the shadow reads and the (never-firing, since the
-                        // mask is clean) taint-read hook.
-                        hot.fast += 1;
-                        match proc.aspace.read_u64(phys, vaddr) {
-                            Ok(value) => {
-                                setval!(d, value);
-                                taint.set_temp(d, TaintMask::CLEAN);
-                            }
-                            Err(_) => fault!(Signal::Segv),
-                        }
-                        continue;
-                    }
+                    // Shadow path: one page-summary check per shadow; a
+                    // taint-free page reads CLEAN without touching masks.
                     hot.slow += 1;
                     match load_u64_tainted(&proc.aspace, phys, taint, vaddr) {
                         Ok((value, mask, prov, paddr)) => {
@@ -698,18 +688,9 @@ pub(crate) fn run_slice(
                         }
                         continue;
                     }
+                    // Shadow path: a clean store to a page with no taint
+                    // and no provenance returns after the page summaries.
                     let mask = taint.temp(s);
-                    if fast_path && mask.is_clean() && taint.mem_idle() {
-                        // Taint-idle fast path: a clean store over an
-                        // all-clean shadow is a shadow no-op (nothing to
-                        // clear), its provenance write is empty, and the
-                        // taint-write hook cannot fire — skip all three.
-                        hot.fast += 1;
-                        if proc.aspace.write_u64(phys, vaddr, value).is_err() {
-                            fault!(Signal::Segv);
-                        }
-                        continue;
-                    }
                     hot.slow += 1;
                     let prov = taint.temp_prov(s);
                     match store_u64_tainted(&proc.aspace, phys, taint, vaddr, value, mask, prov) {

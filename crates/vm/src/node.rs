@@ -87,7 +87,7 @@ impl Node {
             phys: PhysMemory::new(phys_bytes),
             procs: Vec::new(),
             cache: TbCache::new(),
-            taint: TaintState::new(policy),
+            taint: TaintState::with_capacity(policy, phys_bytes),
             hooks: NodeHooks::default(),
             next_pid: 1,
             insn_budget: u64::MAX,
@@ -98,7 +98,7 @@ impl Node {
         }
     }
 
-    /// Sets the hot-path tuning knobs (TB chaining, taint-idle fast path)
+    /// Sets the hot-path tuning knobs (TB chaining, clean-block regime)
     /// applied to every subsequent slice.
     pub fn set_exec_tuning(&mut self, tuning: ExecTuning) {
         self.tuning = tuning;
@@ -982,12 +982,12 @@ mod more_engine_tests {
         // Chaining removes hash lookups: the chained run does strictly
         // fewer cache lookups for the same instruction stream.
         assert!(chained.cache_stats().lookups < unchained.cache_stats().lookups);
-        // With no taint anywhere, every memory op takes the fast path.
-        assert!(cs.fast_path_insns > 0);
-        assert_eq!(cs.slow_path_insns, 0);
-        // Knob off: every memory op pays the full shadow walk.
-        assert_eq!(us.fast_path_insns, 0);
-        assert!(us.slow_path_insns > 0);
+        // Two memory tiers: with no taint anywhere every block runs in the
+        // clean regime and all 201 memory ops (100 × ld + st, one final
+        // ld) skip the shadow; with the regime switched off every one of
+        // them takes the page-gated shadow path.
+        assert_eq!((cs.fast_path_insns, cs.slow_path_insns), (201, 0));
+        assert_eq!((us.fast_path_insns, us.slow_path_insns), (0, 201));
     }
 
     /// Injection flipping the taint regime in the middle of a hot, chained
@@ -1075,10 +1075,15 @@ mod more_engine_tests {
         }
         let ts = tuned.engine_stats();
         let us = unchained.engine_stats();
+        let ps = plain.engine_stats();
         assert!(ts.tb_chain_hits > 50, "the loop back-edge must be chained");
-        assert!(ts.fast_path_insns > 0 && ts.slow_path_insns > 0);
+        // The clean regime holds through 40 iterations and the load of the
+        // 41st (81 memory ops); from the store the callback tainted
+        // onwards, every memory op takes the shadow path (119).
+        assert_eq!((ts.fast_path_insns, ts.slow_path_insns), (81, 119));
         assert_eq!(ts.fast_path_insns, us.fast_path_insns);
         assert_eq!(ts.slow_path_insns, us.slow_path_insns);
+        assert_eq!((ps.fast_path_insns, ps.slow_path_insns), (0, 200));
     }
 
     /// The injector sees the victim's retired-instruction count at the
@@ -1150,14 +1155,22 @@ mod more_engine_tests {
         }
     }
 
+    /// Any live taint ends the clean regime, and outside it every memory op
+    /// takes the shadow path — a load from a page no taint has reached
+    /// included (there is no taint-idle middle tier): its page summary
+    /// makes it cheap, not a different tier.
     #[test]
     fn taint_fast_path_flips_to_slow_when_taint_appears() {
+        use chaser_taint::TaintMask;
+
         let mut a = Asm::new("flip");
         a.bss("buf", 64);
         a.lea(Reg::R5, "buf");
-        a.ld(Reg::R2, Reg::R5, 0); // fast: shadow idle
-        a.hypercall(chaser_isa::abi::MPI_BARRIER); // park for taint write
-        a.ld(Reg::R3, Reg::R5, 0); // slow: taint is live now
+        a.ld(Reg::R2, Reg::R5, 0); // fast: nothing tainted
+        a.hypercall(chaser_isa::abi::MPI_BARRIER); // park: taint a register
+        a.ld(Reg::R3, Reg::R5, 0); // slow: taint is live, memory clean
+        a.hypercall(chaser_isa::abi::MPI_BARRIER); // park: taint memory
+        a.ld(Reg::R4, Reg::R5, 0); // slow: the load sees the mask
         a.exit(0);
         let prog = a.assemble().expect("assemble");
         let buf = prog.symbol("buf").expect("buf");
@@ -1166,20 +1179,24 @@ mod more_engine_tests {
         let pid = node.spawn(&prog).expect("spawn");
         assert!(matches!(node.run_slice(pid, 100), SliceExit::MpiCall(_)));
         let before = node.engine_stats();
-        assert!(before.fast_path_insns >= 1);
-        assert_eq!(before.slow_path_insns, 0);
+        assert_eq!((before.fast_path_insns, before.slow_path_insns), (1, 0));
+
+        node.taint_mut().set_reg(Reg::R9, TaintMask::bit(0));
+        node.complete_mpi(pid, 0);
+        assert!(matches!(node.run_slice(pid, 100), SliceExit::MpiCall(_)));
+        let mid = node.engine_stats();
+        assert_eq!((mid.fast_path_insns, mid.slow_path_insns), (1, 1));
+        assert!(node.taint().mem_idle(), "memory is still untainted");
+        assert!(node.taint().reg(Reg::R3).is_clean());
 
         node.write_guest_taint(pid, buf, &[0xff]).expect("taint");
         node.complete_mpi(pid, 0);
         let status = run_to_exit(&mut node, pid, 100);
         assert!(status.is_success());
         let after = node.engine_stats();
-        assert!(
-            after.slow_path_insns >= 1,
-            "live taint must force the slow path"
-        );
+        assert_eq!((after.fast_path_insns, after.slow_path_insns), (1, 2));
         // The tainted load must still see its mask.
-        assert!(node.taint().mem().tainted_bytes() > 0);
+        assert_eq!(node.taint().reg(Reg::R4), TaintMask(0xff));
     }
 
     /// An injection callback is the one in-block taint source: firing
