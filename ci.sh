@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: release build, tests, formatting, lints, then the ledger's
 # correctness gate. `cargo test` is the only thing that gates behaviour and
-# the ledger the only thing that times anything (DESIGN.md §15, §16).
+# the ledger the only thing that times anything (DESIGN.md §15, §16). The
+# paper's artefacts are pinned inside `cargo test`: chaser-bench's
+# `experiments_lock_pins_every_artefact` renders every `figures` artefact
+# and compares it with EXPERIMENTS.lock, so there is no separate step here.
 # The workspace vendors its external dependencies (see vendor/), so this
 # runs fully offline.
 set -euo pipefail

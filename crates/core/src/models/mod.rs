@@ -9,8 +9,8 @@
 //! | Group | injects into all floating-point instructions | `group.rs` |
 //! | Intermittent (extension) | fires periodically from a start point | `intermittent.rs` |
 //!
-//! The per-file line counts are what the Table II harness
-//! (`table2_loc`) reports.
+//! The per-file line counts are what the Table II artefact
+//! (`figures table2_loc`) reports.
 
 mod deterministic;
 mod group;

@@ -1,10 +1,10 @@
-//! Guest applications by wire name.
+//! Guest applications by wire name: the repository's one app registry.
 //!
 //! The daemon builds campaign targets from `(name, size, ranks)` triples
-//! carried in a [`crate::CampaignSpec`], with the same per-workload
-//! defaults the bench harnesses use (`size == 0` = workload default), so a
-//! served campaign targets exactly the application a standalone harness
-//! run would.
+//! carried in a [`crate::CampaignSpec`]; `chaser_cli` and the `figures`
+//! artefacts build theirs here too (`size == 0` = workload default), so a
+//! served campaign targets exactly the application a standalone run
+//! would. Only the benchmark ledger keeps its own pinned copy.
 
 use chaser::AppSpec;
 use chaser_workloads::{bfs, clamr, kmeans, lud, matvec};
