@@ -43,9 +43,6 @@ use std::time::Instant;
 
 /// `println!` into a `String`.
 macro_rules! outln {
-    ($out:expr) => {
-        $out.push('\n')
-    };
     ($out:expr, $($arg:tt)*) => {{
         use std::fmt::Write as _;
         writeln!($out, $($arg)*).expect("writing to a String cannot fail")
@@ -247,22 +244,27 @@ fn bar(count: u64, max: u64, width: usize) -> String {
     "#".repeat(filled)
 }
 
+/// Runs `--runs` injections into `app` under `--seed` and `cfg`.
+fn run_campaign(app: AppSpec, args: &HarnessArgs, cfg: CampaignConfig) -> CampaignResult {
+    let cfg = CampaignConfig {
+        runs: args.runs,
+        seed: args.seed,
+        ..cfg
+    };
+    Campaign::new(app, cfg).run()
+}
+
 /// The traced, random-rank, single-bit `FpArith` CLAMR campaign that
 /// Figs. 8 and 9, §IV-B and §IV-C all read.
 fn traced_clamr(args: &HarnessArgs) -> CampaignResult {
-    Campaign::new(
-        build("clamr_sim", args),
-        CampaignConfig {
-            runs: args.runs,
-            seed: args.seed,
-            classes: vec![InsnClass::FpArith],
-            rank_pool: RankPool::Random,
-            bits_per_fault: 1,
-            tracing: true,
-            ..CampaignConfig::default()
-        },
-    )
-    .run()
+    let cfg = CampaignConfig {
+        classes: vec![InsnClass::FpArith],
+        rank_pool: RankPool::Random,
+        bits_per_fault: 1,
+        tracing: true,
+        ..CampaignConfig::default()
+    };
+    run_campaign(build("clamr_sim", args), args, cfg)
 }
 
 /// CLAMR's cell count at `--size`.
@@ -465,20 +467,15 @@ fn table3_termination(args: &HarnessArgs) -> String {
     );
 
     // The paper injects into mov operands of the master only.
-    let result = Campaign::new(
-        build("matvec", args),
-        CampaignConfig {
-            runs: args.runs,
-            seed: args.seed,
-            classes: vec![InsnClass::Mov],
-            rank_pool: RankPool::Master,
-            bits_per_fault: 2,
-            operand: OperandSel::Random,
-            tracing: true,
-            ..CampaignConfig::default()
-        },
-    )
-    .run();
+    let cfg = CampaignConfig {
+        classes: vec![InsnClass::Mov],
+        rank_pool: RankPool::Master,
+        bits_per_fault: 2,
+        operand: OperandSel::Random,
+        tracing: true,
+        ..CampaignConfig::default()
+    };
+    let result = run_campaign(build("matvec", args), args, cfg);
     write_csv(&mut out, args, &result);
 
     let counts = result.outcome_counts();
@@ -492,9 +489,11 @@ fn table3_termination(args: &HarnessArgs) -> String {
         result.skipped
     );
 
+    let total = result.termination_breakdown();
+    let propagated = result.termination_breakdown_propagated();
     let rows = vec![
-        breakdown_row("Total*", &result.termination_breakdown()),
-        breakdown_row("Propagation§", &result.termination_breakdown_propagated()),
+        breakdown_row("Total*", &total),
+        breakdown_row("Propagation§", &propagated),
     ];
     table(
         &mut out,
@@ -519,8 +518,16 @@ fn table3_termination(args: &HarnessArgs) -> String {
     outln!(
         out,
         "\nshape check (paper): OS exceptions dominate ≫ MPI errors ≫ slave-node \
-         failures; the propagated subset shifts weight toward MPI errors / \
-         slave failures."
+         failures; the propagated subset shifts weight toward MPI errors."
+    );
+    outln!(
+        out,
+        "this run: MPI errors are {} of all terminations and {} of the \
+         propagated subset's; slave-node failures {} and {}.",
+        pct(total.mpi_errors, total.total()),
+        pct(propagated.mpi_errors, propagated.total()),
+        pct(total.slave_node_failed, total.total()),
+        pct(propagated.slave_node_failed, propagated.total())
     );
     out
 }
@@ -573,18 +580,13 @@ fn fig6_outcomes(args: &HarnessArgs) -> String {
 
     let mut series = Vec::new();
     for (label, app, classes, rank_pool) in targets {
-        let campaign = Campaign::new(
-            build(app, args),
-            CampaignConfig {
-                runs: args.runs,
-                seed: args.seed,
-                classes,
-                rank_pool,
-                bits_per_fault: 1,
-                ..CampaignConfig::default()
-            },
-        );
-        let counts = campaign.run().outcome_counts();
+        let cfg = CampaignConfig {
+            classes,
+            rank_pool,
+            bits_per_fault: 1,
+            ..CampaignConfig::default()
+        };
+        let counts = run_campaign(build(app, args), args, cfg).outcome_counts();
         let (b, s, t) = counts.percentages();
         outln!(
             out,
@@ -602,21 +604,40 @@ fn fig6_outcomes(args: &HarnessArgs) -> String {
     }
 
     outln!(out, "\nstacked view (each # ≈ 2.5%):");
-    for (label, counts) in &series {
+    let mut absent = Vec::new();
+    for (app, counts) in &series {
         let t = counts.total().max(1);
         let classes = [
-            (*label, "benign", counts.benign),
+            (*app, "benign", counts.benign),
             ("", "terminated", counts.terminated),
             ("", "SDC", counts.sdc),
         ];
         for (label, class, n) in classes {
             outln!(out, "  {label:8} {class:10} |{}", bar(n * 40 / t, 40, 40));
+            if n == 0 {
+                absent.push(format!("{app} {class}"));
+            }
         }
+    }
+    let mpi_terminated: Vec<String> = series
+        .iter()
+        .filter(|(app, _)| matches!(*app, "CLAMR" | "Matvec"))
+        .map(|(app, c)| format!("{app} {}", pct(c.terminated, c.terminated + c.sdc)))
+        .collect();
+    if absent.is_empty() {
+        absent.push("none".into());
     }
     outln!(
         out,
         "\nshape check (paper): all three classes appear for every app; the MPI \
          apps' failures are dominated by terminations."
+    );
+    outln!(
+        out,
+        "this run: classes with no run: {}; terminations among the MPI apps' \
+         failures: {}.",
+        absent.join(", "),
+        mpi_terminated.join(", ")
     );
     out
 }
@@ -690,18 +711,13 @@ fn fig6_propagation(args: &HarnessArgs) -> String {
 
     // The campaign view: every run records a provenance graph; its reach
     // and blast radius are journaled per run.
-    let result = Campaign::new(
-        app,
-        CampaignConfig {
-            runs: args.runs,
-            seed: args.seed,
-            classes: vec![InsnClass::FpArith, InsnClass::Mov],
-            rank_pool: RankPool::Random,
-            provenance: true,
-            ..CampaignConfig::default()
-        },
-    )
-    .run();
+    let cfg = CampaignConfig {
+        classes: vec![InsnClass::FpArith, InsnClass::Mov],
+        rank_pool: RankPool::Random,
+        provenance: true,
+        ..CampaignConfig::default()
+    };
+    let result = run_campaign(app, args, cfg);
     let injected: Vec<_> = result.outcomes.iter().filter(|r| r.injected).collect();
     let total = injected.len() as u64;
     let mut reach_counts = std::collections::BTreeMap::new();
@@ -748,41 +764,36 @@ fn fig6_propagation(args: &HarnessArgs) -> String {
 fn fig7_tainted_bytes(args: &HarnessArgs) -> String {
     // A larger clamr_sim (more cells, more steps) than the registry's:
     // the run must span many 100K-instruction samples.
-    let cfg = clamr::ClamrConfig {
+    let sim = clamr::ClamrConfig {
         ncells: size_or(args, 128),
         ranks: args.ranks,
         steps: 160,
         ..clamr::ClamrConfig::default()
     };
     let app = AppSpec::replicated(
-        clamr::program(&cfg),
-        cfg.ranks as usize,
+        clamr::program(&sim),
+        sim.ranks as usize,
         args.ranks as usize,
     );
     let mut out = String::new();
     outln!(
         out,
         "clamr_sim: {} cells, {} ranks, {} steps; sampling tainted bytes every 100K insns",
-        cfg.ncells,
-        cfg.ranks,
-        cfg.steps
+        sim.ncells,
+        sim.ranks,
+        sim.steps
     );
 
     // Draw a batch of candidate faults, then re-execute two of them (the
     // paper "randomly selected two fault injection cases ... executed
     // again with the same injected faults as the first run").
-    let result = Campaign::new(
-        app.clone(),
-        CampaignConfig {
-            runs: args.runs,
-            seed: args.seed,
-            classes: vec![InsnClass::FpArith],
-            rank_pool: RankPool::Random,
-            bits_per_fault: 1,
-            ..CampaignConfig::default()
-        },
-    )
-    .run();
+    let cfg = CampaignConfig {
+        classes: vec![InsnClass::FpArith],
+        rank_pool: RankPool::Random,
+        bits_per_fault: 1,
+        ..CampaignConfig::default()
+    };
+    let result = run_campaign(app.clone(), args, cfg);
 
     let mut selected: Vec<&RunOutcome> = result
         .outcomes
@@ -803,6 +814,7 @@ fn fig7_tainted_bytes(args: &HarnessArgs) -> String {
     });
     selected.truncate(2);
 
+    let (mut dropping, mut flat) = (0, 0);
     for (case, run) in selected.iter().enumerate() {
         let rec = run.record.as_ref().expect("filtered on record");
         let bit = rec.taint_mask.trailing_zeros().min(63);
@@ -851,12 +863,21 @@ fn fig7_tainted_bytes(args: &HarnessArgs) -> String {
             trace.peak_tainted_bytes(),
             trace.final_tainted_bytes()
         );
+        let steps: Vec<_> = trace.tainted_byte_samples.windows(2).collect();
+        dropping += steps.iter().any(|w| w[1].1 < w[0].1) as usize;
+        flat += steps.last().is_some_and(|w| w[1].1 == w[0].1) as usize;
     }
     outln!(
         out,
-        "\nshape check (paper): the tainted-byte count rises and then settles \
-         to a constant once the fault stops propagating; fluctuations/drops \
-         correspond to tainted bytes being overwritten with clean data."
+        "\nshape check (paper): the tainted-byte count rises, fluctuates — drops \
+         when tainted bytes are overwritten with clean data — and settles to a \
+         constant once the fault stops propagating."
+    );
+    outln!(
+        out,
+        "this run: {dropping} of {n} series ever drop; {flat} of {n} end flat \
+         (last two samples equal).",
+        n = selected.len()
     );
     out
 }
@@ -933,9 +954,9 @@ fn time_runs(app: &AppSpec, opts: &RunOptions, reps: u64) -> f64 {
     times[times.len() / 2]
 }
 
-/// An identity fault (the original value written back) in the destination
-/// of rank 0's `n`-th `class` instruction — the base every single fault
-/// here is drawn from.
+/// An identity fault (the original value written back) into the
+/// destination of rank 0's `class` after `n` executions — the base every
+/// single fault here is built from.
 fn identity(program: &str, class: InsnClass, n: u64) -> InjectionSpec {
     InjectionSpec {
         target_program: program.into(),
@@ -1141,6 +1162,15 @@ fn clamr_case_study(args: &HarnessArgs) -> String {
         "\nshape check (paper): detected ≫ undetected, and the undetected \
          remainder splits into a majority of still-correct runs plus a \
          smaller SDC fraction — the interesting vulnerability surface."
+    );
+    outln!(
+        out,
+        "this run: {} detected; of the {} undetected runs, {} still correct \
+         and {} SDC.",
+        pct(detected, total),
+        benign + sdc,
+        pct(benign, benign + sdc),
+        pct(sdc, benign + sdc)
     );
     out
 }
