@@ -24,10 +24,12 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # Ledger smoke: the benchmark's correctness gate at 1/10 size (golden
 # output == host reference, outcome CSV identical across repetitions,
 # traced rows == untraced rows, no failed run) on the two halves of the
-# engine loop: the rank-parallel trace=off workload (clean regime
-# throughout) and the trace=taint lud workload (regime flip at the
-# injection; about a third of its memory ops then take the page-gated
-# shadow path, with provenance pages live). The third run is the
+# engine loop: the rank-parallel trace=off workload (fully-clean regime
+# throughout) and the trace=taint lud workload (regime flips at the
+# injection and at tainted loads; about a third of its memory ops take the
+# page-gated shadow path, with provenance pages live, but its ALU ops pay
+# for shadow work only in blocks that start with a tainted register,
+# DESIGN.md §9). The third run is the
 # traced half of the checkpoint ladder: on matvec4_full_cold (trace=full +
 # provenance) the frozen traced driver executes every run from launch while
 # `Campaign::run` restores from the ladder, and their rows must match.

@@ -81,7 +81,10 @@ impl AppSpec {
 /// * [`TraceRegime::TaintOnly`] forces taint tracing on and the provenance
 ///   *recorder* off: no graph is built. The provenance *shadow* is still
 ///   maintained — the injector stamps each fault's set under every traced
-///   regime and the tracer's `prov` column carries it.
+///   regime and the tracer's `prov` column carries it. A block that
+///   starts with no tainted register pays for shadow work at its memory
+///   ops only, even while memory holds taint (the engine's clean-register
+///   regime, `DESIGN.md` §9).
 /// * [`TraceRegime::Off`] forces both off: the taint policy is
 ///   `Disabled`, so no shadow state is ever materialised, no taint sink
 ///   or observer hooks are registered, the TaintHub never publishes, and
@@ -93,7 +96,8 @@ pub enum TraceRegime {
     /// `tracing`/`provenance` flags say.
     Off,
     /// Taint tracing without provenance graphs (the provenance shadow is
-    /// still maintained; only the recorder is off).
+    /// still maintained; only the recorder is off). Blocks with no tainted
+    /// register at entry run without per-op shadow work.
     TaintOnly,
     /// Honor the `tracing`/`provenance` flags as configured.
     #[default]

@@ -8,12 +8,12 @@
 
 use chaser::{
     run_app, run_warm, AppSpec, Campaign, CampaignConfig, Corruption, InjectionSpec, OperandSel,
-    RankPool, RunOptions, Trigger,
+    RankPool, RunOptions, TraceRegime, Trigger,
 };
 use chaser_isa::{InsnClass, Program};
 use chaser_mpi::{Cluster, ClusterConfig};
 use chaser_vm::ExecTuning;
-use chaser_workloads::matvec;
+use chaser_workloads::{lud, matvec};
 use proptest::prelude::*;
 
 #[path = "../../../tests/support/contract.rs"]
@@ -163,6 +163,45 @@ proptest! {
             // The ablated run really took the reference paths.
             prop_assert!(ablated.tb_chaining || off.engine_stats.tb_chain_hits == 0);
             prop_assert!(ablated.taint_fast_path || off.engine_stats.fast_path_insns == 0);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The clean-register regime on the traffic it serves: lud is
+    /// SDC-heavy, and a memory-operand fault puts taint in memory while
+    /// every register stays clean, so most blocks after the fault start in
+    /// that regime and leave it at the first tainted load. Each fault
+    /// matches, in every contract field (trace events and provenance
+    /// exports included), the run that executes every op's shadow path.
+    #[test]
+    fn clean_register_regime_matches_the_per_op_reference_on_lud(
+        seed in any::<u64>(),
+        operand in prop_oneof![Just(OperandSel::Memory), Just(OperandSel::Dst)],
+        regime in prop_oneof![Just(TraceRegime::TaintOnly), Just(TraceRegime::Full)],
+        tb_chaining in any::<bool>(),
+    ) {
+        let campaign = Campaign::new(AppSpec::single(lud::program(&lud::LudConfig::default())), CampaignConfig {
+            runs: 6,
+            seed,
+            classes: vec![InsnClass::FMov, InsnClass::Mov, InsnClass::FpArith],
+            operand,
+            tracing: true,
+            provenance: true,
+            trace_regime: regime,
+            ..CampaignConfig::default()
+        });
+        let prepared = campaign.prepare();
+        let reference = ExecTuning { tb_chaining, taint_fast_path: false };
+        for idx in 0..6 {
+            let Some((spec, _)) = campaign.fault_for(&prepared, idx) else { continue };
+            let opts = campaign.run_options(spec);
+            let fast = run_warm(&prepared, &opts, true);
+            let per_op = run_warm(&prepared, &RunOptions { exec_tuning: reference, ..opts }, true);
+            prop_assert_eq!(contract_diff(&fast, &per_op), None, "run {}", idx);
+            prop_assert_eq!(per_op.engine_stats.fast_path_insns, 0);
         }
     }
 }

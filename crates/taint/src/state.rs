@@ -30,10 +30,8 @@ pub struct TaintState {
     /// every provenance shadow is known-empty and reads/writes short-circuit.
     prov_any: bool,
     /// Number of tainted global shadows (regs + fregs), maintained at every
-    /// mask write so [`TaintState::fully_idle`] is O(1).
+    /// mask write so [`TaintState::regs_idle`] is O(1).
     tainted_globals: u32,
-    /// Number of tainted local-temp shadows.
-    tainted_locals: u32,
 }
 
 /// Updates a population counter for a mask overwrite.
@@ -64,7 +62,6 @@ impl TaintState {
             prov_mem: ProvMem::with_capacity(phys_bytes),
             prov_any: false,
             tainted_globals: 0,
-            tainted_locals: 0,
         }
     }
 
@@ -83,7 +80,6 @@ impl TaintState {
     pub fn begin_block(&mut self, n_locals: u16) {
         self.locals.clear();
         self.locals.resize(n_locals as usize, TaintMask::CLEAN);
-        self.tainted_locals = 0;
         if self.prov_any {
             self.prov_locals.clear();
             self.prov_locals.resize(n_locals as usize, ProvSet::EMPTY);
@@ -169,7 +165,6 @@ impl TaintState {
                 if i >= self.locals.len() {
                     self.locals.resize(i + 1, TaintMask::CLEAN);
                 }
-                repop(&mut self.tainted_locals, self.locals[i], m);
                 self.locals[i] = m;
             }
         }
@@ -344,13 +339,27 @@ impl TaintState {
         self.mem.is_idle() && (!self.prov_any || self.prov_mem.provenanced_bytes() == 0)
     }
 
-    /// True when *nothing* carries taint or provenance — no register, no
-    /// temp, no memory byte. Four counter reads, no scanning. While this
-    /// holds, every propagation is clean-in ⇒ clean-out (see
-    /// [`TaintPolicy::propagate`]) and the engine may skip per-op shadow
-    /// bookkeeping entirely; only an injector can break the regime.
+    /// True when no register (general-purpose or FP) carries taint — and
+    /// so no provenance, which only ever rides a tainted mask. One counter
+    /// read. While this holds at block start every propagation in the
+    /// block is clean-in ⇒ clean-out until a load brings taint in from
+    /// memory: the engine's clean-register regime. The other half of
+    /// [`TaintState::fully_idle`].
+    pub fn regs_idle(&self) -> bool {
+        self.tainted_globals == 0
+    }
+
+    /// True when no register and no memory byte carries taint or
+    /// provenance. Three counter reads, no scanning. Temps are not
+    /// consulted: they are dead at every block boundary, and a block's
+    /// shadow paths start them clean ([`TaintState::begin_block`]). While
+    /// this holds at block start, every propagation is clean-in ⇒
+    /// clean-out (see [`TaintPolicy::propagate`]) and the engine skips
+    /// per-op shadow bookkeeping and the memory shadow entirely — the
+    /// fully-clean regime; only an injector or a function hook can break
+    /// it.
     pub fn fully_idle(&self) -> bool {
-        self.tainted_globals == 0 && self.tainted_locals == 0 && self.mem_idle()
+        self.regs_idle() && self.mem_idle()
     }
 
     /// True when no register, temp or memory byte carries taint.
@@ -372,7 +381,6 @@ impl TaintState {
         self.prov_mem.clear();
         self.prov_any = false;
         self.tainted_globals = 0;
-        self.tainted_locals = 0;
     }
 }
 
@@ -413,6 +421,22 @@ mod tests {
         assert!(!s.is_fully_clean());
         s.clear();
         assert!(s.is_fully_clean());
+    }
+
+    #[test]
+    fn idle_gates_read_registers_and_memory_not_temps() {
+        let mut s = TaintState::new(TaintPolicy::Precise);
+        s.set_temp(Temp::Local(0), TaintMask::ALL);
+        assert!(
+            s.regs_idle() && s.fully_idle(),
+            "a tainted temp is dead at the block end"
+        );
+        s.mem_mut().set_byte(64, 1);
+        assert!(s.regs_idle() && !s.fully_idle());
+        s.set_reg(Reg::R2, TaintMask::bit(0));
+        assert!(!s.regs_idle());
+        s.set_reg(Reg::R2, TaintMask::CLEAN);
+        assert!(s.regs_idle());
     }
 
     #[test]

@@ -98,7 +98,7 @@ impl Node {
         }
     }
 
-    /// Sets the hot-path tuning knobs (TB chaining, clean-block regime)
+    /// Sets the hot-path tuning knobs (TB chaining, fast taint regimes)
     /// applied to every subsequent slice.
     pub fn set_exec_tuning(&mut self, tuning: ExecTuning) {
         self.tuning = tuning;
@@ -1155,10 +1155,10 @@ mod more_engine_tests {
         }
     }
 
-    /// Any live taint ends the clean regime, and outside it every memory op
-    /// takes the shadow path — a load from a page no taint has reached
-    /// included (there is no taint-idle middle tier): its page summary
-    /// makes it cheap, not a different tier.
+    /// Any live taint ends the fully-clean regime, and outside it every
+    /// memory op takes the shadow path — a load from a page no taint has
+    /// reached included (there is no taint-idle middle tier): its page
+    /// summary makes it cheap, not a different tier.
     #[test]
     fn taint_fast_path_flips_to_slow_when_taint_appears() {
         use chaser_taint::TaintMask;
@@ -1197,6 +1197,229 @@ mod more_engine_tests {
         assert_eq!((after.fast_path_insns, after.slow_path_insns), (1, 2));
         // The tainted load must still see its mask.
         assert_eq!(node.taint().reg(Reg::R4), TaintMask(0xff));
+    }
+
+    /// Temps are dead at every block boundary: a block that ends with a
+    /// tainted temp and nothing else tainted must not keep the next block
+    /// out of the fully-clean regime.
+    #[test]
+    fn dead_tainted_temps_do_not_gate_the_next_block() {
+        use chaser_taint::TaintMask;
+        use chaser_tcg::Temp;
+
+        let mut a = Asm::new("deadtemp");
+        a.bss("buf", 64);
+        a.lea(Reg::R5, "buf");
+        a.movi(Reg::R9, 0);
+        a.hypercall(abi::MPI_BARRIER); // park: taint R9
+        a.ldx(Reg::R2, Reg::R5, Reg::R9); // its address temps take R9's taint
+        a.movi(Reg::R9, 0); // the register is clean again, the temps are not
+        a.hypercall(abi::MPI_BARRIER); // park: only dead temps are tainted
+        a.ld(Reg::R3, Reg::R5, 0); // fully clean: no shadow
+        a.exit(0);
+        let prog = a.assemble().expect("assemble");
+
+        let mut node = Node::new(0);
+        let pid = node.spawn(&prog).expect("spawn");
+        assert!(matches!(node.run_slice(pid, 100), SliceExit::MpiCall(_)));
+        node.taint_mut().set_reg(Reg::R9, TaintMask::bit(0));
+        node.complete_mpi(pid, 0);
+        assert!(matches!(node.run_slice(pid, 100), SliceExit::MpiCall(_)));
+        let mid = node.engine_stats();
+        assert_eq!((mid.fast_path_insns, mid.slow_path_insns), (0, 1));
+        assert!(
+            node.taint().temp(Temp::Local(2)).is_tainted(),
+            "a dead temp holds taint"
+        );
+        assert!(node.taint().regs_idle() && node.taint().mem_idle());
+
+        node.complete_mpi(pid, 0);
+        assert!(run_to_exit(&mut node, pid, 100).is_success());
+        let after = node.engine_stats();
+        assert_eq!((after.fast_path_insns, after.slow_path_insns), (1, 1));
+    }
+
+    /// Per-op reference for the fast taint regimes.
+    const PER_OP: ExecTuning = ExecTuning {
+        tb_chaining: true,
+        taint_fast_path: false,
+    };
+
+    /// Runs `prog` under `tuning` with taint events on, up to its first
+    /// `MPI_BARRIER` park; `setup` then taints the parked node from the
+    /// host, and the process runs to a successful exit.
+    fn run_parked(
+        prog: &chaser_isa::Program,
+        tuning: ExecTuning,
+        setup: impl Fn(&mut Node, u64),
+    ) -> (Node, u64) {
+        let mut node = Node::new(0);
+        node.set_exec_tuning(tuning);
+        node.hooks_mut().taint_events = true;
+        let pid = node.spawn(prog).expect("spawn");
+        assert!(matches!(node.run_slice(pid, 1000), SliceExit::MpiCall(_)));
+        setup(&mut node, pid);
+        node.complete_mpi(pid, 0);
+        assert!(run_to_exit(&mut node, pid, 1000).is_success());
+        (node, pid)
+    }
+
+    fn events(
+        node: &mut Node,
+    ) -> Vec<(crate::hooks::TaintAccessKind, crate::hooks::TaintMemEvent)> {
+        node.take_taint_events()
+            .into_iter()
+            .map(|e| (e.kind, e.ev))
+            .collect()
+    }
+
+    /// With taint in memory only, a block runs in the clean-register
+    /// regime until a load reads a tainted mask: that load must record the
+    /// exact read event, and the ops after it must propagate — the same
+    /// events, register shadows and memory shadow as the per-op run.
+    #[test]
+    fn tainted_load_mid_block_leaves_the_clean_register_regime() {
+        use crate::hooks::TaintAccessKind;
+        use chaser_taint::{ProvSet, TaintMask};
+
+        let mut a = Asm::new("taintedload");
+        a.bss("buf", 64);
+        a.lea(Reg::R5, "buf");
+        a.hypercall(abi::MPI_BARRIER); // park: taint buf[8..16] in memory only
+        a.movi(Reg::R1, 7);
+        a.ld(Reg::R2, Reg::R5, 0); // clean mask: the regime holds
+        a.add(Reg::R1, Reg::R2);
+        a.label("tainted_ld");
+        a.ld(Reg::R3, Reg::R5, 8); // tainted mask: the regime ends
+        a.add(Reg::R3, Reg::R1);
+        a.mov(Reg::R4, Reg::R3);
+        a.st(Reg::R4, Reg::R5, 16);
+        a.exit(0);
+        let prog = a.assemble().expect("assemble");
+        let buf = prog.symbol("buf").expect("buf");
+        let p = ProvSet::single(3);
+        let setup = |node: &mut Node, pid: u64| {
+            node.write_guest_taint(pid, buf + 8, &[0x01, 0, 0x80])
+                .expect("taint");
+            node.write_guest_prov(pid, buf + 8, &[p, ProvSet::EMPTY, p])
+                .expect("prov");
+        };
+        let (mut fast, pid) = run_parked(&prog, ExecTuning::default(), setup);
+        let (mut per_op, _) = run_parked(&prog, PER_OP, setup);
+
+        let fast_events = events(&mut fast);
+        let reads: Vec<_> = fast_events
+            .iter()
+            .filter(|(kind, _)| *kind == TaintAccessKind::Read)
+            .map(|(_, ev)| ev)
+            .collect();
+        assert_eq!(reads.len(), 1);
+        // lea, hypercall, movi, ld, add: the tainted load retires sixth.
+        let r = reads[0];
+        assert_eq!(
+            (r.eip, r.vaddr, r.icount, r.taint, r.prov),
+            (
+                prog.symbol("tainted_ld").expect("label"),
+                buf + 8,
+                6,
+                TaintMask(0x80_0001),
+                p
+            )
+        );
+        assert!(fast_events
+            .iter()
+            .any(|(kind, ev)| *kind == TaintAccessKind::Write
+                && ev.vaddr == buf + 16
+                && ev.prov == p));
+        assert_eq!(fast_events, events(&mut per_op));
+
+        for r in [Reg::R3, Reg::R4] {
+            assert!(
+                fast.taint().reg(r).is_tainted(),
+                "{r:?} must carry the load's taint"
+            );
+            assert_eq!(fast.taint().reg_prov(r), p);
+        }
+        for r in [Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R5] {
+            assert_eq!(fast.taint().reg(r), per_op.taint().reg(r), "{r:?}");
+            assert_eq!(
+                fast.taint().reg_prov(r),
+                per_op.taint().reg_prov(r),
+                "{r:?}"
+            );
+        }
+        assert_eq!(
+            fast.read_guest_taint(pid, buf, 24).expect("taint"),
+            per_op.read_guest_taint(pid, buf, 24).expect("taint")
+        );
+        assert_eq!(
+            fast.read_guest_prov(pid, buf, 24).expect("prov"),
+            per_op.read_guest_prov(pid, buf, 24).expect("prov")
+        );
+    }
+
+    /// In the clean-register regime a store writes a clean mask with empty
+    /// provenance, clearing whatever taint the bytes held.
+    #[test]
+    fn clean_store_over_tainted_bytes_clears_mask_and_provenance() {
+        use chaser_taint::ProvSet;
+
+        let mut a = Asm::new("cleanstore");
+        a.bss("buf", 64);
+        a.lea(Reg::R5, "buf");
+        a.hypercall(abi::MPI_BARRIER); // park: taint buf[0..8] in memory only
+        a.movi(Reg::R2, 5);
+        a.st(Reg::R2, Reg::R5, 0);
+        a.exit(0);
+        let prog = a.assemble().expect("assemble");
+        let buf = prog.symbol("buf").expect("buf");
+        let setup = |node: &mut Node, pid: u64| {
+            node.write_guest_taint(pid, buf, &[0xff; 8]).expect("taint");
+            node.write_guest_prov(pid, buf, &[ProvSet::single(1); 8])
+                .expect("prov");
+        };
+        for tuning in [ExecTuning::default(), PER_OP] {
+            let (mut node, pid) = run_parked(&prog, tuning, setup);
+            assert_eq!(node.read_guest_taint(pid, buf, 8).expect("taint"), [0; 8]);
+            assert_eq!(
+                node.read_guest_prov(pid, buf, 8).expect("prov"),
+                [ProvSet::EMPTY; 8]
+            );
+            assert!(node.taint().fully_idle(), "{tuning:?}");
+            assert!(
+                events(&mut node).is_empty(),
+                "a clean store records no event"
+            );
+        }
+    }
+
+    /// Tainted memory and clean registers: the clean-register regime drops
+    /// the per-op shadow work but not the memory shadow, so every memory op
+    /// still takes the page-gated shadow path, as under the per-op run.
+    #[test]
+    fn clean_register_regime_keeps_the_memory_op_tiers() {
+        let mut a = Asm::new("tiers");
+        a.bss("buf", 64);
+        a.lea(Reg::R5, "buf");
+        a.hypercall(abi::MPI_BARRIER); // park: taint buf[32..40], never read
+        a.ld(Reg::R2, Reg::R5, 0);
+        a.addi(Reg::R2, 1);
+        a.st(Reg::R2, Reg::R5, 8);
+        a.ld(Reg::R3, Reg::R5, 8);
+        a.exit(0);
+        let prog = a.assemble().expect("assemble");
+        let buf = prog.symbol("buf").expect("buf");
+        let setup = |node: &mut Node, pid: u64| {
+            node.write_guest_taint(pid, buf + 32, &[0xff])
+                .expect("taint");
+        };
+        for tuning in [ExecTuning::default(), PER_OP] {
+            let (node, _) = run_parked(&prog, tuning, setup);
+            let s = node.engine_stats();
+            assert_eq!((s.fast_path_insns, s.slow_path_insns), (0, 3), "{tuning:?}");
+            assert!(node.taint().regs_idle());
+            assert_eq!(node.taint().mem().tainted_bytes(), 1);
+        }
     }
 
     /// An injection callback is the one in-block taint source: firing
