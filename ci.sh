@@ -33,11 +33,16 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # traced half of the checkpoint ladder: on matvec4_full_cold (trace=full +
 # provenance) the frozen traced driver executes every run from launch while
 # `Campaign::run` restores from the ladder, and their rows must match.
+# The fourth is the served path: short bfs runs, where the injector's
+# trigger countdown carries most of each run's saving, submitted by two
+# tenants to the daemon; its rows must equal the standalone campaign's
+# CSV and every row must stream back.
 # Exits non-zero on any check; the numbers it prints are not comparable
 # (`--quick`).
 cargo run --release --offline -p chaser-bench --bin ledger -- --quick --workload clamr4_off_rankpar
 cargo run --release --offline -p chaser-bench --bin ledger -- --quick --workload lud1_taint_cold
 cargo run --release --offline -p chaser-bench --bin ledger -- --quick --workload matvec4_full_cold
+cargo run --release --offline -p chaser-bench --bin ledger -- --quick --workload served_bfs_2tenant
 
 if [ "$(git status --porcelain)" != "$tree_before" ]; then
     echo "ci.sh changed the working tree:" >&2

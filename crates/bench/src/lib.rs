@@ -979,8 +979,9 @@ fn identity(program: &str, class: InsnClass, n: u64) -> InjectionSpec {
 /// Then the two design arguments the paper makes with a cost attached,
 /// timed the same way. Targeted instrumentation is nearly free where
 /// F-SEFI-style instrument-everything is not: identical lud runs whose
-/// never-firing injector instruments nothing, `fmul` only, or every
-/// instruction. And the TaintHub against per-message taint headers on the
+/// injector instruments nothing, `fmul` only, or every instruction, and is
+/// called back at every execution of what it instruments without ever
+/// firing. And the TaintHub against per-message taint headers on the
 /// receive path with no fault in flight: fault-free traced matvec.
 fn fig10_overhead(args: &HarnessArgs) -> String {
     let reps = args.runs;
@@ -1044,7 +1045,16 @@ fn fig10_overhead(args: &HarnessArgs) -> String {
     const INSTR: &str = "instrumentation (lud)";
     const CARRIER: &str = "taint carrier (traced matvec, no fault)";
     let lud = build("lud", args);
-    let never_firing = |class| RunOptions::inject(identity(&lud.name, class, u64::MAX));
+    // A trigger that is called back at every execution of its class and
+    // never fires: what instrumenting the class costs per execution. (A
+    // never-firing `AfterN` would time the engine's countdown instead,
+    // which skips the callbacks of executions that cannot fire.)
+    let never_firing = |class| {
+        RunOptions::inject(InjectionSpec {
+            trigger: Trigger::WithProbability(0.0),
+            ..identity(&lud.name, class, 0)
+        })
+    };
     let matvec = |carrier| {
         let mut app = build("matvec", args);
         app.cluster.taint_carrier = carrier;

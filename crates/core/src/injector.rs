@@ -6,16 +6,16 @@ use crate::spec::{Corruption, InjectionSpec, OperandSel, Trigger};
 use chaser_isa::{FReg, Instruction, Reg};
 use chaser_taint::{ProvSet, TaintMask};
 use chaser_vm::{
-    ExitStatus, FnHookSink, GuestCtx, InjectAction, InjectSink, NodeTranslateHook, VmiAction,
-    VmiSink,
+    ExitStatus, FnHookSink, GuestCtx, InjectAction, InjectCountdown, InjectSink, NodeTranslateHook,
+    VmiAction, VmiSink,
 };
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// A register operand of a guest instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,9 +159,9 @@ pub struct InjectionRecord {
 #[derive(Debug)]
 struct InjState {
     seen_creations: u32,
-    active: Option<(u32, u64)>,
+    /// Executions counted so far, the ones the engine's countdown has yet
+    /// to reach included ([`Injector::exec_count`] settles them).
     exec_count: u64,
-    injections_done: u64,
     rng: SmallRng,
     records: Vec<InjectionRecord>,
 }
@@ -170,9 +170,20 @@ struct InjState {
 /// (`fi_creation_cb`), the translation-time target filter, and the
 /// injection callback (`fault_injector` / `DECAF_inject_fault`) of the
 /// paper's plugin structure (its Fig. 4).
+///
+/// What the translation-time filter reads is set once and then only read:
+/// the target process is armed at most once, and `done` flips once, when
+/// the last allowed fault is placed. Neither takes the state lock.
 #[derive(Debug)]
 pub struct Injector {
     spec: InjectionSpec,
+    /// `(node, pid)` of the target process, from its creation on.
+    active: OnceLock<(u32, u64)>,
+    /// Every allowed fault is placed: the injector is detached.
+    done: AtomicBool,
+    /// The engine's trigger countdown, shared with every node the injector
+    /// is installed on.
+    countdown: Arc<InjectCountdown>,
     state: Mutex<InjState>,
 }
 
@@ -191,12 +202,13 @@ impl Injector {
     pub fn resuming(spec: InjectionSpec, exec_count: u64) -> Arc<Injector> {
         let rng = SmallRng::seed_from_u64(spec.seed);
         Arc::new(Injector {
+            done: AtomicBool::new(spec.max_injections == 0),
             spec,
+            active: OnceLock::new(),
+            countdown: Arc::default(),
             state: Mutex::new(InjState {
                 seen_creations: 0,
-                active: None,
                 exec_count,
-                injections_done: 0,
                 rng,
                 records: Vec::new(),
             }),
@@ -210,12 +222,14 @@ impl Injector {
 
     /// Injections placed so far.
     pub fn injections_done(&self) -> u64 {
-        self.state.lock().injections_done
+        self.state.lock().records.len() as u64
     }
 
-    /// Executed targeted-class instructions observed so far.
+    /// Executed targeted-class instructions observed so far: the ones
+    /// called back for, plus the skipped ones the engine has counted down.
+    /// Exact whenever no node is mid-slice.
     pub fn exec_count(&self) -> u64 {
-        self.state.lock().exec_count
+        self.state.lock().exec_count - self.countdown.left()
     }
 
     /// The records of all placed faults.
@@ -224,7 +238,7 @@ impl Injector {
     }
 
     /// Applies the spec's corruption to `old` using `rng` for randomness.
-    fn corrupt_with(&self, old: u64, rng: &mut SmallRng) -> u64 {
+    fn corrupt(&self, old: u64, rng: &mut SmallRng) -> u64 {
         match &self.spec.corruption {
             Corruption::FlipBits(bits) => {
                 let mut v = old;
@@ -250,117 +264,133 @@ impl Injector {
         }
     }
 
-    fn corrupt(&self, old: u64, rng: &mut SmallRng) -> u64 {
-        self.corrupt_with(old, rng)
-    }
-
     fn is_done(&self) -> bool {
-        let st = self.state.lock();
-        st.injections_done >= self.spec.max_injections
+        self.done.load(Ordering::Relaxed)
     }
 
-    fn inject(&self, insn: &Instruction, ctx: &mut GuestCtx<'_>) -> bool {
+    /// The taint mask marking `old → new` as the fault. Identity injections
+    /// taint the whole operand so tracing can be exercised without
+    /// perturbing the computation (the paper's overhead methodology).
+    fn fault_mask(&self, old: u64, new: u64) -> TaintMask {
+        match &self.spec.corruption {
+            Corruption::Identity => TaintMask::ALL,
+            _ => TaintMask(old ^ new),
+        }
+    }
+
+    /// Places one fault at `insn`; `false` when it has nothing to corrupt
+    /// (the trigger then slides to the next execution).
+    fn inject(&self, insn: &Instruction, ctx: &mut GuestCtx<'_>, st: &mut InjState) -> bool {
+        // The fault's provenance id: its ordinal among this injector's
+        // placements.
+        let prov = ProvSet::single(st.records.len() as u32);
         // The CORRUPT_MEMORY path: hit the word the instruction is about
         // to access, when it has one and the address is mapped.
+        let mut placed = None;
         if self.spec.operand == OperandSel::Memory {
             if let Some(addr) = effective_address(insn, ctx.cpu) {
                 if let Ok(old) = ctx.read_mem(addr) {
-                    let mut st = self.state.lock();
                     let new = self.corrupt(old, &mut st.rng);
-                    // The fault's provenance id: its ordinal among this
-                    // injector's placements.
-                    let prov = ProvSet::single(st.injections_done as u32);
-                    drop(st);
-                    let mask = match &self.spec.corruption {
-                        Corruption::Identity => TaintMask::ALL,
-                        _ => TaintMask(old ^ new),
-                    };
+                    let mask = self.fault_mask(old, new);
                     if ctx.write_mem(addr, new).is_ok() {
                         let _ = ctx.taint_mem_with_prov(addr, mask, prov);
-                        let mut st = self.state.lock();
-                        let exec_count = st.exec_count;
-                        st.records.push(InjectionRecord {
-                            node: ctx.node,
-                            pid: ctx.pid,
-                            pc: ctx.pc,
-                            insn: insn.to_string(),
-                            operand: format!("mem[{addr:#x}]"),
-                            old_bits: old,
-                            new_bits: new,
-                            taint_mask: mask.0,
-                            icount: ctx.icount,
-                            exec_count,
-                        });
-                        st.injections_done += 1;
-                        return true;
+                        placed = Some((format!("mem[{addr:#x}]"), old, new, mask));
                     }
                 }
             }
             // No memory operand (or unmapped): fall through to registers.
         }
-        let candidates = operand_candidates(insn);
-        if candidates.is_empty() {
-            return false;
-        }
-        let mut st = self.state.lock();
-        let loc = match self.spec.operand {
-            OperandSel::Dst => candidates[0],
-            OperandSel::Src => *candidates.get(1).unwrap_or(&candidates[0]),
-            OperandSel::Random | OperandSel::Memory => {
-                candidates[st.rng.gen_range(0..candidates.len())]
+        let (operand, old, new, mask) = match placed {
+            Some(placed) => placed,
+            None => {
+                let candidates = operand_candidates(insn);
+                if candidates.is_empty() {
+                    return false;
+                }
+                let loc = match self.spec.operand {
+                    OperandSel::Dst => candidates[0],
+                    OperandSel::Src => *candidates.get(1).unwrap_or(&candidates[0]),
+                    OperandSel::Random | OperandSel::Memory => {
+                        candidates[st.rng.gen_range(0..candidates.len())]
+                    }
+                };
+                let old = match loc {
+                    OperandLoc::Reg(r) => ctx.reg(r),
+                    OperandLoc::FReg(r) => ctx.freg_bits(r),
+                };
+                let new = self.corrupt(old, &mut st.rng);
+                // The injected fault is the taint source.
+                let mask = self.fault_mask(old, new);
+                match loc {
+                    OperandLoc::Reg(r) => {
+                        ctx.set_reg(r, new);
+                        ctx.taint_reg_with_prov(r, mask, prov);
+                    }
+                    OperandLoc::FReg(r) => {
+                        ctx.set_freg_bits(r, new);
+                        ctx.taint_freg_with_prov(r, mask, prov);
+                    }
+                }
+                (loc.to_string(), old, new, mask)
             }
         };
-        let old = match loc {
-            OperandLoc::Reg(r) => ctx.reg(r),
-            OperandLoc::FReg(r) => ctx.freg_bits(r),
-        };
-        let new = {
-            let rng = &mut st.rng;
-            self.corrupt_with(old, rng)
-        };
-        // The injected fault is the taint source. Identity injections taint
-        // the whole operand so tracing can be exercised without perturbing
-        // the computation (the paper's overhead methodology).
-        let mask = match &self.spec.corruption {
-            Corruption::Identity => TaintMask::ALL,
-            _ => TaintMask(old ^ new),
-        };
-        let prov = ProvSet::single(st.injections_done as u32);
-        match loc {
-            OperandLoc::Reg(r) => {
-                ctx.set_reg(r, new);
-                ctx.taint_reg_with_prov(r, mask, prov);
-            }
-            OperandLoc::FReg(r) => {
-                ctx.set_freg_bits(r, new);
-                ctx.taint_freg_with_prov(r, mask, prov);
-            }
-        }
-        let exec_count = st.exec_count;
         st.records.push(InjectionRecord {
             node: ctx.node,
             pid: ctx.pid,
             pc: ctx.pc,
             insn: insn.to_string(),
-            operand: loc.to_string(),
+            operand,
             old_bits: old,
             new_bits: new,
             taint_mask: mask.0,
             icount: ctx.icount,
-            exec_count,
+            exec_count: st.exec_count,
         });
-        st.injections_done += 1;
+        if st.records.len() as u64 >= self.spec.max_injections {
+            self.done.store(true, Ordering::Relaxed);
+        }
         true
     }
 }
 
+/// Whether `trigger` fires at the targeted instruction's `count`-th
+/// execution.
+fn fires(trigger: Trigger, count: u64, rng: &mut SmallRng) -> bool {
+    match trigger {
+        // ">=" so that a trigger landing on an instruction with no
+        // corruptible operand slides to the next targeted one.
+        Trigger::AfterN(n) => count >= n,
+        Trigger::WithProbability(p) => rng.gen_bool(p.clamp(0.0, 1.0)),
+        Trigger::Always => true,
+        Trigger::Periodic { start, period } => {
+            count >= start && (count - start).is_multiple_of(period.max(1))
+        }
+    }
+}
+
+/// How many executions after the `count`-th cannot fire `trigger`: the
+/// countdown the engine runs before the next callback. Exact, so the
+/// callback lands on the same executions as one per execution would:
+/// `0` wherever the next execution may fire (`AfterN` past its `n`, where
+/// a fault that found no operand slides on) and for the random
+/// `WithProbability`, which draws once per execution.
+fn quiet_after(trigger: Trigger, count: u64) -> u64 {
+    let quiet = match trigger {
+        Trigger::AfterN(n) => n.saturating_sub(count + 1),
+        Trigger::Periodic { start, .. } if count < start => start - count - 1,
+        Trigger::Periodic { start, period } => {
+            let period = period.max(1);
+            period - 1 - (count - start) % period
+        }
+        Trigger::WithProbability(_) | Trigger::Always => 0,
+    };
+    // The skipped executions are credited to the count up front.
+    quiet.min(u64::MAX - count)
+}
+
 impl NodeTranslateHook for Injector {
     fn inject_point(&self, node: u32, pid: u64, _pc: u64, insn: &Instruction) -> Option<u64> {
-        if self.is_done() {
-            return None;
-        }
-        let st = self.state.lock();
-        if st.active != Some((node, pid)) {
+        if self.is_done() || self.active.get() != Some(&(node, pid)) {
             return None;
         }
         insn.is_in_class(self.spec.class).then_some(0)
@@ -379,38 +409,36 @@ impl InjectSink for InjectorHandle {
         ctx: &mut GuestCtx<'_>,
     ) -> InjectAction {
         let injector = &self.0;
-        if injector.is_done() {
+        if injector.is_done() || injector.active.get() != Some(&(ctx.node, ctx.pid)) {
             return InjectAction::default();
         }
-        {
-            let mut st = injector.state.lock();
-            if st.active != Some((ctx.node, ctx.pid)) {
-                return InjectAction::default();
-            }
-            st.exec_count += 1;
-            let fire = match injector.spec.trigger {
-                // ">=" so that a trigger landing on an instruction with no
-                // corruptible operand slides to the next targeted one.
-                Trigger::AfterN(n) => st.exec_count >= n,
-                Trigger::WithProbability(p) => st.rng.gen_bool(p.clamp(0.0, 1.0)),
-                Trigger::Always => true,
-                Trigger::Periodic { start, period } => {
-                    st.exec_count >= start && (st.exec_count - start).is_multiple_of(period.max(1))
-                }
-            };
-            if !fire {
-                return InjectAction::default();
+        let mut st = injector.state.lock();
+        st.exec_count += 1;
+        let count = st.exec_count;
+        if fires(injector.spec.trigger, count, &mut st.rng) {
+            injector.inject(insn, ctx, &mut st);
+            if injector.is_done() {
+                // fi_clean_cb: the fault is placed — detach the injector by
+                // flushing the translation cache so subsequent translations
+                // are clean again (the "efficient" design point).
+                return InjectAction {
+                    flush_tb: true,
+                    skip: 0,
+                };
             }
         }
-        injector.inject(insn, ctx);
-        if injector.is_done() {
-            // fi_clean_cb: the fault is placed — detach the injector by
-            // flushing the translation cache so subsequent translations are
-            // clean again (the "efficient" design point).
-            InjectAction { flush_tb: true }
-        } else {
-            InjectAction::default()
+        // Arm-and-forget: the executions that cannot fire are counted now
+        // and left to the engine's countdown, which `exec_count` settles.
+        let skip = quiet_after(injector.spec.trigger, count);
+        st.exec_count += skip;
+        InjectAction {
+            flush_tb: false,
+            skip,
         }
+    }
+
+    fn countdown(&self) -> Option<Arc<InjectCountdown>> {
+        Some(Arc::clone(&self.0.countdown))
     }
 }
 
@@ -423,8 +451,7 @@ impl VmiSink for InjectorHandle {
         let mut st = injector.state.lock();
         let idx = st.seen_creations;
         st.seen_creations += 1;
-        if idx == injector.spec.target_rank && st.active.is_none() {
-            st.active = Some((node, pid));
+        if idx == injector.spec.target_rank && injector.active.set((node, pid)).is_ok() {
             // Flush so the next translation round carries the injector.
             VmiAction::FLUSH
         } else {
@@ -663,6 +690,42 @@ mod tests {
         let (_, counts) = crate::profile_app(&app, &[InsnClass::FpArith, InsnClass::Fadd]);
         assert_eq!(counts[&(0, 0)], 80);
         assert_eq!(counts[&(0, 1)], 80);
+    }
+
+    /// A trigger landing on a `movi` — in the Mov class, but with no
+    /// operand to corrupt — slides to the next Mov, across the engine's
+    /// countdown: the first callback arms a countdown to the `n`-th
+    /// execution, which finds nothing to corrupt and asks to be called at
+    /// the very next one.
+    #[test]
+    fn a_trigger_on_an_operandless_insn_fires_on_the_next_one() {
+        use chaser_isa::{Asm, Cond};
+        // Mov-class executions: 1 is the `movi r1`; after it, the loop's
+        // `mov` takes the even counts and its `movi r3` the odd ones.
+        let mut a = Asm::new("slide");
+        a.movi(Reg::R1, 0);
+        a.label("loop");
+        a.mov(Reg::R2, Reg::R1);
+        a.movi(Reg::R3, 7);
+        a.addi(Reg::R1, 1);
+        a.cmpi(Reg::R1, 40);
+        a.jcc(Cond::Lt, "loop");
+        a.exit(0);
+        let app = crate::AppSpec::single(a.assemble().expect("assemble"));
+        let mov = Instruction::MovRR {
+            dst: Reg::R2,
+            src: Reg::R1,
+        };
+        for n in 3..=16 {
+            let spec = InjectionSpec::deterministic("slide", InsnClass::Mov, n, vec![0]);
+            let report = crate::run_app(&app, &crate::RunOptions::inject(spec));
+            let fired = n + n % 2;
+            let rec = &report.injections[0];
+            assert_eq!(rec.exec_count, fired, "AfterN({n})");
+            assert_eq!(rec.insn, mov.to_string(), "AfterN({n})");
+            assert_eq!(rec.operand, "r1");
+            assert_eq!(report.injector_exec_count, fired);
+        }
     }
 
     #[test]

@@ -15,8 +15,8 @@ use chaser_mpi::{
 use chaser_tainthub::HubStats;
 use chaser_tcg::{BaseLayer, CacheStats};
 use chaser_vm::{
-    EngineStats, ExecTuning, InjectSink, SharedFnHookSink, SharedInjectSink, SharedTaintSink,
-    SharedTranslateHook, SharedVmiSink, VmiSink,
+    EngineStats, ExecTuning, InjectCountdown, InjectSink, SharedFnHookSink, SharedInjectSink,
+    SharedTaintSink, SharedTranslateHook, SharedVmiSink, VmiSink,
 };
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -304,6 +304,7 @@ impl RunReport {
 pub struct HookRegistry {
     translate: Option<SharedTranslateHook>,
     inject: Option<SharedInjectSink>,
+    inject_countdown: Option<Arc<InjectCountdown>>,
     vmi: Option<SharedVmiSink>,
     fn_hook_sink: Option<SharedFnHookSink>,
     taint_sinks: Vec<SharedTaintSink>,
@@ -317,12 +318,13 @@ impl HookRegistry {
     }
 
     /// Installs `hook` as the translate hook and `handle` as both the
-    /// inject sink receiving its `CallInject` callbacks and the VMI sink
-    /// screening process events.
+    /// inject sink receiving its `CallInject` callbacks (with the countdown
+    /// it shares, if any) and the VMI sink screening process events.
     pub fn instrument<H>(mut self, hook: SharedTranslateHook, handle: H) -> HookRegistry
     where
         H: InjectSink + VmiSink + Send + 'static,
     {
+        self.inject_countdown = handle.countdown();
         let handle = Arc::new(Mutex::new(handle));
         self.translate = Some(hook);
         self.inject = Some(Arc::clone(&handle) as SharedInjectSink);
@@ -358,6 +360,9 @@ impl HookRegistry {
             }
             if let Some(inject) = &self.inject {
                 hooks.inject = Some(Arc::clone(inject));
+            }
+            if let Some(countdown) = &self.inject_countdown {
+                hooks.inject_countdown = Arc::clone(countdown);
             }
             if let Some(vmi) = &self.vmi {
                 hooks.vmi.push(Arc::clone(vmi));
@@ -852,9 +857,22 @@ pub fn run_warm(prepared: &PreparedApp, opts: &RunOptions, share_base_caches: bo
         warm.taint_armed,
         "the ladder was captured under a different tracing regime"
     );
-    let app = &prepared.app;
-    let cfg = effective_cluster_cfg(app, opts);
-    let (rung, seen) = warm.rung_for(app, opts.spec.as_ref(), cfg.run_budget);
+    let cfg = effective_cluster_cfg(&prepared.app, opts);
+    let (rung, seen) = warm.rung_for(&prepared.app, opts.spec.as_ref(), cfg.run_budget);
+    run_from(prepared, rung, seen, cfg, opts, share_base_caches)
+}
+
+/// [`run_warm`] from a given `rung`, its injector armed with `seen`
+/// executions of the targeted class.
+fn run_from(
+    prepared: &PreparedApp,
+    rung: &Rung,
+    seen: u64,
+    cfg: ClusterConfig,
+    opts: &RunOptions,
+    share_base_caches: bool,
+) -> RunReport {
+    let (tracing, provenance) = opts.effective_trace();
     let mut cluster = Cluster::from_snapshot(cfg, &rung.snapshot);
 
     let injector = opts.spec.clone().map(|s| Injector::resuming(s, seen));
@@ -1271,6 +1289,98 @@ mod tests {
         let fault_free = run_warm(&prepared, &RunOptions::golden(), true);
         assert_eq!(fault_free.snapshot.insns_skipped, 0);
         assert_eq!(fault_free.outputs, prepared.golden.outputs);
+    }
+
+    /// `trace=off` is taint-free: under [`TaintPolicy::Disabled`] the
+    /// injector's taint sources are no-ops, so a fault placed in a
+    /// register or in memory leaves every node's shadow state idle and the
+    /// engine in its fully-clean regime for the rest of the run.
+    ///
+    /// [`TaintPolicy::Disabled`]: chaser_taint::TaintPolicy::Disabled
+    #[test]
+    fn an_injection_under_disabled_taint_leaves_the_shadow_idle() {
+        let mut app = app();
+        app.cluster.taint_policy = chaser_taint::TaintPolicy::Disabled;
+        for (class, operand) in [
+            (InsnClass::FpArith, OperandSel::Dst),
+            (InsnClass::Mov, OperandSel::Memory),
+        ] {
+            let mut cluster = Cluster::new(app.cluster.clone());
+            let injector = Injector::new(InjectionSpec {
+                operand,
+                ..spec(1, class, Trigger::AfterN(40))
+            });
+            run_registry(Some(&injector), None, None).apply(&mut cluster);
+            let programs: Vec<&Program> = app.programs.iter().collect();
+            cluster.launch(&programs).expect("launch");
+            cluster.run();
+            assert_eq!(injector.injections_done(), 1, "{class:?} fired");
+            for node in cluster.nodes() {
+                assert!(node.taint().regs_idle(), "{class:?}: a tainted register");
+                assert!(node.taint().fully_idle(), "{class:?}: tainted memory");
+            }
+        }
+    }
+
+    /// The engine's trigger countdown against an independent counter. A
+    /// never-firing injector sees its class through one callback and a
+    /// countdown of skipped executions, settled when read; [`ProfileHook`]
+    /// counts every execution by its own `fetch_add`. The two agree for
+    /// every rank and class, from launch and from every rung.
+    #[test]
+    fn never_firing_injector_counts_what_the_profile_counts_from_every_rung() {
+        use chaser_workloads::{bfs, clamr, lud};
+        let classes = [InsnClass::Mov, InsnClass::FpArith, InsnClass::Any];
+        let clamr = {
+            let cfg = clamr::ClamrConfig {
+                ncells: 32,
+                ranks: 2,
+                steps: 8,
+                check_interval: 2,
+                checkpoint_interval: 4,
+                ..clamr::ClamrConfig::default()
+            };
+            let mut app = AppSpec::replicated(clamr::program(&cfg), 2, 2);
+            app.cluster.quantum = 500;
+            app
+        };
+        let mut lud = AppSpec::single(lud::program(&lud::LudConfig { n: 10, seed: 17 }));
+        lud.cluster.quantum = 1_000;
+        let mut bfs = AppSpec::single(bfs::program(&bfs::BfsConfig {
+            nodes: 32,
+            ..bfs::BfsConfig::default()
+        }));
+        bfs.cluster.quantum = 200;
+        for app in [app(), clamr, lud, bfs] {
+            let prepared = prepare_with_ladder(&app, &classes, false);
+            let warm = prepared.warm.as_ref().expect("a ladder");
+            assert!(warm.rungs() > 1, "{}: rungs to start from", app.name);
+            for rank in 0..app.nranks() {
+                for (class_idx, class) in classes.into_iter().enumerate() {
+                    let counted = prepared
+                        .profile_counts
+                        .get(&(rank, class_idx))
+                        .copied()
+                        .unwrap_or(0);
+                    assert!(counted > 0 || class != InsnClass::Any);
+                    let spec =
+                        InjectionSpec::deterministic(app.name.clone(), class, u64::MAX, vec![0])
+                            .with_rank(rank);
+                    let opts = RunOptions::inject(spec);
+                    let what = format!("{} rank {rank} {class:?}", app.name);
+                    let launched = run_app(&app, &opts);
+                    assert!(!launched.injected());
+                    assert_eq!(launched.injector_exec_count, counted, "{what} from launch");
+                    let slot = rank as usize * classes.len() + class_idx;
+                    for (k, rung) in warm.rungs.iter().enumerate() {
+                        let cfg = effective_cluster_cfg(&app, &opts);
+                        let resumed =
+                            run_from(&prepared, rung, rung.counts[slot], cfg, &opts, true);
+                        assert_eq!(resumed.injector_exec_count, counted, "{what} from rung {k}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

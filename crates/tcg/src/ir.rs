@@ -363,8 +363,10 @@ pub enum TcgOp {
     CallInject {
         /// Identifier of the injection point (assigned by the hook).
         point: u64,
-        /// Guest address of the targeted instruction.
-        pc: u64,
+        /// Index of the targeted instruction (its address and decoding) in
+        /// its block's [`crate::TranslationBlock::insns`]: the engine looks
+        /// it up only when the callback runs.
+        idx: u16,
     },
     /// End the block, continuing at a known address.
     ExitTb {
@@ -455,8 +457,8 @@ impl fmt::Display for TcgOp {
                     write!(f, "call {helper} {d}, {a}")
                 }
             }
-            O::CallInject { point, pc } => {
-                write!(f, "call DECAF_inject_fault point={point} pc={pc:#x}")
+            O::CallInject { point, idx } => {
+                write!(f, "call DECAF_inject_fault point={point} insn={idx}")
             }
             O::ExitTb { next } => write!(f, "exit_tb {next:#x}"),
             O::ExitTbCond {
@@ -515,10 +517,14 @@ mod tests {
             imm: 0xfe,
         };
         assert_eq!(op.to_string(), "movi_i64 tmp3, 0xfe");
-        let op = TcgOp::CallInject {
-            point: 1,
-            pc: 0x400000,
-        };
+        let op = TcgOp::CallInject { point: 1, idx: 0 };
         assert!(op.to_string().contains("DECAF_inject_fault"));
+    }
+
+    #[test]
+    fn call_inject_fits_the_widest_op() {
+        // Carrying the instruction index costs the dispatch loop no op
+        // size.
+        assert_eq!(std::mem::size_of::<TcgOp>(), 24);
     }
 }

@@ -128,11 +128,12 @@ pub fn translate_block(
                 break;
             }
         };
+        let idx = insns.len() as u16;
         insns.push((pc, insn));
         ctx.emit(TcgOp::InsnStart { pc });
 
         if let Some(point) = hook.and_then(|h| h.inject_point(pc, &insn)) {
-            ctx.emit(TcgOp::CallInject { point, pc });
+            ctx.emit(TcgOp::CallInject { point, idx });
             instrumented = true;
         }
 
@@ -572,6 +573,20 @@ mod tests {
             .filter(|op| matches!(op, TcgOp::CallInject { .. }))
             .count();
         assert_eq!(count, 1, "only the fadd gets a callback");
+        // The callback carries the targeted instruction's index.
+        let idx = tb
+            .ops()
+            .iter()
+            .find_map(|op| match *op {
+                TcgOp::CallInject { idx, .. } => Some(idx),
+                _ => None,
+            })
+            .expect("CallInject present");
+        assert_eq!(tb.insns()[idx as usize].0, CODE_BASE + INSN_LEN);
+        assert!(matches!(
+            tb.insns()[idx as usize].1,
+            Instruction::Fadd { .. }
+        ));
     }
 
     #[test]

@@ -278,7 +278,7 @@ pub(crate) fn run_slice(
         pid,
     });
     let has_fn_hooks = !hooks.fn_hooks.is_empty();
-    let track_inject = hooks.inject.is_some();
+    let countdown = &*hooks.inject_countdown;
     let chaining = tuning.tb_chaining;
     let fast_path = tuning.taint_fast_path;
     // The quantum and the run budget are checked at the same resume point;
@@ -371,6 +371,13 @@ pub(crate) fn run_slice(
         // injection callback, a function hook, or (clean-register) a load
         // that reads a tainted mask.
         let taint_on = taint.is_enabled();
+        // Every taint source is a no-op while taint is disabled
+        // (`GuestCtx::taint_*`), so a disabled state never leaves the
+        // fully-clean regime.
+        debug_assert!(
+            taint_on || taint.fully_idle(),
+            "a disabled taint state carries taint"
+        );
         let mut clean = fast_path && taint.regs_idle();
         let mut shadow_mem = taint_on && !(fast_path && taint.fully_idle());
         if !clean {
@@ -379,8 +386,6 @@ pub(crate) fn run_slice(
         locals.clear();
         locals.resize(tb.n_locals() as usize, 0u64);
 
-        // Index into tb.insns() of the instruction currently executing.
-        let mut insn_idx: usize = 0;
         let mut cur_pc = start_pc;
 
         macro_rules! val {
@@ -503,13 +508,6 @@ pub(crate) fn run_slice(
                         // consume `cur_pc`; leaving the fully-clean regime
                         // resets it from the flip site's own `pc`.
                         cur_pc = pc;
-                    }
-                    // Advance the instruction index to match this pc; only
-                    // the injection callback consumes it.
-                    if track_inject {
-                        while insn_idx < tb.insns().len() && tb.insns()[insn_idx].0 != pc {
-                            insn_idx += 1;
-                        }
                     }
                     // Guest function hooks (MPI interception).
                     if has_fn_hooks {
@@ -798,17 +796,19 @@ pub(crate) fn run_slice(
                         }
                     }
                 }
-                TcgOp::CallInject { point, pc } => {
+                TcgOp::CallInject { point, idx } => {
+                    // An execution the sink declared unable to fire costs
+                    // one decrement: no lock, no context, no lookup.
+                    if countdown.tick() {
+                        continue;
+                    }
                     if let Some(sink) = &hooks.inject {
-                        let insn = tb
-                            .insns()
-                            .get(insn_idx)
-                            .map(|(_, i)| *i)
-                            .unwrap_or(Instruction::Nop);
+                        let (pc, insn) = tb.insns()[idx as usize];
                         let action = {
                             let mut ctx = guest_ctx!(pc);
                             sink.lock().on_inject_point(point, &insn, &mut ctx)
                         };
+                        countdown.arm(action.skip);
                         if action.flush_tb {
                             cache.flush();
                         }

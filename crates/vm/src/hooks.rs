@@ -7,6 +7,7 @@ use chaser_isa::{CpuState, FReg, Instruction, Reg};
 use chaser_taint::{ProvSet, TaintMask, TaintState};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A shared, `Send`-clean fault-injection sink.
@@ -92,6 +93,53 @@ pub struct InjectAction {
     /// Flush this node's translation cache (used by `fi_clean_cb` to detach
     /// the injector once the fault has been placed).
     pub flush_tb: bool,
+    /// How many of the coming inject-point executions cannot fire. The
+    /// engine counts them down in [`NodeHooks::inject_countdown`], each one
+    /// a decrement instead of a callback, and calls back at the execution
+    /// after them. `0` (the default) calls back at the next one.
+    pub skip: u64,
+}
+
+/// Inject-point executions an inject sink has declared unable to fire
+/// ([`InjectAction::skip`]) and the engine has not yet reached.
+///
+/// The engine counts it down on every instrumented instruction in place of
+/// a callback; a sink that reports how many executions it observed shares
+/// the countdown ([`InjectSink::countdown`]) and subtracts what is left, so
+/// its count stays exact whenever it is read — including after a run that
+/// ended before the countdown ran out. The countdown is shared by every
+/// node the sink is installed on: a sink returns a non-zero skip only when
+/// a single process executes its inject points (an injector instruments
+/// exactly its target process). `Relaxed` throughout: only the thread
+/// running that process writes it, and it is read back after the
+/// scheduler has taken every node back.
+#[derive(Debug, Default)]
+pub struct InjectCountdown(AtomicU64);
+
+impl InjectCountdown {
+    /// Executions still to be skipped.
+    pub fn left(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    /// Counts one inject-point execution down; `true` when it is skipped
+    /// (the countdown had not run out), `false` when it must call back.
+    #[inline]
+    pub(crate) fn tick(&self) -> bool {
+        let left = self.0.load(Ordering::Relaxed);
+        if left == 0 {
+            return false;
+        }
+        self.0.store(left - 1, Ordering::Relaxed);
+        true
+    }
+
+    /// Starts a countdown of `skip` executions (a callback runs only at 0,
+    /// so nothing is left to overwrite).
+    #[inline]
+    pub(crate) fn arm(&self, skip: u64) {
+        self.0.store(skip, Ordering::Relaxed);
+    }
 }
 
 /// The fault injector's mutable view of the guest at an injection point.
@@ -159,13 +207,19 @@ impl GuestCtx<'_> {
     }
 
     /// Marks a register as a taint source (the injected fault's bits).
+    /// Like every taint source, a no-op while taint is disabled: a
+    /// `trace=off` run keeps its shadow state idle.
     pub fn taint_reg(&mut self, r: Reg, mask: TaintMask) {
-        self.taint.set_reg(r, mask);
+        if self.taint.is_enabled() {
+            self.taint.set_reg(r, mask);
+        }
     }
 
     /// Marks an FP register as a taint source.
     pub fn taint_freg(&mut self, r: FReg, mask: TaintMask) {
-        self.taint.set_freg(r, mask);
+        if self.taint.is_enabled() {
+            self.taint.set_freg(r, mask);
+        }
     }
 
     /// Marks 8 bytes of guest memory as a taint source.
@@ -175,18 +229,24 @@ impl GuestCtx<'_> {
     /// Returns a [`MemFault`] if the address does not translate.
     pub fn taint_mem(&mut self, vaddr: u64, mask: TaintMask) -> Result<(), MemFault> {
         let paddr = self.aspace.translate_read(vaddr)?;
-        self.taint.mem_mut().store8(paddr, mask);
+        if self.taint.is_enabled() {
+            self.taint.mem_mut().store8(paddr, mask);
+        }
         Ok(())
     }
 
     /// Marks a register as a taint source attributed to fault `prov`.
     pub fn taint_reg_with_prov(&mut self, r: Reg, mask: TaintMask, prov: ProvSet) {
-        self.taint.set_reg_with_prov(r, mask, prov);
+        if self.taint.is_enabled() {
+            self.taint.set_reg_with_prov(r, mask, prov);
+        }
     }
 
     /// Marks an FP register as a taint source attributed to fault `prov`.
     pub fn taint_freg_with_prov(&mut self, r: FReg, mask: TaintMask, prov: ProvSet) {
-        self.taint.set_freg_with_prov(r, mask, prov);
+        if self.taint.is_enabled() {
+            self.taint.set_freg_with_prov(r, mask, prov);
+        }
     }
 
     /// Marks 8 bytes of guest memory as a taint source attributed to fault
@@ -202,8 +262,10 @@ impl GuestCtx<'_> {
         prov: ProvSet,
     ) -> Result<(), MemFault> {
         let paddr = self.aspace.translate_read(vaddr)?;
-        self.taint.mem_mut().store8(paddr, mask);
-        self.taint.prov_store8(paddr, mask, prov);
+        if self.taint.is_enabled() {
+            self.taint.mem_mut().store8(paddr, mask);
+            self.taint.prov_store8(paddr, mask, prov);
+        }
         Ok(())
     }
 }
@@ -268,8 +330,9 @@ impl TaintEventSink for TaintEventFanout {
 }
 
 /// The engine-side fault injector callback (the paper's
-/// `DECAF_inject_fault`): invoked for every executed instrumented
-/// instruction, *before* the instruction itself runs.
+/// `DECAF_inject_fault`): invoked *before* an executed instrumented
+/// instruction runs — every execution, except those a previous callback
+/// declared unable to fire ([`InjectAction::skip`]).
 pub trait InjectSink {
     /// `point` is the id the translate hook assigned; `insn` is the
     /// targeted instruction.
@@ -279,6 +342,14 @@ pub trait InjectSink {
         insn: &Instruction,
         ctx: &mut GuestCtx<'_>,
     ) -> InjectAction;
+
+    /// The countdown this sink's skips are counted down in, when the sink
+    /// needs to read it back ([`InjectCountdown`]). Installers put it in
+    /// [`NodeHooks::inject_countdown`]; the default `None` leaves the
+    /// node's own.
+    fn countdown(&self) -> Option<Arc<InjectCountdown>> {
+        None
+    }
 }
 
 /// Guest-function entry hook (how Chaser intercepts `mpi_send`/`mpi_recv`
@@ -308,6 +379,9 @@ pub struct NodeHooks {
     pub translate: Option<SharedTranslateHook>,
     /// Fault-injection callback.
     pub inject: Option<SharedInjectSink>,
+    /// The countdown of `inject`'s skipped executions: the sink's own when
+    /// it shares one ([`InjectSink::countdown`]).
+    pub inject_countdown: Arc<InjectCountdown>,
     /// When set, tainted-memory accesses are buffered into the node's
     /// [`BufferedTaintEvent`] log for barrier-time delivery. Sinks live at
     /// the cluster level, never on the node: the compute phase must not

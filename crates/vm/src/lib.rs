@@ -60,7 +60,7 @@ mod vmi;
 
 pub use engine::{EngineStats, ExecTuning};
 pub use hooks::{
-    BufferedTaintEvent, FnHookSink, GuestCtx, InjectAction, InjectSink, NodeHooks,
+    BufferedTaintEvent, FnHookSink, GuestCtx, InjectAction, InjectCountdown, InjectSink, NodeHooks,
     NodeTranslateHook, SharedFnHookSink, SharedInjectSink, SharedTaintSink, SharedTranslateHook,
     SharedVmiSink, TaintAccessKind, TaintEventFanout, TaintEventSink, TaintMemEvent,
 };

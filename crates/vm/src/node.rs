@@ -1155,6 +1155,60 @@ mod more_engine_tests {
         }
     }
 
+    /// A sink's skip is counted down on the node instead of calling back,
+    /// however the run is sliced, and what is left of it when the run ends
+    /// stays readable.
+    #[test]
+    fn skipped_inject_points_are_counted_down_without_a_callback() {
+        use crate::hooks::{GuestCtx, InjectAction, InjectSink};
+        use chaser_isa::Instruction;
+        use parking_lot::Mutex;
+
+        /// Records the `icount` of each callback and skips the next store.
+        #[derive(Default)]
+        struct EveryOther(Vec<u64>);
+        impl InjectSink for EveryOther {
+            fn on_inject_point(
+                &mut self,
+                _point: u64,
+                _insn: &Instruction,
+                ctx: &mut GuestCtx<'_>,
+            ) -> InjectAction {
+                self.0.push(ctx.icount);
+                InjectAction {
+                    skip: 1,
+                    ..InjectAction::default()
+                }
+            }
+        }
+
+        // `lea`, `movi`, then five four-instruction iterations whose store
+        // retires as instruction 3, 7, 11, 15, 19.
+        let mut a = Asm::new("skip");
+        a.bss("buf", 64);
+        a.lea(Reg::R5, "buf");
+        a.movi(Reg::R6, 0);
+        a.label("loop");
+        a.st(Reg::R6, Reg::R5, 0);
+        a.addi(Reg::R6, 1);
+        a.cmpi(Reg::R6, 5);
+        a.jcc(chaser_isa::Cond::Lt, "loop");
+        a.exit(0);
+        let prog = a.assemble().expect("assemble");
+
+        for quantum in [1, 3, 100_000] {
+            let mut node = Node::new(0);
+            node.hooks_mut().translate = Some(Arc::new(TargetStores));
+            let sink = Arc::new(Mutex::new(EveryOther::default()));
+            node.hooks_mut().inject = Some(sink.clone());
+            let pid = node.spawn(&prog).expect("spawn");
+            assert!(run_to_exit(&mut node, pid, quantum).is_success());
+            assert_eq!(sink.lock().0, [3, 11, 19], "quantum {quantum}");
+            // The last callback's skip found no store to count down.
+            assert_eq!(node.hooks_mut().inject_countdown.left(), 1);
+        }
+    }
+
     /// Any live taint ends the fully-clean regime, and outside it every
     /// memory op takes the shadow path — a load from a page no taint has
     /// reached included (there is no taint-idle middle tier): its page
