@@ -111,7 +111,7 @@ pub fn encode(value: &Json, out: &mut String) {
         Json::Null => out.push_str("null"),
         Json::Bool(true) => out.push_str("true"),
         Json::Bool(false) => out.push_str("false"),
-        Json::Num(n) => out.push_str(&n.to_string()),
+        Json::Num(n) => encode_int(*n, out),
         Json::Str(s) => encode_str(s, out),
         Json::Arr(items) => {
             out.push('[');
@@ -138,25 +138,72 @@ pub fn encode(value: &Json, out: &mut String) {
     }
 }
 
-fn encode_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Writes the decimal digits of `n` straight into `out` (what
+/// `n.to_string()` would produce, without the temporary `String`).
+fn encode_int(n: i128, out: &mut String) {
+    if n < 0 {
+        out.push('-');
+    }
+    let mut digits = [0u8; 39]; // u128::MAX has 39 digits
+    let mut at = digits.len();
+    let mut rest = n.unsigned_abs();
+    // Journal numbers fit in 64 bits; keep the wide division off that path.
+    while rest > u128::from(u64::MAX) {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    let mut rest = rest as u64;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
         }
     }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("digits are ascii"));
+}
+
+fn encode_str(s: &str, out: &mut String) {
+    out.push('"');
+    // Every byte that needs an escape is ASCII, so the runs between them
+    // are whole UTF-8 sequences and can be copied as they are.
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        if esc.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from_digit(u32::from(b >> 4), 16).expect("hex digit"));
+            out.push(char::from_digit(u32::from(b & 0xf), 16).expect("hex digit"));
+        } else {
+            out.push_str(esc);
+        }
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. Journal rows nest
+/// at most 3 levels and protocol frames 4; the bound keeps a hostile line
+/// from recursing the parser off the end of its thread's stack.
+const MAX_DEPTH: usize = 32;
+
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 fn bad(msg: impl Into<String>) -> JournalError {
@@ -170,8 +217,10 @@ fn bad(msg: impl Into<String>) -> JournalError {
 impl<'a> Parser<'a> {
     fn new(line: &'a str) -> Parser<'a> {
         Parser {
+            src: line,
             bytes: line.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -204,8 +253,22 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JournalError> {
         match self.peek().ok_or_else(|| bad("unexpected end of line"))? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(bad(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             b'"' => Ok(Json::Str(self.string()?)),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
@@ -225,59 +288,81 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// `-?[0-9]+`, accumulated digit by digit: anything outside `i128` is
+    /// rejected, as `str::parse::<i128>` would.
     fn number(&mut self) -> Result<Json, JournalError> {
         self.skip_ws();
         let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
+        let negative = self.bytes.get(self.pos) == Some(&b'-');
+        if negative {
             self.pos += 1;
         }
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
+        let digits = self.pos;
+        let mut n: Option<i128> = Some(0);
+        while let Some(&b) = self.bytes.get(self.pos).filter(|b| b.is_ascii_digit()) {
+            let d = i128::from(b - b'0');
+            // Negative numbers accumulate downwards so `i128::MIN` fits.
+            n = n.and_then(|n| n.checked_mul(10)).and_then(|n| {
+                if negative {
+                    n.checked_sub(d)
+                } else {
+                    n.checked_add(d)
+                }
+            });
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ascii");
-        text.parse::<i128>()
-            .map(Json::Num)
-            .map_err(|_| bad(format!("bad number `{text}`")))
+        match n {
+            Some(n) if self.pos > digits => Ok(Json::Num(n)),
+            _ => Err(bad(format!("bad number `{}`", &self.src[start..self.pos]))),
+        }
     }
 
     fn string(&mut self) -> Result<String, JournalError> {
         self.expect(b'"')?;
         let mut out = String::new();
-        // Operate on the original &str slice to keep UTF-8 intact.
-        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-            .map_err(|_| bad("invalid UTF-8 in string"))?;
-        let mut chars = rest.char_indices();
         loop {
-            let (i, c) = chars.next().ok_or_else(|| bad("unterminated string"))?;
-            match c {
-                '"' => {
-                    self.pos += i + 1;
-                    return Ok(out);
-                }
-                '\\' => {
-                    let (_, esc) = chars.next().ok_or_else(|| bad("dangling escape"))?;
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        '/' => out.push('/'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'u' => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let (_, h) = chars.next().ok_or_else(|| bad("short \\u escape"))?;
-                                code = code * 16
-                                    + h.to_digit(16).ok_or_else(|| bad("bad \\u escape"))?;
-                            }
-                            out.push(
-                                char::from_u32(code).ok_or_else(|| bad("bad \\u code point"))?,
-                            );
-                        }
-                        other => return Err(bad(format!("unknown escape `\\{other}`"))),
+            // `"` and `\` are ASCII, so the run before either ends on a
+            // character boundary of the (already valid UTF-8) line.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| bad("unterminated string"))?;
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
+            }
+            let esc = *self
+                .bytes
+                .get(self.pos)
+                .ok_or_else(|| bad("dangling escape"))?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .ok_or_else(|| bad("short \\u escape"))?;
+                    let mut code = 0u32;
+                    for &h in hex {
+                        code = code * 16
+                            + char::from(h)
+                                .to_digit(16)
+                                .ok_or_else(|| bad("bad \\u escape"))?;
                     }
+                    self.pos += 4;
+                    out.push(char::from_u32(code).ok_or_else(|| bad("bad \\u code point"))?);
                 }
-                c => out.push(c),
+                _ => {
+                    let other = self.src[self.pos - 1..].chars().next().unwrap_or('?');
+                    return Err(bad(format!("unknown escape `\\{other}`")));
+                }
             }
         }
     }
@@ -325,7 +410,8 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Parses one complete JSON value from `line`, rejecting trailing garbage.
+/// Parses one complete JSON value from `line`, rejecting trailing garbage
+/// and arrays/objects nested more than 32 deep.
 pub fn parse_json(line: &str) -> Result<Json, JournalError> {
     let mut p = Parser::new(line);
     let v = p.value()?;
@@ -1382,6 +1468,87 @@ mod tests {
         let mut line = String::new();
         encode(&v, &mut line);
         assert_eq!(parse_json(&line).expect("parse"), v);
+    }
+
+    #[test]
+    fn numbers_encode_as_to_string_and_parse_back() {
+        for n in [
+            0,
+            7,
+            -1,
+            10,
+            -10,
+            i128::from(u64::MAX),
+            i128::from(u64::MAX) + 1,
+            i128::from(i64::MIN),
+            i128::MAX,
+            i128::MIN,
+        ] {
+            let mut line = String::new();
+            encode(&Json::Num(n), &mut line);
+            assert_eq!(line, n.to_string());
+            assert_eq!(parse_json(&line).expect("parse"), Json::Num(n));
+        }
+        assert_eq!(parse_json("-0").expect("parse"), Json::Num(0));
+        assert_eq!(parse_json(" 007 ").expect("parse"), Json::Num(7));
+        for rejected in [
+            "-",
+            "--1",
+            "1.5",
+            "1e3",
+            "+1",
+            "170141183460469231731687303715884105728",
+            "-170141183460469231731687303715884105729",
+        ] {
+            assert!(parse_json(rejected).is_err(), "{rejected}");
+        }
+    }
+
+    #[test]
+    fn control_characters_encode_as_lowercase_unicode_escapes() {
+        let mut line = String::new();
+        encode(&Json::Str("\u{0}\u{1f}\u{7f}é".into()), &mut line);
+        assert_eq!(line, "\"\\u0000\\u001f\u{7f}é\"");
+        assert_eq!(
+            parse_json(&line).expect("parse"),
+            Json::Str("\u{0}\u{1f}\u{7f}é".into())
+        );
+        for rejected in [
+            "\"abc",
+            "\"\\",
+            "\"\\u12\"",
+            "\"\\u12g4\"",
+            "\"\\ud800\"",
+            "\"\\é\"",
+            "\"\\x\"",
+        ] {
+            assert!(parse_json(rejected).is_err(), "{rejected}");
+        }
+        assert_eq!(
+            parse_json("\"\\/\\u00e9\"").expect("parse"),
+            Json::Str("/é".into())
+        );
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let nested = |depth: usize, open: &str, close: &str| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            assert!(parse_json(&nested(MAX_DEPTH, open, close)).is_ok());
+            let err = parse_json(&nested(MAX_DEPTH + 1, open, close)).expect_err("too deep");
+            assert!(
+                matches!(&err, JournalError::Malformed { msg, .. } if msg.contains("nesting")),
+                "{err}"
+            );
+        }
+        // Deep enough to overflow any thread stack if the parser recursed.
+        let hostile = "[".repeat(100_000);
+        assert!(matches!(
+            parse_json(&hostile),
+            Err(JournalError::Malformed { .. })
+        ));
     }
 
     #[test]

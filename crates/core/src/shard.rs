@@ -24,20 +24,27 @@
 //! shard ranges must be disjoint and cover the campaign, rows must fall
 //! inside their shard's range, and duplicates are either byte-identical
 //! (deduped — determinism makes re-executed rows identical) or a typed
-//! error. The merged [`CampaignResult`], outcome CSV and stats CSV are
+//! error. Only a repeated run index is re-encoded for that comparison. The
+//! merged [`CampaignResult`], outcome CSV and stats CSV are
 //! byte-identical to a single-process [`Campaign::run_journaled`] of the
 //! same seed and configuration.
+//!
+//! Each shard journal is decoded once at the end: a supervisor's last
+//! completeness check reads the whole journal, and when that read finds
+//! the shard complete it goes to the merge in place of the merge's own
+//! read. A shard quarantined after its last check, drained or unreadable
+//! is read from disk by the merge as before.
 
 use crate::campaign::{quarantined_outcome, Campaign, CampaignResult, ReplayBase};
 use crate::journal::{CampaignJournal, JournalError, JournalHeader, JournalRow, ShardMeta};
 use crate::outcome::{Outcome, TermCause};
 use crate::session::{PreparedApp, TraceRegime};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Env var carrying the shard journal path to a subprocess worker.
@@ -464,6 +471,9 @@ pub fn shard_journal_path(base: &Path, shard: u64) -> PathBuf {
     base.with_file_name(format!("{stem}.shard-{shard}.jsonl"))
 }
 
+/// One shard journal as [`CampaignJournal::read_shard`] returns it.
+type ShardRead = (JournalHeader, ShardMeta, Vec<JournalRow>);
+
 /// Reads the shard journals at `paths`, validates them against `expected`
 /// (the campaign's journal header) and each other, and returns the rows
 /// stitched into run-index order.
@@ -486,21 +496,37 @@ pub fn merge_shard_journals(
     paths: &[PathBuf],
     expected: &JournalHeader,
 ) -> Result<Vec<JournalRow>, ShardError> {
+    merge_shard_reads(paths.iter().map(|p| (p.as_path(), None)), expected)
+}
+
+/// The merge behind [`merge_shard_journals`]. Each shard comes with the
+/// read its supervisor already holds, or `None` to read the file here;
+/// files are read in order as the merge reaches them, so the first bad
+/// file is the one reported either way.
+fn merge_shard_reads<'a>(
+    shards: impl IntoIterator<Item = (&'a Path, Option<ShardRead>)>,
+    expected: &JournalHeader,
+) -> Result<Vec<JournalRow>, ShardError> {
     let mut metas: Vec<ShardMeta> = Vec::new();
-    let mut by_idx: BTreeMap<u64, (JournalRow, String)> = BTreeMap::new();
-    for path in paths {
-        let (header, meta, rows) = CampaignJournal::read_shard(path)?;
-        let path_str = path.display().to_string();
+    let mut by_idx: Vec<Option<JournalRow>> = std::iter::repeat_with(|| None)
+        .take(expected.runs as usize)
+        .collect();
+    for (path, held) in shards {
+        let (header, meta, rows) = match held {
+            Some(read) => read,
+            None => CampaignJournal::read_shard(path)?,
+        };
+        let path_str = || path.display().to_string();
         if header.trace_regime != expected.trace_regime {
             return Err(ShardError::RegimeMismatch {
-                path: path_str,
+                path: path_str(),
                 expected: expected.trace_regime,
                 found: header.trace_regime,
             });
         }
         if header != *expected {
             return Err(JournalError::HeaderMismatch {
-                path: path_str,
+                path: path_str(),
                 expected: *expected,
                 found: header,
             }
@@ -508,7 +534,7 @@ pub fn merge_shard_journals(
         }
         if meta.start > meta.end || meta.end > expected.runs {
             return Err(ShardError::BadRange {
-                path: path_str,
+                path: path_str(),
                 meta,
                 runs: expected.runs,
             });
@@ -526,37 +552,33 @@ pub fn merge_shard_journals(
             let idx = row.run_idx();
             if idx < meta.start || idx >= meta.end {
                 return Err(ShardError::RowOutOfRange {
-                    path: path_str,
+                    path: path_str(),
                     run_idx: idx,
                     start: meta.start,
                     end: meta.end,
                 });
             }
-            let line = row.canonical_line();
-            match by_idx.get(&idx) {
-                Some((_, existing)) if *existing == line => {} // exact dup: drop
+            // Only a repeated index pays for the canonical comparison.
+            match &by_idx[idx as usize] {
+                None => by_idx[idx as usize] = Some(row),
+                Some(first) if first.canonical_line() == row.canonical_line() => {} // exact dup: drop
                 Some(_) => {
                     return Err(ShardError::ConflictingDuplicate {
-                        path: path_str,
+                        path: path_str(),
                         run_idx: idx,
                     })
-                }
-                None => {
-                    by_idx.insert(idx, (row, line));
                 }
             }
         }
     }
-    let missing: Vec<u64> = (0..expected.runs)
-        .filter(|i| !by_idx.contains_key(i))
-        .collect();
-    if let Some(&first) = missing.first() {
+    let mut missing = by_idx.iter().enumerate().filter(|(_, row)| row.is_none());
+    if let Some((first, _)) = missing.next() {
         return Err(ShardError::MissingRuns {
-            count: missing.len() as u64,
-            first,
+            count: 1 + missing.count() as u64,
+            first: first as u64,
         });
     }
-    Ok(by_idx.into_values().map(|(row, _)| row).collect())
+    Ok(by_idx.into_iter().flatten().collect())
 }
 
 /// Parses a `CHASER_SHARD_CHAOS` directive (`kill:<rows>` / `stall:<rows>`).
@@ -567,6 +589,23 @@ fn parse_chaos_env(text: &str) -> Option<(u64, ChaosAction)> {
         "kill" => Some((rows, ChaosAction::Exit)),
         "stall" => Some((rows, ChaosAction::Stall)),
         _ => None,
+    }
+}
+
+/// The run indices of `meta`'s range with no journal row yet, plus the
+/// read they were computed from. Read failures count as "everything
+/// missing": the journal may be mid-torn from a kill, and the retry's
+/// `append_to` trim will repair it.
+fn shard_progress(path: &Path, meta: ShardMeta) -> (Vec<u64>, Option<ShardRead>) {
+    match CampaignJournal::read_shard(path) {
+        Ok(read) => {
+            let done: BTreeSet<u64> = read.2.iter().map(JournalRow::run_idx).collect();
+            let missing = (meta.start..meta.end)
+                .filter(|i| !done.contains(i))
+                .collect();
+            (missing, Some(read))
+        }
+        Err(_) => ((meta.start..meta.end).collect(), None),
     }
 }
 
@@ -670,18 +709,21 @@ impl Campaign {
             }
         }
 
-        let reports: Mutex<Vec<ShardReport>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for (meta, path) in plan.ranges.iter().zip(&paths) {
-                let reports = &reports;
-                scope.spawn(move || {
-                    let report = self.supervise_shard(prepared, *meta, path, stop);
-                    reports.lock().expect("poisoned").push(report);
-                });
-            }
-        });
-        let mut per_shard = reports.into_inner().expect("poisoned");
-        per_shard.sort_by_key(|r| r.shard);
+        let (per_shard, reads): (Vec<ShardReport>, Vec<Option<ShardRead>>) =
+            std::thread::scope(|scope| {
+                let supervisors: Vec<_> = plan
+                    .ranges
+                    .iter()
+                    .zip(&paths)
+                    .map(|(meta, path)| {
+                        scope.spawn(move || self.supervise_shard(prepared, *meta, path, stop))
+                    })
+                    .collect();
+                supervisors
+                    .into_iter()
+                    .map(|h| h.join().expect("shard supervisor panicked"))
+                    .unzip()
+            });
 
         // A raised stop signal with unfinished indices is a checkpoint,
         // not a merge failure: report how much is left and leave the
@@ -691,14 +733,17 @@ impl Campaign {
                 .ranges
                 .iter()
                 .zip(&paths)
-                .map(|(m, p)| self.missing_in_shard(p, *m).len() as u64)
+                .map(|(m, p)| shard_progress(p, *m).0.len() as u64)
                 .sum();
             if missing > 0 {
                 return Err(ShardError::Interrupted { missing });
             }
         }
 
-        let rows = merge_shard_journals(&paths, &header)?;
+        // Each supervisor's final completeness check already decoded its
+        // journal; the merge takes those reads and goes to disk only for a
+        // shard it has none of (quarantined, drained or never readable).
+        let rows = merge_shard_reads(paths.iter().map(PathBuf::as_path).zip(reads), &header)?;
         let mut base = ReplayBase::default();
         for row in &rows {
             base.absorb(row);
@@ -802,22 +847,26 @@ impl Campaign {
     /// Supervises one shard to completion: launch, watch, retry with
     /// backoff, and finally degrade. Infallible by design — supervision
     /// failures become retries, and retry exhaustion becomes quarantined
-    /// rows, never a hang or abort.
+    /// rows, never a hang or abort. Returns the shard's report and, when
+    /// the last completeness check found the shard complete, that check's
+    /// read of the journal for the merge.
     fn supervise_shard(
         &self,
         prepared: &PreparedApp,
         meta: ShardMeta,
         path: &Path,
         stop: Option<&StopSignal>,
-    ) -> ShardReport {
+    ) -> (ShardReport, Option<ShardRead>) {
         let sup = self.cfg.shard_supervision;
         let t0 = Instant::now();
         let mut attempts: u64 = 0;
         let mut reassigned: u64 = 0;
         let mut quarantined: u64 = 0;
+        let mut complete = None;
         loop {
-            let missing = self.missing_in_shard(path, meta);
+            let (missing, read) = shard_progress(path, meta);
             if missing.is_empty() {
+                complete = read;
                 break;
             }
             if stop.is_some_and(StopSignal::raised) {
@@ -869,7 +918,7 @@ impl Campaign {
                 }
             }
         }
-        ShardReport {
+        let report = ShardReport {
             shard: meta.shard,
             start: meta.start,
             end: meta.end,
@@ -877,22 +926,8 @@ impl Campaign {
             reassigned,
             quarantined,
             wall_ms: t0.elapsed().as_millis() as u64,
-        }
-    }
-
-    /// The run indices of `meta`'s range with no journal row yet. Read
-    /// failures count as "everything missing": the journal may be mid-torn
-    /// from a kill, and the retry's `append_to` trim will repair it.
-    fn missing_in_shard(&self, path: &Path, meta: ShardMeta) -> Vec<u64> {
-        match CampaignJournal::read_shard(path) {
-            Ok((_, _, rows)) => {
-                let done: BTreeSet<u64> = rows.iter().map(JournalRow::run_idx).collect();
-                (meta.start..meta.end)
-                    .filter(|i| !done.contains(i))
-                    .collect()
-            }
-            Err(_) => (meta.start..meta.end).collect(),
-        }
+        };
+        (report, complete)
     }
 
     /// Degrades a shard: appends a quarantined [`TermCause::ShardLost`]

@@ -19,14 +19,25 @@
 //! killed workers are never surfaced. Streaming is at-least-once: a shard
 //! retried after a stall can journal a row twice, and the merged result
 //! (which dedups) remains the artifact of record.
+//!
+//! The streamer moves bytes, not rows: each new journal line is spliced
+//! into a `row` frame as it is (journal lines are canonical encodings, so
+//! the frame is byte-identical to encoding the parsed row), and each poll
+//! sweep goes out in one write. A complete journal line that is not valid
+//! JSON — which no worker writes — is forwarded too; the client's
+//! [`read_frame`] rejects it as `InvalidData`, and the job itself still
+//! fails at the merge.
 
 use crate::client::{connect, Stream};
 use crate::pool::PreparedPool;
-use crate::proto::{read_frame, write_frame, Frame, JobResults, JobSummary, StatusReport};
+use crate::proto::{
+    read_frame, row_frame_head, splice_row_frame, write_frame, Frame, JobResults, JobSummary,
+    StatusReport,
+};
 use crate::spec::CampaignSpec;
 use chaser::{shard_journal_path, ShardError, ShardPlan, ShardWorkers, StopSignal};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{self, BufReader, Read, Seek, SeekFrom};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -407,7 +418,9 @@ struct Tail {
 }
 
 impl Tail {
-    fn drain_new_rows(&mut self, rows: &mut Vec<chaser::Json>) {
+    /// Appends a `row` frame (after `head`, [`row_frame_head`]) to `out`
+    /// for every complete journal line written since the last call.
+    fn drain_new_rows(&mut self, head: &str, out: &mut Vec<u8>) {
         let Ok(mut f) = std::fs::File::open(&self.path) else {
             return;
         };
@@ -428,13 +441,9 @@ impl Tail {
                 self.skip -= 1;
                 continue;
             }
-            let text = String::from_utf8_lossy(line);
-            let text = text.trim();
-            if text.is_empty() {
-                continue;
-            }
-            if let Ok(v) = chaser::parse_json(text) {
-                rows.push(v);
+            let row = line.trim_ascii();
+            if !row.is_empty() {
+                splice_row_frame(head, row, out);
             }
         }
         self.offset += consumed as u64;
@@ -483,23 +492,30 @@ fn stream_rows(
             skip: 2, // JournalHeader line + ShardMeta line
         })
         .collect();
-    let mut rows = Vec::new();
+    let head = row_frame_head(job);
+    let mut sweep = Vec::new();
     loop {
         let state = {
             let inner = shared.inner.lock().unwrap();
             inner.jobs.get(&job).map(|r| r.state.clone())
         };
         let done = state.as_ref().and_then(|s| terminal_frame(s, job));
+        sweep.clear();
         for tail in &mut tails {
-            tail.drain_new_rows(&mut rows);
+            tail.drain_new_rows(&head, &mut sweep);
         }
-        for row in rows.drain(..) {
-            write_frame(writer, &Frame::Row { job, row })?;
+        // The terminal state was read *before* the final sweep, so every
+        // row journaled before completion goes out ahead of it, in the
+        // same write.
+        if let Some(frame) = &done {
+            write_frame(&mut sweep, frame)?;
         }
-        if let Some(frame) = done {
-            // The terminal state was read *before* the final sweep, so
-            // every row journaled before completion has been streamed.
-            return write_frame(writer, &frame);
+        if !sweep.is_empty() {
+            writer.write_all(&sweep)?;
+            writer.flush()?;
+        }
+        if done.is_some() {
+            return Ok(());
         }
         std::thread::sleep(STREAM_POLL);
     }
@@ -724,4 +740,79 @@ pub fn shard_worker_from_spec_env() -> Result<bool, ServeError> {
         .shard_worker_from_env()
         .map_err(|e| ServeError::Protocol(e.to_string()))?;
     Ok(true)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fixtures::journals;
+
+    fn temp_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("chaser-daemon-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        dir
+    }
+
+    #[test]
+    fn spliced_row_frames_are_the_encoded_row_frames() {
+        let dir = temp_dir("splice");
+        let head = row_frame_head(9);
+        for journal in journals() {
+            let mut expected = Vec::new();
+            for row in journal.rows() {
+                let row = chaser::parse_json(row).expect("journal row parses");
+                write_frame(&mut expected, &Frame::Row { job: 9, row }).expect("encode");
+            }
+            // The tail first sees the journal cut mid-line (inside the
+            // header, mid-file, inside the last row), then whole: only
+            // complete lines past the two preamble lines become frames.
+            let len = journal.bytes.len();
+            for cut in [10, len / 2, len - 3] {
+                let path = dir.join(format!("{}.jsonl", journal.name));
+                std::fs::write(&path, &journal.bytes[..cut]).expect("write prefix");
+                let mut tail = Tail {
+                    path: path.clone(),
+                    offset: 0,
+                    skip: 2,
+                };
+                let mut spliced = Vec::new();
+                tail.drain_new_rows(&head, &mut spliced);
+                std::fs::write(&path, &journal.bytes).expect("write whole");
+                tail.drain_new_rows(&head, &mut spliced);
+                assert_eq!(
+                    String::from_utf8(spliced).expect("UTF-8"),
+                    String::from_utf8(expected.clone()).expect("UTF-8"),
+                    "{} cut at {cut}",
+                    journal.name
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_corrupt_complete_line_reaches_the_client_as_invalid_data() {
+        let dir = temp_dir("corrupt");
+        let path = dir.join("j.jsonl");
+        let journal = &journals()[0];
+        let mut bytes = journal.bytes.clone();
+        bytes.extend_from_slice(b"{\"run_idx\":3,\"outco\n");
+        std::fs::write(&path, &bytes).expect("write");
+        let mut tail = Tail {
+            path,
+            offset: 0,
+            skip: 2,
+        };
+        let mut wire = Vec::new();
+        tail.drain_new_rows(&row_frame_head(1), &mut wire);
+        let mut reader = BufReader::new(&wire[..]);
+        for _ in journal.rows() {
+            let frame = read_frame(&mut reader).expect("intact row").expect("frame");
+            assert!(matches!(frame, Frame::Row { job: 1, .. }));
+        }
+        let err = read_frame(&mut reader).expect_err("corrupt row");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

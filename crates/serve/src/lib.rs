@@ -32,6 +32,11 @@
 mod apps;
 mod client;
 mod daemon;
+#[cfg(test)]
+#[path = "../../../tests/support/damage.rs"]
+mod damage;
+#[cfg(test)]
+mod fixtures;
 mod pool;
 mod proto;
 mod spec;

@@ -7,6 +7,16 @@
 //! a `"frame"` key; clients send [`Frame::Submit`] / [`Frame::Status`] /
 //! [`Frame::Results`] / [`Frame::Drain`], the daemon answers with the
 //! rest.
+//!
+//! Row frames never re-serialise their row. The daemon splices each
+//! journal line, as bytes, between a `{"frame":"row","job":J,"row":` head
+//! and a closing `}` (`splice_row_frame`); journal lines are canonical
+//! encodings, so the result is byte-identical to [`write_frame`] of the
+//! parsed row. [`write_frame`] encodes a row frame straight from the
+//! borrowed row and [`read_frame`] moves the parsed row into
+//! [`Frame::Row`], so neither deep-copies it. The codec rejects lines
+//! nested more than 32 deep as malformed, so no frame can recurse a
+//! connection thread's stack away.
 
 use crate::spec::CampaignSpec;
 use chaser::{encode_json, parse_json, Json, PoolStats};
@@ -156,6 +166,17 @@ fn need_str<'a>(v: &'a Json, key: &str) -> io::Result<&'a str> {
         .map_err(|_| bad(format!("frame missing string `{key}`")))
 }
 
+/// Moves field `key` out of an object, leaving `null` in its place.
+fn take_field(v: &mut Json, key: &str) -> Option<Json> {
+    match v {
+        Json::Obj(fields) => fields
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, field)| std::mem::replace(field, Json::Null)),
+        _ => None,
+    }
+}
+
 fn pool_stats_json(p: &PoolStats) -> Json {
     Json::Obj(vec![
         n("prepared_hits", p.prepared_hits),
@@ -253,14 +274,16 @@ impl Frame {
         }
     }
 
-    /// Parses a frame from its [`Json`] object.
+    /// Parses a frame from its [`Json`] object, moving a row frame's row
+    /// out of it rather than copying it.
     ///
     /// # Errors
     ///
     /// `InvalidData` on an unknown tag or missing/mistyped fields.
-    pub fn from_json(v: &Json) -> io::Result<Frame> {
-        let tag = need_str(v, "frame")?;
-        Ok(match tag {
+    pub fn from_json(mut v: Json) -> io::Result<Frame> {
+        let tag = need_str(&v, "frame")?.to_string();
+        let v = &mut v;
+        Ok(match tag.as_str() {
             "submit" => {
                 let spec = v.get("spec").ok_or_else(|| bad("submit without `spec`"))?;
                 Frame::Submit {
@@ -280,10 +303,7 @@ impl Frame {
             },
             "row" => Frame::Row {
                 job: need_u64(v, "job")?,
-                row: v
-                    .get("row")
-                    .ok_or_else(|| bad("row without `row`"))?
-                    .clone(),
+                row: take_field(v, "row").ok_or_else(|| bad("row without `row`"))?,
             },
             "done" => Frame::Done {
                 job: need_u64(v, "job")?,
@@ -347,11 +367,39 @@ impl Frame {
 ///
 /// Propagates I/O errors from the underlying writer.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    let mut line = String::new();
-    encode_json(&frame.to_json(), &mut line);
+    let mut line = match frame {
+        Frame::Row { job, row } => {
+            let mut line = row_frame_head(*job);
+            encode_json(row, &mut line);
+            line.push('}');
+            line
+        }
+        other => {
+            let mut line = String::new();
+            encode_json(&other.to_json(), &mut line);
+            line
+        }
+    };
     line.push('\n');
     w.write_all(line.as_bytes())?;
     w.flush()
+}
+
+/// The bytes of job `job`'s [`Frame::Row`] line that precede the row
+/// itself: the canonical encoding of the frame's `frame` and `job` fields.
+pub(crate) fn row_frame_head(job: u64) -> String {
+    format!("{{\"frame\":\"row\",\"job\":{job},\"row\":")
+}
+
+/// Appends one complete [`Frame::Row`] line to `out` by splicing the
+/// journal line `row` (no newline) after `head` ([`row_frame_head`]). No
+/// parse, no re-encode: for a canonical journal line the bytes equal
+/// [`write_frame`] of the parsed row. A line that is not valid JSON is
+/// forwarded as it is, and the client's [`read_frame`] rejects it.
+pub(crate) fn splice_row_frame(head: &str, row: &[u8], out: &mut Vec<u8>) {
+    out.extend_from_slice(head.as_bytes());
+    out.extend_from_slice(row);
+    out.extend_from_slice(b"}\n");
 }
 
 /// Reads one frame; `Ok(None)` means clean EOF (peer closed).
@@ -365,7 +413,7 @@ pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<Frame>> {
         return Ok(None);
     }
     let v = parse_json(line.trim_end()).map_err(|e| bad(format!("malformed frame: {e}")))?;
-    Frame::from_json(&v).map(Some)
+    Frame::from_json(v).map(Some)
 }
 
 #[cfg(test)]
@@ -376,6 +424,11 @@ mod tests {
     fn round_trip(frame: Frame) {
         let mut buf = Vec::new();
         write_frame(&mut buf, &frame).expect("write");
+        // Every frame, the row frame's direct encoding included, goes out
+        // as the canonical encoding of its JSON object.
+        let mut line = String::new();
+        encode_json(&frame.to_json(), &mut line);
+        assert_eq!(String::from_utf8(buf.clone()).expect("UTF-8"), line + "\n");
         let mut r = BufReader::new(&buf[..]);
         let back = read_frame(&mut r).expect("read").expect("one frame");
         assert_eq!(back, frame);
@@ -456,6 +509,79 @@ mod tests {
         write_frame(&mut buf, &frame).expect("write");
         assert_eq!(buf.iter().filter(|&&b| b == b'\n').count(), 1);
         round_trip(frame);
+    }
+
+    /// Frame lines as the daemon and its clients send them: a row frame
+    /// for every fixture journal row, a submit carrying chaos directives
+    /// (the deepest client frame) and a status report.
+    fn real_frames() -> &'static [Vec<u8>] {
+        static FRAMES: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
+        FRAMES.get_or_init(|| {
+            let mut frames = Vec::new();
+            for journal in crate::fixtures::journals() {
+                for row in journal.rows() {
+                    let mut wire = Vec::new();
+                    let row = parse_json(row).expect("journal row parses");
+                    write_frame(&mut wire, &Frame::Row { job: 3, row }).expect("encode");
+                    frames.push(wire);
+                }
+            }
+            let spec = CampaignSpec {
+                chaos: vec![chaser::ShardChaos {
+                    shard: 1,
+                    after_rows: 2,
+                    attempts: 1,
+                    kind: chaser::ChaosKind::Stall,
+                }],
+                ..CampaignSpec::default()
+            };
+            for frame in [
+                Frame::Submit { spec },
+                Frame::StatusReport(StatusReport {
+                    jobs: vec![JobSummary {
+                        job: 1,
+                        tenant: "t\u{e9}".into(),
+                        state: "running".into(),
+                        runs: 4,
+                    }],
+                    ..StatusReport::default()
+                }),
+            ] {
+                let mut wire = Vec::new();
+                write_frame(&mut wire, &frame).expect("encode");
+                frames.push(wire);
+            }
+            frames
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3000))]
+
+        /// Every line of damaged wire bytes reads as a frame, a clean EOF
+        /// or `InvalidData` — never a panic.
+        #[test]
+        fn read_frame_answers_damaged_frames(
+            pick in proptest::prelude::any::<usize>(),
+            kind in 0u8..5,
+            at in proptest::prelude::any::<u64>(),
+            byte in proptest::prelude::any::<u8>(),
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..48),
+        ) {
+            let frames = real_frames();
+            let wire = crate::damage::damage(&frames[pick % frames.len()], kind, at, byte, &noise);
+            let mut r = BufReader::new(&wire[..]);
+            loop {
+                match read_frame(&mut r) {
+                    Ok(Some(_)) => {}
+                    Ok(None) => break,
+                    Err(e) => {
+                        proptest::prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                        break;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! prepared-app pool; `drain` checkpoints an in-flight job whose
 //! restart-resumed output is again byte-identical; and admission control
 //! rejects unknown applications, exhausted tenant budgets and unknown job
-//! ids.
+//! ids. Streamed rows are checked by content against the shard journals
+//! (the streamer forwards journal lines as bytes), and a hostile frame
+//! must cost its connection, not the daemon.
 //!
 //! Subprocess shard workers self-exec this test binary: the daemon spawns
 //! `current_exe serve_worker_entry --exact` with the shard assignment in
@@ -15,13 +17,17 @@
 //! job directory's `spec.json` (the journal header check proves the
 //! rebuild matched the supervisor's).
 
-use chaser::{Campaign, CampaignResult, ChaosKind, OperandSel, ShardChaos, ShardSupervision};
+use chaser::{
+    shard_journal_path, Campaign, CampaignResult, ChaosKind, OperandSel, ShardChaos, ShardPlan,
+    ShardSupervision,
+};
 use chaser_isa::InsnClass;
 use chaser_serve::{
     drain, results, shard_worker_from_spec_env, status, submit, CampaignSpec, Daemon, Frame,
     ServeConfig, ServeError,
 };
 use std::fs;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -119,6 +125,49 @@ fn submit_collect(endpoint: &str, spec: &CampaignSpec) -> (u64, Vec<chaser::Json
     (job_id, rows, terminal)
 }
 
+/// Checks job `job`'s streamed rows against its shard journals in `state`.
+/// Exactly once (no worker died): each shard's rows, in stream order, are
+/// its journal's row lines. At least once (a worker was killed and its
+/// shard resumed): every journal row line was streamed.
+fn check_streamed_rows(
+    state: &Path,
+    job: u64,
+    spec: &CampaignSpec,
+    rows: &[chaser::Json],
+    exactly_once: bool,
+) {
+    let streamed: Vec<(u64, String)> = rows
+        .iter()
+        .map(|row| {
+            let mut line = String::new();
+            chaser::encode_json(row, &mut line);
+            (row.u64("run_idx").expect("row has run_idx"), line)
+        })
+        .collect();
+    let base = state.join(format!("job-{job}/campaign.jsonl"));
+    for meta in ShardPlan::split(spec.runs, spec.shards).ranges {
+        let journal = fs::read_to_string(shard_journal_path(&base, meta.shard))
+            .expect("shard journal readable");
+        let journaled: Vec<&str> = journal.lines().skip(2).collect();
+        let shard_rows: Vec<&str> = streamed
+            .iter()
+            .filter(|(idx, _)| (meta.start..meta.end).contains(idx))
+            .map(|(_, line)| line.as_str())
+            .collect();
+        if exactly_once {
+            assert_eq!(shard_rows, journaled, "job {job} shard {}", meta.shard);
+        } else {
+            for line in &journaled {
+                assert!(
+                    shard_rows.contains(line),
+                    "job {job} shard {}: journal row never streamed: {line}",
+                    meta.shard
+                );
+            }
+        }
+    }
+}
+
 /// Two tenants, different seeds and fault models, running concurrently on
 /// one daemon: both must match their standalone references byte for byte.
 fn run_pair(tag: &str, subprocess: bool) {
@@ -166,6 +215,7 @@ fn run_pair(tag: &str, subprocess: bool) {
         // Every journaled row (outcomes + skips) was streamed; where no
         // worker died, at-least-once collapses to exactly-once.
         let journaled = reference.outcomes.len() as u64 + reference.skipped;
+        check_streamed_rows(&dir.join("state"), job, spec, rows, spec.chaos.is_empty());
         if spec.chaos.is_empty() {
             assert_eq!(rows.len() as u64, journaled, "{name} streamed rows");
         } else {
@@ -349,6 +399,7 @@ fn distinct_trace_regimes_get_distinct_pool_entries() {
             reference.outcomes.len() as u64 + reference.skipped,
             "{name} streamed rows"
         );
+        check_streamed_rows(&dir.join("state"), job, spec, &rows, true);
     }
 
     // Identical app and fault model, different regimes: two pool misses
@@ -400,6 +451,32 @@ fn admission_rejects_unknown_apps_budgets_and_unknown_jobs() {
     let err = results(&endpoint, 999).expect_err("unknown job");
     assert!(matches!(err, ServeError::Rejected(_)), "{err}");
 
+    drain(&endpoint).expect("drain");
+    daemon.wait();
+}
+
+/// A frame nested 100 000 deep once recursed the parser off its
+/// connection thread's stack and aborted the whole daemon. The nesting cap
+/// turns it into a malformed frame: the daemon drops that connection and
+/// keeps serving.
+#[test]
+fn a_hostile_frame_costs_its_connection_not_the_daemon() {
+    let dir = temp_dir("hostile-frame");
+    let endpoint = dir.join("sock").display().to_string();
+    let daemon =
+        Daemon::start(&endpoint, &dir.join("state"), ServeConfig::default()).expect("starts");
+
+    let mut conn = std::os::unix::net::UnixStream::connect(&endpoint).expect("connect");
+    let mut line = "[".repeat(100_000);
+    line.push('\n');
+    conn.write_all(line.as_bytes()).expect("send hostile frame");
+    let mut reply = Vec::new();
+    conn.read_to_end(&mut reply)
+        .expect("daemon closes the connection");
+    assert!(reply.is_empty(), "{}", String::from_utf8_lossy(&reply));
+
+    let report = status(&endpoint).expect("daemon still answers");
+    assert!(report.jobs.is_empty(), "{report:?}");
     drain(&endpoint).expect("drain");
     daemon.wait();
 }
