@@ -33,6 +33,10 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # traced half of the checkpoint ladder: on matvec4_full_cold (trace=full +
 # provenance) the frozen traced driver executes every run from launch while
 # `Campaign::run` restores from the ladder, and their rows must match.
+# The same run guards the page-granular message exchange (DESIGN.md §5):
+# every payload's taint and provenance crosses ranks one guest page at a
+# time, so its golden output and its traced rows == ladder rows check that
+# exchange end to end on the one ledger workload whose messages carry taint.
 # The fourth is the served path: short bfs runs, where the injector's
 # trigger countdown carries most of each run's saving, submitted by two
 # tenants to the daemon; its rows must equal the standalone campaign's

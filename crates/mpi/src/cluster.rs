@@ -1532,7 +1532,7 @@ impl Cluster {
         } else {
             vec![0; bytes as usize]
         };
-        let tainted = masks.iter().any(|&m| m != 0);
+        let tainted_bytes = tainted_count(&masks);
 
         let seq = self.send_seq;
         self.send_seq += 1;
@@ -1541,7 +1541,7 @@ impl Cluster {
             TaintCarrier::Header => Some(masks.clone()),
             _ => None,
         };
-        if self.cfg.taint_carrier == TaintCarrier::Hub && tainted {
+        if self.cfg.taint_carrier == TaintCarrier::Hub && tainted_bytes > 0 {
             // Tainted sends also carry their fault provenance, so the
             // receiver can extend the propagation graph across the rank
             // boundary. Empty when the sender tracks no provenance.
@@ -1560,7 +1560,7 @@ impl Cluster {
                     tag,
                 },
                 seq,
-                masks.clone(),
+                masks,
                 self.round,
                 provs,
             );
@@ -1576,7 +1576,6 @@ impl Cluster {
             taint_header,
             seq,
         };
-        let tainted_bytes = masks.iter().filter(|&&m| m != 0).count();
         for obs in &self.observers {
             obs.lock().on_send(&env, tainted_bytes);
         }
@@ -1669,17 +1668,13 @@ impl Cluster {
             self.kill_rank(rank, Signal::Segv);
             return Deliver::Fatal;
         }
-        // Incoming data overwrites whatever taint the buffer carried...
-        let mut masks = vec![0u8; env.data.len()];
-        let mut provs = vec![ProvSet::EMPTY; env.data.len()];
-        let taint_on = self.cfg.taint_policy != TaintPolicy::Disabled;
-        // ...then the configured carrier re-applies the sender's taint.
+        // The configured carrier hands over the sender's masks and, on the
+        // hub, its provenance (empty when the sender tracks none); `None`
+        // means the payload arrived clean.
+        let mut masks: Option<Vec<u8>> = None;
+        let mut provs: Vec<ProvSet> = Vec::new();
         match self.cfg.taint_carrier {
-            TaintCarrier::Header => {
-                if let Some(header) = &env.taint_header {
-                    masks.copy_from_slice(header);
-                }
-            }
+            TaintCarrier::Header => masks = env.taint_header.clone(),
             TaintCarrier::Hub => {
                 let id = MsgId {
                     src: env.src,
@@ -1704,10 +1699,8 @@ impl Cluster {
                 }
                 match self.hub.poll_matching(id, env.seq) {
                     Some(rec) if synced => {
-                        masks.copy_from_slice(&rec.masks);
-                        for (dst, bits) in provs.iter_mut().zip(rec.provs.iter()) {
-                            *dst = ProvSet::from_bits(*bits);
-                        }
+                        provs = rec.provs.iter().map(|&b| ProvSet::from_bits(b)).collect();
+                        masks = Some(rec.masks);
                     }
                     Some(rec) if rec.is_tainted() => self.taint_sync_lost += 1,
                     _ => {}
@@ -1715,10 +1708,16 @@ impl Cluster {
             }
             TaintCarrier::None => {}
         }
-        let tainted_bytes = masks.iter().filter(|&&m| m != 0).count();
-        if taint_on {
+        let tainted_bytes = masks.as_deref().map_or(0, tainted_count);
+        // Incoming data overwrites whatever taint the buffer carried, then
+        // the carried taint is re-applied. Under `Disabled` no shadow holds
+        // taint and there is nothing to overwrite.
+        if self.cfg.taint_policy != TaintPolicy::Disabled {
+            let len = env.data.len();
+            let masks = masks.unwrap_or_else(|| vec![0; len]);
             let _ = self.nodes[ni].write_guest_taint(pid, args.buf, &masks);
-            if provs.iter().any(|p| !p.is_empty()) || self.nodes[ni].taint().prov_any() {
+            if !provs.is_empty() || self.nodes[ni].taint().prov_any() {
+                provs.resize(len, ProvSet::EMPTY);
                 let _ = self.nodes[ni].write_guest_prov(pid, args.buf, &provs);
             }
         }
@@ -1736,10 +1735,7 @@ impl Cluster {
                 seq: env.seq,
                 round: self.round,
                 tainted_bytes,
-                prov_bits: provs
-                    .iter()
-                    .fold(ProvSet::EMPTY, |acc, p| acc.union(*p))
-                    .bits(),
+                prov_bits: prov_union(&provs),
             };
             for obs in &self.observers {
                 obs.lock().on_tainted_delivery(&edge);
@@ -1835,8 +1831,11 @@ impl Cluster {
         }
         let elem = shape.dtype.map_or(0, MpiDatatype::size);
         let bytes = shape.count * elem;
-        let carrier_taint = self.cfg.taint_carrier != TaintCarrier::None
-            && self.cfg.taint_policy != TaintPolicy::Disabled;
+        // Under `Disabled` no shadow holds taint, so a collective does no
+        // taint work at all (`None` below); with the `None` carrier the
+        // payload still overwrites the receivers' taint with clean.
+        let taint_on = self.cfg.taint_policy != TaintPolicy::Disabled;
+        let carrier_taint = taint_on && self.cfg.taint_carrier != TaintCarrier::None;
 
         macro_rules! read_buf {
             ($rank:expr, $addr:expr, $len:expr) => {{
@@ -1852,44 +1851,46 @@ impl Cluster {
             }};
         }
         macro_rules! write_buf {
-            ($rank:expr, $addr:expr, $data:expr, $masks:expr, $provs:expr) => {{
+            ($rank:expr, $addr:expr, $data:expr, $taint:expr) => {{
                 let (ni, pid) = self.ranks[$rank as usize];
                 if self.nodes[ni].write_guest(pid, $addr, $data).is_err() {
                     self.kill_rank($rank, Signal::Segv);
                     self.mpi_abort($rank, MpiErrorKind::RankDied);
                     return;
                 }
-                let masks: &[u8] = $masks;
-                let _ = self.nodes[ni].write_guest_taint(pid, $addr, masks);
-                let provs: &[ProvSet] = $provs;
-                if provs.iter().any(|p| !p.is_empty()) || self.nodes[ni].taint().prov_any() {
-                    let _ = self.nodes[ni].write_guest_prov(pid, $addr, provs);
+                let taint: Option<(&[u8], &[ProvSet])> = $taint;
+                if let Some((masks, provs)) = taint {
+                    let _ = self.nodes[ni].write_guest_taint(pid, $addr, masks);
+                    if provs.iter().any(|p| !p.is_empty()) || self.nodes[ni].taint().prov_any() {
+                        let _ = self.nodes[ni].write_guest_prov(pid, $addr, provs);
+                    }
                 }
             }};
         }
+        // The masks and provenance a payload carries from `$rank`'s buffer.
         macro_rules! read_taint {
             ($rank:expr, $addr:expr, $len:expr) => {{
                 let (ni, pid) = self.ranks[$rank as usize];
-                self.nodes[ni]
-                    .read_guest_taint(pid, $addr, $len)
-                    .unwrap_or_else(|_| vec![0; $len as usize])
-            }};
-        }
-        macro_rules! read_prov {
-            ($rank:expr, $addr:expr, $len:expr) => {{
-                let (ni, pid) = self.ranks[$rank as usize];
-                if self.nodes[ni].taint().prov_any() {
-                    self.nodes[ni]
-                        .read_guest_prov(pid, $addr, $len)
-                        .unwrap_or_else(|_| vec![ProvSet::EMPTY; $len as usize])
+                let node = &self.nodes[ni];
+                if !taint_on {
+                    None
+                } else if !carrier_taint {
+                    Some((vec![0; $len as usize], vec![ProvSet::EMPTY; $len as usize]))
                 } else {
-                    vec![ProvSet::EMPTY; $len as usize]
+                    let masks = node
+                        .read_guest_taint(pid, $addr, $len)
+                        .unwrap_or_else(|_| vec![0; $len as usize]);
+                    let provs = if node.taint().prov_any() {
+                        node.read_guest_prov(pid, $addr, $len)
+                            .unwrap_or_else(|_| vec![ProvSet::EMPTY; $len as usize])
+                    } else {
+                        vec![ProvSet::EMPTY; $len as usize]
+                    };
+                    Some((masks, provs))
                 }
             }};
         }
-
         let tag = coll_tag(shape.kind);
-        let union_bits = |ps: &[ProvSet]| ps.iter().fold(ProvSet::EMPTY, |a, p| a.union(*p)).bits();
         // Tainted cross-rank movements observed during this collective;
         // fired to observers once the data movement is complete.
         let mut edges: Vec<CrossRankEdge> = Vec::new();
@@ -1898,23 +1899,12 @@ impl Cluster {
             CollKind::Barrier => {}
             CollKind::Bcast => {
                 let data = read_buf!(shape.root, shape.sendbuf, bytes);
-                let masks = if carrier_taint {
-                    read_taint!(shape.root, shape.sendbuf, bytes)
-                } else {
-                    vec![0; bytes as usize]
-                };
-                let provs = if carrier_taint {
-                    read_prov!(shape.root, shape.sendbuf, bytes)
-                } else {
-                    vec![ProvSet::EMPTY; bytes as usize]
-                };
-                let tainted = masks.iter().any(|&m| m != 0);
-                let tainted_bytes = masks.iter().filter(|&&m| m != 0).count();
-                let prov_bits = union_bits(&provs);
+                let taint = read_taint!(shape.root, shape.sendbuf, bytes);
+                let (tainted_bytes, prov_bits) = summary(view(&taint));
                 for (r, req) in slot.requests() {
                     if r != shape.root {
-                        write_buf!(r, req.sendbuf, &data, &masks, &provs);
-                        if tainted {
+                        write_buf!(r, req.sendbuf, &data, view(&taint));
+                        if tainted_bytes > 0 {
                             self.cross_rank_tainted_deliveries += 1;
                             edges.push(CrossRankEdge {
                                 src: shape.root,
@@ -1933,8 +1923,12 @@ impl Cluster {
                 let dtype = shape.dtype.expect("reduce has a datatype");
                 let op = shape.op.expect("reduce has an operator");
                 let mut acc: Vec<u8> = Vec::new();
-                let mut acc_masks = vec![0u8; bytes as usize];
-                let mut acc_provs = vec![ProvSet::EMPTY; bytes as usize];
+                let mut acc_taint: PayloadTaint = taint_on.then(|| {
+                    (
+                        vec![0u8; bytes as usize],
+                        vec![ProvSet::EMPTY; bytes as usize],
+                    )
+                });
                 let mut contributions: Vec<Vec<u8>> = Vec::new();
                 let mut tainted_ranks: Vec<u32> = Vec::new();
                 // Per contributing rank: tainted byte count + provenance
@@ -1943,18 +1937,21 @@ impl Cluster {
                 for (r, req) in slot.requests() {
                     let data = read_buf!(r, req.sendbuf, bytes);
                     if carrier_taint {
-                        let masks = read_taint!(r, req.sendbuf, bytes);
-                        let provs = read_prov!(r, req.sendbuf, bytes);
-                        let tainted_bytes = masks.iter().filter(|&&m| m != 0).count();
+                        let taint = read_taint!(r, req.sendbuf, bytes);
+                        let (tainted_bytes, prov_bits) = summary(view(&taint));
                         if tainted_bytes > 0 {
                             tainted_ranks.push(r);
-                            taint_srcs.push((r, tainted_bytes, union_bits(&provs)));
+                            taint_srcs.push((r, tainted_bytes, prov_bits));
                         }
-                        for (m, a) in masks.iter().zip(acc_masks.iter_mut()) {
-                            *a |= m;
-                        }
-                        for (p, a) in provs.iter().zip(acc_provs.iter_mut()) {
-                            *a = a.union(*p);
+                        if let (Some((masks, provs)), Some((acc_masks, acc_provs))) =
+                            (&taint, &mut acc_taint)
+                        {
+                            for (m, a) in masks.iter().zip(acc_masks.iter_mut()) {
+                                *a |= m;
+                            }
+                            for (p, a) in provs.iter().zip(acc_provs.iter_mut()) {
+                                *a = a.union(*p);
+                            }
                         }
                     }
                     if acc.is_empty() {
@@ -1972,7 +1969,7 @@ impl Cluster {
                         .find(|(r, _)| *r == shape.root)
                         .map(|(_, req)| *req)
                         .expect("root joined");
-                    write_buf!(shape.root, root_req.recvbuf, &acc, &acc_masks, &acc_provs);
+                    write_buf!(shape.root, root_req.recvbuf, &acc, view(&acc_taint));
                     if tainted_ranks.iter().any(|&t| t != shape.root) {
                         self.cross_rank_tainted_deliveries += 1;
                     }
@@ -1991,7 +1988,7 @@ impl Cluster {
                     }
                 } else {
                     for (r, req) in slot.requests() {
-                        write_buf!(r, req.recvbuf, &acc, &acc_masks, &acc_provs);
+                        write_buf!(r, req.recvbuf, &acc, view(&acc_taint));
                         if tainted_ranks.iter().any(|&t| t != r) {
                             self.cross_rank_tainted_deliveries += 1;
                         }
@@ -2014,29 +2011,14 @@ impl Cluster {
             CollKind::Scatter => {
                 let total = bytes * n as u64;
                 let data = read_buf!(shape.root, shape.sendbuf, total);
-                let masks = if carrier_taint {
-                    read_taint!(shape.root, shape.sendbuf, total)
-                } else {
-                    vec![0; total as usize]
-                };
-                let provs = if carrier_taint {
-                    read_prov!(shape.root, shape.sendbuf, total)
-                } else {
-                    vec![ProvSet::EMPTY; total as usize]
-                };
+                let taint = read_taint!(shape.root, shape.sendbuf, total);
                 for (r, req) in slot.requests() {
-                    let off = (r as u64 * bytes) as usize;
-                    let chunk_masks = &masks[off..off + bytes as usize];
-                    let chunk_provs = &provs[off..off + bytes as usize];
-                    let tainted = chunk_masks.iter().any(|&m| m != 0);
-                    write_buf!(
-                        r,
-                        req.recvbuf,
-                        &data[off..off + bytes as usize],
-                        chunk_masks,
-                        chunk_provs
-                    );
-                    if tainted && r != shape.root {
+                    let chunk = (r as u64 * bytes) as usize..((r + 1) as u64 * bytes) as usize;
+                    let chunk_taint =
+                        view(&taint).map(|(m, p)| (&m[chunk.clone()], &p[chunk.clone()]));
+                    let (tainted_bytes, prov_bits) = summary(chunk_taint);
+                    write_buf!(r, req.recvbuf, &data[chunk], chunk_taint);
+                    if tainted_bytes > 0 && r != shape.root {
                         self.cross_rank_tainted_deliveries += 1;
                         edges.push(CrossRankEdge {
                             src: shape.root,
@@ -2044,8 +2026,8 @@ impl Cluster {
                             tag,
                             seq: 0,
                             round: self.round,
-                            tainted_bytes: chunk_masks.iter().filter(|&&m| m != 0).count(),
-                            prov_bits: union_bits(chunk_provs),
+                            tainted_bytes,
+                            prov_bits,
                         });
                     }
                 }
@@ -2058,20 +2040,11 @@ impl Cluster {
                     .expect("root joined");
                 for (r, req) in slot.requests() {
                     let data = read_buf!(r, req.sendbuf, bytes);
-                    let masks = if carrier_taint {
-                        read_taint!(r, req.sendbuf, bytes)
-                    } else {
-                        vec![0; bytes as usize]
-                    };
-                    let provs = if carrier_taint {
-                        read_prov!(r, req.sendbuf, bytes)
-                    } else {
-                        vec![ProvSet::EMPTY; bytes as usize]
-                    };
+                    let taint = read_taint!(r, req.sendbuf, bytes);
+                    let (tainted_bytes, prov_bits) = summary(view(&taint));
                     let dst = root_req.recvbuf + r as u64 * bytes;
-                    let tainted = masks.iter().any(|&m| m != 0);
-                    write_buf!(shape.root, dst, &data, &masks, &provs);
-                    if tainted && r != shape.root {
+                    write_buf!(shape.root, dst, &data, view(&taint));
+                    if tainted_bytes > 0 && r != shape.root {
                         self.cross_rank_tainted_deliveries += 1;
                         edges.push(CrossRankEdge {
                             src: r,
@@ -2079,8 +2052,8 @@ impl Cluster {
                             tag,
                             seq: 0,
                             round: self.round,
-                            tainted_bytes: masks.iter().filter(|&&m| m != 0).count(),
-                            prov_bits: union_bits(&provs),
+                            tainted_bytes,
+                            prov_bits,
                         });
                     }
                 }
@@ -2120,6 +2093,38 @@ pub(crate) fn run_chunk(
             }
             out.push((rank, node.run_slice(pid, quantum)));
         }
+    }
+}
+
+/// Number of tainted bytes in a payload's masks: the one pass a message's
+/// taint bookkeeping makes over them.
+fn tainted_count(masks: &[u8]) -> usize {
+    masks.iter().filter(|&&m| m != 0).count()
+}
+
+/// The union of a payload's per-byte provenance, as raw bits.
+fn prov_union(provs: &[ProvSet]) -> u32 {
+    provs
+        .iter()
+        .fold(ProvSet::EMPTY, |acc, p| acc.union(*p))
+        .bits()
+}
+
+/// A collective payload's masks and provenance, `None` under
+/// `TaintPolicy::Disabled`.
+type PayloadTaint = Option<(Vec<u8>, Vec<ProvSet>)>;
+
+/// A payload's taint as slices.
+fn view(t: &PayloadTaint) -> Option<(&[u8], &[ProvSet])> {
+    t.as_ref().map(|(m, p)| (m.as_slice(), p.as_slice()))
+}
+
+/// A payload's tainted byte count and, when it has any, its provenance
+/// union: one pass over the masks.
+fn summary(t: Option<(&[u8], &[ProvSet])>) -> (usize, u32) {
+    match t.map(|(m, p)| (tainted_count(m), p)) {
+        Some((n, p)) if n > 0 => (n, prov_union(p)),
+        _ => (0, 0),
     }
 }
 

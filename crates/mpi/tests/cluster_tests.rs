@@ -1,12 +1,14 @@
 //! End-to-end cluster tests with hand-written guest MPI programs.
 
-use chaser_isa::{abi, Asm, Cond, Program, Reg};
+use chaser_isa::{abi, Asm, Cond, Program, Reg, PAGE_SIZE};
 use chaser_mpi::{
-    BudgetKind, Cluster, ClusterConfig, Faultiness, HubSyncPolicy, MpiErrorKind, PendingOp,
-    RunBudget, TaintCarrier,
+    BudgetKind, Cluster, ClusterConfig, CrossRankEdge, Envelope, Faultiness, HubSyncPolicy,
+    MpiErrorKind, MpiObserver, PendingOp, RunBudget, TaintCarrier,
 };
-use chaser_taint::TaintMask;
+use chaser_taint::{ProvSet, TaintMask};
 use chaser_vm::{ExitStatus, Signal};
+use parking_lot::Mutex;
+use std::sync::Arc;
 
 fn small_config(nodes: usize) -> ClusterConfig {
     ClusterConfig {
@@ -1032,4 +1034,227 @@ fn death_before_joining_a_collective_aborts() {
     assert!(!run.hang, "must be detected as an error, not a hang");
     assert_eq!(run.rank_exits[2], Some(ExitStatus::Signaled(Signal::Segv)));
     assert_eq!(run.mpi_error.expect("err").kind, MpiErrorKind::RankDied);
+}
+
+/// Elements per rank in the collective taint test: 4 800 B of `i64`, so
+/// every buffer straddles a guest page boundary.
+const COLL_COUNT: u64 = 600;
+const COLL_BYTES: usize = COLL_COUNT as usize * 8;
+
+/// Per-byte masks and provenance of a guest buffer.
+type Pattern = (Vec<u8>, Vec<ProvSet>);
+
+/// Taint pattern `seed` over `len` bytes: tainted and clean runs across the
+/// whole buffer (both sides of its page boundary), each tainted byte
+/// naming fault `2·seed` or `2·seed + 1`.
+fn coll_pattern(seed: u32, len: usize) -> Pattern {
+    let masks: Vec<u8> = (0..len)
+        .map(|i| {
+            if (i * 7 + seed as usize * 13) % 11 < 4 {
+                (i as u8 ^ seed as u8) | 1
+            } else {
+                0
+            }
+        })
+        .collect();
+    let provs = masks
+        .iter()
+        .enumerate()
+        .map(|(i, &m)| match m {
+            0 => ProvSet::EMPTY,
+            _ => ProvSet::single(2 * seed + (i % 2) as u32),
+        })
+        .collect();
+    (masks, provs)
+}
+
+/// Per-byte union of two patterns: what a reduction hands its receivers.
+fn coll_union((ma, pa): &Pattern, (mb, pb): &Pattern) -> Pattern {
+    (
+        ma.iter().zip(mb).map(|(a, b)| a | b).collect(),
+        pa.iter().zip(pb).map(|(a, b)| a.union(*b)).collect(),
+    )
+}
+
+fn coll_edge_of(src: u32, dest: u32, (masks, provs): &Pattern) -> (u32, u32, usize, u32) {
+    let tainted = masks.iter().filter(|&&m| m != 0).count();
+    let bits = provs.iter().fold(ProvSet::EMPTY, |a, p| a.union(*p)).bits();
+    (src, dest, tainted, bits)
+}
+
+/// Records every cross-rank taint edge.
+#[derive(Default)]
+struct EdgeLog(Vec<CrossRankEdge>);
+
+impl MpiObserver for EdgeLog {
+    fn on_send(&mut self, _env: &Envelope, _tainted_bytes: usize) {}
+    fn on_delivered(&mut self, _env: &Envelope, _tainted_bytes: usize) {}
+    fn on_tainted_delivery(&mut self, edge: &CrossRankEdge) {
+        self.0.push(edge.clone());
+    }
+}
+
+/// Taint and provenance move through every collective byte for byte, from
+/// and into buffers that straddle a page boundary: bcast copies the root's
+/// pattern, reduce and allreduce deliver the per-byte union of the
+/// contributions, scatter hands each rank its chunk (overwriting the taint
+/// its buffer had), gather lays the contributions side by side; clean
+/// contributors add no edge.
+#[test]
+fn taint_moves_through_every_collective() {
+    let mut a = Asm::new("colltaint");
+    let n = COLL_COUNT as i64;
+    for (name, elems) in [
+        ("b", n),
+        ("rs", n),
+        ("rr", n),
+        ("as", n),
+        ("ar", n),
+        ("ss", 3 * n),
+        ("sr", n),
+        ("gs", n),
+        ("gr", 3 * n),
+    ] {
+        a.bss(name, elems as u64 * 8);
+    }
+    a.hypercall(abi::MPI_INIT);
+    a.lea(Reg::R1, "b");
+    a.movi(Reg::R2, n);
+    a.movi(Reg::R3, 1); // I64
+    a.movi(Reg::R4, 0); // root
+    a.hypercall(abi::MPI_BCAST);
+    a.lea(Reg::R1, "rs");
+    a.lea(Reg::R2, "rr");
+    a.movi(Reg::R3, n);
+    a.movi(Reg::R4, 1); // I64
+    a.movi(Reg::R5, 1); // Sum
+    a.movi(Reg::R6, 1); // root
+    a.hypercall(abi::MPI_REDUCE);
+    a.lea(Reg::R1, "as");
+    a.lea(Reg::R2, "ar");
+    a.movi(Reg::R3, n);
+    a.movi(Reg::R4, 1);
+    a.movi(Reg::R5, 1);
+    a.hypercall(abi::MPI_ALLREDUCE);
+    for (send, recv, root, call) in [
+        ("ss", "sr", 2, abi::MPI_SCATTER),
+        ("gs", "gr", 0, abi::MPI_GATHER),
+    ] {
+        a.lea(Reg::R1, send);
+        a.lea(Reg::R2, recv);
+        a.movi(Reg::R3, n);
+        a.movi(Reg::R4, 1);
+        a.movi(Reg::R5, root);
+        a.hypercall(call);
+    }
+    a.hypercall(abi::MPI_FINALIZE);
+    a.exit(0);
+    let prog = a.assemble().expect("assemble");
+    let sym = |name: &str| prog.symbol(name).expect("symbol");
+    for name in ["b", "rs", "rr", "as", "ar", "sr", "gs"] {
+        let start = sym(name);
+        assert_ne!(
+            start / PAGE_SIZE,
+            (start + COLL_BYTES as u64 - 1) / PAGE_SIZE,
+            "{name} straddles a page"
+        );
+    }
+
+    let mut cluster = Cluster::new(small_config(3));
+    cluster.launch_replicated(&prog, 3).expect("launch");
+    let log = Arc::new(Mutex::new(EdgeLog::default()));
+    cluster.add_observer(log.clone());
+    let taint = |cluster: &mut Cluster, rank: u32, name: &str, pat: &Pattern| {
+        let (ni, pid) = cluster.rank_location(rank);
+        let node = cluster.node_mut(ni);
+        node.write_guest_taint(pid, sym(name), &pat.0)
+            .expect("taint");
+        node.write_guest_prov(pid, sym(name), &pat.1).expect("prov");
+    };
+    let bcast = coll_pattern(1, COLL_BYTES);
+    taint(&mut cluster, 0, "b", &bcast);
+    let (reduce0, reduce1) = (coll_pattern(2, COLL_BYTES), coll_pattern(3, COLL_BYTES));
+    taint(&mut cluster, 0, "rs", &reduce0);
+    taint(&mut cluster, 1, "rs", &reduce1);
+    let (all1, all2) = (coll_pattern(4, COLL_BYTES), coll_pattern(5, COLL_BYTES));
+    taint(&mut cluster, 1, "as", &all1);
+    taint(&mut cluster, 2, "as", &all2);
+    let scatter = coll_pattern(6, 3 * COLL_BYTES);
+    taint(&mut cluster, 2, "ss", &scatter);
+    taint(&mut cluster, 1, "sr", &coll_pattern(9, COLL_BYTES));
+    let (gather0, gather2) = (coll_pattern(7, COLL_BYTES), coll_pattern(8, COLL_BYTES));
+    taint(&mut cluster, 0, "gs", &gather0);
+    taint(&mut cluster, 2, "gs", &gather2);
+
+    let run = cluster.run();
+    assert!(!run.hang);
+    assert_eq!(run.mpi_error, None);
+    assert!(run
+        .rank_exits
+        .iter()
+        .all(|e| *e == Some(ExitStatus::Exited(0))));
+
+    let clean = (vec![0u8; COLL_BYTES], vec![ProvSet::EMPTY; COLL_BYTES]);
+    let chunk = |(m, p): &Pattern, r: usize| {
+        let range = r * COLL_BYTES..(r + 1) * COLL_BYTES;
+        (m[range.clone()].to_vec(), p[range].to_vec())
+    };
+    let reduced = coll_union(&reduce0, &reduce1);
+    let all = coll_union(&all1, &all2);
+    let gathered = (
+        [gather0.0.clone(), clean.0.clone(), gather2.0.clone()].concat(),
+        [gather0.1.clone(), clean.1.clone(), gather2.1.clone()].concat(),
+    );
+    let expect: Vec<(u32, &str, &Pattern)> = vec![
+        (1, "b", &bcast),
+        (2, "b", &bcast),
+        (1, "rr", &reduced),
+        (0, "ar", &all),
+        (1, "ar", &all),
+        (2, "ar", &all),
+        (0, "gr", &gathered),
+    ];
+    let scattered: Vec<_> = (0..3).map(|r| chunk(&scatter, r)).collect();
+    let read = |rank: u32, name: &str, len: usize| {
+        let (ni, pid) = cluster.rank_location(rank);
+        let node = cluster.node(ni);
+        (
+            node.read_guest_taint(pid, sym(name), len as u64)
+                .expect("masks"),
+            node.read_guest_prov(pid, sym(name), len as u64)
+                .expect("provs"),
+        )
+    };
+    for (rank, name, want) in expect {
+        assert!(
+            read(rank, name, want.0.len()) == *want,
+            "rank {rank} {name}"
+        );
+    }
+    for (r, want) in scattered.iter().enumerate() {
+        assert!(read(r as u32, "sr", COLL_BYTES) == *want, "rank {r} sr");
+    }
+
+    assert_eq!(run.cross_rank_tainted_deliveries, 2 + 1 + 3 + 2 + 1);
+    let mut edges: Vec<_> = log
+        .lock()
+        .0
+        .iter()
+        .map(|e| (e.src, e.dest, e.tainted_bytes, e.prov_bits))
+        .collect();
+    let mut want = vec![
+        coll_edge_of(0, 1, &bcast),
+        coll_edge_of(0, 2, &bcast),
+        coll_edge_of(0, 1, &reduce0),
+        coll_edge_of(1, 0, &all1),
+        coll_edge_of(1, 2, &all1),
+        coll_edge_of(2, 0, &all2),
+        coll_edge_of(2, 1, &all2),
+        coll_edge_of(2, 0, &scattered[0]),
+        coll_edge_of(2, 1, &scattered[1]),
+        coll_edge_of(2, 0, &gather2),
+    ];
+    edges.sort_unstable();
+    want.sort_unstable();
+    assert_eq!(edges, want);
 }

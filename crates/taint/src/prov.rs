@@ -220,6 +220,52 @@ impl ProvMem {
         self.live_bytes = self.live_bytes - old_live as usize + new_live as usize;
     }
 
+    /// Reads the sets of the `out.len()` bytes at `paddr`, which must lie
+    /// inside one page. A page with no live set reads as empty sets without
+    /// its sets being touched.
+    pub fn read_in_page(&self, paddr: u64, out: &mut [ProvSet]) {
+        let (frame, off) = split(paddr);
+        debug_assert!(off + out.len() <= PAGE, "read crosses a page");
+        match self.pages.get(frame).and_then(ProvPage::live_sets) {
+            Some(sets) => out.copy_from_slice(&sets[off..off + out.len()]),
+            None => out.fill(ProvSet::EMPTY),
+        }
+    }
+
+    /// Overwrites the sets of the `sets.len()` bytes at `paddr`, which must
+    /// lie inside one page. An all-empty write to a page with no live set
+    /// (or no page) returns at once and allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a non-empty set lands beyond the capacity.
+    pub fn write_in_page(&mut self, paddr: u64, sets: &[ProvSet]) {
+        let (frame, off) = split(paddr);
+        debug_assert!(off + sets.len() <= PAGE, "write crosses a page");
+        let new = live_count(sets);
+        let page = if new == 0 {
+            match self.pages.get_mut(frame) {
+                Some(page) if page.live > 0 => page,
+                _ => return,
+            }
+        } else {
+            self.pages.get_or_alloc(frame, ProvPage::new)
+        };
+        let slot = &mut page.sets[off..off + sets.len()];
+        let old = live_count(slot);
+        slot.copy_from_slice(sets);
+        page.live = page.live - old + new;
+        debug_assert_eq!(page.live, live_count(&page.sets[..]), "page summary");
+        self.live_bytes = self.live_bytes - old as usize + new as usize;
+    }
+
+    /// Number of frame-index slots: a write that stores nothing must not
+    /// grow it.
+    #[cfg(test)]
+    pub(crate) fn index_len(&self) -> usize {
+        self.pages.len()
+    }
+
     /// Number of bytes carrying provenance.
     pub fn provenanced_bytes(&self) -> usize {
         self.live_bytes
@@ -245,6 +291,12 @@ impl ProvMem {
             }
         }
     }
+}
+
+/// Number of non-empty sets in `sets`.
+#[inline]
+fn live_count(sets: &[ProvSet]) -> u32 {
+    sets.iter().filter(|s| !s.is_empty()).count() as u32
 }
 
 #[cfg(test)]

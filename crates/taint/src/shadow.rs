@@ -218,6 +218,52 @@ impl ShadowMem {
         self.tainted_bytes = self.tainted_bytes - old as usize + new as usize;
     }
 
+    /// Reads the masks of the `out.len()` bytes at `paddr`, which must lie
+    /// inside one page. A page with no tainted byte reads as zeros without
+    /// its masks being touched.
+    pub fn read_in_page(&self, paddr: u64, out: &mut [u8]) {
+        let (frame, off) = split(paddr);
+        debug_assert!(off + out.len() <= PAGE, "read crosses a page");
+        match self.pages.get(frame) {
+            Some(p) if p.tainted > 0 => out.copy_from_slice(&p.masks[off..off + out.len()]),
+            _ => out.fill(0),
+        }
+    }
+
+    /// Overwrites the masks of the `masks.len()` bytes at `paddr`, which
+    /// must lie inside one page. An all-clean write to a page with no
+    /// tainted byte (or no page) returns at once and allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tainted byte lands beyond the capacity.
+    pub fn write_in_page(&mut self, paddr: u64, masks: &[u8]) {
+        let (frame, off) = split(paddr);
+        debug_assert!(off + masks.len() <= PAGE, "write crosses a page");
+        let new = nonzero_count(masks);
+        let p = if new == 0 {
+            match self.pages.get_mut(frame) {
+                Some(p) if p.tainted > 0 => p,
+                _ => return,
+            }
+        } else {
+            self.pages.get_or_alloc(frame, ShadowPage::new)
+        };
+        let slot = &mut p.masks[off..off + masks.len()];
+        let old = nonzero_count(slot);
+        slot.copy_from_slice(masks);
+        p.tainted = p.tainted - old + new;
+        debug_assert_eq!(p.tainted, nonzero_count(&p.masks[..]), "page summary");
+        self.tainted_bytes = self.tainted_bytes - old as usize + new as usize;
+    }
+
+    /// Number of frame-index slots: a write that stores nothing must not
+    /// grow it.
+    #[cfg(test)]
+    pub(crate) fn index_len(&self) -> usize {
+        self.pages.len()
+    }
+
     /// Current number of tainted bytes (the Fig. 7 series).
     pub fn tainted_bytes(&self) -> usize {
         self.tainted_bytes
@@ -267,6 +313,12 @@ pub(crate) fn split(paddr: u64) -> (usize, usize) {
         (paddr / PAGE as u64) as usize,
         (paddr % PAGE as u64) as usize,
     )
+}
+
+/// Number of non-zero bytes in `bytes`.
+#[inline]
+fn nonzero_count(bytes: &[u8]) -> u32 {
+    bytes.iter().filter(|&&b| b != 0).count() as u32
 }
 
 /// Number of non-zero bytes in `x`: bit 7 of each byte of `t` is set iff

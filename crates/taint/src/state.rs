@@ -321,6 +321,28 @@ impl TaintState {
         }
     }
 
+    /// The provenance of the `out.len()` bytes at `paddr`, inside one page
+    /// (the bulk twin of [`TaintState::prov_byte`]).
+    pub fn prov_read_in_page(&self, paddr: u64, out: &mut [ProvSet]) {
+        if self.prov_any {
+            self.prov_mem.read_in_page(paddr, out);
+        } else {
+            out.fill(ProvSet::EMPTY);
+        }
+    }
+
+    /// Sets (or clears) the provenance of the `sets.len()` bytes at
+    /// `paddr`, inside one page (the bulk twin of
+    /// [`TaintState::set_prov_byte`]).
+    pub fn prov_write_in_page(&mut self, paddr: u64, sets: &[ProvSet]) {
+        if !self.prov_any && sets.iter().any(|s| !s.is_empty()) {
+            self.prov_any = true;
+        }
+        if self.prov_any {
+            self.prov_mem.write_in_page(paddr, sets);
+        }
+    }
+
     /// True once any non-empty provenance has been recorded.
     pub fn prov_any(&self) -> bool {
         self.prov_any
@@ -387,6 +409,7 @@ impl TaintState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn temps_are_clean_at_block_start() {
@@ -514,5 +537,146 @@ mod tests {
         s.clear();
         assert!(!s.prov_any());
         assert_eq!(s.prov_mem().provenanced_bytes(), 0);
+    }
+
+    const PAGE: u64 = crate::shadow::PAGE as u64;
+    /// Frames the bulk-operation tests touch.
+    const FRAMES: u64 = 3;
+
+    /// Expands `(run, kind, value)` segments into `len` bytes: clean runs
+    /// (kind 0), solid runs (1) and alternating runs (2); clean past the
+    /// last segment. Whole clean pages, tainted pages and mixed pages all
+    /// come out of it.
+    fn pattern(len: usize, segs: &[(usize, u8, u8)]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        for &(run, kind, value) in segs {
+            for i in 0..run.min(len - out.len()) {
+                out.push(match kind {
+                    0 => 0,
+                    1 => value,
+                    _ if i % 2 == 0 => value,
+                    _ => 0,
+                });
+            }
+        }
+        out.resize(len, 0);
+        out
+    }
+
+    fn prov_of(b: u8) -> ProvSet {
+        ProvSet::from_bits(u32::from(b) * 0x0101)
+    }
+
+    /// One bulk operation: `(kind, paddr, len, segments)`; kinds 0/1 write
+    /// masks/provenance, 2/3 read them. The range stays inside one page.
+    type BulkOp = (u8, u64, usize, Vec<(usize, u8, u8)>);
+
+    fn arb_bulk_op() -> impl Strategy<Value = BulkOp> {
+        let segs = proptest::collection::vec(
+            (
+                prop_oneof![1usize..16, 16usize..2 * PAGE as usize],
+                0u8..3,
+                any::<u8>(),
+            ),
+            0..4,
+        );
+        (0u8..4, 0..FRAMES * PAGE, 0..=PAGE as usize, segs).prop_map(|(kind, paddr, len, segs)| {
+            let len = len.min((PAGE - paddr % PAGE) as usize);
+            (kind, paddr, len, segs)
+        })
+    }
+
+    fn tainted_pages(s: &TaintState) -> Vec<(u64, Vec<u8>)> {
+        let mut out = Vec::new();
+        s.mem()
+            .for_each_tainted_page(|base, masks| out.push((base, masks.to_vec())));
+        out
+    }
+
+    fn prov_bytes(s: &TaintState) -> Vec<(u64, ProvSet)> {
+        let mut out = Vec::new();
+        s.prov_mem().for_each(|paddr, p| out.push((paddr, p)));
+        out
+    }
+
+    proptest! {
+        /// The in-page bulk reads and writes against the per-byte
+        /// operations as reference: same contents, counters, page
+        /// summaries, `prov_any` and index length, with and without
+        /// provenance, including tainted-then-clean overwrites.
+        #[test]
+        fn bulk_in_page_ops_match_per_byte_ops(
+            ops in proptest::collection::vec(arb_bulk_op(), 1..24),
+        ) {
+            let mut bulk = TaintState::new(TaintPolicy::Precise);
+            let mut byte = TaintState::new(TaintPolicy::Precise);
+            for (kind, paddr, len, segs) in &ops {
+                let (paddr, len) = (*paddr, *len);
+                let bytes = pattern(len, segs);
+                match kind {
+                    0 => {
+                        bulk.mem_mut().write_in_page(paddr, &bytes);
+                        for (i, &m) in bytes.iter().enumerate() {
+                            byte.mem_mut().set_byte(paddr + i as u64, m);
+                        }
+                    }
+                    1 => {
+                        let sets: Vec<ProvSet> = bytes.iter().map(|&b| prov_of(b)).collect();
+                        bulk.prov_write_in_page(paddr, &sets);
+                        for (i, &p) in sets.iter().enumerate() {
+                            byte.set_prov_byte(paddr + i as u64, p);
+                        }
+                    }
+                    2 => {
+                        let mut got = vec![0xa5; len];
+                        bulk.mem().read_in_page(paddr, &mut got);
+                        let want: Vec<u8> =
+                            (0..len as u64).map(|i| byte.mem().byte(paddr + i)).collect();
+                        prop_assert_eq!(got, want);
+                    }
+                    _ => {
+                        let mut got = vec![ProvSet::single(7); len];
+                        bulk.prov_read_in_page(paddr, &mut got);
+                        let want: Vec<ProvSet> =
+                            (0..len as u64).map(|i| byte.prov_byte(paddr + i)).collect();
+                        prop_assert_eq!(got, want);
+                    }
+                }
+                prop_assert_eq!(bulk.mem().tainted_bytes(), byte.mem().tainted_bytes());
+                prop_assert_eq!(
+                    bulk.prov_mem().provenanced_bytes(),
+                    byte.prov_mem().provenanced_bytes()
+                );
+                prop_assert_eq!(bulk.prov_any(), byte.prov_any());
+                for frame in 0..FRAMES {
+                    prop_assert_eq!(
+                        bulk.mem().page_tainted_bytes(frame * PAGE),
+                        byte.mem().page_tainted_bytes(frame * PAGE)
+                    );
+                }
+                prop_assert_eq!(bulk.mem().index_len(), byte.mem().index_len());
+                prop_assert_eq!(bulk.prov_mem().index_len(), byte.prov_mem().index_len());
+            }
+            prop_assert_eq!(tainted_pages(&bulk), tainted_pages(&byte));
+            prop_assert_eq!(prov_bytes(&bulk), prov_bytes(&byte));
+        }
+    }
+
+    #[test]
+    fn clean_bulk_writes_allocate_nothing() {
+        let mut s = TaintState::new(TaintPolicy::Precise);
+        s.mem_mut().write_in_page(5 * PAGE + 3, &[0; 100]);
+        s.prov_write_in_page(7 * PAGE, &[ProvSet::EMPTY; 64]);
+        assert_eq!(s.mem().index_len(), 0);
+        assert_eq!(s.prov_mem().index_len(), 0);
+        assert!(!s.prov_any(), "empty sets do not switch provenance on");
+        s.mem_mut().write_in_page(2 * PAGE + 10, &[0, 3, 0, 1]);
+        assert_eq!(s.mem().tainted_bytes(), 2);
+        assert_eq!(s.mem().page_tainted_bytes(2 * PAGE), 2);
+        assert_eq!(s.mem().index_len(), 3);
+        // Tainted-then-clean: the overwrite clears and the counts follow.
+        s.mem_mut().write_in_page(2 * PAGE + 8, &[0; 8]);
+        assert!(s.mem().is_idle());
+        assert_eq!(s.mem().page_tainted_bytes(2 * PAGE), 0);
     }
 }

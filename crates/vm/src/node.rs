@@ -295,27 +295,33 @@ impl Node {
         proc.aspace.write_bytes(&mut self.phys, vaddr, data)
     }
 
-    /// Reads the per-byte taint shadow of a guest buffer.
+    /// Reads the per-byte taint shadow of a guest buffer, one page at a
+    /// time: a page with no tainted byte reads as zeros without its masks
+    /// being touched.
     ///
     /// # Errors
     ///
-    /// Propagates the guest [`MemFault`] on bad addresses.
+    /// Propagates the guest [`MemFault`] of the first unmapped page.
     pub fn read_guest_taint(&self, pid: u64, vaddr: u64, len: u64) -> Result<Vec<u8>, MemFault> {
         let proc = self.process(pid).expect("unknown pid");
-        let mut out = Vec::with_capacity(len as usize);
-        for i in 0..len {
-            let paddr = proc.aspace.translate_read(vaddr + i)?;
-            out.push(self.taint.mem().byte(paddr));
-        }
+        let shadow = self.taint.mem();
+        let mut out = Vec::with_capacity(prealloc(len));
+        proc.aspace
+            .for_each_page(vaddr, len, false, |paddr, at, n| {
+                out.resize(at + n, 0);
+                shadow.read_in_page(paddr, &mut out[at..]);
+            })?;
         Ok(out)
     }
 
     /// Writes the per-byte taint shadow of a guest buffer (applying an
-    /// incoming message's taint on the receiver).
+    /// incoming message's taint on the receiver), one page at a time: an
+    /// all-clean chunk on a taint-free page is a no-op.
     ///
     /// # Errors
     ///
-    /// Propagates the guest [`MemFault`] on bad addresses.
+    /// Propagates the guest [`MemFault`] of the first unmapped page; every
+    /// page before it has been written.
     pub fn write_guest_taint(
         &mut self,
         pid: u64,
@@ -323,18 +329,21 @@ impl Node {
         masks: &[u8],
     ) -> Result<(), MemFault> {
         let idx = self.index(pid).expect("unknown pid");
-        for (i, m) in masks.iter().enumerate() {
-            let paddr = self.procs[idx].aspace.translate_read(vaddr + i as u64)?;
-            self.taint.mem_mut().set_byte(paddr, *m);
-        }
-        Ok(())
+        let shadow = self.taint.mem_mut();
+        self.procs[idx]
+            .aspace
+            .for_each_page(vaddr, masks.len() as u64, false, |paddr, at, n| {
+                shadow.write_in_page(paddr, &masks[at..at + n])
+            })
     }
 
-    /// Reads the per-byte fault provenance of a guest buffer.
+    /// Reads the per-byte fault provenance of a guest buffer, one page at a
+    /// time: a page with no provenance reads as empty sets without its sets
+    /// being touched.
     ///
     /// # Errors
     ///
-    /// Propagates the guest [`MemFault`] on bad addresses.
+    /// Propagates the guest [`MemFault`] of the first unmapped page.
     pub fn read_guest_prov(
         &self,
         pid: u64,
@@ -342,20 +351,23 @@ impl Node {
         len: u64,
     ) -> Result<Vec<chaser_taint::ProvSet>, MemFault> {
         let proc = self.process(pid).expect("unknown pid");
-        let mut out = Vec::with_capacity(len as usize);
-        for i in 0..len {
-            let paddr = proc.aspace.translate_read(vaddr + i)?;
-            out.push(self.taint.prov_byte(paddr));
-        }
+        let mut out = Vec::with_capacity(prealloc(len));
+        proc.aspace
+            .for_each_page(vaddr, len, false, |paddr, at, n| {
+                out.resize(at + n, chaser_taint::ProvSet::EMPTY);
+                self.taint.prov_read_in_page(paddr, &mut out[at..]);
+            })?;
         Ok(out)
     }
 
     /// Writes the per-byte fault provenance of a guest buffer (applying an
-    /// incoming message's provenance on the receiver).
+    /// incoming message's provenance on the receiver), one page at a time:
+    /// an all-empty chunk on a page without provenance is a no-op.
     ///
     /// # Errors
     ///
-    /// Propagates the guest [`MemFault`] on bad addresses.
+    /// Propagates the guest [`MemFault`] of the first unmapped page; every
+    /// page before it has been written.
     pub fn write_guest_prov(
         &mut self,
         pid: u64,
@@ -363,11 +375,12 @@ impl Node {
         provs: &[chaser_taint::ProvSet],
     ) -> Result<(), MemFault> {
         let idx = self.index(pid).expect("unknown pid");
-        for (i, p) in provs.iter().enumerate() {
-            let paddr = self.procs[idx].aspace.translate_read(vaddr + i as u64)?;
-            self.taint.set_prov_byte(paddr, *p);
-        }
-        Ok(())
+        let taint = &mut self.taint;
+        self.procs[idx]
+            .aspace
+            .for_each_page(vaddr, provs.len() as u64, false, |paddr, at, n| {
+                taint.prov_write_in_page(paddr, &provs[at..at + n])
+            })
     }
 
     /// The node's taint state.
@@ -523,17 +536,19 @@ impl NodeSnapshot {
 /// Writes bytes through read translation only — the kernel loader may write
 /// into read-only/executable mappings.
 fn poke(aspace: &AddressSpace, phys: &mut PhysMemory, vaddr: u64, data: &[u8]) {
-    let mut cur = vaddr;
-    let mut off = 0usize;
-    while off < data.len() {
-        let paddr = aspace
-            .translate_read(cur)
-            .expect("loader writes mapped pages");
-        let in_page = ((PAGE_SIZE - cur % PAGE_SIZE) as usize).min(data.len() - off);
-        phys.write_bytes(paddr, &data[off..off + in_page]);
-        cur += in_page as u64;
-        off += in_page;
-    }
+    aspace
+        .for_each_page(vaddr, data.len() as u64, false, |paddr, at, n| {
+            phys.write_bytes(paddr, &data[at..at + n]);
+        })
+        .expect("loader writes mapped pages");
+}
+
+/// Up-front capacity for a buffer of `len` guest-supplied entries: at
+/// most one page's worth, the rest grown page by page. `len` may be a
+/// corrupted guest value, so it is never pre-allocated on the host (the
+/// rule `AddressSpace::read_bytes` follows).
+fn prealloc(len: u64) -> usize {
+    len.min(PAGE_SIZE) as usize
 }
 
 #[cfg(test)]
@@ -1555,5 +1570,217 @@ mod more_engine_tests {
         let stats = node.cache_stats();
         assert!(stats.lookups > stats.misses, "the loop body must hit");
         assert!(stats.misses >= 2, "at least two distinct blocks translated");
+    }
+}
+
+#[cfg(test)]
+mod guest_taint_props {
+    use super::*;
+    use chaser_isa::Asm;
+    use chaser_taint::ProvSet;
+    use proptest::prelude::*;
+
+    /// A window of virtual pages no program maps: the tests map some of
+    /// them and leave the others as holes.
+    const WINDOW: u64 = 0x2000_0000;
+    const PAGES: usize = 5;
+
+    /// A node with one process whose window pages `mapped[i]` are mapped.
+    fn node_with(mapped: &[bool]) -> (Node, u64) {
+        let mut a = Asm::new("window");
+        a.exit(0);
+        let prog = a.assemble().expect("assemble");
+        let mut node = Node::new(0);
+        let pid = node.spawn(&prog).expect("spawn");
+        let idx = node.index(pid).expect("pid");
+        for (i, _) in mapped.iter().enumerate().filter(|(_, &m)| m) {
+            node.procs[idx]
+                .aspace
+                .map_region(
+                    &mut node.phys,
+                    WINDOW + i as u64 * PAGE_SIZE,
+                    PAGE_SIZE,
+                    PagePerms::RW,
+                )
+                .expect("map");
+        }
+        (node, pid)
+    }
+
+    // Per-byte reference accessors: the oracle for the page-granular ones.
+
+    fn ref_read_taint(node: &Node, pid: u64, vaddr: u64, len: u64) -> Result<Vec<u8>, MemFault> {
+        let proc = node.process(pid).expect("pid");
+        let mut out = Vec::new();
+        for i in 0..len {
+            let paddr = proc.aspace.translate_read(vaddr + i)?;
+            out.push(node.taint.mem().byte(paddr));
+        }
+        Ok(out)
+    }
+
+    fn ref_write_taint(
+        node: &mut Node,
+        pid: u64,
+        vaddr: u64,
+        masks: &[u8],
+    ) -> Result<(), MemFault> {
+        let idx = node.index(pid).expect("pid");
+        for (i, m) in masks.iter().enumerate() {
+            let paddr = node.procs[idx].aspace.translate_read(vaddr + i as u64)?;
+            node.taint.mem_mut().set_byte(paddr, *m);
+        }
+        Ok(())
+    }
+
+    fn ref_read_prov(
+        node: &Node,
+        pid: u64,
+        vaddr: u64,
+        len: u64,
+    ) -> Result<Vec<ProvSet>, MemFault> {
+        let proc = node.process(pid).expect("pid");
+        let mut out = Vec::new();
+        for i in 0..len {
+            let paddr = proc.aspace.translate_read(vaddr + i)?;
+            out.push(node.taint.prov_byte(paddr));
+        }
+        Ok(out)
+    }
+
+    fn ref_write_prov(
+        node: &mut Node,
+        pid: u64,
+        vaddr: u64,
+        provs: &[ProvSet],
+    ) -> Result<(), MemFault> {
+        let idx = node.index(pid).expect("pid");
+        for (i, p) in provs.iter().enumerate() {
+            let paddr = node.procs[idx].aspace.translate_read(vaddr + i as u64)?;
+            node.taint.set_prov_byte(paddr, *p);
+        }
+        Ok(())
+    }
+
+    /// Expands `(run, kind, value)` segments into `len` bytes: clean runs
+    /// (kind 0), solid runs (1) and alternating runs (2); clean past the
+    /// last segment.
+    fn pattern(len: usize, segs: &[(usize, u8, u8)]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        for &(run, kind, value) in segs {
+            for i in 0..run.min(len - out.len()) {
+                out.push(match kind {
+                    0 => 0,
+                    1 => value,
+                    _ if i % 2 == 0 => value,
+                    _ => 0,
+                });
+            }
+        }
+        out.resize(len, 0);
+        out
+    }
+
+    /// `(kind, vaddr, len, segments)`: kinds 0/1 write masks/provenance,
+    /// 2/3 read them. Ranges start up to a page before the window and run
+    /// up to three pages, so they straddle pages and holes.
+    type GuestOp = (u8, u64, u64, Vec<(usize, u8, u8)>);
+
+    fn arb_guest_op() -> impl Strategy<Value = GuestOp> {
+        let page = PAGE_SIZE as usize;
+        let segs = proptest::collection::vec(
+            (
+                prop_oneof![1usize..16, 16usize..2 * page],
+                0u8..3,
+                any::<u8>(),
+            ),
+            0..5,
+        );
+        (
+            0u8..4,
+            WINDOW - PAGE_SIZE..WINDOW + PAGES as u64 * PAGE_SIZE,
+            prop_oneof![0u64..64, 0u64..3 * PAGE_SIZE],
+            segs,
+        )
+    }
+
+    /// Everything the shadow can show through the public surface.
+    #[derive(Debug, PartialEq)]
+    struct ShadowView {
+        pages: Vec<(u64, Vec<u8>)>,
+        provs: Vec<(u64, ProvSet)>,
+        tainted_bytes: usize,
+        provenanced_bytes: usize,
+        prov_any: bool,
+    }
+
+    fn shadow_view(node: &Node) -> ShadowView {
+        let taint = node.taint();
+        let mut pages = Vec::new();
+        taint
+            .mem()
+            .for_each_tainted_page(|base, masks| pages.push((base, masks.to_vec())));
+        let mut provs = Vec::new();
+        taint.prov_mem().for_each(|paddr, p| provs.push((paddr, p)));
+        ShadowView {
+            pages,
+            provs,
+            tainted_bytes: taint.mem().tainted_bytes(),
+            provenanced_bytes: taint.prov_mem().provenanced_bytes(),
+            prov_any: taint.prov_any(),
+        }
+    }
+
+    proptest! {
+        /// The page-granular guest accessors against the per-byte loops:
+        /// the same `Ok`/`Err` (fault vaddr included), the same bytes read,
+        /// the same written prefix before a hole, and the same counters and
+        /// page summaries, with provenance off until a non-empty set lands.
+        #[test]
+        fn page_granular_accessors_match_per_byte_loops(
+            mapped in proptest::collection::vec(
+                proptest::sample::select(vec![true, true, true, false]),
+                PAGES,
+            ),
+            ops in proptest::collection::vec(arb_guest_op(), 1..12),
+        ) {
+            let (mut bulk, pid) = node_with(&mapped);
+            let (mut byte, _) = node_with(&mapped);
+            for (kind, vaddr, len, segs) in &ops {
+                let (vaddr, len) = (*vaddr, *len);
+                let bytes = pattern(len as usize, segs);
+                let sets: Vec<ProvSet> =
+                    bytes.iter().map(|&b| ProvSet::from_bits(u32::from(b) << 3)).collect();
+                match kind {
+                    0 => prop_assert_eq!(
+                        bulk.write_guest_taint(pid, vaddr, &bytes),
+                        ref_write_taint(&mut byte, pid, vaddr, &bytes)
+                    ),
+                    1 => prop_assert_eq!(
+                        bulk.write_guest_prov(pid, vaddr, &sets),
+                        ref_write_prov(&mut byte, pid, vaddr, &sets)
+                    ),
+                    2 => prop_assert_eq!(
+                        bulk.read_guest_taint(pid, vaddr, len),
+                        ref_read_taint(&byte, pid, vaddr, len)
+                    ),
+                    _ => prop_assert_eq!(
+                        bulk.read_guest_prov(pid, vaddr, len),
+                        ref_read_prov(&byte, pid, vaddr, len)
+                    ),
+                }
+                prop_assert_eq!(shadow_view(&bulk), shadow_view(&byte));
+                for page in 0..PAGES as u64 {
+                    let Ok(paddr) = bulk.procs[0].aspace.translate_read(WINDOW + page * PAGE_SIZE)
+                    else {
+                        continue;
+                    };
+                    prop_assert_eq!(
+                        bulk.taint().mem().page_tainted_bytes(paddr),
+                        byte.taint().mem().page_tainted_bytes(paddr)
+                    );
+                }
+            }
+        }
     }
 }

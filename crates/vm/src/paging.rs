@@ -215,6 +215,30 @@ impl AddressSpace {
         Ok(())
     }
 
+    /// Visits the guest range `[vaddr, vaddr + len)` one virtual page at a
+    /// time as `f(paddr, at, n)`: the chunk's physical address, its offset
+    /// in the range and its length. Pages translate for a data write when
+    /// `write` is set, else for a read. Stops at the first page that does
+    /// not translate, with that page's first address in range as the fault
+    /// `vaddr`, after every earlier chunk has been visited.
+    pub fn for_each_page(
+        &self,
+        vaddr: u64,
+        len: u64,
+        write: bool,
+        mut f: impl FnMut(u64, usize, usize),
+    ) -> Result<(), MemFault> {
+        let mut done = 0u64;
+        while done < len {
+            let cur = vaddr.wrapping_add(done);
+            let paddr = self.translate(cur, write, false)?;
+            let n = (PAGE_SIZE - cur % PAGE_SIZE).min(len - done);
+            f(paddr, done as usize, n as usize);
+            done += n;
+        }
+        Ok(())
+    }
+
     /// Reads `len` guest bytes.
     pub fn read_bytes(&self, phys: &PhysMemory, vaddr: u64, len: u64) -> Result<Vec<u8>, MemFault> {
         // `len` may be a corrupted guest value (e.g. a fault flipped a
@@ -222,17 +246,13 @@ impl AddressSpace {
         // length walks into unmapped territory and faults like real
         // hardware would, growing the buffer only as far as it got.
         let mut out = Vec::with_capacity(len.min(64 * 1024) as usize);
-        let mut cur = vaddr;
-        let end = vaddr.checked_add(len).ok_or(MemFault {
+        vaddr.checked_add(len).ok_or(MemFault {
             vaddr,
             kind: MemFaultKind::Unmapped,
         })?;
-        while cur < end {
-            let p = self.translate_read(cur)?;
-            let in_page = (PAGE_SIZE - cur % PAGE_SIZE).min(end - cur);
-            out.extend_from_slice(phys.read_bytes(p, in_page as usize));
-            cur += in_page;
-        }
+        self.for_each_page(vaddr, len, false, |p, _, n| {
+            out.extend_from_slice(phys.read_bytes(p, n));
+        })?;
         Ok(out)
     }
 
@@ -243,16 +263,9 @@ impl AddressSpace {
         vaddr: u64,
         data: &[u8],
     ) -> Result<(), MemFault> {
-        let mut cur = vaddr;
-        let mut off = 0usize;
-        while off < data.len() {
-            let p = self.translate_write(cur)?;
-            let in_page = ((PAGE_SIZE - cur % PAGE_SIZE) as usize).min(data.len() - off);
-            phys.write_bytes(p, &data[off..off + in_page]);
-            cur += in_page as u64;
-            off += in_page;
-        }
-        Ok(())
+        self.for_each_page(vaddr, data.len() as u64, true, |p, at, n| {
+            phys.write_bytes(p, &data[at..at + n]);
+        })
     }
 }
 
