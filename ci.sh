@@ -21,6 +21,16 @@ cargo test -q --offline
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Rustdoc gate: every intra-doc link must resolve, so a doc comment left
+# pointing at a deleted item fails here. One `-p` per `crates/*` package,
+# not `--workspace`: the vendored proptest stub has an ambiguous doc link.
+# Output goes under the ignored target/.
+doc_pkgs=()
+for manifest in crates/*/Cargo.toml; do
+    doc_pkgs+=(-p "$(sed -n 's/^name = "\(.*\)"$/\1/p' "$manifest" | head -n 1)")
+done
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps "${doc_pkgs[@]}"
+
 # Ledger smoke: the benchmark's correctness gate at 1/10 size (golden
 # output == host reference, outcome CSV identical across repetitions,
 # traced rows == untraced rows, no failed run) on the two halves of the

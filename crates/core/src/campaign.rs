@@ -186,8 +186,9 @@ pub struct RunOutcome {
     pub taint_writes: u64,
     /// Tainted point-to-point deliveries (fault crossed ranks).
     pub cross_rank: u64,
-    /// Tainted deliveries whose TaintHub sync was lost after retries (the
-    /// degraded-mode counter; non-zero only under an unreliable hub link).
+    /// Always 0: the TaintHub is a reliable service, so no tainted
+    /// delivery loses its sync. Kept as a column because journal v10 rows
+    /// and the stats CSV carry it.
     pub taint_sync_lost: u64,
     /// Ranks the fault reached, per the provenance graph (0 when
     /// provenance recording was off).

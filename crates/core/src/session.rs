@@ -255,8 +255,7 @@ pub struct RunReport {
     /// Taint records published to the hub over the whole run (lifetime
     /// counter; unaffected by consumption and GC).
     pub hub_published: u64,
-    /// Interconnect counters (drops, retransmits, duplicates, losses on an
-    /// unreliable fabric).
+    /// Interconnect counters: messages sent and delivered, payload bytes.
     pub net: NetStats,
     /// Guest MPI function-hook hits when `hook_mpi_symbols` was set:
     /// `(hook id, pc, args)`.

@@ -3,7 +3,7 @@
 
 use crate::collective::{CollKind, CollReq, CollectiveSlot};
 use crate::envelope::{Envelope, MpiError, MpiErrorKind, TaintCarrier, MAX_MSG_BYTES};
-use crate::net::{Faultiness, Interconnect, NetStats};
+use crate::net::{Interconnect, NetStats};
 use crate::pool::RankPool;
 use chaser_isa::abi::{self, MpiDatatype, MpiOp};
 use chaser_isa::Program;
@@ -15,11 +15,14 @@ use chaser_vm::{
     ProcState, ProcessFiles, SharedTaintSink, Signal, SliceExit, TaintAccessKind,
 };
 use parking_lot::Mutex;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
+
+/// Scheduler rounds a published hub record survives before
+/// [`TaintHub::gc`] (run every 64 rounds) may expire it: records for
+/// receivers that died mid-communication are never polled.
+const HUB_RECORD_TTL: u64 = 4096;
 
 /// Per-run watchdog budgets, enforced by the scheduler (rounds) and down in
 /// the `chaser-vm` engine loop (instructions). `0` disables a bound.
@@ -81,34 +84,6 @@ impl std::fmt::Display for BudgetKind {
     }
 }
 
-/// Reliability policy for the receiver-side TaintHub sync path. The hub
-/// lives on the head node in the paper's testbed, so its polls traverse a
-/// control network that can fail independently of the MPI fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HubSyncPolicy {
-    /// Probability one poll attempt fails.
-    pub drop_prob: f64,
-    /// Poll retries (with backoff) after the first failure before the
-    /// delivery falls into degraded mode and the sync is declared lost.
-    pub max_retries: u32,
-    /// Scheduler rounds a published record survives before [`TaintHub::gc`]
-    /// may expire it. `0` disables garbage collection.
-    pub record_ttl: u64,
-    /// Seed for the poll-failure stream.
-    pub seed: u64,
-}
-
-impl Default for HubSyncPolicy {
-    fn default() -> HubSyncPolicy {
-        HubSyncPolicy {
-            drop_prob: 0.0,
-            max_retries: 3,
-            record_ttl: 4096,
-            seed: 0,
-        }
-    }
-}
-
 /// What a live rank was doing when the run was stopped by the watchdog
 /// (hang declaration or budget exhaustion) — the debuggable part of a hang
 /// report.
@@ -160,10 +135,6 @@ pub struct ClusterConfig {
     pub taint_carrier: TaintCarrier,
     /// Per-run watchdog budgets (instructions / rounds); default unlimited.
     pub run_budget: RunBudget,
-    /// Interconnect unreliability knobs; default fully reliable.
-    pub net_faultiness: Faultiness,
-    /// TaintHub sync-path reliability policy; default fully reliable.
-    pub hub_sync: HubSyncPolicy,
     /// Hot-path execution tuning for every node (TB chaining, clean-block
     /// regime); default all on, turned off only by tests.
     pub exec_tuning: ExecTuning,
@@ -187,8 +158,6 @@ impl Default for ClusterConfig {
             taint_policy: TaintPolicy::Precise,
             taint_carrier: TaintCarrier::Hub,
             run_budget: RunBudget::default(),
-            net_faultiness: Faultiness::default(),
-            hub_sync: HubSyncPolicy::default(),
             exec_tuning: ExecTuning::default(),
             rank_threads: 1,
         }
@@ -309,9 +278,10 @@ pub struct ClusterRun {
     pub rounds: u64,
     /// Tainted point-to-point deliveries (cross-rank fault propagation).
     pub cross_rank_tainted_deliveries: u64,
-    /// Tainted deliveries whose TaintHub sync failed after every retry
-    /// (degraded mode): the taint crossed the fabric but its masks were
-    /// lost, so `cross_rank_tainted_deliveries` under-counts by this much.
+    /// Always 0. It counted tainted deliveries whose TaintHub poll failed
+    /// on an unreliable hub link; the hub is a reliable service, so no poll
+    /// fails. Kept because journal rows, the stats CSV and the state
+    /// digest carry the slot.
     pub taint_sync_lost: u64,
     /// The ranks still live when the watchdog (hang or budget) stopped the
     /// run, with what each was waiting on. Empty for completed runs.
@@ -398,10 +368,6 @@ pub struct Cluster {
     budget_exhausted: Option<BudgetKind>,
     send_seq: u64,
     cross_rank_tainted_deliveries: u64,
-    taint_sync_lost: u64,
-    /// Poll-failure stream for the hub sync path; only instantiated when
-    /// `cfg.hub_sync.drop_prob > 0` so the reliable path is untouched.
-    hub_rng: Option<SmallRng>,
     /// Compute-phase helper threads: spawned by the first round with two
     /// busy chunks, joined when the cluster drops. Never part of a
     /// snapshot — a restored cluster grows its own.
@@ -462,9 +428,7 @@ impl Cluster {
             nodes,
             ranks: Vec::new(),
             state: Vec::new(),
-            net: Interconnect::new(0, cfg.net_latency)
-                .with_bandwidth(cfg.net_bytes_per_round)
-                .with_faultiness(cfg.net_faultiness),
+            net: Interconnect::new(0, cfg.net_latency).with_bandwidth(cfg.net_bytes_per_round),
             coll: None,
             hub: Arc::new(TaintHub::new()),
             observers: Vec::new(),
@@ -477,9 +441,6 @@ impl Cluster {
             budget_exhausted: None,
             send_seq: 0,
             cross_rank_tainted_deliveries: 0,
-            taint_sync_lost: 0,
-            hub_rng: (cfg.hub_sync.drop_prob > 0.0)
-                .then(|| SmallRng::seed_from_u64(cfg.hub_sync.seed ^ 0x4B5D_CE11)),
             pool: None,
             host_cores: host_cores(),
             scratch: RoundScratch::default(),
@@ -501,8 +462,7 @@ impl Cluster {
             self.state.push(RankState::default());
         }
         self.net = Interconnect::new(self.ranks.len(), self.cfg.net_latency)
-            .with_bandwidth(self.cfg.net_bytes_per_round)
-            .with_faultiness(self.cfg.net_faultiness);
+            .with_bandwidth(self.cfg.net_bytes_per_round);
         if let Some(slot) = &self.coll {
             debug_assert!(slot.is_empty());
         }
@@ -656,13 +616,6 @@ impl Cluster {
     /// The first MPI error, if the job aborted on one.
     pub fn mpi_error(&self) -> Option<MpiError> {
         self.mpi_error
-    }
-
-    /// Kills `rank` from outside with `signal` — node/process failure
-    /// injection (e.g. to study how the job reacts to a slave node dying
-    /// mid-communication). Peers observe it as [`MpiErrorKind::RankDied`].
-    pub fn fail_rank(&mut self, rank: u32, signal: Signal) {
-        self.kill_rank(rank, signal);
     }
 
     /// Is the run over?
@@ -828,8 +781,8 @@ impl Cluster {
         {
             self.budget_exhausted.get_or_insert(BudgetKind::Rounds);
         }
-        if self.cfg.hub_sync.record_ttl != 0 && self.round.is_multiple_of(64) {
-            self.hub.gc(self.round, self.cfg.hub_sync.record_ttl);
+        if self.round.is_multiple_of(64) {
+            self.hub.gc(self.round, HUB_RECORD_TTL);
         }
         if progress {
             self.stuck_rounds = 0;
@@ -971,7 +924,7 @@ impl Cluster {
             total_insns: self.total_insns(),
             rounds: self.round,
             cross_rank_tainted_deliveries: self.cross_rank_tainted_deliveries,
-            taint_sync_lost: self.taint_sync_lost,
+            taint_sync_lost: 0,
             live_at_stop: if stopped_by_watchdog {
                 self.live_at_stop()
             } else {
@@ -1036,8 +989,6 @@ impl Cluster {
             budget_exhausted: self.budget_exhausted,
             send_seq: self.send_seq,
             cross_rank_tainted_deliveries: self.cross_rank_tainted_deliveries,
-            taint_sync_lost: self.taint_sync_lost,
-            hub_rng: self.hub_rng.clone(),
             total_insns,
         }
     }
@@ -1091,8 +1042,6 @@ impl Cluster {
             budget_exhausted: snap.budget_exhausted,
             send_seq: snap.send_seq,
             cross_rank_tainted_deliveries: snap.cross_rank_tainted_deliveries,
-            taint_sync_lost: snap.taint_sync_lost,
-            hub_rng: snap.hub_rng.clone(),
             pool: None,
             host_cores: host_cores(),
             scratch: RoundScratch::default(),
@@ -1125,7 +1074,8 @@ impl Cluster {
         h.write_u64(self.stuck_rounds);
         h.write_u64(self.send_seq);
         h.write_u64(self.cross_rank_tainted_deliveries);
-        h.write_u64(self.taint_sync_lost);
+        // The retired `taint_sync_lost` slot: pinned digests hash it.
+        h.write_u64(0);
         h.write_str(&format!(
             "{:?};{};{:?}",
             self.mpi_error, self.hang, self.budget_exhausted
@@ -1169,11 +1119,6 @@ impl Cluster {
             h.write_str(&format!("{env:?}"));
         });
         h.write_u64(self.net.seq_counter());
-        for ((src, dst), floor) in self.net.pair_floors_sorted() {
-            h.write_u64(u64::from(src));
-            h.write_u64(u64::from(dst));
-            h.write_u64(floor);
-        }
         self.hub
             .snapshot()
             .for_each_record(|id, rec| h.write_str(&format!("{id:?};{rec:?}")));
@@ -1681,29 +1626,9 @@ impl Cluster {
                     dest: rank,
                     tag: env.tag,
                 };
-                // The hub is a remote service in the paper's deployment, so
-                // a poll can fail. Retry a bounded number of times; if every
-                // attempt fails, consume the record anyway (keeping the
-                // per-id sequence stream aligned for later messages) but
-                // record the lost synchronisation.
-                let mut synced = true;
-                if let Some(rng) = &mut self.hub_rng {
-                    let p = self.cfg.hub_sync.drop_prob;
-                    synced = false;
-                    for _ in 0..=self.cfg.hub_sync.max_retries {
-                        if !rng.gen_bool(p) {
-                            synced = true;
-                            break;
-                        }
-                    }
-                }
-                match self.hub.poll_matching(id, env.seq) {
-                    Some(rec) if synced => {
-                        provs = rec.provs.iter().map(|&b| ProvSet::from_bits(b)).collect();
-                        masks = Some(rec.masks);
-                    }
-                    Some(rec) if rec.is_tainted() => self.taint_sync_lost += 1,
-                    _ => {}
+                if let Some(rec) = self.hub.poll_matching(id, env.seq) {
+                    provs = rec.provs.iter().map(|&b| ProvSet::from_bits(b)).collect();
+                    masks = Some(rec.masks);
                 }
             }
             TaintCarrier::None => {}
@@ -2208,8 +2133,6 @@ pub struct ClusterSnapshot {
     budget_exhausted: Option<BudgetKind>,
     send_seq: u64,
     cross_rank_tainted_deliveries: u64,
-    taint_sync_lost: u64,
-    hub_rng: Option<SmallRng>,
     total_insns: u64,
 }
 

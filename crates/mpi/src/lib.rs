@@ -39,9 +39,8 @@ mod pool;
 
 pub use cluster::{
     BudgetKind, Cluster, ClusterConfig, ClusterRun, ClusterSnapshot, CrossRankEdge, HangRank,
-    HubSyncPolicy, MpiObserver, ParallelStats, PendingOp, RoundReport, RunBudget,
-    SharedMpiObserver,
+    MpiObserver, ParallelStats, PendingOp, RoundReport, RunBudget, SharedMpiObserver,
 };
 pub use collective::{CollKind, CollReq, CollectiveSlot};
 pub use envelope::{Envelope, MpiError, MpiErrorKind, TaintCarrier, MAX_MSG_BYTES};
-pub use net::{Faultiness, Interconnect, NetStats};
+pub use net::{Interconnect, NetStats};

@@ -1,10 +1,7 @@
 //! The simulated interconnect.
 
 use crate::envelope::Envelope;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Interconnect counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -15,51 +12,6 @@ pub struct NetStats {
     pub delivered: u64,
     /// Payload bytes carried.
     pub bytes: u64,
-    /// Transmission attempts the lossy fabric dropped.
-    pub dropped: u64,
-    /// Retransmissions the ack/timeout layer issued after a drop.
-    pub retransmits: u64,
-    /// Duplicate deliveries the fabric created (suppressed at matching).
-    pub duplicates: u64,
-    /// Messages lost for good: every retransmission attempt dropped.
-    pub lost: u64,
-}
-
-/// Seeded unreliability knobs for the fabric: the failure mode FINJ/ZOFI
-/// style campaign tools don't model, but which the TaintHub sync path
-/// depends on. Defaults are fully reliable, so the knob costs nothing
-/// (no RNG is even instantiated) unless a probability is raised.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Faultiness {
-    /// Probability a transmission attempt is dropped.
-    pub drop_prob: f64,
-    /// Probability a delivered message is duplicated in flight.
-    pub dup_prob: f64,
-    /// Retransmission attempts after the first drop before the message is
-    /// declared lost. Each retransmission adds one ack-timeout
-    /// (`latency + 1` rounds) to the delivery time, so the bound also caps
-    /// the worst-case extra delay below the cluster's hang threshold.
-    pub max_retries: u32,
-    /// Seed for the fabric's fault stream (deterministic per run).
-    pub seed: u64,
-}
-
-impl Default for Faultiness {
-    fn default() -> Faultiness {
-        Faultiness {
-            drop_prob: 0.0,
-            dup_prob: 0.0,
-            max_retries: 16,
-            seed: 0,
-        }
-    }
-}
-
-impl Faultiness {
-    /// True when the fabric delivers every message exactly once.
-    pub fn is_reliable(&self) -> bool {
-        self.drop_prob == 0.0 && self.dup_prob == 0.0
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -77,11 +29,13 @@ struct InFlight {
 /// they were sent, so taint status must be synchronised out-of-band — the
 /// reason TaintHub exists).
 ///
-/// `Clone` captures the complete fabric state — in-flight messages, the
-/// global sequence counter, the per-pair ordering floors and the *current
-/// position* of the fault-stream RNG (no re-seed). Cluster snapshots rely
-/// on this: a restored interconnect replays exactly the drops, duplicates
-/// and delays the original would have produced.
+/// The fabric is reliable: every message sent is matched exactly once, and
+/// of the mature messages a receive can take, the oldest send wins.
+///
+/// `Clone` captures the complete fabric state — in-flight messages and the
+/// global sequence counter. Cluster snapshots rely on this: a restored
+/// interconnect delivers exactly what the original would have, when the
+/// original would have.
 #[derive(Debug, Default, Clone)]
 pub struct Interconnect {
     queues: Vec<Vec<InFlight>>,
@@ -90,15 +44,6 @@ pub struct Interconnect {
     bytes_per_round: u64,
     next_seq: u64,
     stats: NetStats,
-    faultiness: Faultiness,
-    /// Fault stream; only instantiated for an unreliable fabric so the
-    /// reliable path stays bit-identical to the pre-faultiness network.
-    rng: Option<SmallRng>,
-    /// Per-`(src, dest)` floor on delivery times: retransmission delays
-    /// must not let a later message overtake an earlier one on the same
-    /// pair (go-back-N ARQ semantics), or MPI's non-overtaking guarantee —
-    /// and the TaintHub's sequence alignment — would break.
-    pair_floor: HashMap<(u32, u32), u64>,
 }
 
 impl Interconnect {
@@ -119,19 +64,6 @@ impl Interconnect {
         self
     }
 
-    /// Makes the fabric unreliable: attempts drop with
-    /// `faultiness.drop_prob` (each drop costs one ack-timeout of
-    /// retransmission delay, up to `max_retries` before the message is
-    /// lost for good) and deliveries duplicate with `dup_prob` (suppressed
-    /// at matching, so receivers never see the echo). Envelope-level ARQ
-    /// preserves per-pair ordering, so MPI semantics survive the loss.
-    pub fn with_faultiness(mut self, faultiness: Faultiness) -> Interconnect {
-        self.rng = (!faultiness.is_reliable())
-            .then(|| SmallRng::seed_from_u64(faultiness.seed ^ 0x000F_AB71_CFAB));
-        self.faultiness = faultiness;
-        self
-    }
-
     /// Accepts a message at time `now`.
     ///
     /// # Panics
@@ -147,53 +79,8 @@ impl Interconnect {
             0 => 0,
             bw => env.len_bytes() / bw,
         };
-        let mut deliver_at = now + self.latency + serialisation;
-
-        // Ack/retransmit over the lossy fabric: a dropped attempt is
-        // detected after one ack timeout and resent, so loss turns into
-        // bounded delay instead of corruption — until the retry budget is
-        // exhausted, when the message is genuinely lost (receivers then
-        // see the same world as a dead sender: nothing in flight).
-        let ack_timeout = self.latency + 1;
-        let mut duplicate = false;
-        if let Some(rng) = &mut self.rng {
-            let f = self.faultiness;
-            let mut retries = 0u32;
-            while rng.gen_bool(f.drop_prob) {
-                self.stats.dropped += 1;
-                if retries >= f.max_retries {
-                    self.stats.lost += 1;
-                    return;
-                }
-                retries += 1;
-                self.stats.retransmits += 1;
-                deliver_at += ack_timeout;
-            }
-            duplicate = rng.gen_bool(f.dup_prob);
-
-            // Go-back-N: retransmission delay must never let a later
-            // message of the same pair arrive first, or MPI's
-            // non-overtaking guarantee (and the TaintHub's sequence
-            // alignment) would break. Reliable fabrics skip the floor to
-            // stay bit-identical to the pre-faultiness network.
-            let floor = self
-                .pair_floor
-                .entry((env.src, env.dest))
-                .or_insert(deliver_at);
-            deliver_at = deliver_at.max(*floor);
-            *floor = deliver_at;
-        }
-
-        let dest = env.dest as usize;
-        if duplicate {
-            self.stats.duplicates += 1;
-            self.queues[dest].push(InFlight {
-                deliver_at: deliver_at + ack_timeout,
-                seq,
-                env: env.clone(),
-            });
-        }
-        self.queues[dest].push(InFlight {
+        let deliver_at = now + self.latency + serialisation;
+        self.queues[env.dest as usize].push(InFlight {
             deliver_at,
             seq,
             env,
@@ -222,11 +109,7 @@ impl Interconnect {
             .min_by_key(|(_, m)| m.seq)
             .map(|(i, _)| i)?;
         self.stats.delivered += 1;
-        let hit = q.swap_remove(best);
-        // Suppress any in-flight duplicates of the delivered message; the
-        // payload is identical, so the receiver must never see the echo.
-        q.retain(|m| m.seq != hit.seq);
-        Some(hit.env)
+        Some(q.swap_remove(best).env)
     }
 
     /// Is any message (mature or not) in flight towards `dest` matching
@@ -263,14 +146,6 @@ impl Interconnect {
     /// The global send-sequence counter (monotone over the fabric's life).
     pub fn seq_counter(&self) -> u64 {
         self.next_seq
-    }
-
-    /// The per-pair delivery-time floors in sorted order (deterministic,
-    /// unlike the backing map's iteration order).
-    pub fn pair_floors_sorted(&self) -> Vec<((u32, u32), u64)> {
-        let mut floors: Vec<_> = self.pair_floor.iter().map(|(k, v)| (*k, *v)).collect();
-        floors.sort_unstable();
-        floors
     }
 }
 
@@ -350,75 +225,6 @@ mod tests {
         assert_eq!(net.try_match(1, None, Some(9), 0).expect("b").data, b"b");
         assert!(net.try_match(1, None, None, 0).is_none());
         assert!(!net.has_in_flight(1, None, None));
-    }
-
-    #[test]
-    fn lossy_fabric_retransmits_but_preserves_pair_order() {
-        let f = Faultiness {
-            drop_prob: 0.5,
-            dup_prob: 0.3,
-            max_retries: 16,
-            seed: 42,
-        };
-        let mut net = Interconnect::new(2, 1).with_faultiness(f);
-        for i in 0..50u8 {
-            net.send(env(0, 1, 7, &[i]), 0);
-        }
-        let mut got = Vec::new();
-        for now in 0..10_000u64 {
-            while let Some(e) = net.try_match(1, Some(0), Some(7), now) {
-                got.push(e.data[0]);
-            }
-            if got.len() == 50 {
-                break;
-            }
-        }
-        // Every message arrives exactly once, in send order.
-        assert_eq!(got, (0..50u8).collect::<Vec<u8>>());
-        let stats = net.stats();
-        assert!(stats.retransmits > 0, "seeded loss must drop some attempts");
-        assert!(stats.duplicates > 0, "seeded duplication must fire");
-        assert_eq!(stats.lost, 0);
-        assert_eq!(stats.delivered, 50);
-        assert_eq!(net.in_flight(), 0, "duplicates are purged at matching");
-    }
-
-    #[test]
-    fn message_is_lost_once_retries_are_exhausted() {
-        let f = Faultiness {
-            drop_prob: 1.0,
-            dup_prob: 0.0,
-            max_retries: 3,
-            seed: 1,
-        };
-        let mut net = Interconnect::new(2, 0).with_faultiness(f);
-        net.send(env(0, 1, 7, b"x"), 0);
-        let stats = net.stats();
-        assert_eq!(stats.lost, 1);
-        assert_eq!(stats.retransmits, 3);
-        assert_eq!(stats.dropped, 4, "initial attempt plus three retries");
-        // Nothing is in flight: receivers see the same world as a dead
-        // sender, so the cluster's hang/RankDied machinery takes over.
-        assert!(!net.has_in_flight(1, Some(0), Some(7)));
-        assert!(net.try_match(1, Some(0), Some(7), 1_000).is_none());
-    }
-
-    #[test]
-    fn fabric_faults_are_deterministic_per_seed() {
-        let f = Faultiness {
-            drop_prob: 0.4,
-            dup_prob: 0.2,
-            max_retries: 8,
-            seed: 7,
-        };
-        let run = || {
-            let mut net = Interconnect::new(2, 1).with_faultiness(f);
-            for i in 0..20u8 {
-                net.send(env(0, 1, 3, &[i]), u64::from(i));
-            }
-            net.stats()
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]

@@ -47,6 +47,12 @@ use std::time::Duration;
 /// How long the row streamer sleeps between journal polls.
 const STREAM_POLL: Duration = Duration::from_millis(10);
 
+/// Longest client→daemon frame line, newline included, that a connection
+/// may make the daemon buffer. Far above any `submit`, `status`, `results`
+/// or `drain` line; the client side reads uncapped (a `results` reply
+/// carries merged CSVs).
+const MAX_REQUEST_LINE: u64 = 64 * 1024;
+
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -332,8 +338,9 @@ fn handle_conn(shared: &Arc<Shared>, stream: Stream) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    // EOF and malformed input both end the connection silently.
-    while let Ok(Some(frame)) = read_frame(&mut reader) {
+    // EOF, malformed input and over-long lines all end the connection
+    // silently.
+    while let Ok(Some(frame)) = read_request(&mut reader) {
         let ok = match frame {
             Frame::Submit { spec } => handle_submit(shared, &mut writer, spec),
             Frame::Status => write_frame(&mut writer, &Frame::StatusReport(status_report(shared))),
@@ -357,6 +364,20 @@ fn handle_conn(shared: &Arc<Shared>, stream: Stream) {
             break;
         }
     }
+}
+
+/// Reads one client frame of at most [`MAX_REQUEST_LINE`] bytes; a line
+/// that reaches the cap is `InvalidData`, whatever its prefix parses to.
+fn read_request(reader: &mut BufReader<Stream>) -> io::Result<Option<Frame>> {
+    let mut capped = reader.take(MAX_REQUEST_LINE);
+    let frame = read_frame(&mut capped)?;
+    if capped.limit() == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("request frame reaches the {MAX_REQUEST_LINE}-byte cap"),
+        ));
+    }
+    Ok(frame)
 }
 
 /// Admission control: validates the spec, enforces the drain gate, the

@@ -270,65 +270,6 @@ impl GuestCtx<'_> {
     }
 }
 
-/// Fans tainted-memory events out to several sinks: a cluster holds one
-/// event stream, but a traced-and-provenance-recorded run needs both the
-/// tracer's sampler and the provenance recorder to observe it. Sinks are
-/// invoked in registration order.
-#[derive(Default, Clone)]
-pub struct TaintEventFanout {
-    sinks: Vec<SharedTaintSink>,
-}
-
-impl TaintEventFanout {
-    /// An empty fanout.
-    pub fn new() -> TaintEventFanout {
-        TaintEventFanout::default()
-    }
-
-    /// Appends a sink; it will see every subsequent event.
-    pub fn push(&mut self, sink: SharedTaintSink) {
-        self.sinks.push(sink);
-    }
-
-    /// Number of registered sinks.
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// True when no sink is registered.
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-}
-
-impl std::fmt::Debug for TaintEventFanout {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TaintEventFanout")
-            .field("sinks", &self.sinks.len())
-            .finish()
-    }
-}
-
-impl TaintEventSink for TaintEventFanout {
-    fn on_taint_read(&mut self, ev: &TaintMemEvent) {
-        for sink in &self.sinks {
-            sink.lock().on_taint_read(ev);
-        }
-    }
-
-    fn on_taint_write(&mut self, ev: &TaintMemEvent) {
-        for sink in &self.sinks {
-            sink.lock().on_taint_write(ev);
-        }
-    }
-
-    fn on_round(&mut self, round: u64) {
-        for sink in &self.sinks {
-            sink.lock().on_round(round);
-        }
-    }
-}
-
 /// The engine-side fault injector callback (the paper's
 /// `DECAF_inject_fault`): invoked *before* an executed instrumented
 /// instruction runs — every execution, except those a previous callback

@@ -62,7 +62,7 @@ pub use engine::{EngineStats, ExecTuning};
 pub use hooks::{
     BufferedTaintEvent, FnHookSink, GuestCtx, InjectAction, InjectCountdown, InjectSink, NodeHooks,
     NodeTranslateHook, SharedFnHookSink, SharedInjectSink, SharedTaintSink, SharedTranslateHook,
-    SharedVmiSink, TaintAccessKind, TaintEventFanout, TaintEventSink, TaintMemEvent,
+    SharedVmiSink, TaintAccessKind, TaintEventSink, TaintMemEvent,
 };
 pub use kernel::{ExitStatus, Signal};
 pub use mem::{MemFault, MemFaultKind, MemSnapshot, MemStats, PhysMemory, DEFAULT_PHYS_BYTES};

@@ -265,8 +265,8 @@ impl Node {
         proc.state = ProcState::Runnable;
     }
 
-    /// Terminates a process from outside (MPI runtime abort, node failure
-    /// injection).
+    /// Terminates a process from outside (an MPI runtime abort, or a signal
+    /// the runtime deals a rank whose request faulted).
     pub fn abort_process(&mut self, pid: u64, status: ExitStatus) {
         if let Some(proc) = self.process_mut(pid) {
             proc.terminate(status);

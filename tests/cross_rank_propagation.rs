@@ -2,7 +2,10 @@
 //! must reach the slaves' memory through the TaintHub, and the hub's
 //! miss-path must stay cheap when no fault is in flight.
 
-use chaser::{run_app, AppSpec, Corruption, InjectionSpec, OperandSel, RunOptions, Trigger};
+use chaser::{
+    run_app, AppSpec, Campaign, CampaignConfig, Corruption, InjectionSpec, OperandSel, RankPool,
+    RunOptions, Trigger,
+};
 use chaser_isa::InsnClass;
 use chaser_mpi::TaintCarrier;
 use chaser_workloads::{clamr, matvec};
@@ -139,4 +142,27 @@ fn clamr_halo_exchange_spreads_taint_to_neighbours() {
         report.cluster.cross_rank_tainted_deliveries > 0,
         "halo exchange must carry the taint to neighbour ranks"
     );
+}
+
+/// A traced campaign of slave FP faults: the tainted dot products ride MPI
+/// back to the master, so the seed must show cross-rank propagation, and
+/// the reliable hub loses no synchronisation on any run.
+#[test]
+fn traced_slave_fp_campaign_crosses_ranks_without_lost_syncs() {
+    let (app, _) = matvec_app(TaintCarrier::Hub);
+    let cfg = CampaignConfig {
+        runs: 15,
+        seed: 0xFADE,
+        parallelism: 2,
+        classes: vec![InsnClass::FpArith],
+        rank_pool: RankPool::Random,
+        tracing: true,
+        ..CampaignConfig::default()
+    };
+    let result = Campaign::new(app, cfg).run();
+    let crossed: u64 = result.outcomes.iter().map(|o| o.cross_rank).sum();
+    assert!(crossed > 0, "seed must produce cross-rank propagation");
+    for o in &result.outcomes {
+        assert_eq!(o.taint_sync_lost, 0, "run {}", o.run_idx);
+    }
 }

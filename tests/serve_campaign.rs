@@ -27,7 +27,7 @@ use chaser_serve::{
     ServeConfig, ServeError,
 };
 use std::fs;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -456,9 +456,11 @@ fn admission_rejects_unknown_apps_budgets_and_unknown_jobs() {
 }
 
 /// A frame nested 100 000 deep once recursed the parser off its
-/// connection thread's stack and aborted the whole daemon. The nesting cap
-/// turns it into a malformed frame: the daemon drops that connection and
-/// keeps serving.
+/// connection thread's stack and aborted the whole daemon; a line with no
+/// length bound could make it buffer without limit. Each hostile line (the
+/// deep nesting, and a valid `status` frame padded past the daemon's 64 KiB
+/// request-line cap) is a malformed frame: the daemon drops that
+/// connection, answers nothing on it, and keeps serving.
 #[test]
 fn a_hostile_frame_costs_its_connection_not_the_daemon() {
     let dir = temp_dir("hostile-frame");
@@ -466,14 +468,31 @@ fn a_hostile_frame_costs_its_connection_not_the_daemon() {
     let daemon =
         Daemon::start(&endpoint, &dir.join("state"), ServeConfig::default()).expect("starts");
 
-    let mut conn = std::os::unix::net::UnixStream::connect(&endpoint).expect("connect");
-    let mut line = "[".repeat(100_000);
-    line.push('\n');
-    conn.write_all(line.as_bytes()).expect("send hostile frame");
-    let mut reply = Vec::new();
-    conn.read_to_end(&mut reply)
-        .expect("daemon closes the connection");
-    assert!(reply.is_empty(), "{}", String::from_utf8_lossy(&reply));
+    let nested = "[".repeat(100_000);
+    let padded = format!("{{\"frame\":\"status\"}}{}", " ".repeat(70_000));
+    // The daemon stops reading mid-line, so closing its end can reset the
+    // connection before all of the line is written or the close is read.
+    let reset = |e: &std::io::Error| {
+        matches!(
+            e.kind(),
+            ErrorKind::ConnectionReset | ErrorKind::BrokenPipe | ErrorKind::NotConnected
+        )
+    };
+    for hostile in [nested, padded] {
+        let mut conn = std::os::unix::net::UnixStream::connect(&endpoint).expect("connect");
+        let sent = conn
+            .write_all(hostile.as_bytes())
+            .and_then(|()| conn.write_all(b"\n"))
+            .and_then(|()| conn.shutdown(std::net::Shutdown::Write));
+        if let Err(e) = sent {
+            assert!(reset(&e), "send hostile frame: {e}");
+        }
+        let mut reply = Vec::new();
+        if let Err(e) = conn.read_to_end(&mut reply) {
+            assert!(reset(&e), "daemon closes the connection: {e}");
+        }
+        assert!(reply.is_empty(), "{}", String::from_utf8_lossy(&reply));
+    }
 
     let report = status(&endpoint).expect("daemon still answers");
     assert!(report.jobs.is_empty(), "{report:?}");
