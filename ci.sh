@@ -31,6 +31,17 @@ for manifest in crates/*/Cargo.toml; do
 done
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps "${doc_pkgs[@]}"
 
+# Trace consumers outside the tests: the five examples and the README's
+# chaser_cli script (`run` prints from the trace summary and the provenance
+# graph, `trace` walks the graph). About 130 ms together in release mode;
+# they write no files. A panic fails the step.
+for example in quickstart trace_matvec clamr_study custom_injector asm_workbench; do
+    cargo run --release --offline -q -p chaser --example "$example" > /dev/null
+done
+cargo run --release --offline -q -p chaser-bench --bin chaser_cli -- \
+    --script "load matvec; inject_fault matvec fadd 1 51 1; run; inject_fault matvec fadd 1 51 1; trace; quit" \
+    > /dev/null
+
 # Ledger smoke: the benchmark's correctness gate at 1/10 size (golden
 # output == host reference, outcome CSV identical across repetitions,
 # traced rows == untraced rows, no failed run) on the two halves of the

@@ -8,12 +8,12 @@
 //!              then `submit`, `status`, `results` and `drain` against the
 //!              same endpoint (campaign-as-a-service; see chaser-serve).
 
-use chaser::analysis::TraceAnalysis;
 use chaser::{
     AppSpec, Campaign, CampaignConfig, Chaser, DeterministicInjector, GroupInjector,
     IntermittentInjector, ProbabilisticInjector, RankPool, RunOptions, ShardWorkers, TraceRegime,
 };
 use chaser_isa::InsnClass;
+use std::cmp::Reverse;
 use std::io::{BufRead, Write};
 
 struct Cli {
@@ -206,32 +206,35 @@ impl Cli {
                 peak,
                 report.cluster.cross_rank_tainted_deliveries
             );
-            let analysis = TraceAnalysis::from_trace(trace);
-            if analysis.contaminated_addresses() > 0 {
+        }
+        // `inject_traced` records the provenance graph too: the hottest
+        // tainted instruction sites (hardening candidates) and def-use
+        // flows come from it.
+        let Some(graph) = report.provenance.as_ref().filter(|g| !g.sites.is_empty()) else {
+            return;
+        };
+        println!(
+            "analysis: {} tainted instruction sites across {} rank(s); hottest:",
+            graph.sites.len(),
+            graph.rank_reach().len()
+        );
+        let mut sites: Vec<_> = graph.sites.iter().collect();
+        sites.sort_by_key(|s| (Reverse(s.reads + s.writes), s.rank, s.eip));
+        for s in sites.iter().take(5) {
+            println!(
+                "  rank {} pc {:#x}: {} reads, {} writes, first round {}",
+                s.rank, s.eip, s.reads, s.writes, s.first_round
+            );
+        }
+        let mut flows: Vec<_> = graph.flow_edges.iter().collect();
+        flows.sort_by_key(|f| (Reverse(f.count), f.rank, f.writer_eip, f.reader_eip));
+        if !flows.is_empty() {
+            println!("hottest taint flows (writer pc -> reader pc):");
+            for f in flows.iter().take(3) {
                 println!(
-                    "analysis: {} contaminated addresses across {} process(es); hottest:",
-                    analysis.contaminated_addresses(),
-                    analysis.front.len()
+                    "  rank {}: {:#x} -> {:#x}  ({}x)",
+                    f.rank, f.writer_eip, f.reader_eip, f.count
                 );
-                for (vaddr, stats) in analysis.hottest_sites(5) {
-                    println!(
-                        "  {:#010x}: {} reads, {} writes, live for {} insns",
-                        vaddr,
-                        stats.reads,
-                        stats.writes,
-                        stats.lifetime()
-                    );
-                }
-                let flows = analysis.hottest_flows(3);
-                if !flows.is_empty() {
-                    println!("hottest taint flows (writer pc -> reader pc):");
-                    for (edge, count) in flows {
-                        println!(
-                            "  {:#x} -> {:#x}  ({count}x)",
-                            edge.writer_eip, edge.reader_eip
-                        );
-                    }
-                }
             }
         }
     }

@@ -16,8 +16,9 @@
 //!   injector ([`Injector`]).
 //! * **Fault-propagation tracing** — injected faults become bitwise taint
 //!   sources; tainted memory reads/writes are logged with eip, virtual and
-//!   physical address, taint mask and value ([`Tracer`]), and cross-rank
-//!   propagation is synchronised through the TaintHub.
+//!   physical address, taint mask and value ([`TaintRecorder`]), and
+//!   cross-rank propagation is synchronised through the TaintHub. The trace
+//!   summary and the provenance graph are two views of that one log.
 //! * **Flexible interfaces** — fault models are plugins over exported
 //!   interfaces ([`FiPlugin`], [`PluginHost`]); the three stock models
 //!   (probabilistic, deterministic, group — the paper's Table I) each cost
@@ -54,7 +55,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 mod campaign;
 mod injector;
 mod journal;
@@ -85,8 +85,8 @@ pub use models::{
 pub use outcome::{classify, diff_outputs, CorruptedRegion, Outcome, TermCause};
 pub use plugin::{CommandSpec, FiInterface, FiPlugin, HostState, PluginError, PluginHost};
 pub use provenance::{
-    MsgEdge, ProvEvent, ProvFlowEdge, ProvSite, ProvenanceGraph, ProvenanceRecorder, SinkClass,
-    SinkKind, PROV_LOG_CAPACITY, UNRESOLVED_RANK,
+    MsgEdge, ProvFlowEdge, ProvSite, ProvenanceGraph, SinkClass, SinkKind, PROV_LOG_CAPACITY,
+    UNRESOLVED_RANK,
 };
 pub use session::{
     prepare_app, profile_app, run_app, run_prepared, run_warm, warm_start_for, AppSpec, Chaser,
@@ -104,7 +104,7 @@ pub use shard::{
 // the layered-translation-cache types without depending on chaser-tcg.
 pub use chaser_tcg::{BaseLayer, CacheStats};
 pub use spec::{Corruption, InjectionSpec, OperandSel, Trigger};
-pub use tracer::{AccessKind, TraceEvent, TraceSummary, Tracer, TracerConfig};
+pub use tracer::{AccessKind, TaintRecorder, TraceEvent, TraceSummary, TracerConfig};
 
 #[cfg(test)]
 mod serde_surface_tests {
@@ -113,7 +113,6 @@ mod serde_surface_tests {
     //! results and trace logs can be persisted by downstream tooling.
 
     fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-    fn assert_serialize<T: serde::Serialize>() {}
 
     #[test]
     fn result_types_are_serde() {
@@ -129,10 +128,8 @@ mod serde_surface_tests {
         assert_serde::<crate::ShardReport>();
         assert_serde::<crate::PoolStats>();
         assert_serde::<crate::ProvenanceGraph>();
-        assert_serde::<crate::ProvEvent>();
         assert_serde::<crate::MsgEdge>();
         assert_serde::<crate::SinkClass>();
-        assert_serialize::<crate::analysis::TraceAnalysis>();
     }
 
     #[test]

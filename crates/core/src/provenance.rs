@@ -1,23 +1,24 @@
 //! Cross-rank fault-propagation provenance graphs.
 //!
-//! The tracer ([`crate::Tracer`]) answers "how much did the fault touch";
-//! this module answers "*where did it go*". Every injected fault carries a
-//! provenance id alongside its taint (a [`chaser_taint::ProvSet`] bit), the
-//! VM's tainted-memory hooks report instruction-level propagation events
-//! (eip, addresses, tainted mask, current value, scheduler round), and the
-//! MPI runtime reports a [`chaser_mpi::CrossRankEdge`] whenever the
-//! TaintHub republishes taint into a receiver — the paper's cross-node
-//! propagation, made queryable. A run's [`ProvenanceGraph`] holds the
-//! canonicalised events, per-site nodes, intra-rank def-use flow edges and
-//! the `(tag, src → dst)` message edges, with queries (first-contamination
-//! round per rank, blast radius, rank reach, SDC sink classification) and
+//! The trace summary ([`crate::TraceSummary`]) answers "how much did the
+//! fault touch"; this module answers "*where did it go*". Every injected
+//! fault carries a provenance id alongside its taint (a
+//! [`chaser_taint::ProvSet`] bit), the run's [`crate::TaintRecorder`] logs
+//! instruction-level propagation events (eip, addresses, tainted mask,
+//! current value, scheduler round and rank), and the MPI runtime reports a
+//! [`chaser_mpi::CrossRankEdge`] whenever the TaintHub republishes taint
+//! into a receiver — the paper's cross-node propagation, made queryable.
+//! The graph is the recorder's second view of its log. A run's
+//! [`ProvenanceGraph`] holds the canonicalised events, per-site nodes,
+//! intra-rank def-use flow edges and the `(tag, src → dst)` message edges,
+//! with queries (first-contamination round per rank, blast radius, rank
+//! reach, SDC sink classification) and
 //! deterministic DOT/JSON exports whose digests are byte-identical across
 //! cold, warm-started and journal-resumed executions of the same seed.
 
 use crate::journal::{encode, Fnv1a, Json};
-use crate::tracer::AccessKind;
-use chaser_mpi::{CrossRankEdge, Envelope, MpiObserver};
-use chaser_vm::{TaintEventSink, TaintMemEvent};
+use crate::tracer::{AccessKind, TraceEvent};
+use chaser_mpi::CrossRankEdge;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -26,39 +27,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// dropping the event so the graph stays complete).
 pub const UNRESOLVED_RANK: u32 = u32::MAX;
 
-/// Default cap on retained propagation events per run.
+/// Cap on the propagation events a run's graph retains.
 pub const PROV_LOG_CAPACITY: usize = 16_384;
-
-/// One instruction-level propagation event: a tainted-memory access with
-/// the provenance bits that flowed through it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProvEvent {
-    /// Read or write.
-    pub kind: AccessKind,
-    /// MPI rank of the accessing process ([`UNRESOLVED_RANK`] when the
-    /// process is not a rank).
-    pub rank: u32,
-    /// Node of the access.
-    pub node: u32,
-    /// Accessing process.
-    pub pid: u64,
-    /// Instruction pointer.
-    pub eip: u64,
-    /// Guest virtual address.
-    pub vaddr: u64,
-    /// Guest physical address.
-    pub paddr: u64,
-    /// Taint mask of the 8 accessed bytes.
-    pub taint: u64,
-    /// Value at the location (the *tainted value* as currently computed).
-    pub value: u64,
-    /// Raw [`chaser_taint::ProvSet`] bits that flowed through the access.
-    pub prov: u32,
-    /// Cluster scheduler round of the access.
-    pub round: u64,
-    /// Process instruction count at the access.
-    pub icount: u64,
-}
 
 /// A cross-rank message edge: tainted payload bytes delivered from one
 /// rank to another (serde-friendly mirror of [`CrossRankEdge`]).
@@ -81,7 +51,7 @@ pub struct MsgEdge {
 }
 
 impl MsgEdge {
-    fn from_cross_rank(e: &CrossRankEdge) -> MsgEdge {
+    pub(crate) fn from_cross_rank(e: &CrossRankEdge) -> MsgEdge {
         MsgEdge {
             src: e.src,
             dest: e.dest,
@@ -149,7 +119,7 @@ pub struct SinkClass {
     pub kind: SinkKind,
     /// The last tainted write recorded on the rank (the candidate SDC
     /// sink instruction), when any was.
-    pub last_write: Option<ProvEvent>,
+    pub last_write: Option<TraceEvent>,
 }
 
 /// A per-run fault-propagation provenance graph: nodes are tainted sites,
@@ -159,14 +129,14 @@ pub struct SinkClass {
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProvenanceGraph {
     /// Retained propagation events (rank-resolved, canonically ordered).
-    pub events: Vec<ProvEvent>,
+    pub events: Vec<TraceEvent>,
     /// Tainted instruction sites (the graph's nodes).
     pub sites: Vec<ProvSite>,
     /// Intra-rank def-use flow edges.
     pub flow_edges: Vec<ProvFlowEdge>,
     /// Cross-rank message edges.
     pub msg_edges: Vec<MsgEdge>,
-    /// Events dropped after the recorder's cap was reached.
+    /// Events the run logged past [`PROV_LOG_CAPACITY`].
     pub dropped_events: u64,
 }
 
@@ -177,7 +147,7 @@ fn kind_ord(kind: AccessKind) -> u8 {
     }
 }
 
-fn kind_name(kind: AccessKind) -> &'static str {
+pub(crate) fn kind_name(kind: AccessKind) -> &'static str {
     match kind {
         AccessKind::Read => "read",
         AccessKind::Write => "write",
@@ -185,20 +155,13 @@ fn kind_name(kind: AccessKind) -> &'static str {
 }
 
 impl ProvenanceGraph {
-    /// Assembles the canonical graph from raw events and message edges.
-    /// `rank_of` maps `(node, pid)` to MPI rank.
-    fn assemble(
-        mut events: Vec<ProvEvent>,
+    /// Assembles the canonical graph from rank-resolved events and message
+    /// edges.
+    pub(crate) fn assemble(
+        mut events: Vec<TraceEvent>,
         mut msg_edges: Vec<MsgEdge>,
         dropped_events: u64,
-        rank_of: &BTreeMap<(u32, u64), u32>,
     ) -> ProvenanceGraph {
-        for ev in &mut events {
-            ev.rank = rank_of
-                .get(&(ev.node, ev.pid))
-                .copied()
-                .unwrap_or(UNRESOLVED_RANK);
-        }
         events.sort_by_key(|e| {
             (
                 e.round,
@@ -314,7 +277,7 @@ impl ProvenanceGraph {
 
     /// The last tainted write recorded on `rank` — the candidate sink
     /// instruction for an SDC on that rank.
-    pub fn sink_for(&self, rank: u32) -> Option<ProvEvent> {
+    pub fn sink_for(&self, rank: u32) -> Option<TraceEvent> {
         self.events
             .iter()
             .filter(|e| e.rank == rank && e.kind == AccessKind::Write)
@@ -472,107 +435,13 @@ impl ProvenanceGraph {
     }
 }
 
-/// Per-run recorder wired into the VM's tainted-memory hooks (through the
-/// cluster's round-barrier taint drain, next to the tracer) and into the
-/// cluster's MPI observers. The cluster announces the scheduler round via
-/// [`TaintEventSink::on_round`] before dispatching each round's buffered
-/// events, so events carry round attribution.
-#[derive(Debug)]
-pub struct ProvenanceRecorder {
-    round: u64,
-    capacity: usize,
-    events: Vec<ProvEvent>,
-    msg_edges: Vec<MsgEdge>,
-    dropped: u64,
-}
-
-impl ProvenanceRecorder {
-    /// A recorder retaining at most `capacity` events (message edges are
-    /// never dropped; there are at most a few per delivery).
-    pub fn new(capacity: usize) -> ProvenanceRecorder {
-        ProvenanceRecorder {
-            round: 0,
-            capacity,
-            events: Vec::new(),
-            msg_edges: Vec::new(),
-            dropped: 0,
-        }
-    }
-
-    fn log(&mut self, kind: AccessKind, ev: &TaintMemEvent) {
-        if self.events.len() >= self.capacity {
-            self.dropped += 1;
-            return;
-        }
-        self.events.push(ProvEvent {
-            kind,
-            rank: UNRESOLVED_RANK,
-            node: ev.node,
-            pid: ev.pid,
-            eip: ev.eip,
-            vaddr: ev.vaddr,
-            paddr: ev.paddr,
-            taint: ev.taint.0,
-            value: ev.value,
-            prov: ev.prov.bits(),
-            round: self.round,
-            icount: ev.icount,
-        });
-    }
-
-    /// Builds the canonical graph; `rank_of` maps `(node, pid)` to rank.
-    pub fn to_graph(&self, rank_of: &BTreeMap<(u32, u64), u32>) -> ProvenanceGraph {
-        ProvenanceGraph::assemble(
-            self.events.clone(),
-            self.msg_edges.clone(),
-            self.dropped,
-            rank_of,
-        )
-    }
-}
-
-impl TaintEventSink for ProvenanceRecorder {
-    fn on_round(&mut self, round: u64) {
-        self.round = round;
-    }
-
-    fn on_taint_read(&mut self, ev: &TaintMemEvent) {
-        self.log(AccessKind::Read, ev);
-    }
-
-    fn on_taint_write(&mut self, ev: &TaintMemEvent) {
-        self.log(AccessKind::Write, ev);
-    }
-}
-
-impl MpiObserver for ProvenanceRecorder {
-    fn on_send(&mut self, _env: &Envelope, _tainted_bytes: usize) {}
-
-    fn on_delivered(&mut self, _env: &Envelope, _tainted_bytes: usize) {}
-
-    fn on_tainted_delivery(&mut self, edge: &CrossRankEdge) {
-        self.msg_edges.push(MsgEdge::from_cross_rank(edge));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chaser_taint::{ProvSet, TaintMask};
-
-    fn mem_event(node: u32, pid: u64, eip: u64, paddr: u64, prov: ProvSet) -> TaintMemEvent {
-        TaintMemEvent {
-            node,
-            pid,
-            eip,
-            vaddr: paddr | 0x1_0000,
-            paddr,
-            taint: TaintMask(0xff),
-            value: 7,
-            icount: eip & 0xfff,
-            prov,
-        }
-    }
+    use crate::tracer::tests::access;
+    use crate::TaintRecorder;
+    use chaser_mpi::MpiObserver;
+    use chaser_vm::TaintEventSink;
 
     fn edge(src: u32, dest: u32, round: u64) -> CrossRankEdge {
         CrossRankEdge {
@@ -586,20 +455,24 @@ mod tests {
         }
     }
 
-    fn rank_map() -> BTreeMap<(u32, u64), u32> {
-        // Two nodes, one rank each.
-        [((0, 1), 0), ((1, 1), 1)].into_iter().collect()
-    }
-
+    /// Two nodes, one rank each.
     fn recorded() -> ProvenanceGraph {
-        let mut r = ProvenanceRecorder::new(16);
-        r.on_round(2);
-        r.on_taint_write(&mem_event(0, 1, 0x400, 0x2000, ProvSet::single(0)));
-        r.on_taint_read(&mem_event(0, 1, 0x408, 0x2000, ProvSet::single(0)));
+        let mut r = TaintRecorder::new(None, true);
+        r.on_taint_events(
+            2,
+            Some(0),
+            &[
+                access(AccessKind::Write, 0, 1, 0x400, 0x2000),
+                access(AccessKind::Read, 0, 1, 0x408, 0x2000),
+            ],
+        );
         r.on_tainted_delivery(&edge(0, 1, 3));
-        r.on_round(4);
-        r.on_taint_write(&mem_event(1, 1, 0x500, 0x3000, ProvSet::single(0)));
-        r.to_graph(&rank_map())
+        r.on_taint_events(
+            4,
+            Some(1),
+            &[access(AccessKind::Write, 1, 1, 0x500, 0x3000)],
+        );
+        r.take_views().1.expect("provenance is on")
     }
 
     #[test]
@@ -659,12 +532,11 @@ mod tests {
 
     #[test]
     fn recorder_caps_events_but_counts_drops() {
-        let mut r = ProvenanceRecorder::new(2);
-        for i in 0..5 {
-            r.on_taint_read(&mem_event(0, 1, 0x400 + i, 0x2000, ProvSet::EMPTY));
-        }
-        let g = r.to_graph(&rank_map());
-        assert_eq!(g.events.len(), 2);
+        let mut r = TaintRecorder::new(None, true);
+        let read = access(AccessKind::Read, 0, 1, 0x400, 0x2000);
+        r.on_taint_events(0, Some(0), &vec![read; PROV_LOG_CAPACITY + 3]);
+        let g = r.take_views().1.expect("provenance is on");
+        assert_eq!(g.events.len(), PROV_LOG_CAPACITY);
         assert_eq!(g.dropped_events, 3);
     }
 }

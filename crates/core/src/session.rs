@@ -1,12 +1,12 @@
-//! The Chaser session: wires injector, tracer and hooks into a cluster and
-//! executes single runs.
+//! The Chaser session: wires injector, taint recorder and hooks into a
+//! cluster and executes single runs.
 
 use crate::injector::{FnHookLogger, Injector, InjectorHandle, ProfileHandle, ProfileHook};
 use crate::outcome::{classify, Outcome};
 use crate::plugin::{FiInterface, FiPlugin, HostState, PluginError, PluginHost};
-use crate::provenance::{ProvenanceGraph, ProvenanceRecorder, PROV_LOG_CAPACITY};
+use crate::provenance::ProvenanceGraph;
 use crate::spec::{InjectionSpec, Trigger};
-use crate::tracer::{TraceSummary, Tracer, TracerConfig};
+use crate::tracer::{TaintRecorder, TraceSummary, TracerConfig};
 use chaser_isa::{abi, InsnClass, Program};
 use chaser_mpi::{
     Cluster, ClusterConfig, ClusterRun, ClusterSnapshot, NetStats, ParallelStats, RunBudget,
@@ -20,7 +20,7 @@ use chaser_vm::{
 };
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// The application under test: one guest program per rank plus the cluster
@@ -296,8 +296,8 @@ impl RunReport {
 /// The one typed hook-wiring builder shared by every run flavour: collects
 /// whichever sinks a run needs and installs them all in a single pass.
 /// Node-level hooks (translate / inject / VMI / guest-function sinks) land
-/// on every node; taint sinks and MPI observers register at the cluster so
-/// their events commit in canonical rank order at the round barrier. Must
+/// on every node; the taint sink and MPI observers register at the cluster
+/// so their events commit in canonical rank order at the round barrier. Must
 /// be applied before launch so VMI observes process creation.
 #[derive(Default)]
 pub struct HookRegistry {
@@ -306,7 +306,7 @@ pub struct HookRegistry {
     inject_countdown: Option<Arc<InjectCountdown>>,
     vmi: Option<SharedVmiSink>,
     fn_hook_sink: Option<SharedFnHookSink>,
-    taint_sinks: Vec<SharedTaintSink>,
+    taint_sink: Option<SharedTaintSink>,
     observers: Vec<SharedMpiObserver>,
 }
 
@@ -331,10 +331,10 @@ impl HookRegistry {
         self
     }
 
-    /// Registers a cluster-level taint-event sink (tracer, provenance
-    /// recorder); events are drained to it at each round barrier.
+    /// Installs the cluster-level taint-event sink (the run's
+    /// [`TaintRecorder`]); events are drained to it at each round barrier.
     pub fn taint_sink(mut self, sink: SharedTaintSink) -> HookRegistry {
-        self.taint_sinks.push(sink);
+        self.taint_sink = Some(sink);
         self
     }
 
@@ -370,8 +370,8 @@ impl HookRegistry {
                 hooks.fn_hook_sink = Some(Arc::clone(sink));
             }
         });
-        for sink in self.taint_sinks {
-            cluster.add_taint_sink(sink);
+        if let Some(sink) = self.taint_sink {
+            cluster.set_taint_sink(sink);
         }
         for obs in self.observers {
             cluster.add_observer(obs);
@@ -424,17 +424,18 @@ fn effective_cluster_cfg(app: &AppSpec, opts: &RunOptions) -> ClusterConfig {
 }
 
 /// Drives `cluster` to completion, sampling tainted-byte counts into the
-/// tracer after every round.
-fn run_sampled(cluster: &mut Cluster, tracer: Option<&Arc<Mutex<Tracer>>>) -> ClusterRun {
+/// recorder after every round when it traces.
+fn run_sampled(cluster: &mut Cluster, recorder: Option<&Arc<Mutex<TaintRecorder>>>) -> ClusterRun {
+    let sampler = recorder.filter(|r| r.lock().traces());
     cluster.run_with(|c| {
-        if let Some(tr) = tracer {
+        if let Some(r) = sampler {
             let total = c.total_insns();
             let tainted: usize = c
                 .nodes()
                 .iter()
                 .map(|n| n.taint().mem().tainted_bytes())
                 .sum();
-            tr.lock().maybe_sample(total, tainted);
+            r.lock().maybe_sample(total, tainted);
         }
     })
 }
@@ -444,19 +445,11 @@ fn build_report(
     cluster: &Cluster,
     cluster_run: ClusterRun,
     injector: Option<&Arc<Injector>>,
-    tracer: Option<Arc<Mutex<Tracer>>>,
+    recorder: Option<Arc<Mutex<TaintRecorder>>>,
     fn_logger: Option<Arc<Mutex<FnHookLogger>>>,
     snapshot: SnapshotStats,
-    recorder: Option<Arc<Mutex<ProvenanceRecorder>>>,
 ) -> RunReport {
-    let provenance = recorder.map(|rec| {
-        let mut rank_of: BTreeMap<(u32, u64), u32> = BTreeMap::new();
-        for rank in 0..cluster.nranks() {
-            let (ni, pid) = cluster.rank_location(rank);
-            rank_of.insert((ni as u32, pid), rank);
-        }
-        rec.lock().to_graph(&rank_of)
-    });
+    let (trace, provenance) = recorder.map_or((None, None), |r| r.lock().take_views());
     let (outputs, stdouts) = collect_rank_files(cluster);
     RunReport {
         cluster: cluster_run,
@@ -464,7 +457,7 @@ fn build_report(
         stdouts,
         injections: injector.map(|i| i.records()).unwrap_or_default(),
         injector_exec_count: injector.map_or(0, |i| i.exec_count()),
-        trace: tracer.map(|tr| tr.lock().take_summary()),
+        trace,
         hub_stats: cluster.hub().stats(),
         hub_pending: cluster.hub().pending(),
         hub_published: cluster.hub().published_total(),
@@ -478,14 +471,14 @@ fn build_report(
     }
 }
 
-/// Builds the hook registry every injection-run flavour shares: injector
-/// instrumentation, the tracer and provenance recorder as barrier-drained
-/// taint sinks, and the recorder doubling as the cross-rank MPI observer.
+/// Builds the hooks every injection-run flavour shares: injector
+/// instrumentation and, when `opts` arms tracing or provenance, the run's
+/// taint recorder as the barrier-drained taint sink and, when it records
+/// provenance, the cross-rank MPI observer. Returns the recorder with them.
 fn run_registry(
     injector: Option<&Arc<Injector>>,
-    tracer: Option<&Arc<Mutex<Tracer>>>,
-    recorder: Option<&Arc<Mutex<ProvenanceRecorder>>>,
-) -> HookRegistry {
+    opts: &RunOptions,
+) -> (HookRegistry, Option<Arc<Mutex<TaintRecorder>>>) {
     let mut registry = HookRegistry::new();
     if let Some(inj) = injector {
         registry = registry.instrument(
@@ -493,15 +486,17 @@ fn run_registry(
             InjectorHandle(Arc::clone(inj)),
         );
     }
-    if let Some(tr) = tracer {
-        registry = registry.taint_sink(Arc::clone(tr) as SharedTaintSink);
+    let (tracing, provenance) = opts.effective_trace();
+    if !tracing && !provenance {
+        return (registry, None);
     }
-    if let Some(rec) = recorder {
-        registry = registry
-            .taint_sink(Arc::clone(rec) as SharedTaintSink)
-            .observer(Arc::clone(rec) as SharedMpiObserver);
+    let recorder = TaintRecorder::new(tracing.then_some(opts.tracer), provenance);
+    let recorder = Arc::new(Mutex::new(recorder));
+    registry = registry.taint_sink(Arc::clone(&recorder) as SharedTaintSink);
+    if provenance {
+        registry = registry.observer(Arc::clone(&recorder) as SharedMpiObserver);
     }
-    registry
+    (registry, Some(recorder))
 }
 
 fn run_app_inner(
@@ -515,15 +510,11 @@ fn run_app_inner(
     }
 
     let injector = opts.spec.clone().map(Injector::new);
-    let (tracing, provenance) = opts.effective_trace();
-    let tracer = tracing.then(|| Arc::new(Mutex::new(Tracer::new(opts.tracer))));
-    let recorder =
-        provenance.then(|| Arc::new(Mutex::new(ProvenanceRecorder::new(PROV_LOG_CAPACITY))));
     let fn_logger = opts
         .hook_mpi_symbols
         .then(|| Arc::new(Mutex::new(FnHookLogger::default())));
 
-    let mut registry = run_registry(injector.as_ref(), tracer.as_ref(), recorder.as_ref());
+    let (mut registry, recorder) = run_registry(injector.as_ref(), opts);
     if let Some(logger) = &fn_logger {
         registry = registry.fn_hook_sink(Arc::clone(logger) as SharedFnHookSink);
     }
@@ -557,15 +548,14 @@ fn run_app_inner(
         }
     }
 
-    let cluster_run = run_sampled(&mut cluster, tracer.as_ref());
+    let cluster_run = run_sampled(&mut cluster, recorder.as_ref());
     build_report(
         &cluster,
         cluster_run,
         injector.as_ref(),
-        tracer,
+        recorder,
         fn_logger,
         SnapshotStats::default(),
-        recorder,
     )
 }
 
@@ -871,20 +861,17 @@ fn run_from(
     opts: &RunOptions,
     share_base_caches: bool,
 ) -> RunReport {
-    let (tracing, provenance) = opts.effective_trace();
     let mut cluster = Cluster::from_snapshot(cfg, &rung.snapshot);
 
     let injector = opts.spec.clone().map(|s| Injector::resuming(s, seen));
-    let tracer = tracing.then(|| Arc::new(Mutex::new(Tracer::new(opts.tracer))));
-    let recorder =
-        provenance.then(|| Arc::new(Mutex::new(ProvenanceRecorder::new(PROV_LOG_CAPACITY))));
-    run_registry(injector.as_ref(), tracer.as_ref(), recorder.as_ref()).apply(&mut cluster);
+    let (registry, recorder) = run_registry(injector.as_ref(), opts);
+    registry.apply(&mut cluster);
     cluster.replay_vmi_creations();
     if share_base_caches {
         cluster.install_base_caches(&prepared.base_caches);
     }
 
-    let cluster_run = run_sampled(&mut cluster, tracer.as_ref());
+    let cluster_run = run_sampled(&mut cluster, recorder.as_ref());
     let mem = cluster.mem_stats();
     let snapshot = SnapshotStats {
         restores: 1,
@@ -896,10 +883,9 @@ fn run_from(
         &cluster,
         cluster_run,
         injector.as_ref(),
-        tracer,
+        recorder,
         None,
         snapshot,
-        recorder,
     )
 }
 
@@ -933,7 +919,6 @@ fn golden_pass(app: &AppSpec) -> (RunReport, Vec<Arc<BaseLayer>>) {
         None,
         None,
         SnapshotStats::default(),
-        None,
     );
     (golden, cluster.seal_tb_caches())
 }
@@ -1006,7 +991,6 @@ pub fn profile_app(
         None,
         None,
         SnapshotStats::default(),
-        None,
     );
     (report, profile.counts())
 }
@@ -1309,7 +1293,9 @@ mod tests {
                 operand,
                 ..spec(1, class, Trigger::AfterN(40))
             });
-            run_registry(Some(&injector), None, None).apply(&mut cluster);
+            run_registry(Some(&injector), &RunOptions::default())
+                .0
+                .apply(&mut cluster);
             let programs: Vec<&Program> = app.programs.iter().collect();
             cluster.launch(&programs).expect("launch");
             cluster.run();

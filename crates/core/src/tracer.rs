@@ -1,32 +1,38 @@
-//! The fault-propagation tracer: tainted-memory access logs, per-rank
-//! counters and the tainted-bytes time series.
+//! The taint-event recorder: one log of a run's tainted-memory accesses,
+//! and the two views built from it — the trace summary and the provenance
+//! graph.
 //!
-//! This is the "accountable" half of Chaser. It subscribes to the engine's
-//! tainted-memory callbacks (the paper's `DECAF_READ_TAINTMEM_CB` /
-//! `DECAF_WRITE_TAINTMEM_CB`) and records, per access: eip, virtual
-//! address, physical address, taint mask, current value and instruction
-//! count — the exact fields the paper logs for post-analysis. The session
-//! additionally samples the total number of tainted bytes every
-//! `sample_interval` instructions, reproducing the Fig. 7 series.
+//! This is the "accountable" half of Chaser. The recorder is the cluster's
+//! taint sink (the paper's `DECAF_READ_TAINTMEM_CB` /
+//! `DECAF_WRITE_TAINTMEM_CB`) and logs, per access: eip, virtual address,
+//! physical address, taint mask, current value, provenance bits and
+//! instruction count — the fields the paper logs for post-analysis — plus
+//! the scheduler round and MPI rank the cluster stamps on each batch. Every
+//! analysis is a view of that one log:
+//!
+//! * [`TraceSummary`], when tracing: exact read/write counters and
+//!   per-process maps, the first [`TracerConfig::log_capacity`] events, and
+//!   the tainted-bytes series the session samples every `sample_interval`
+//!   instructions (the Fig. 7 series);
+//! * [`ProvenanceGraph`], when recording provenance: the first
+//!   [`PROV_LOG_CAPACITY`] events plus the cross-rank message edges the
+//!   recorder collects as the cluster's MPI observer.
 
-use chaser_vm::{TaintEventSink, TaintMemEvent};
+use crate::provenance::{kind_name, MsgEdge, ProvenanceGraph, PROV_LOG_CAPACITY, UNRESOLVED_RANK};
+use chaser_mpi::{CrossRankEdge, Envelope, MpiObserver};
+pub use chaser_vm::TaintAccessKind as AccessKind;
+use chaser_vm::{BufferedTaintEvent, TaintEventSink};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Read or write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AccessKind {
-    /// The guest read tainted memory.
-    Read,
-    /// The guest wrote tainted data.
-    Write,
-}
-
 /// One logged tainted-memory access.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceEvent {
     /// Read or write.
     pub kind: AccessKind,
+    /// MPI rank of the accessing process ([`UNRESOLVED_RANK`] when the
+    /// process is not a rank).
+    pub rank: u32,
     /// Node of the access.
     pub node: u32,
     /// Accessing process.
@@ -39,11 +45,13 @@ pub struct TraceEvent {
     pub paddr: u64,
     /// Taint mask of the 8 accessed bytes.
     pub taint: u64,
-    /// Value at the location.
+    /// Value at the location (the *tainted value* as currently computed).
     pub value: u64,
     /// Raw [`chaser_taint::ProvSet`] bits of the access (0 when the taint
     /// carries no fault provenance).
     pub prov: u32,
+    /// Cluster scheduler round of the access.
+    pub round: u64,
     /// Process instruction count at the access.
     pub icount: u64,
 }
@@ -51,8 +59,9 @@ pub struct TraceEvent {
 /// Tracer configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TracerConfig {
-    /// Keep at most this many full [`TraceEvent`]s (counters keep counting
-    /// past the cap; a multi-million-access run must not eat the host).
+    /// Keep at most this many full [`TraceEvent`]s in the trace summary
+    /// (counters keep counting past the cap; a multi-million-access run
+    /// must not eat the host).
     pub log_capacity: usize,
     /// Sample the tainted-byte total every this many instructions.
     pub sample_interval: u64,
@@ -109,10 +118,7 @@ impl TraceSummary {
     pub fn events_to_csv(&self) -> String {
         let mut out = String::from("kind,node,pid,eip,vaddr,paddr,taint,value,prov,icount\n");
         for ev in &self.events {
-            let kind = match ev.kind {
-                AccessKind::Read => "read",
-                AccessKind::Write => "write",
-            };
+            let kind = kind_name(ev.kind);
             out.push_str(&format!(
                 "{kind},{},{},{:#x},{:#x},{:#x},{:#x},{:#x},{:#x},{}\n",
                 ev.node, ev.pid, ev.eip, ev.vaddr, ev.paddr, ev.taint, ev.value, ev.prov, ev.icount
@@ -122,120 +128,182 @@ impl TraceSummary {
     }
 }
 
-/// The tracer; wire it into every node with
-/// [`chaser_vm::NodeHooks::taint_events`].
+/// A run's one taint-event recorder: the cluster's taint sink and, when
+/// provenance is on, its MPI observer. The event log is capped at the
+/// larger of the active views' caps; the counters count every event.
 #[derive(Debug)]
-pub struct Tracer {
-    cfg: TracerConfig,
-    summary: TraceSummary,
+pub struct TaintRecorder {
+    /// The trace view's parameters; `None` when tracing is off.
+    trace: Option<TracerConfig>,
+    /// Whether the provenance view is on.
+    provenance: bool,
+    capacity: usize,
+    log: Vec<TraceEvent>,
+    /// The trace view's counters, per-process maps and samples; its events
+    /// are cut from `log` when the views are built.
+    counts: TraceSummary,
     last_sample_at: u64,
+    msg_edges: Vec<MsgEdge>,
 }
 
-impl Tracer {
-    /// A tracer with the given configuration.
-    pub fn new(cfg: TracerConfig) -> Tracer {
-        Tracer {
-            cfg,
-            summary: TraceSummary::default(),
+impl TaintRecorder {
+    /// A recorder for the views that are on: the trace summary under
+    /// `trace`'s parameters when it is `Some`, the provenance graph when
+    /// `provenance`.
+    pub fn new(trace: Option<TracerConfig>, provenance: bool) -> TaintRecorder {
+        let trace_cap = trace.map_or(0, |cfg| cfg.log_capacity);
+        let prov_cap = if provenance { PROV_LOG_CAPACITY } else { 0 };
+        TaintRecorder {
+            trace,
+            provenance,
+            capacity: trace_cap.max(prov_cap),
+            log: Vec::new(),
+            counts: TraceSummary::default(),
             last_sample_at: 0,
+            msg_edges: Vec::new(),
         }
     }
 
-    /// The configured sampling interval.
-    pub fn sample_interval(&self) -> u64 {
-        self.cfg.sample_interval
+    /// Is the trace view on (does the tainted-bytes series get sampled)?
+    pub fn traces(&self) -> bool {
+        self.trace.is_some()
     }
 
-    /// Records a tainted-bytes sample if `total_insns` has advanced past
-    /// the next sampling point.
+    /// Records a tainted-bytes sample if tracing is on and `total_insns`
+    /// has advanced past the next sampling point.
     pub fn maybe_sample(&mut self, total_insns: u64, tainted_bytes: usize) {
-        if total_insns >= self.last_sample_at + self.cfg.sample_interval {
-            self.summary
+        let Some(cfg) = self.trace else {
+            return;
+        };
+        if total_insns >= self.last_sample_at + cfg.sample_interval {
+            self.counts
                 .tainted_byte_samples
                 .push((total_insns, tainted_bytes));
             self.last_sample_at = total_insns;
         }
     }
 
-    /// Final results, moved out: the tracer is left with an empty summary.
-    /// The report takes the log this way instead of copying up to
-    /// `log_capacity` events.
-    pub fn take_summary(&mut self) -> TraceSummary {
-        std::mem::take(&mut self.summary)
-    }
-
-    /// Results so far.
-    pub fn summary(&self) -> &TraceSummary {
-        &self.summary
-    }
-
-    fn log(&mut self, kind: AccessKind, ev: &TaintMemEvent) {
-        let s = &mut self.summary;
-        match kind {
-            AccessKind::Read => {
-                s.taint_reads += 1;
-                *s.reads_per_proc.entry((ev.node, ev.pid)).or_insert(0) += 1;
+    /// Builds the views that are on from the log and moves everything out:
+    /// the recorder is left empty. The trace summary keeps the first
+    /// `log_capacity` events in log order; the provenance graph takes the
+    /// first [`PROV_LOG_CAPACITY`] (the log itself, not a copy). Each view
+    /// counts the events it did not keep as dropped.
+    pub fn take_views(&mut self) -> (Option<TraceSummary>, Option<ProvenanceGraph>) {
+        let mut log = std::mem::take(&mut self.log);
+        let counts = std::mem::take(&mut self.counts);
+        let total = counts.taint_reads + counts.taint_writes;
+        let trace = self.trace.map(|cfg| {
+            // Without provenance the log is capped at `log_capacity`.
+            let events = if self.provenance {
+                log[..log.len().min(cfg.log_capacity)].to_vec()
+            } else {
+                std::mem::take(&mut log)
+            };
+            TraceSummary {
+                dropped_events: total - events.len() as u64,
+                events,
+                ..counts
             }
-            AccessKind::Write => {
-                s.taint_writes += 1;
-                *s.writes_per_proc.entry((ev.node, ev.pid)).or_insert(0) += 1;
+        });
+        let provenance = self.provenance.then(|| {
+            log.truncate(PROV_LOG_CAPACITY);
+            let dropped = total - log.len() as u64;
+            ProvenanceGraph::assemble(log, std::mem::take(&mut self.msg_edges), dropped)
+        });
+        (trace, provenance)
+    }
+}
+
+impl TaintEventSink for TaintRecorder {
+    fn on_taint_events(&mut self, round: u64, rank: Option<u32>, events: &[BufferedTaintEvent]) {
+        let rank = rank.unwrap_or(UNRESOLVED_RANK);
+        for &BufferedTaintEvent { kind, ev } in events {
+            let c = &mut self.counts;
+            let (total, per_proc) = match kind {
+                AccessKind::Read => (&mut c.taint_reads, &mut c.reads_per_proc),
+                AccessKind::Write => (&mut c.taint_writes, &mut c.writes_per_proc),
+            };
+            *total += 1;
+            *per_proc.entry((ev.node, ev.pid)).or_insert(0) += 1;
+            if self.log.len() < self.capacity {
+                self.log.push(TraceEvent {
+                    kind,
+                    rank,
+                    node: ev.node,
+                    pid: ev.pid,
+                    eip: ev.eip,
+                    vaddr: ev.vaddr,
+                    paddr: ev.paddr,
+                    taint: ev.taint.0,
+                    value: ev.value,
+                    prov: ev.prov.bits(),
+                    round,
+                    icount: ev.icount,
+                });
             }
-        }
-        if s.events.len() < self.cfg.log_capacity {
-            s.events.push(TraceEvent {
-                kind,
-                node: ev.node,
-                pid: ev.pid,
-                eip: ev.eip,
-                vaddr: ev.vaddr,
-                paddr: ev.paddr,
-                taint: ev.taint.0,
-                value: ev.value,
-                prov: ev.prov.bits(),
-                icount: ev.icount,
-            });
-        } else {
-            s.dropped_events += 1;
         }
     }
 }
 
-impl TaintEventSink for Tracer {
-    fn on_taint_read(&mut self, ev: &TaintMemEvent) {
-        self.log(AccessKind::Read, ev);
-    }
+impl MpiObserver for TaintRecorder {
+    fn on_send(&mut self, _env: &Envelope, _tainted_bytes: usize) {}
 
-    fn on_taint_write(&mut self, ev: &TaintMemEvent) {
-        self.log(AccessKind::Write, ev);
+    fn on_delivered(&mut self, _env: &Envelope, _tainted_bytes: usize) {}
+
+    fn on_tainted_delivery(&mut self, edge: &CrossRankEdge) {
+        self.msg_edges.push(MsgEdge::from_cross_rank(edge));
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use chaser_taint::{ProvSet, TaintMask};
+    use chaser_vm::TaintMemEvent;
 
-    fn ev(node: u32, pid: u64) -> TaintMemEvent {
-        TaintMemEvent {
-            node,
-            pid,
-            eip: 0x400000,
-            vaddr: 0x1000,
-            paddr: 0x2000,
-            taint: TaintMask::bit(3),
-            value: 42,
-            icount: 7,
-            prov: ProvSet::single(0),
+    /// A buffered access by `(node, pid)` at `eip`, touching `paddr`.
+    pub(crate) fn access(
+        kind: AccessKind,
+        node: u32,
+        pid: u64,
+        eip: u64,
+        paddr: u64,
+    ) -> BufferedTaintEvent {
+        BufferedTaintEvent {
+            kind,
+            ev: TaintMemEvent {
+                node,
+                pid,
+                eip,
+                vaddr: paddr | 0x1_0000,
+                paddr,
+                taint: TaintMask(0xff),
+                value: 42,
+                icount: eip & 0xfff,
+                prov: ProvSet::single(0),
+            },
         }
+    }
+
+    fn traced() -> TaintRecorder {
+        TaintRecorder::new(Some(TracerConfig::default()), false)
+    }
+
+    fn trace_of(mut r: TaintRecorder) -> TraceSummary {
+        r.take_views().0.expect("tracing is on")
     }
 
     #[test]
     fn counters_and_log_fields() {
-        let mut t = Tracer::new(TracerConfig::default());
-        t.on_taint_read(&ev(0, 1));
-        t.on_taint_read(&ev(0, 1));
-        t.on_taint_write(&ev(1, 2));
-        let s = t.summary();
+        let mut r = traced();
+        let read = access(AccessKind::Read, 0, 1, 0x400007, 0x2000);
+        r.on_taint_events(3, Some(0), &[read, read]);
+        r.on_taint_events(
+            3,
+            None,
+            &[access(AccessKind::Write, 1, 2, 0x400010, 0x2000)],
+        );
+        let s = trace_of(r);
         assert_eq!(s.taint_reads, 2);
         assert_eq!(s.taint_writes, 1);
         assert_eq!(s.reads_per_proc[&(0, 1)], 2);
@@ -243,48 +311,66 @@ mod tests {
         let e = &s.events[0];
         assert_eq!(
             (e.eip, e.vaddr, e.paddr, e.value, e.icount),
-            (0x400000, 0x1000, 0x2000, 42, 7),
+            (0x400007, 0x1_2000, 0x2000, 42, 7),
             "the paper's log fields must all be present"
         );
+        assert_eq!((e.round, e.rank), (3, 0));
+        assert_eq!(s.events[2].rank, UNRESOLVED_RANK);
     }
 
     #[test]
     fn log_is_capped_but_counters_continue() {
-        let mut t = Tracer::new(TracerConfig {
-            log_capacity: 2,
-            sample_interval: 100,
-        });
-        for _ in 0..5 {
-            t.on_taint_read(&ev(0, 1));
-        }
-        assert_eq!(t.summary().events.len(), 2);
-        assert_eq!(t.summary().taint_reads, 5);
-        assert_eq!(t.summary().dropped_events, 3);
+        let mut r = TaintRecorder::new(
+            Some(TracerConfig {
+                log_capacity: 2,
+                sample_interval: 100,
+            }),
+            false,
+        );
+        r.on_taint_events(0, Some(0), &[access(AccessKind::Read, 0, 1, 0, 0); 5]);
+        let s = trace_of(r);
+        assert_eq!(s.events.len(), 2);
+        assert_eq!(s.taint_reads, 5);
+        assert_eq!(s.dropped_events, 3);
     }
 
     #[test]
     fn event_csv_has_all_paper_fields() {
-        let mut t = Tracer::new(TracerConfig::default());
-        t.on_taint_read(&ev(0, 1));
-        t.on_taint_write(&ev(1, 2));
-        let csv = t.summary().events_to_csv();
+        let mut r = traced();
+        r.on_taint_events(
+            0,
+            Some(0),
+            &[access(AccessKind::Read, 0, 1, 0x400000, 0x2000)],
+        );
+        r.on_taint_events(
+            0,
+            Some(1),
+            &[access(AccessKind::Write, 1, 2, 0x400000, 0x2000)],
+        );
+        let csv = trace_of(r).events_to_csv();
         let mut lines = csv.lines();
         assert_eq!(
             lines.next(),
             Some("kind,node,pid,eip,vaddr,paddr,taint,value,prov,icount")
         );
         let first = lines.next().expect("one event row");
-        assert!(first.starts_with("read,0,1,0x400000,0x1000,0x2000,"));
+        assert!(first.starts_with("read,0,1,0x400000,0x12000,0x2000,"));
         assert_eq!(csv.lines().count(), 3);
     }
 
     #[test]
     fn event_csv_rows_keep_log_order_and_column_count() {
-        let mut t = Tracer::new(TracerConfig::default());
-        t.on_taint_write(&ev(1, 2));
-        t.on_taint_read(&ev(0, 1));
-        t.on_taint_write(&ev(3, 4));
-        let csv = t.summary().events_to_csv();
+        let mut r = traced();
+        r.on_taint_events(
+            0,
+            Some(0),
+            &[
+                access(AccessKind::Write, 1, 2, 0x400000, 0x2000),
+                access(AccessKind::Read, 0, 1, 0x400000, 0x2000),
+                access(AccessKind::Write, 3, 4, 0x400000, 0x2000),
+            ],
+        );
+        let csv = trace_of(r).events_to_csv();
         let rows: Vec<&str> = csv.lines().skip(1).collect();
         // Rows appear in log order, not sorted.
         assert!(rows[0].starts_with("write,1,2,"));
@@ -298,41 +384,114 @@ mod tests {
 
     #[test]
     fn event_csv_carries_provenance_bits() {
-        let mut t = Tracer::new(TracerConfig::default());
-        t.on_taint_read(&ev(0, 1));
-        let row = t
-            .summary()
-            .events_to_csv()
-            .lines()
-            .nth(1)
-            .unwrap()
-            .to_string();
+        let mut r = traced();
+        r.on_taint_events(
+            0,
+            Some(0),
+            &[access(AccessKind::Read, 0, 1, 0x400000, 0x2000)],
+        );
+        let csv = trace_of(r).events_to_csv();
+        let row = csv.lines().nth(1).expect("one event row");
         // prov is the 9th column, hex-formatted (ProvSet::single(0) = bit 0).
         assert_eq!(row.split(',').nth(8), Some("0x1"));
     }
 
     #[test]
     fn sampling_respects_interval() {
-        let mut t = Tracer::new(TracerConfig {
-            log_capacity: 10,
-            sample_interval: 100,
-        });
-        t.maybe_sample(50, 1); // too early
-        t.maybe_sample(100, 2);
-        t.maybe_sample(150, 3); // too early again
-        t.maybe_sample(230, 4);
-        assert_eq!(t.summary().tainted_byte_samples, vec![(100, 2), (230, 4)]);
-        assert_eq!(t.summary().peak_tainted_bytes(), 4);
-        assert_eq!(t.summary().final_tainted_bytes(), 4);
+        let mut r = TaintRecorder::new(
+            Some(TracerConfig {
+                log_capacity: 10,
+                sample_interval: 100,
+            }),
+            false,
+        );
+        r.maybe_sample(50, 1); // too early
+        r.maybe_sample(100, 2);
+        r.maybe_sample(150, 3); // too early again
+        r.maybe_sample(230, 4);
+        let s = trace_of(r);
+        assert_eq!(s.tainted_byte_samples, vec![(100, 2), (230, 4)]);
+        assert_eq!(s.peak_tainted_bytes(), 4);
+        assert_eq!(s.final_tainted_bytes(), 4);
+
+        let mut r = TaintRecorder::new(None, true);
+        assert!(!r.traces());
+        r.maybe_sample(100_000, 8);
+        assert_eq!(r.take_views().0, None);
     }
 
     #[test]
     fn take_summary_moves_the_log_out() {
-        let mut t = Tracer::new(TracerConfig::default());
-        t.on_taint_read(&ev(0, 1));
-        t.maybe_sample(100_000, 8);
-        let before = t.summary().clone();
-        assert_eq!(t.take_summary(), before);
-        assert_eq!(t.summary(), &TraceSummary::default());
+        let mut r = TaintRecorder::new(Some(TracerConfig::default()), true);
+        r.on_taint_events(0, Some(0), &[access(AccessKind::Read, 0, 1, 0, 0)]);
+        let (trace, graph) = r.take_views();
+        assert_eq!(trace.expect("traced").events.len(), 1);
+        assert_eq!(graph.expect("recorded").events.len(), 1);
+        let (trace, graph) = r.take_views();
+        assert_eq!(trace, Some(TraceSummary::default()));
+        assert_eq!(graph.expect("still on").events, vec![]);
+    }
+
+    /// Both views are cut from the one log: the summary keeps its first
+    /// `log_capacity` events in log order and the graph its first
+    /// [`PROV_LOG_CAPACITY`], whichever cap is larger, and each counts the
+    /// rest as dropped while the counters count every event.
+    #[test]
+    fn the_two_views_cut_one_log_exactly() {
+        const TOTAL: usize = 25_000;
+        // One event per round with ascending icounts, so the graph's
+        // canonical order is log order and the two views compare directly.
+        let batches: Vec<(u64, BufferedTaintEvent)> = (0..TOTAL as u64)
+            .map(|i| {
+                let kind = if i % 3 == 0 {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                let mut be = access(kind, (i % 2) as u32, 1, 0x40_0000 + i, 0x2000 + 8 * i);
+                be.ev.icount = i;
+                (i, be)
+            })
+            .collect();
+        let writes = batches
+            .iter()
+            .filter(|(_, be)| be.kind == AccessKind::Write)
+            .count() as u64;
+        for log_capacity in [10_000, 20_000] {
+            let mut r = TaintRecorder::new(
+                Some(TracerConfig {
+                    log_capacity,
+                    ..TracerConfig::default()
+                }),
+                true,
+            );
+            for (round, be) in &batches {
+                r.on_taint_events(*round, Some(be.ev.node), std::slice::from_ref(be));
+            }
+            let (trace, graph) = r.take_views();
+            let (trace, graph) = (trace.expect("traced"), graph.expect("recorded"));
+
+            assert_eq!(trace.taint_writes, writes);
+            assert_eq!(trace.taint_reads, TOTAL as u64 - writes);
+            assert_eq!(
+                trace.reads_per_proc.values().sum::<u64>(),
+                trace.taint_reads
+            );
+            assert_eq!(trace.writes_per_proc.values().sum::<u64>(), writes);
+
+            assert_eq!(trace.events.len(), log_capacity);
+            assert_eq!(trace.dropped_events, (TOTAL - log_capacity) as u64);
+            assert_eq!(graph.events.len(), PROV_LOG_CAPACITY);
+            assert_eq!(graph.dropped_events, (TOTAL - PROV_LOG_CAPACITY) as u64);
+            let log_order = |events: &[TraceEvent]| {
+                events.iter().enumerate().all(|(i, e)| {
+                    (e.icount, e.round, e.rank) == (i as u64, i as u64, (i % 2) as u32)
+                })
+            };
+            assert!(log_order(&trace.events), "cap {log_capacity}");
+            assert!(log_order(&graph.events), "cap {log_capacity}");
+            let shared = log_capacity.min(PROV_LOG_CAPACITY);
+            assert_eq!(trace.events[..shared], graph.events[..shared]);
+        }
     }
 }

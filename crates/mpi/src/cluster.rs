@@ -12,7 +12,7 @@ use chaser_tainthub::{HubSnapshot, MsgId, TaintHub};
 use chaser_tcg::{BaseLayer, CacheStats};
 use chaser_vm::{
     BufferedTaintEvent, EngineStats, ExecTuning, ExitStatus, MpiRequest, Node, NodeSnapshot,
-    ProcState, ProcessFiles, SharedTaintSink, Signal, SliceExit, TaintAccessKind,
+    ProcState, ProcessFiles, SharedTaintSink, Signal, SliceExit,
 };
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -356,9 +356,9 @@ pub struct Cluster {
     coll: Option<CollectiveSlot>,
     hub: Arc<TaintHub>,
     observers: Vec<SharedMpiObserver>,
-    /// Cluster-level taint-event sinks: per-node buffers drain into these
+    /// The cluster-level taint-event sink: per-node buffers drain into it
     /// in canonical `(round, rank)` order at every round barrier.
-    taint_sinks: Vec<SharedTaintSink>,
+    taint_sink: Option<SharedTaintSink>,
     /// Deterministic scheduler-parallelism counters for this run.
     pstats: ParallelStats,
     round: u64,
@@ -432,7 +432,7 @@ impl Cluster {
             coll: None,
             hub: Arc::new(TaintHub::new()),
             observers: Vec::new(),
-            taint_sinks: Vec::new(),
+            taint_sink: None,
             pstats: ParallelStats::default(),
             round: 0,
             stuck_rounds: 0,
@@ -562,13 +562,12 @@ impl Cluster {
         self.observers.push(obs);
     }
 
-    /// Registers a taint-event sink and opens the per-node event gate.
-    /// Events buffered during compute slices are replayed into every sink
-    /// at the round barrier, in canonical `(round, rank)` order; the
-    /// current round is announced first via
-    /// [`chaser_vm::TaintEventSink::on_round`].
-    pub fn add_taint_sink(&mut self, sink: SharedTaintSink) {
-        self.taint_sinks.push(sink);
+    /// Installs the taint-event sink and opens the per-node event gate.
+    /// Events buffered during compute slices are replayed into it at the
+    /// round barrier, in canonical `(round, rank)` order, one batch per
+    /// rank stamped with its round and rank.
+    pub fn set_taint_sink(&mut self, sink: SharedTaintSink) {
+        self.taint_sink = Some(sink);
         for node in &mut self.nodes {
             node.hooks_mut().taint_events = true;
         }
@@ -1033,7 +1032,7 @@ impl Cluster {
             coll: snap.coll.clone(),
             hub: Arc::new(hub),
             observers: Vec::new(),
-            taint_sinks: Vec::new(),
+            taint_sink: None,
             pstats: ParallelStats::default(),
             round: snap.round,
             stuck_rounds: snap.stuck_rounds,
@@ -1135,21 +1134,20 @@ impl Cluster {
         total
     }
 
-    /// Drains every node's buffered taint events into the registered sinks
-    /// in canonical `(round, rank)` order. Within one rank the events keep
-    /// execution order (ranks sharing a node run sequentially, so a node's
-    /// buffer is already segmented by rank). Each sink is locked once per
-    /// round and sees what it always saw: the `on_round` prime, then every
-    /// event in that order.
+    /// Drains every node's buffered taint events into the sink in canonical
+    /// `(round, rank)` order. Within one rank the events keep execution
+    /// order (ranks sharing a node run sequentially, so a node's buffer is
+    /// already segmented by rank). The sink is locked once per round and
+    /// receives one batch per rank, the non-rank processes' batch last.
     fn drain_taint_events(&mut self) {
-        if self.taint_sinks.is_empty() {
-            // No consumers: clear any buffers so a gate opened without a
+        let Some(sink) = &self.taint_sink else {
+            // No consumer: clear any buffers so a gate opened without a
             // sink cannot grow without bound.
             for node in &mut self.nodes {
                 node.take_taint_events();
             }
             return;
-        }
+        };
         let unranked = self.ranks.len();
         let mut per_rank: Vec<Vec<BufferedTaintEvent>> = Vec::new();
         let mut rank_of: Vec<((u32, u64), usize)> = Vec::new();
@@ -1177,14 +1175,14 @@ impl Cluster {
                 per_rank[rank].push(ev);
             }
         }
-        for sink in &self.taint_sinks {
-            let mut s = sink.lock();
-            s.on_round(self.round);
-            for be in per_rank.iter().flatten() {
-                match be.kind {
-                    TaintAccessKind::Read => s.on_taint_read(&be.ev),
-                    TaintAccessKind::Write => s.on_taint_write(&be.ev),
-                }
+        if per_rank.is_empty() {
+            return;
+        }
+        let mut s = sink.lock();
+        for (rank, events) in per_rank.iter().enumerate() {
+            if !events.is_empty() {
+                let rank = (rank < unranked).then_some(rank as u32);
+                s.on_taint_events(self.round, rank, events);
             }
         }
     }

@@ -38,6 +38,7 @@ use crate::spec::CampaignSpec;
 use chaser::{shard_journal_path, ShardError, ShardPlan, ShardWorkers, StopSignal};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -326,6 +327,15 @@ fn accept_loop(shared: &Arc<Shared>, listener: &Listener) -> Vec<JoinHandle<()>>
         if shared.inner.lock().unwrap().shutdown {
             break;
         }
+        // Join the handlers of closed connections as new ones arrive: a
+        // finished thread's stack stays mapped until it is joined.
+        let (done, live): (Vec<_>, Vec<_>) = handlers
+            .into_iter()
+            .partition(|h: &JoinHandle<()>| h.is_finished());
+        for h in done {
+            let _ = h.join();
+        }
+        handlers = live;
         let shared = Arc::clone(shared);
         handlers.push(std::thread::spawn(move || handle_conn(&shared, stream)));
     }
@@ -668,8 +678,20 @@ fn default_worker_argv() -> Vec<String> {
 }
 
 /// Runs one job to a terminal state. Never panics the executor: every
-/// failure becomes [`JobState::Failed`].
+/// failure, a panic in preparing or running the campaign included, becomes
+/// [`JobState::Failed`].
 fn run_job(shared: &Arc<Shared>, job: u64, spec: &CampaignSpec) -> JobState {
+    catch_unwind(AssertUnwindSafe(|| run_campaign(shared, job, spec))).unwrap_or_else(|panic| {
+        let msg = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("non-string panic payload");
+        JobState::Failed(format!("campaign panicked: {msg}"))
+    })
+}
+
+fn run_campaign(shared: &Arc<Shared>, job: u64, spec: &CampaignSpec) -> JobState {
     let workers = if spec.subprocess_workers {
         ShardWorkers::Subprocess(
             shared

@@ -10,7 +10,7 @@
 
 use chaser::{PoolStats, PreparedApp};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A bounded LRU cache of warmed [`PreparedApp`]s keyed by
 /// [`crate::CampaignSpec::pool_key`].
@@ -41,13 +41,15 @@ impl PreparedPool {
     /// Returns the pooled app for `key`, preparing (and caching) it on a
     /// miss. The pool lock is held across `prepare`: a second job with the
     /// same key blocks and then hits, rather than duplicating the most
-    /// expensive operation the daemon performs.
+    /// expensive operation the daemon performs. A `prepare` that panics
+    /// caches nothing, so the lock it poisons guards an intact pool and
+    /// the next caller takes it over.
     pub fn get_or_prepare(
         &self,
         key: &str,
         prepare: impl FnOnce() -> PreparedApp,
     ) -> Arc<PreparedApp> {
-        let mut entries = self.entries.lock().unwrap();
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(pos) = entries.iter().position(|(k, _)| k == key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             let entry = entries.remove(pos);
@@ -107,6 +109,19 @@ mod tests {
         let stats = pool.stats();
         assert_eq!((stats.prepared_hits, stats.prepared_misses), (1, 1));
         assert_eq!(stats.prepared_evictions, 0);
+    }
+
+    #[test]
+    fn a_panicking_prepare_leaves_the_pool_usable() {
+        let pool = PreparedPool::new(2);
+        let panicked = std::panic::catch_unwind(|| {
+            pool.get_or_prepare("k", || panic!("launch application: OutOfMemory"))
+        });
+        assert!(panicked.is_err());
+        let app = pool.get_or_prepare("k", tiny_prepared);
+        assert_eq!(app.app.name, "lud");
+        let stats = pool.stats();
+        assert_eq!((stats.prepared_hits, stats.prepared_misses), (0, 2));
     }
 
     #[test]

@@ -6,6 +6,7 @@ use crate::paging::AddressSpace;
 use chaser_isa::{CpuState, FReg, Instruction, Reg};
 use chaser_taint::{ProvSet, TaintMask, TaintState};
 use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,25 +49,21 @@ pub struct TaintMemEvent {
     pub prov: ProvSet,
 }
 
-/// Receiver for tainted-memory read/write events.
+/// Receiver for tainted-memory access events.
 ///
 /// Events are buffered per node during a scheduler round's compute phase
 /// and delivered at the round barrier in canonical rank order (see
-/// `BufferedTaintEvent`); [`TaintEventSink::on_round`] announces the round
-/// each drained batch belongs to before its events arrive.
+/// [`BufferedTaintEvent`]), one batch per rank, each stamped with the
+/// round and the rank it belongs to.
 pub trait TaintEventSink {
-    /// The guest read tainted memory.
-    fn on_taint_read(&mut self, ev: &TaintMemEvent);
-    /// The guest wrote tainted data to memory.
-    fn on_taint_write(&mut self, ev: &TaintMemEvent);
-    /// The scheduler is about to deliver the events of round `round`.
-    /// Sinks that attribute events to rounds (the provenance recorder)
-    /// track it here; the default ignores it.
-    fn on_round(&mut self, _round: u64) {}
+    /// The tainted-memory accesses `rank` made during round `round`, in
+    /// execution order. `rank` is `None` for a process that is not an MPI
+    /// rank.
+    fn on_taint_events(&mut self, round: u64, rank: Option<u32>, events: &[BufferedTaintEvent]);
 }
 
 /// How a buffered tainted-memory access touched memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TaintAccessKind {
     /// A guest load of tainted memory.
     Read,

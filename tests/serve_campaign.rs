@@ -434,6 +434,19 @@ fn admission_rejects_unknown_apps_budgets_and_unknown_jobs() {
     let err = submit(&endpoint, &unknown, |_, _| {}).expect_err("unknown app");
     assert!(matches!(err, ServeError::Rejected(_)), "{err}");
 
+    // lud's 3000×3000 matrix does not fit the 64 MiB guest: a spec that
+    // cannot launch is turned away at admission, and the daemon keeps
+    // serving the jobs after it.
+    let oversized = CampaignSpec {
+        tenant: "erin".into(),
+        app: "lud".into(),
+        size: 3000,
+        runs: 1,
+        ..CampaignSpec::default()
+    };
+    let err = submit(&endpoint, &oversized, |_, _| {}).expect_err("does not fit the guest");
+    assert!(matches!(err, ServeError::Rejected(_)), "{err}");
+
     let small = CampaignSpec {
         tenant: "dave".into(),
         runs: 10,
