@@ -33,14 +33,24 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps "${doc_pkgs[@]}"
 
 # Trace consumers outside the tests: the five examples and the README's
 # chaser_cli script (`run` prints from the trace summary and the provenance
-# graph, `trace` walks the graph). About 130 ms together in release mode;
-# they write no files. A panic fails the step.
+# graph, `trace` walks the graph), then the CLI's sharded path: a campaign
+# over two self-exec `serve-worker` subprocesses that rebuild it from the
+# journal directory's spec.json. About 150 ms together in release mode;
+# the CLI removes its journal directory once the merged result is in hand.
+# A panic fails the step; script mode prints a failed campaign and still
+# exits 0, so the campaign's summary lines are asserted.
 for example in quickstart trace_matvec clamr_study custom_injector asm_workbench; do
     cargo run --release --offline -q -p chaser --example "$example" > /dev/null
 done
-cargo run --release --offline -q -p chaser-bench --bin chaser_cli -- \
-    --script "load matvec; inject_fault matvec fadd 1 51 1; run; inject_fault matvec fadd 1 51 1; trace; quit" \
-    > /dev/null
+cli_out=$(cargo run --release --offline -q -p chaser-bench --bin chaser_cli -- \
+    --script "load matvec; inject_fault matvec fadd 1 51 1; run; inject_fault matvec fadd 1 51 1; trace; load matvec; campaign 20 2 proc; quit")
+for expected in "outcomes: " "shard stats: 2 shard(s), 0 retries"; do
+    if ! grep -qF -- "$expected" <<< "$cli_out"; then
+        echo "chaser_cli sharded campaign: no \`$expected\` line in its output:" >&2
+        echo "$cli_out" >&2
+        exit 1
+    fi
+done
 
 # Ledger smoke: the benchmark's correctness gate at 1/10 size (golden
 # output == host reference, outcome CSV identical across repetitions,

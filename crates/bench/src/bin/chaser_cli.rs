@@ -9,19 +9,21 @@
 //!              same endpoint (campaign-as-a-service; see chaser-serve).
 
 use chaser::{
-    AppSpec, Campaign, CampaignConfig, Chaser, DeterministicInjector, GroupInjector,
+    AppSpec, Campaign, CampaignResult, Chaser, DeterministicInjector, GroupInjector,
     IntermittentInjector, ProbabilisticInjector, RankPool, RunOptions, ShardWorkers, TraceRegime,
 };
 use chaser_isa::InsnClass;
+use chaser_serve::CampaignSpec;
 use std::cmp::Reverse;
 use std::io::{BufRead, Write};
 
 struct Cli {
     chaser: Chaser,
     app: Option<AppSpec>,
-    /// `(name, size, ranks)` of the loaded app — what a self-exec shard
-    /// worker needs to rebuild the identical campaign.
-    loaded: Option<(String, u64, u64)>,
+    /// The campaign every `campaign` command starts from: the CLI's fault
+    /// model over the loaded app's `(name, size, ranks)`. Subprocess shard
+    /// workers rebuild the identical campaign from it (`spec.json`).
+    campaign: CampaignSpec,
     golden: Option<chaser::RunReport>,
 }
 
@@ -35,7 +37,14 @@ impl Cli {
         Cli {
             chaser,
             app: None,
-            loaded: None,
+            campaign: CampaignSpec {
+                runs: 50,
+                shards: 0,
+                classes: vec![InsnClass::FpArith, InsnClass::Mov],
+                rank_pool: RankPool::Random,
+                parallelism: 0,
+                ..CampaignSpec::default()
+            },
             golden: None,
         }
     }
@@ -51,7 +60,10 @@ impl Cli {
         match cmd {
             "quit" | "exit" => return false,
             "help" => self.help(),
-            "apps" => println!("available targets: matvec, clamr, bfs, kmeans, lud"),
+            "apps" => println!(
+                "available targets: {}",
+                chaser_serve::app_names().join(", ")
+            ),
             "load" => {
                 let name = parts.next().unwrap_or("");
                 let size: usize = parts.next().and_then(|s| s.parse().ok()).unwrap_or(0);
@@ -65,7 +77,9 @@ impl Cli {
                             app.cluster.nodes
                         );
                         self.app = Some(app);
-                        self.loaded = Some((name.to_string(), size as u64, u64::from(ranks)));
+                        self.campaign.app = name.to_string();
+                        self.campaign.size = size;
+                        self.campaign.ranks = ranks;
                         self.golden = None;
                     }
                     None => println!("unknown app `{name}` (try `apps`)"),
@@ -87,32 +101,26 @@ impl Cli {
             "run" => self.run_pending(),
             "trace" => self.trace_pending(parts.next() == Some("dot")),
             "campaign" => {
-                let mut runs = 50;
-                let mut shards = 0;
-                let mut subprocess = false;
-                let mut trace = "default".to_string();
-                let mut knobs = CampaignKnobs::default();
+                let mut spec = self.campaign.clone();
                 let mut positional = 0;
                 for tok in parts {
                     let parsed = if let Some(v) = tok.strip_prefix("sync=") {
-                        knobs.sync = v.parse().ok();
-                        knobs.sync.is_some()
+                        v.parse().map(|n| spec.journal_sync_rows = n).is_ok()
                     } else if let Some(v) = tok.strip_prefix("hb=") {
-                        knobs.heartbeat_ms = v.parse().ok();
-                        knobs.heartbeat_ms.is_some()
+                        v.parse()
+                            .map(|n| spec.supervision.heartbeat_timeout_ms = n)
+                            .is_ok()
                     } else if let Some(v) = tok.strip_prefix("retries=") {
-                        knobs.retries = v.parse().ok();
-                        knobs.retries.is_some()
+                        v.parse().map(|n| spec.supervision.max_retries = n).is_ok()
                     } else if let Some(v) = tok.strip_prefix("trace=") {
-                        trace = v.to_string();
-                        matches!(v, "off" | "taint" | "full")
+                        set_trace(&mut spec, v)
                     } else if tok == "proc" {
-                        subprocess = true;
+                        spec.subprocess_workers = true;
                         true
                     } else if let Ok(n) = tok.parse::<u64>() {
                         match positional {
-                            0 => runs = n,
-                            1 => shards = n,
+                            0 => spec.runs = n,
+                            1 => spec.shards = n,
                             _ => {}
                         }
                         positional += 1;
@@ -129,7 +137,7 @@ impl Cli {
                         return true;
                     }
                 }
-                self.run_campaign(runs, shards, subprocess, &trace, &knobs);
+                self.run_campaign(&spec);
             }
             "commands" => {
                 for spec in self.chaser.commands() {
@@ -317,80 +325,67 @@ impl Cli {
         }
     }
 
-    /// Runs a fault-injection campaign over the loaded app (every run
+    /// Runs the campaign `spec` describes over the loaded app (every run
     /// restored from the checkpoint ladder) and dumps outcome counts plus
     /// snapshot statistics.
-    /// With `shards > 1` the campaign runs under the shard supervisor —
-    /// in-process worker threads by default, or self-exec subprocess
-    /// workers (the hidden `shard-worker` mode) with `subprocess`. The
-    /// `knobs` override the operational defaults (journal fsync cadence,
-    /// heartbeat timeout, retry budget); operational knobs are not part of
-    /// the config fingerprint, so subprocess workers need not see them.
-    fn run_campaign(
-        &self,
-        runs: u64,
-        shards: u64,
-        subprocess: bool,
-        trace: &str,
-        knobs: &CampaignKnobs,
-    ) {
-        let Some(app) = self.app.clone() else {
+    /// With `shards > 1` the campaign runs under the shard supervisor in a
+    /// fresh journal directory — in-process worker threads by default, or,
+    /// with `subprocess_workers`, self-exec `serve-worker` subprocesses
+    /// that rebuild the campaign from the directory's `spec.json`, as the
+    /// daemon's workers do.
+    fn run_campaign(&self, spec: &CampaignSpec) {
+        if self.app.is_none() {
             println!("no app loaded (use `load <app>` first)");
             return;
-        };
-        let Some(mut cfg) = campaign_config(runs, shards, trace) else {
-            println!("unknown trace regime `{trace}` (use trace=off|taint|full)");
-            return;
-        };
-        knobs.apply(&mut cfg);
-        if subprocess {
-            let Some((name, size, ranks)) = &self.loaded else {
-                println!("subprocess shards need a `load`-ed app");
-                return;
-            };
-            let exe = match std::env::current_exe() {
-                Ok(p) => p.display().to_string(),
+        }
+        let workers = if spec.subprocess_workers {
+            match std::env::current_exe() {
+                Ok(exe) => {
+                    ShardWorkers::Subprocess(vec![exe.display().to_string(), "serve-worker".into()])
+                }
                 Err(e) => {
                     println!("cannot locate own binary for self-exec workers: {e}");
                     return;
                 }
-            };
-            cfg.shard_workers = ShardWorkers::Subprocess(vec![
-                exe,
-                "shard-worker".into(),
-                name.clone(),
-                size.to_string(),
-                ranks.to_string(),
-                runs.to_string(),
-                shards.to_string(),
-                trace.to_string(),
-            ]);
-        }
-        let campaign = Campaign::new(app, cfg);
+            }
+        } else {
+            ShardWorkers::Thread
+        };
+        let campaign = match spec.campaign(workers) {
+            Ok(c) => c,
+            Err(e) => {
+                println!("invalid campaign: {e}");
+                return;
+            }
+        };
+        let sharded = spec.shards > 1;
         println!(
             "running {} injection runs{}...",
-            runs,
-            if shards > 1 {
+            spec.runs,
+            if sharded {
                 format!(
-                    " ({shards} supervised {} shards)",
-                    if subprocess { "subprocess" } else { "thread" }
+                    " ({} supervised {} shards)",
+                    spec.shards,
+                    if spec.subprocess_workers {
+                        "subprocess"
+                    } else {
+                        "thread"
+                    }
                 )
             } else {
                 String::new()
             }
         );
-        let result = if shards > 1 {
+        let result = if sharded {
             // Fresh journal dir per invocation: shard journals are
             // fingerprint-bound, and a later `campaign` command with other
             // parameters must not trip over this one's files.
             static CAMPAIGNS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
             let nth = CAMPAIGNS.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             let dir = std::env::temp_dir().join(format!("chaser-cli-{}-{nth}", std::process::id()));
-            if let Err(e) = std::fs::create_dir_all(&dir) {
-                println!("cannot create shard journal dir: {e}");
-                return;
-            }
-            match campaign.run_sharded(&dir.join("campaign.jsonl")) {
+            let result = run_sharded(&campaign, spec, &dir);
+            let _ = std::fs::remove_dir_all(&dir);
+            match result {
                 Ok(r) => r,
                 Err(e) => {
                     println!("sharded campaign failed: {e}");
@@ -459,92 +454,38 @@ impl Cli {
     }
 }
 
-/// Operational campaign overrides from `campaign ... key=value` tokens.
-/// All deliberately outside the config fingerprint: they tune durability
-/// and supervision timing, never outcomes.
-#[derive(Debug, Default)]
-struct CampaignKnobs {
-    /// `sync=N`: fsync the journal every N rows (0 = never).
-    sync: Option<u64>,
-    /// `hb=MS`: shard heartbeat timeout in milliseconds.
-    heartbeat_ms: Option<u64>,
-    /// `retries=N`: worker relaunches before a shard is quarantined.
-    retries: Option<u32>,
+/// Applies a `trace=` token to `spec`: `full` arms taint tracing plus
+/// provenance, `taint` and `off` force their regimes
+/// ([`TraceRegime::TaintOnly`] / [`TraceRegime::Off`] — the latter is the
+/// native-speed statistical mode). `false` for any other token.
+fn set_trace(spec: &mut CampaignSpec, token: &str) -> bool {
+    let (tracing, regime) = match token {
+        "full" => (true, TraceRegime::default()),
+        "taint" => (false, TraceRegime::TaintOnly),
+        "off" => (false, TraceRegime::Off),
+        _ => return false,
+    };
+    spec.tracing = tracing;
+    spec.provenance = tracing;
+    spec.trace_regime = regime;
+    true
 }
 
-impl CampaignKnobs {
-    fn apply(&self, cfg: &mut CampaignConfig) {
-        if let Some(sync) = self.sync {
-            cfg.journal_sync_rows = sync;
-        }
-        if let Some(hb) = self.heartbeat_ms {
-            cfg.shard_supervision.heartbeat_timeout_ms = hb;
-        }
-        if let Some(retries) = self.retries {
-            cfg.shard_supervision.max_retries = retries;
-        }
-    }
-}
-
-/// The one campaign configuration both the supervisor and its self-exec
-/// shard workers build: any divergence would change the config fingerprint
-/// and make the workers reject their shard journals. The `trace` token
-/// maps onto the regime knobs: `default` keeps today's untraced campaign,
-/// `full` arms taint tracing plus provenance, `taint` and `off` force
-/// their regimes ([`TraceRegime::TaintOnly`] / [`TraceRegime::Off`] — the
-/// latter is the native-speed statistical mode). `None` for any other
-/// token.
-fn campaign_config(runs: u64, shards: u64, trace: &str) -> Option<CampaignConfig> {
-    let mut cfg = CampaignConfig {
-        runs,
-        shards,
-        classes: vec![InsnClass::FpArith, InsnClass::Mov],
-        rank_pool: RankPool::Random,
-        ..CampaignConfig::default()
-    };
-    match trace {
-        "default" => {}
-        "full" => {
-            cfg.tracing = true;
-            cfg.provenance = true;
-        }
-        "taint" => cfg.trace_regime = TraceRegime::TaintOnly,
-        "off" => cfg.trace_regime = TraceRegime::Off,
-        _ => return None,
-    }
-    Some(cfg)
-}
-
-/// Hidden subprocess-worker mode: `chaser_cli shard-worker <app> <size>
-/// <ranks> <runs> <shards> <trace>` rebuilds the supervisor's
-/// campaign and executes the shard assignment in the `CHASER_SHARD_*`
-/// environment. Exits 0 on success, 1 on any error (the supervisor treats
-/// a nonzero exit as a dead worker and retries).
-fn shard_worker_main(args: &[String]) -> ! {
-    let fail = |msg: String| -> ! {
-        eprintln!("shard-worker: {msg}");
-        std::process::exit(1);
-    };
-    let [name, size, ranks, runs, shards, trace] = args else {
-        fail(format!(
-            "expected <app> <size> <ranks> <runs> <shards> <trace>, got {args:?}"
-        ));
-    };
-    let parse = |what: &str, s: &String| -> u64 {
-        s.parse()
-            .unwrap_or_else(|_| fail(format!("{what} is not a number: `{s}`")))
-    };
-    let (size, ranks) = (parse("size", size) as usize, parse("ranks", ranks) as u32);
-    let Some(app) = chaser_serve::build_app(name, size, ranks) else {
-        fail(format!("unknown app `{name}`"));
-    };
-    let Some(cfg) = campaign_config(parse("runs", runs), parse("shards", shards), trace) else {
-        fail(format!("unknown trace regime `{trace}`"));
-    };
-    match Campaign::new(app, cfg).shard_worker_from_env() {
-        Ok(()) => std::process::exit(0),
-        Err(e) => fail(e.to_string()),
-    }
+/// Runs `spec`'s campaign under the shard supervisor with its journals in
+/// `dir`, beside the spec itself as `spec.json` — a daemon job directory's
+/// layout, from which self-exec `serve-worker` subprocesses rebuild the
+/// campaign.
+fn run_sharded(
+    campaign: &Campaign,
+    spec: &CampaignSpec,
+    dir: &std::path::Path,
+) -> Result<CampaignResult, String> {
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(dir.join("spec.json"), spec.to_line() + "\n"))
+        .map_err(|e| format!("cannot create shard journal dir: {e}"))?;
+    campaign
+        .run_sharded(&dir.join("campaign.jsonl"))
+        .map_err(|e| e.to_string())
 }
 
 /// `chaser_cli serve <endpoint> <state-dir> [queue=N] [concurrent=N]
@@ -588,10 +529,10 @@ fn serve_main(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// Hidden serve-worker mode: the daemon's subprocess shard workers
-/// self-exec `chaser_cli serve-worker` with the shard assignment in the
-/// `CHASER_SHARD_*` environment and the campaign spec in the job
-/// directory's `spec.json`.
+/// Hidden serve-worker mode: the daemon's and the `campaign … proc`
+/// subprocess shard workers self-exec `chaser_cli serve-worker` with the
+/// shard assignment in the `CHASER_SHARD_*` environment and the campaign
+/// spec in the journal directory's `spec.json`.
 fn serve_worker_main() -> ! {
     match chaser_serve::shard_worker_from_spec_env() {
         Ok(true) => std::process::exit(0),
@@ -740,7 +681,6 @@ fn drain_main(args: &[String]) -> ! {
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
     match argv.get(1).map(String::as_str) {
-        Some("shard-worker") => shard_worker_main(&argv[2..]),
         Some("serve") => serve_main(&argv[2..]),
         Some("serve-worker") => serve_worker_main(),
         Some("submit") => submit_main(&argv[2..]),

@@ -37,7 +37,6 @@ use chaser::{
     TracerConfig, Trigger,
 };
 use chaser_isa::InsnClass;
-use chaser_mpi::TaintCarrier;
 use chaser_workloads::{clamr, matvec};
 use std::time::Instant;
 
@@ -976,13 +975,12 @@ fn identity(program: &str, class: InsnClass, n: u64) -> InjectionSpec {
 /// only, tracing only, FI + tracing) do the same application work. Paper:
 /// FI alone ≈ 0–2.2% overhead; fault-propagation tracing ≈ 15.7%.
 ///
-/// Then the two design arguments the paper makes with a cost attached,
-/// timed the same way. Targeted instrumentation is nearly free where
-/// F-SEFI-style instrument-everything is not: identical lud runs whose
+/// Then the design argument the paper makes with a cost attached, timed
+/// the same way: targeted instrumentation is nearly free where
+/// F-SEFI-style instrument-everything is not. Identical lud runs whose
 /// injector instruments nothing, `fmul` only, or every instruction, and is
 /// called back at every execution of what it instruments without ever
-/// firing. And the TaintHub against per-message taint headers on the
-/// receive path with no fault in flight: fault-free traced matvec.
+/// firing.
 fn fig10_overhead(args: &HarnessArgs) -> String {
     let reps = args.runs;
     let traced = RunOptions {
@@ -1043,7 +1041,6 @@ fn fig10_overhead(args: &HarnessArgs) -> String {
     );
 
     const INSTR: &str = "instrumentation (lud)";
-    const CARRIER: &str = "taint carrier (traced matvec, no fault)";
     let lud = build("lud", args);
     // A trigger that is called back at every execution of its class and
     // never fires: what instrumenting the class costs per execution. (A
@@ -1055,40 +1052,27 @@ fn fig10_overhead(args: &HarnessArgs) -> String {
             ..identity(&lud.name, class, 0)
         })
     };
-    let matvec = |carrier| {
-        let mut app = build("matvec", args);
-        app.cluster.taint_carrier = carrier;
-        (app, traced.clone())
-    };
     let configs = [
-        (INSTR, "uninstrumented", (lud.clone(), RunOptions::golden())),
+        ("uninstrumented", RunOptions::golden()),
+        ("JIT: fmul only", never_firing(InsnClass::Fmul)),
         (
-            INSTR,
-            "JIT: fmul only",
-            (lud.clone(), never_firing(InsnClass::Fmul)),
-        ),
-        (
-            INSTR,
             "F-SEFI style: every instruction",
-            (lud.clone(), never_firing(InsnClass::Any)),
+            never_firing(InsnClass::Any),
         ),
-        (CARRIER, "TaintHub", matvec(TaintCarrier::Hub)),
-        (CARRIER, "per-message header", matvec(TaintCarrier::Header)),
-        (CARRIER, "none", matvec(TaintCarrier::None)),
     ];
-    let mut first = ("", 0.0);
+    let times: Vec<f64> = configs
+        .iter()
+        .map(|(_, opts)| time_runs(&lud, opts, reps))
+        .collect();
     let rows: Vec<Vec<String>> = configs
         .iter()
-        .map(|(group, label, (app, opts))| {
-            let t = time_runs(app, opts, reps);
-            if first.0 != *group {
-                first = (group, t);
-            }
+        .zip(&times)
+        .map(|((label, _), t)| {
             vec![
-                group.to_string(),
+                INSTR.to_string(),
                 label.to_string(),
                 format!("{:.2}ms", t * 1e3),
-                format!("{:.3}x", t / first.1),
+                format!("{:.3}x", t / times[0]),
             ]
         })
         .collect();

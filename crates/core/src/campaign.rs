@@ -3,7 +3,7 @@
 
 use crate::injector::InjectionRecord;
 use crate::journal::{
-    golden_digest, CampaignJournal, Fnv1a, JournalError, JournalHeader, JournalRow, JOURNAL_VERSION,
+    golden_digest, CampaignJournal, JournalError, JournalHeader, JournalRow, JOURNAL_VERSION,
 };
 use crate::outcome::{Outcome, TermCause};
 use crate::provenance::ProvenanceGraph;
@@ -15,12 +15,11 @@ use crate::shard::{ShardChaos, ShardCtl, ShardStats, ShardSupervision, ShardWork
 use crate::spec::{Corruption, InjectionSpec, OperandSel, Trigger};
 use crate::tracer::TracerConfig;
 use chaser_isa::InsnClass;
-use chaser_mpi::{ParallelStats, RunBudget};
+use chaser_mpi::{Fnv1a, ParallelStats, RunBudget};
 use chaser_tcg::CacheStats;
 use chaser_vm::EngineStats;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,7 +28,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, Once};
 
 /// Which rank receives the fault in each run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RankPool {
     /// Always the master (rank 0) — the paper's Matvec setup.
     Master,
@@ -166,7 +165,7 @@ impl Default for CampaignConfig {
 }
 
 /// The compact per-run result a campaign keeps.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// Run index.
     pub run_idx: u64,
@@ -225,7 +224,7 @@ impl RunOutcome {
 }
 
 /// Aggregate outcome counts (the Fig. 6 bars).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OutcomeCounts {
     /// Bitwise-identical outputs.
     pub benign: u64,
@@ -257,7 +256,7 @@ impl OutcomeCounts {
 }
 
 /// Termination attribution (the Table III rows).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TerminationBreakdown {
     /// OS exceptions on the injected (master) rank.
     pub os_exceptions: u64,
@@ -314,7 +313,7 @@ impl TerminationBreakdown {
 /// zero for standalone campaigns — and deliberately *never* part of the
 /// outcome or per-run stats CSVs, which must stay byte-identical between
 /// served and standalone executions of the same seed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Campaigns that found their warmed [`crate::PreparedApp`] already in
     /// the pool.
@@ -342,7 +341,7 @@ impl PoolStats {
 }
 
 /// Everything a finished campaign knows.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignResult {
     /// Per-run outcomes (injected runs only; see `skipped`).
     pub outcomes: Vec<RunOutcome>,
@@ -579,7 +578,7 @@ impl CampaignResult {
 /// instruction's address): the paper's hardening-candidate analysis —
 /// "the injection points that resulted in higher tainted memory operations
 /// should be considered candidates for further hardening".
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SiteVulnerability {
     /// Disassembly of the instruction at this site.
     pub insn: String,

@@ -12,7 +12,6 @@ use chaser_vm::{
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -131,7 +130,7 @@ pub fn effective_address(insn: &Instruction, cpu: &chaser_isa::CpuState) -> Opti
 }
 
 /// A record of one placed fault — what the campaign logs per injection.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InjectionRecord {
     /// Node the fault landed on.
     pub node: u32,

@@ -8,16 +8,15 @@
 //! missing run indices — reproducing the uninterrupted [`CampaignResult`]
 //! byte for byte.
 //!
-//! The vendored `serde` is marker-only (no `serde_json`), so the JSON here
-//! is hand-rolled: a minimal value model plus explicit encoders/decoders
-//! for exactly the types a [`RunOutcome`] contains.
+//! The JSON here is hand-rolled: a minimal value model plus explicit
+//! encoders/decoders for exactly the types a [`RunOutcome`] contains.
 
 use crate::campaign::RunOutcome;
 use crate::injector::InjectionRecord;
 use crate::outcome::{Outcome, TermCause};
 use crate::session::TraceRegime;
 use chaser_isa::InsnClass;
-use chaser_mpi::{BudgetKind, MpiErrorKind, ParallelStats};
+use chaser_mpi::{BudgetKind, Fnv1a, MpiErrorKind, ParallelStats};
 use chaser_tcg::CacheStats;
 use chaser_vm::{EngineStats, Signal};
 use std::fs::{File, OpenOptions};
@@ -423,36 +422,6 @@ pub fn parse_json(line: &str) -> Result<Json, JournalError> {
 }
 
 // ---- fingerprints ----
-
-/// FNV-1a over a byte stream: the journal's stable, dependency-free hash.
-#[derive(Debug, Clone)]
-pub struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Fnv1a {
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> Fnv1a {
-        Fnv1a::default()
-    }
-
-    /// Absorbs `bytes`.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// The 64-bit digest.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Digest of the golden run's per-rank output files: resuming against a
 /// *different* application (or a changed golden) must be rejected, because

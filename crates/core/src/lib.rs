@@ -85,7 +85,7 @@ pub use models::{
 pub use outcome::{classify, diff_outputs, CorruptedRegion, Outcome, TermCause};
 pub use plugin::{CommandSpec, FiInterface, FiPlugin, HostState, PluginError, PluginHost};
 pub use provenance::{
-    MsgEdge, ProvFlowEdge, ProvSite, ProvenanceGraph, SinkClass, SinkKind, PROV_LOG_CAPACITY,
+    ProvFlowEdge, ProvSite, ProvenanceGraph, SinkClass, SinkKind, PROV_LOG_CAPACITY,
     UNRESOLVED_RANK,
 };
 pub use session::{
@@ -100,6 +100,9 @@ pub use shard::{
     ENV_SHARD_START,
 };
 
+// Re-exported so provenance consumers can name a graph's message edges
+// without depending on chaser-mpi.
+pub use chaser_mpi::CrossRankEdge;
 // Re-exported so cache-aware callers (harnesses, campaign analyses) can name
 // the layered-translation-cache types without depending on chaser-tcg.
 pub use chaser_tcg::{BaseLayer, CacheStats};
@@ -107,31 +110,7 @@ pub use spec::{Corruption, InjectionSpec, OperandSel, Trigger};
 pub use tracer::{AccessKind, TaintRecorder, TraceEvent, TraceSummary, TracerConfig};
 
 #[cfg(test)]
-mod serde_surface_tests {
-    //! C-SERDE compliance: the crate's data-structure types implement
-    //! `Serialize`/`Deserialize` (checked at compile time) so campaign
-    //! results and trace logs can be persisted by downstream tooling.
-
-    fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-
-    #[test]
-    fn result_types_are_serde() {
-        assert_serde::<crate::InjectionSpec>();
-        assert_serde::<crate::InjectionRecord>();
-        assert_serde::<crate::TraceEvent>();
-        assert_serde::<crate::TraceSummary>();
-        assert_serde::<crate::Outcome>();
-        assert_serde::<crate::TermCause>();
-        assert_serde::<crate::RunOutcome>();
-        assert_serde::<crate::CampaignResult>();
-        assert_serde::<crate::ShardStats>();
-        assert_serde::<crate::ShardReport>();
-        assert_serde::<crate::PoolStats>();
-        assert_serde::<crate::ProvenanceGraph>();
-        assert_serde::<crate::MsgEdge>();
-        assert_serde::<crate::SinkClass>();
-    }
-
+mod surface_tests {
     #[test]
     fn handles_are_send_where_needed() {
         // Campaign fan-out moves specs and results across threads.

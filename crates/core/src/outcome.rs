@@ -3,11 +3,10 @@
 
 use chaser_mpi::{BudgetKind, ClusterRun, MpiErrorKind};
 use chaser_vm::{ExitStatus, Signal};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a run terminated abnormally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TermCause {
     /// The per-run watchdog budget ([`chaser_mpi::RunBudget`]) stopped the
     /// run — a runaway execution bounded deterministically, distinct from
@@ -87,7 +86,7 @@ impl fmt::Display for TermCause {
 
 /// The three failure-outcome classes of the paper's Fig. 6, plus the
 /// harness-fault quarantine row (a tool failure, never a target outcome).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Outcome {
     /// Output files compare bitwise equal to the golden run.
     Benign,
@@ -226,7 +225,7 @@ pub fn classify(run: &ClusterRun, outputs: &[Vec<u8>], golden: &[Vec<u8>]) -> Ou
 }
 
 /// A contiguous corrupted byte range in one rank's output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CorruptedRegion {
     /// The rank whose output differs.
     pub rank: u32,

@@ -16,10 +16,9 @@
 //! deterministic DOT/JSON exports whose digests are byte-identical across
 //! cold, warm-started and journal-resumed executions of the same seed.
 
-use crate::journal::{encode, Fnv1a, Json};
+use crate::journal::{encode, Json};
 use crate::tracer::{AccessKind, TraceEvent};
-use chaser_mpi::CrossRankEdge;
-use serde::{Deserialize, Serialize};
+use chaser_mpi::{CrossRankEdge, Fnv1a};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Rank value for propagation events whose process could not be resolved
@@ -30,43 +29,9 @@ pub const UNRESOLVED_RANK: u32 = u32::MAX;
 /// Cap on the propagation events a run's graph retains.
 pub const PROV_LOG_CAPACITY: usize = 16_384;
 
-/// A cross-rank message edge: tainted payload bytes delivered from one
-/// rank to another (serde-friendly mirror of [`CrossRankEdge`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MsgEdge {
-    /// Sending rank.
-    pub src: u32,
-    /// Receiving rank.
-    pub dest: u32,
-    /// MPI message tag (collectives use their synthetic operation tag).
-    pub tag: u64,
-    /// Sender-side sequence number (0 for collectives).
-    pub seq: u64,
-    /// Scheduler round of the delivery.
-    pub round: u64,
-    /// Tainted payload bytes that crossed.
-    pub tainted_bytes: u64,
-    /// Union of the per-byte provenance bits that crossed.
-    pub prov_bits: u32,
-}
-
-impl MsgEdge {
-    pub(crate) fn from_cross_rank(e: &CrossRankEdge) -> MsgEdge {
-        MsgEdge {
-            src: e.src,
-            dest: e.dest,
-            tag: e.tag,
-            seq: e.seq,
-            round: e.round,
-            tainted_bytes: e.tainted_bytes as u64,
-            prov_bits: e.prov_bits,
-        }
-    }
-}
-
 /// A graph node: one `(rank, eip)` instruction site that touched tainted
 /// data, with its access counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProvSite {
     /// Rank of the site.
     pub rank: u32,
@@ -84,7 +49,7 @@ pub struct ProvSite {
 
 /// An intra-rank taint def-use edge: a site whose tainted store was later
 /// loaded by another site of the same process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProvFlowEdge {
     /// Rank the flow happened on.
     pub rank: u32,
@@ -97,7 +62,7 @@ pub struct ProvFlowEdge {
 }
 
 /// How a rank relates to the fault at run end (SDC sink classification).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SinkKind {
     /// Output corrupted *and* the graph recorded tainted writes on the
     /// rank: the corruption is accounted for by traced propagation.
@@ -111,7 +76,7 @@ pub enum SinkKind {
 }
 
 /// Per-rank sink classification for a run's outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SinkClass {
     /// The rank being classified.
     pub rank: u32,
@@ -126,7 +91,7 @@ pub struct SinkClass {
 /// edges are intra-rank data flows plus cross-rank message edges. All
 /// vectors are canonically sorted, so two equal runs produce byte-equal
 /// exports.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProvenanceGraph {
     /// Retained propagation events (rank-resolved, canonically ordered).
     pub events: Vec<TraceEvent>,
@@ -135,7 +100,7 @@ pub struct ProvenanceGraph {
     /// Intra-rank def-use flow edges.
     pub flow_edges: Vec<ProvFlowEdge>,
     /// Cross-rank message edges.
-    pub msg_edges: Vec<MsgEdge>,
+    pub msg_edges: Vec<CrossRankEdge>,
     /// Events the run logged past [`PROV_LOG_CAPACITY`].
     pub dropped_events: u64,
 }
@@ -159,7 +124,7 @@ impl ProvenanceGraph {
     /// edges.
     pub(crate) fn assemble(
         mut events: Vec<TraceEvent>,
-        mut msg_edges: Vec<MsgEdge>,
+        mut msg_edges: Vec<CrossRankEdge>,
         dropped_events: u64,
     ) -> ProvenanceGraph {
         events.sort_by_key(|e| {

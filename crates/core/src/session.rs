@@ -19,7 +19,6 @@ use chaser_vm::{
     SharedTaintSink, SharedTranslateHook, SharedVmiSink, VmiSink,
 };
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -90,7 +89,7 @@ impl AppSpec {
 ///   or observer hooks are registered, the TaintHub never publishes, and
 ///   every memory op takes the shadow-free tier of the two.
 ///   Outcomes are still classified soundly — see `DESIGN.md` §13.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TraceRegime {
     /// Statistical mode: never arm taint or provenance, whatever the
     /// `tracing`/`provenance` flags say.
@@ -209,7 +208,7 @@ impl RunOptions {
 /// campaign run executes) reports one restore plus its copy-on-write page
 /// traffic; the single-run API ([`run_app`], [`run_prepared`]) executes from
 /// launch and reports all zeros.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnapshotStats {
     /// Cluster restores performed (1 for a run restored from a rung).
     pub restores: u64,

@@ -39,7 +39,6 @@ use crate::campaign::{quarantined_outcome, Campaign, CampaignResult, ReplayBase}
 use crate::journal::{CampaignJournal, JournalError, JournalHeader, JournalRow, ShardMeta};
 use crate::outcome::{Outcome, TermCause};
 use crate::session::{PreparedApp, TraceRegime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -70,7 +69,7 @@ pub enum ShardWorkers {
     #[default]
     Thread,
     /// Self-exec subprocess workers: the argv prefix to spawn (program,
-    /// then arguments — e.g. `["/path/chaser_cli", "shard-worker", ...]`).
+    /// then arguments — e.g. `["/path/chaser_cli", "serve-worker"]`).
     /// The shard assignment itself travels via the `CHASER_SHARD_*`
     /// environment protocol, so one prefix serves every shard and attempt.
     /// Process isolation means a worker crash (OOM, abort, SIGKILL) cannot
@@ -166,7 +165,7 @@ pub struct ShardChaos {
 }
 
 /// Per-shard supervision report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardReport {
     /// Shard id.
     pub shard: u64,
@@ -187,7 +186,7 @@ pub struct ShardReport {
 
 /// Shard-supervision counters for a whole campaign
 /// (`CampaignResult::shard_stats`).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Shards the campaign ran with (0 = the campaign was not sharded).
     pub shards: u64,

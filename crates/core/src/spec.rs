@@ -6,10 +6,9 @@
 //! corruption, and hands the spec to the [`crate::Chaser`] session.
 
 use chaser_isa::InsnClass;
-use serde::{Deserialize, Serialize};
 
 /// When the injector fires (the paper's `fi_trigger_st`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Trigger {
     /// Fire on the n-th execution of a targeted instruction (the
     /// deterministic fault model).
@@ -34,7 +33,7 @@ pub enum Trigger {
 }
 
 /// How the chosen operand is corrupted.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Corruption {
     /// Flip exactly these bit positions (0–63).
     FlipBits(Vec<u32>),
@@ -49,7 +48,7 @@ pub enum Corruption {
 }
 
 /// Which operand of the targeted instruction to corrupt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OperandSel {
     /// The destination register.
     Dst,
@@ -89,7 +88,7 @@ impl OperandSel {
 }
 
 /// A complete injection experiment description (the paper's `fi_cmds_st`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InjectionSpec {
     /// Name of the targeted application — VMI screens created processes
     /// against this.

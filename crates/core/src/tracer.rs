@@ -18,15 +18,14 @@
 //!   [`PROV_LOG_CAPACITY`] events plus the cross-rank message edges the
 //!   recorder collects as the cluster's MPI observer.
 
-use crate::provenance::{kind_name, MsgEdge, ProvenanceGraph, PROV_LOG_CAPACITY, UNRESOLVED_RANK};
+use crate::provenance::{kind_name, ProvenanceGraph, PROV_LOG_CAPACITY, UNRESOLVED_RANK};
 use chaser_mpi::{CrossRankEdge, Envelope, MpiObserver};
 pub use chaser_vm::TaintAccessKind as AccessKind;
 use chaser_vm::{BufferedTaintEvent, TaintEventSink};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One logged tainted-memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Read or write.
     pub kind: AccessKind,
@@ -57,7 +56,7 @@ pub struct TraceEvent {
 }
 
 /// Tracer configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TracerConfig {
     /// Keep at most this many full [`TraceEvent`]s in the trace summary
     /// (counters keep counting past the cap; a multi-million-access run
@@ -79,7 +78,7 @@ impl Default for TracerConfig {
 }
 
 /// Aggregated trace results for one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceSummary {
     /// Total tainted-memory reads (all ranks).
     pub taint_reads: u64,
@@ -143,7 +142,7 @@ pub struct TaintRecorder {
     /// are cut from `log` when the views are built.
     counts: TraceSummary,
     last_sample_at: u64,
-    msg_edges: Vec<MsgEdge>,
+    msg_edges: Vec<CrossRankEdge>,
 }
 
 impl TaintRecorder {
@@ -251,7 +250,7 @@ impl MpiObserver for TaintRecorder {
     fn on_delivered(&mut self, _env: &Envelope, _tainted_bytes: usize) {}
 
     fn on_tainted_delivery(&mut self, edge: &CrossRankEdge) {
-        self.msg_edges.push(MsgEdge::from_cross_rank(edge));
+        self.msg_edges.push(*edge);
     }
 }
 

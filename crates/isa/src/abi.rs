@@ -13,7 +13,6 @@
 //! tag, dest)` from stack and registers.
 
 use crate::Reg;
-use serde::{Deserialize, Serialize};
 
 /// Registers carrying hypercall / function-call arguments, in order.
 pub const ARG_REGS: [Reg; 6] = [Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R5, Reg::R6];
@@ -95,7 +94,7 @@ pub const MPI_ANY: u64 = u64::MAX;
 pub const MPI_BASE: u16 = 100;
 
 /// An MPI element datatype, as passed in the `datatype` argument.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MpiDatatype {
     /// 64-bit signed integer.
     I64 = 1,
@@ -126,7 +125,7 @@ impl MpiDatatype {
 }
 
 /// An MPI reduction operator, as passed in the `op` argument.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MpiOp {
     /// Elementwise sum.
     Sum = 1,

@@ -1,7 +1,6 @@
 //! Branch conditions evaluated against the [`crate::Flags`] set by compare
 //! instructions.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A condition code for `jcc`.
@@ -12,7 +11,7 @@ use std::fmt;
 /// false and only [`Cond::Ne`] holds, mirroring x86 `ucomisd` semantics —
 /// this matters for fault injection because corrupted floats frequently
 /// become NaN and silently change control flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Cond {
     /// Equal.
     Eq,

@@ -1,10 +1,9 @@
 //! Architectural CPU state.
 
 use crate::{FReg, Reg, NUM_FREGS, NUM_REGS};
-use serde::{Deserialize, Serialize};
 
 /// Comparison flags set by `cmp`, `cmpi` and `fcmp`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Flags {
     /// Operands compared equal.
     pub zf: bool,
@@ -72,7 +71,7 @@ impl Flags {
 ///
 /// Floating-point registers are stored as raw IEEE-754 bit patterns so a
 /// fault injector can flip any of the 64 bits without a value round trip.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuState {
     regs: [u64; NUM_REGS],
     fregs: [u64; NUM_FREGS],

@@ -1,7 +1,6 @@
 //! The guest instruction set.
 
 use crate::{Cond, FReg, Reg};
-use serde::{Deserialize, Serialize};
 
 /// A decoded guest instruction.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// operands are 64-bit; `*Idx` forms address `base + idx * 8` (an element
 /// index, the common pattern in the numeric workloads). Branch and call
 /// targets are absolute guest virtual addresses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Instruction {
     /// No operation.
     Nop,
@@ -434,7 +433,7 @@ pub enum Instruction {
 /// A coarse instruction class used to *target* injections, matching the
 /// paper's vocabulary ("inject faults into the operands of the `mov` /
 /// `fadd` / `fmul` / `cmp` instructions").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InsnClass {
     /// Integer data movement: `mov` r/r and r/imm, loads, stores, push/pop.
     Mov,

@@ -1,6 +1,5 @@
 //! Assembled guest program images and the process address-space layout.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Guest page size in bytes.
@@ -20,7 +19,7 @@ pub const STACK_SIZE: u64 = 1 << 20;
 /// by `chaser-vm`. Symbols are absolute guest virtual addresses and include
 /// both code labels and data symbols — Chaser uses them to hook the MPI
 /// library functions by address.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     name: String,
     code: Vec<u8>,

@@ -1,6 +1,5 @@
 //! General-purpose and floating-point register names.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of general-purpose registers.
@@ -13,7 +12,7 @@ pub const NUM_FREGS: usize = 16;
 /// `R15` doubles as the stack pointer ([`Reg::SP`]); the remaining registers
 /// are caller-managed. The guest calling convention (see [`crate::abi`])
 /// passes arguments in `R1..=R6` and returns values in `R0`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
 pub enum Reg {
     R0 = 0,
@@ -85,7 +84,7 @@ impl fmt::Display for Reg {
 ///
 /// Values are stored as raw bits in [`crate::CpuState`] so fault injectors
 /// can flip individual bits without round-tripping through `f64`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
 pub enum FReg {
     F0 = 0,

@@ -2,7 +2,7 @@
 //! MPI runtime service layer.
 
 use crate::collective::{CollKind, CollReq, CollectiveSlot};
-use crate::envelope::{Envelope, MpiError, MpiErrorKind, TaintCarrier, MAX_MSG_BYTES};
+use crate::envelope::{Envelope, MpiError, MpiErrorKind, MAX_MSG_BYTES};
 use crate::net::{Interconnect, NetStats};
 use crate::pool::RankPool;
 use chaser_isa::abi::{self, MpiDatatype, MpiOp};
@@ -15,7 +15,6 @@ use chaser_vm::{
     ProcState, ProcessFiles, SharedTaintSink, Signal, SliceExit,
 };
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
@@ -31,7 +30,7 @@ const HUB_RECORD_TTL: u64 = 4096;
 /// progress; a fault that turns a bounded loop *unbounded* keeps retiring
 /// instructions forever and is caught by these budgets instead,
 /// deterministically, at the same instruction on every replay.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunBudget {
     /// Stop the run after this many total retired guest instructions.
     pub max_insns: u64,
@@ -43,11 +42,6 @@ impl RunBudget {
     /// No bounds at all (the default).
     pub fn unlimited() -> RunBudget {
         RunBudget::default()
-    }
-
-    /// True when neither bound is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_insns == 0 && self.max_rounds == 0
     }
 
     /// The tighter of each pair of bounds (`0` = unset loses to any bound).
@@ -67,7 +61,7 @@ impl RunBudget {
 }
 
 /// Which [`RunBudget`] bound stopped the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BudgetKind {
     /// `max_insns` fired (runaway computation).
     Insns,
@@ -87,7 +81,7 @@ impl std::fmt::Display for BudgetKind {
 /// What a live rank was doing when the run was stopped by the watchdog
 /// (hang declaration or budget exhaustion) — the debuggable part of a hang
 /// report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PendingOp {
     /// Blocked in `MPI_Recv`.
     Recv,
@@ -102,7 +96,7 @@ pub enum PendingOp {
 }
 
 /// One live rank in a hang/budget report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HangRank {
     /// The rank that was still live.
     pub rank: u32,
@@ -131,8 +125,6 @@ pub struct ClusterConfig {
     pub phys_bytes: u64,
     /// Taint propagation policy for every node.
     pub taint_policy: TaintPolicy,
-    /// How taint crosses rank boundaries.
-    pub taint_carrier: TaintCarrier,
     /// Per-run watchdog budgets (instructions / rounds); default unlimited.
     pub run_budget: RunBudget,
     /// Hot-path execution tuning for every node (TB chaining, clean-block
@@ -156,7 +148,6 @@ impl Default for ClusterConfig {
             hang_rounds: 64,
             phys_bytes: chaser_vm::DEFAULT_PHYS_BYTES,
             taint_policy: TaintPolicy::Precise,
-            taint_carrier: TaintCarrier::Hub,
             run_budget: RunBudget::default(),
             exec_tuning: ExecTuning::default(),
             rank_threads: 1,
@@ -167,7 +158,7 @@ impl Default for ClusterConfig {
 /// One tainted payload crossing a rank boundary: the provenance subsystem's
 /// message-edge record, emitted when a delivery (point-to-point or
 /// collective fan-out) carries taint into the destination rank.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrossRankEdge {
     /// Sending rank.
     pub src: u32,
@@ -182,7 +173,7 @@ pub struct CrossRankEdge {
     /// Number of tainted payload bytes that crossed.
     pub tainted_bytes: usize,
     /// Union of the per-byte fault provenance that crossed (raw `ProvSet`
-    /// bits; 0 when the carrier lost or never had provenance).
+    /// bits; 0 when the sender tracked no provenance).
     pub prov_bits: u32,
 }
 
@@ -213,7 +204,7 @@ pub type SharedMpiObserver = Arc<Mutex<dyn MpiObserver + Send>>;
 /// of the *configured* fan-out (`min(rank_threads, nodes)`): the counters
 /// are a function of the configuration and per-node icount deltas, never of
 /// how many threads the host really ran, so they replay on any machine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParallelStats {
     /// Largest worker count a compute phase was fanned out over.
     pub threads: u64,
@@ -1095,16 +1086,16 @@ impl Cluster {
                 ));
                 h.write_u64(proc.icount);
                 h.write_u64(proc.brk);
-                h.write_bytes(&proc.files.stdout);
-                h.write_bytes(&proc.files.output);
+                h.write(&proc.files.stdout);
+                h.write(&proc.files.output);
             }
             node.for_each_resident_page(|base, bytes| {
                 h.write_u64(base);
-                h.write_bytes(bytes);
+                h.write(bytes);
             });
             node.taint().mem().for_each_tainted_page(|base, masks| {
                 h.write_u64(base);
-                h.write_bytes(masks);
+                h.write(masks);
             });
             node.taint().prov_mem().for_each(|paddr, p| {
                 h.write_u64(paddr);
@@ -1115,7 +1106,14 @@ impl Cluster {
             h.write_u64(u64::from(dest));
             h.write_u64(deliver_at);
             h.write_u64(seq);
-            h.write_str(&format!("{env:?}"));
+            // Spelled out as the envelope's derived `Debug` once printed
+            // it, with the retired `taint_header` slot: pinned digests
+            // hash it.
+            h.write_str(&format!(
+                "Envelope {{ src: {}, dest: {}, tag: {}, dtype: {:?}, count: {}, data: {:?}, \
+                 taint_header: None, seq: {} }}",
+                env.src, env.dest, env.tag, env.dtype, env.count, env.data, env.seq
+            ));
         });
         h.write_u64(self.net.seq_counter());
         self.hub
@@ -1480,11 +1478,7 @@ impl Cluster {
         let seq = self.send_seq;
         self.send_seq += 1;
 
-        let taint_header = match self.cfg.taint_carrier {
-            TaintCarrier::Header => Some(masks.clone()),
-            _ => None,
-        };
-        if self.cfg.taint_carrier == TaintCarrier::Hub && tainted_bytes > 0 {
+        if tainted_bytes > 0 {
             // Tainted sends also carry their fault provenance, so the
             // receiver can extend the propagation graph across the rank
             // boundary. Empty when the sender tracks no provenance.
@@ -1516,7 +1510,6 @@ impl Cluster {
             dtype,
             count,
             data,
-            taint_header,
             seq,
         };
         for obs in &self.observers {
@@ -1611,26 +1604,20 @@ impl Cluster {
             self.kill_rank(rank, Signal::Segv);
             return Deliver::Fatal;
         }
-        // The configured carrier hands over the sender's masks and, on the
-        // hub, its provenance (empty when the sender tracks none); `None`
-        // means the payload arrived clean.
-        let mut masks: Option<Vec<u8>> = None;
-        let mut provs: Vec<ProvSet> = Vec::new();
-        match self.cfg.taint_carrier {
-            TaintCarrier::Header => masks = env.taint_header.clone(),
-            TaintCarrier::Hub => {
-                let id = MsgId {
-                    src: env.src,
-                    dest: rank,
-                    tag: env.tag,
-                };
-                if let Some(rec) = self.hub.poll_matching(id, env.seq) {
-                    provs = rec.provs.iter().map(|&b| ProvSet::from_bits(b)).collect();
-                    masks = Some(rec.masks);
-                }
-            }
-            TaintCarrier::None => {}
-        }
+        // The hub hands over the sender's masks and provenance (empty when
+        // the sender tracks none); a miss means the payload arrived clean.
+        let id = MsgId {
+            src: env.src,
+            dest: rank,
+            tag: env.tag,
+        };
+        let (masks, mut provs) = match self.hub.poll_matching(id, env.seq) {
+            Some(rec) => (
+                Some(rec.masks),
+                rec.provs.iter().map(|&b| ProvSet::from_bits(b)).collect(),
+            ),
+            None => (None, Vec::new()),
+        };
         let tainted_bytes = masks.as_deref().map_or(0, tainted_count);
         // Incoming data overwrites whatever taint the buffer carried, then
         // the carried taint is re-applied. Under `Disabled` no shadow holds
@@ -1755,10 +1742,8 @@ impl Cluster {
         let elem = shape.dtype.map_or(0, MpiDatatype::size);
         let bytes = shape.count * elem;
         // Under `Disabled` no shadow holds taint, so a collective does no
-        // taint work at all (`None` below); with the `None` carrier the
-        // payload still overwrites the receivers' taint with clean.
+        // taint work at all (`None` below).
         let taint_on = self.cfg.taint_policy != TaintPolicy::Disabled;
-        let carrier_taint = taint_on && self.cfg.taint_carrier != TaintCarrier::None;
 
         macro_rules! read_buf {
             ($rank:expr, $addr:expr, $len:expr) => {{
@@ -1797,8 +1782,6 @@ impl Cluster {
                 let node = &self.nodes[ni];
                 if !taint_on {
                     None
-                } else if !carrier_taint {
-                    Some((vec![0; $len as usize], vec![ProvSet::EMPTY; $len as usize]))
                 } else {
                     let masks = node
                         .read_guest_taint(pid, $addr, $len)
@@ -1859,7 +1842,7 @@ impl Cluster {
                 let mut taint_srcs: Vec<(u32, usize, u32)> = Vec::new();
                 for (r, req) in slot.requests() {
                     let data = read_buf!(r, req.sendbuf, bytes);
-                    if carrier_taint {
+                    if taint_on {
                         let taint = read_taint!(r, req.sendbuf, bytes);
                         let (tainted_bytes, prov_bits) = summary(view(&taint));
                         if tainted_bytes > 0 {
@@ -2162,33 +2145,45 @@ impl ClusterSnapshot {
     }
 }
 
-/// 64-bit FNV-1a accumulator for state digests. A local copy: the journal
-/// hasher lives in `chaser-core`, which depends on this crate.
-struct Fnv1a(u64);
+/// 64-bit FNV-1a over a byte stream: the workspace's stable,
+/// dependency-free hash (cluster state digests, journal fingerprints,
+/// provenance digests).
+#[derive(Debug, Clone)]
+pub struct Fnv1a(u64);
 
-impl Fnv1a {
-    fn new() -> Fnv1a {
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
         Fnv1a(0xcbf2_9ce4_8422_2325)
     }
+}
 
-    fn write_bytes(&mut self, bytes: &[u8]) {
+impl Fnv1a {
+    /// A fresh hasher at the FNV offset basis.
+    pub fn new() -> Fnv1a {
+        Fnv1a::default()
+    }
+
+    /// Absorbs `bytes`.
+    pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x100_0000_01b3);
         }
     }
 
-    fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
+    /// Absorbs `v` as 8 little-endian bytes.
+    pub fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
     }
 
-    /// Writes a string with a terminator so adjacent fields can't alias.
-    fn write_str(&mut self, s: &str) {
-        self.write_bytes(s.as_bytes());
-        self.write_bytes(&[0xff]);
+    /// Absorbs a string with a terminator so adjacent fields can't alias.
+    pub fn write_str(&mut self, s: &str) {
+        self.write(s.as_bytes());
+        self.write(&[0xff]);
     }
 
-    fn finish(&self) -> u64 {
+    /// The 64-bit digest.
+    pub fn finish(&self) -> u64 {
         self.0
     }
 }

@@ -1,10 +1,9 @@
 //! Collective-operation bookkeeping.
 
 use chaser_isa::abi::{MpiDatatype, MpiOp};
-use serde::{Deserialize, Serialize};
 
 /// Which collective a rank joined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CollKind {
     /// `MPI_Barrier`.
     Barrier,
@@ -21,7 +20,7 @@ pub enum CollKind {
 }
 
 /// One rank's arguments to a collective call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CollReq {
     /// The collective.
     pub kind: CollKind,

@@ -1,27 +1,14 @@
 //! Message envelopes and MPI error classification.
 
 use chaser_isa::abi::MpiDatatype;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Largest accepted message payload; counts beyond this are treated as
 /// corrupted arguments ([`MpiErrorKind::InvalidCount`]).
 pub const MAX_MSG_BYTES: u64 = 1 << 22;
 
-/// How taint crosses rank boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TaintCarrier {
-    /// Chaser's design: senders publish to the TaintHub, receivers poll it.
-    Hub,
-    /// The Related-Work alternative: taint rides in a per-message header
-    /// that every receive must parse (kept for the ablation benchmark).
-    Header,
-    /// No cross-rank propagation (taint stops at the rank boundary).
-    None,
-}
-
 /// A point-to-point message in flight.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope {
     /// Sending rank.
     pub src: u32,
@@ -35,8 +22,6 @@ pub struct Envelope {
     pub count: u64,
     /// Payload bytes.
     pub data: Vec<u8>,
-    /// Inline per-byte taint header (only with [`TaintCarrier::Header`]).
-    pub taint_header: Option<Vec<u8>>,
     /// Global send sequence number (aligns TaintHub records with the
     /// message stream; see `chaser_tainthub::TaintRecord::seq`).
     pub seq: u64,
@@ -50,7 +35,7 @@ impl Envelope {
 }
 
 /// Why the MPI runtime aborted the job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MpiErrorKind {
     /// MPI used before `MPI_Init` or after `MPI_Finalize`.
     NotInitialized,
@@ -87,7 +72,7 @@ impl fmt::Display for MpiErrorKind {
 }
 
 /// An MPI runtime error attributed to the rank whose call triggered it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MpiError {
     /// The rank whose call failed.
     pub rank: u32,
@@ -116,7 +101,6 @@ mod tests {
             dtype: MpiDatatype::F64,
             count: 2,
             data: vec![0u8; 16],
-            taint_header: None,
             seq: 0,
         };
         assert_eq!(env.len_bytes(), 16);

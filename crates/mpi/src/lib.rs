@@ -23,10 +23,9 @@
 //! * a communication pattern that can no longer make progress is detected
 //!   as a hang.
 //!
-//! Cross-rank taint follows the configured [`TaintCarrier`]: the paper's
-//! TaintHub (observers publish/poll `chaser-tainthub`), an inline
-//! per-message header (the Related-Work alternative, kept for ablation), or
-//! none.
+//! Cross-rank taint crosses through the paper's TaintHub: a tainted send
+//! publishes its masks and provenance to `chaser-tainthub`, and every
+//! receive polls it for the matching record.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,9 +37,9 @@ mod net;
 mod pool;
 
 pub use cluster::{
-    BudgetKind, Cluster, ClusterConfig, ClusterRun, ClusterSnapshot, CrossRankEdge, HangRank,
-    MpiObserver, ParallelStats, PendingOp, RoundReport, RunBudget, SharedMpiObserver,
+    BudgetKind, Cluster, ClusterConfig, ClusterRun, ClusterSnapshot, CrossRankEdge, Fnv1a,
+    HangRank, MpiObserver, ParallelStats, PendingOp, RoundReport, RunBudget, SharedMpiObserver,
 };
 pub use collective::{CollKind, CollReq, CollectiveSlot};
-pub use envelope::{Envelope, MpiError, MpiErrorKind, TaintCarrier, MAX_MSG_BYTES};
+pub use envelope::{Envelope, MpiError, MpiErrorKind, MAX_MSG_BYTES};
 pub use net::{Interconnect, NetStats};

@@ -1,10 +1,9 @@
 //! The simulated interconnect.
 
 use crate::envelope::Envelope;
-use serde::{Deserialize, Serialize};
 
 /// Interconnect counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Messages accepted for delivery.
     pub sent: u64,
@@ -162,7 +161,6 @@ mod tests {
             dtype: MpiDatatype::Byte,
             count: data.len() as u64,
             data: data.to_vec(),
-            taint_header: None,
             seq: 0,
         }
     }

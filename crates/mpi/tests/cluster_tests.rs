@@ -3,7 +3,7 @@
 use chaser_isa::{abi, Asm, Cond, Program, Reg, PAGE_SIZE};
 use chaser_mpi::{
     BudgetKind, Cluster, ClusterConfig, CrossRankEdge, Envelope, MpiErrorKind, MpiObserver,
-    PendingOp, RunBudget, TaintCarrier,
+    PendingOp, RunBudget,
 };
 use chaser_taint::{ProvSet, TaintMask};
 use chaser_vm::{ExitStatus, Signal};
@@ -366,56 +366,40 @@ fn mpi_before_init_aborts() {
     );
 }
 
-/// Taint on the sender's buffer crosses to the receiver through the hub,
-/// and does not cross when the carrier is disabled.
+/// Taint on the sender's buffer crosses to the receiver through the hub.
 #[test]
 fn taint_crosses_ranks_via_hub() {
-    for (carrier, expect_cross) in [
-        (TaintCarrier::Hub, true),
-        (TaintCarrier::Header, true),
-        (TaintCarrier::None, false),
-    ] {
-        let mut cfg = small_config(2);
-        cfg.taint_carrier = carrier;
-        let mut cluster = Cluster::new(cfg);
-        let prog = ping_pong_program();
-        cluster.launch_replicated(&prog, 2).expect("launch");
+    let mut cluster = Cluster::new(small_config(2));
+    let prog = ping_pong_program();
+    cluster.launch_replicated(&prog, 2).expect("launch");
 
-        // Taint the master's send buffer before anything runs — as if an
-        // injector had corrupted it.
-        let buf = prog.symbol("buf").expect("buf symbol");
-        let (ni, pid) = cluster.rank_location(0);
-        cluster
-            .node_mut(ni)
-            .write_guest_taint(pid, buf, &TaintMask::ALL.0.to_le_bytes().map(|_| 0xffu8))
-            .expect("taint");
+    // Taint the master's send buffer before anything runs — as if an
+    // injector had corrupted it.
+    let buf = prog.symbol("buf").expect("buf symbol");
+    let (ni, pid) = cluster.rank_location(0);
+    cluster
+        .node_mut(ni)
+        .write_guest_taint(pid, buf, &TaintMask::ALL.0.to_le_bytes().map(|_| 0xffu8))
+        .expect("taint");
 
-        let run = cluster.run();
-        assert!(!run.hang);
-        assert_eq!(run.rank_exits[0], Some(ExitStatus::Exited(43)));
+    let run = cluster.run();
+    assert!(!run.hang);
+    assert_eq!(run.rank_exits[0], Some(ExitStatus::Exited(43)));
 
-        // Check the slave's buffer shadow after its receive.
-        let (ni1, pid1) = cluster.rank_location(1);
-        let slave_masks = cluster
-            .node(ni1)
-            .read_guest_taint(pid1, buf, 8)
-            .expect("slave taint");
-        let crossed = slave_masks.iter().any(|&m| m != 0);
-        assert_eq!(
-            crossed, expect_cross,
-            "carrier {carrier:?}: cross-rank taint expectation"
-        );
-        if expect_cross {
-            assert!(run.cross_rank_tainted_deliveries >= 1);
-        } else {
-            assert_eq!(run.cross_rank_tainted_deliveries, 0);
-        }
-        if carrier == TaintCarrier::Hub {
-            let stats = cluster.hub().stats();
-            assert!(stats.published >= 1, "hub must have been used");
-            assert!(stats.hits >= 1);
-        }
-    }
+    // Check the slave's buffer shadow after its receive.
+    let (ni1, pid1) = cluster.rank_location(1);
+    let slave_masks = cluster
+        .node(ni1)
+        .read_guest_taint(pid1, buf, 8)
+        .expect("slave taint");
+    assert!(
+        slave_masks.iter().any(|&m| m != 0),
+        "taint must cross ranks"
+    );
+    assert!(run.cross_rank_tainted_deliveries >= 1);
+    let stats = cluster.hub().stats();
+    assert!(stats.published >= 1, "hub must have been used");
+    assert!(stats.hits >= 1);
 }
 
 /// The hub must not mis-apply a later tainted message's record to an
@@ -992,7 +976,7 @@ impl MpiObserver for EdgeLog {
     fn on_send(&mut self, _env: &Envelope, _tainted_bytes: usize) {}
     fn on_delivered(&mut self, _env: &Envelope, _tainted_bytes: usize) {}
     fn on_tainted_delivery(&mut self, edge: &CrossRankEdge) {
-        self.0.push(edge.clone());
+        self.0.push(*edge);
     }
 }
 

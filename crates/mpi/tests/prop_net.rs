@@ -13,7 +13,6 @@ fn env(src: u32, dest: u32, tag: u64, payload: u64) -> Envelope {
         dtype: MpiDatatype::I64,
         count: 1,
         data: payload.to_le_bytes().to_vec(),
-        taint_header: None,
         seq: 0,
     }
 }

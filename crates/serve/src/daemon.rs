@@ -753,7 +753,7 @@ fn run_campaign(shared: &Arc<Shared>, job: u64, spec: &CampaignSpec) -> JobState
     }
 }
 
-/// The subprocess shard-worker entry point for served campaigns.
+/// The subprocess shard worker entry point for served campaigns.
 ///
 /// Returns `Ok(false)` when the shard environment protocol
 /// (`CHASER_SHARD_*`) is absent — the caller is a normal invocation, not

@@ -1,14 +1,11 @@
 //! Per-value bit-level taint masks.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{BitAnd, BitOr, BitOrAssign};
 
 /// The taint of one 64-bit value: bit `i` set means bit `i` of the value is
 /// tainted (derived from an injected fault).
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaintMask(pub u64);
 
 impl TaintMask {

@@ -1,7 +1,6 @@
 //! Taint propagation policies.
 
 use crate::TaintMask;
-use serde::{Deserialize, Serialize};
 
 /// The operation kind being propagated through, with the value context the
 /// precise policy needs.
@@ -57,7 +56,7 @@ pub enum PropKind {
 }
 
 /// How aggressively taint propagates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaintPolicy {
     /// DECAF-style value-aware bitwise propagation.
     Precise,

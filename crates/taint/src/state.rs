@@ -260,11 +260,6 @@ impl TaintState {
         self.prov_regs[r.index()]
     }
 
-    /// An FP register's provenance.
-    pub fn freg_prov(&self, r: FReg) -> ProvSet {
-        self.prov_fregs[r.index()]
-    }
-
     /// Shadow memory (physical-address keyed).
     pub fn mem(&self) -> &ShadowMem {
         &self.mem

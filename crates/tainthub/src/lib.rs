@@ -24,17 +24,19 @@
 //!
 //! let hub = TaintHub::new();
 //! let id = MsgId { src: 0, dest: 2, tag: 7 };
-//! hub.publish(id, vec![0xff, 0x00, 0x01]);
-//! let rec = hub.poll(id).expect("published record");
+//! // Message 4 was tainted: the sender publishes its masks (no provenance).
+//! hub.publish_full(id, 4, vec![0xff, 0x00, 0x01], 0, Vec::new());
+//! // Message 3 was clean: its receiver finds nothing for it.
+//! assert!(hub.poll_matching(id, 3).is_none());
+//! let rec = hub.poll_matching(id, 4).expect("published record");
 //! assert_eq!(rec.masks, vec![0xff, 0x00, 0x01]);
-//! assert!(hub.poll(id).is_none(), "records are consumed in FIFO order");
+//! assert!(hub.poll_matching(id, 4).is_none(), "records are consumed");
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
 /// The identity of one MPI message, as the hub keys taint records.
@@ -42,7 +44,7 @@ use std::collections::{HashMap, VecDeque};
 /// The paper's sender shares `(tag, dest)` plus the taint status; the
 /// receiver polls with `(tag, source)`. Both sides know all three fields,
 /// so the hub keys on the triple to disambiguate concurrent pairs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MsgId {
     /// Sending rank.
     pub src: u32,
@@ -53,7 +55,7 @@ pub struct MsgId {
 }
 
 /// A published taint record: one mask byte per message byte.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaintRecord {
     /// Per-byte taint masks of the message payload.
     pub masks: Vec<u8>,
@@ -76,20 +78,8 @@ pub struct TaintRecord {
     pub provs: Vec<u32>,
 }
 
-impl TaintRecord {
-    /// True when at least one payload byte is tainted.
-    pub fn is_tainted(&self) -> bool {
-        self.masks.iter().any(|&m| m != 0)
-    }
-
-    /// Number of tainted payload bytes.
-    pub fn tainted_bytes(&self) -> usize {
-        self.masks.iter().filter(|&&m| m != 0).count()
-    }
-}
-
 /// Hub counters, used by the flexibility/overhead evaluation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HubStats {
     /// Records published by senders.
     pub published: u64,
@@ -121,28 +111,13 @@ impl TaintHub {
         TaintHub::default()
     }
 
-    /// Sender side: records the taint masks of an in-flight message.
+    /// Sender side: records the taint masks of in-flight message `seq`
+    /// (see [`TaintRecord::seq`]), published at time `now` (see
+    /// [`TaintHub::gc`]), with its per-byte fault provenance (see
+    /// [`TaintRecord::provs`]).
     ///
     /// Multiple messages with the same id queue in FIFO order, matching the
     /// non-overtaking delivery of the simulated interconnect.
-    pub fn publish(&self, id: MsgId, masks: Vec<u8>) {
-        self.publish_seq(id, 0, masks);
-    }
-
-    /// Sender side with an explicit message sequence number (see
-    /// [`TaintRecord::seq`]).
-    pub fn publish_seq(&self, id: MsgId, seq: u64, masks: Vec<u8>) {
-        self.publish_seq_at(id, seq, masks, 0);
-    }
-
-    /// Sender side with an explicit sequence number and publication
-    /// timestamp (see [`TaintRecord::published_at`] and [`TaintHub::gc`]).
-    pub fn publish_seq_at(&self, id: MsgId, seq: u64, masks: Vec<u8>, now: u64) {
-        self.publish_full(id, seq, masks, now, Vec::new());
-    }
-
-    /// Sender side carrying per-byte fault provenance alongside the masks
-    /// (see [`TaintRecord::provs`]).
     pub fn publish_full(&self, id: MsgId, seq: u64, masks: Vec<u8>, now: u64, provs: Vec<u32>) {
         let mut inner = self.inner.lock();
         inner.stats.published += 1;
@@ -172,20 +147,6 @@ impl TaintHub {
                 None
             }
         };
-        if rec.is_some() {
-            inner.stats.hits += 1;
-        }
-        rec
-    }
-
-    /// Receiver side: retrieves (and consumes) the oldest record for `id`.
-    ///
-    /// Returns `None` when the message was never published — the common,
-    /// fault-free case the hub makes cheap.
-    pub fn poll(&self, id: MsgId) -> Option<TaintRecord> {
-        let mut inner = self.inner.lock();
-        inner.stats.polls += 1;
-        let rec = inner.map.get_mut(&id).and_then(VecDeque::pop_front);
         if rec.is_some() {
             inner.stats.hits += 1;
         }
@@ -225,13 +186,6 @@ impl TaintHub {
     /// Counter snapshot.
     pub fn stats(&self) -> HubStats {
         self.inner.lock().stats
-    }
-
-    /// Clears all records and counters (between campaign runs).
-    pub fn reset(&self) {
-        let mut inner = self.inner.lock();
-        inner.map.clear();
-        inner.stats = HubStats::default();
     }
 
     /// Freezes the hub's full state — every queued record plus the
@@ -282,11 +236,6 @@ impl HubSnapshot {
             }
         }
     }
-
-    /// Total queued records captured.
-    pub fn pending(&self) -> usize {
-        self.queues.iter().map(|(_, q)| q.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -299,10 +248,15 @@ mod tests {
         tag: 9,
     };
 
+    /// Publishes message `seq` of [`ID`] at time `now`, without provenance.
+    fn publish(hub: &TaintHub, seq: u64, masks: Vec<u8>, now: u64) {
+        hub.publish_full(ID, seq, masks, now, Vec::new());
+    }
+
     #[test]
     fn miss_costs_a_poll_and_returns_none() {
         let hub = TaintHub::new();
-        assert!(hub.poll(ID).is_none());
+        assert!(hub.poll_matching(ID, 0).is_none());
         let stats = hub.stats();
         assert_eq!(stats.polls, 1);
         assert_eq!(stats.hits, 0);
@@ -311,60 +265,38 @@ mod tests {
     #[test]
     fn records_are_fifo_per_id() {
         let hub = TaintHub::new();
-        hub.publish(ID, vec![1]);
-        hub.publish(ID, vec![2]);
-        assert_eq!(hub.poll(ID).expect("first").masks, vec![1]);
-        assert_eq!(hub.poll(ID).expect("second").masks, vec![2]);
-        assert!(hub.poll(ID).is_none());
+        publish(&hub, 0, vec![1], 0);
+        publish(&hub, 1, vec![2], 0);
+        assert_eq!(hub.poll_matching(ID, 0).expect("first").masks, vec![1]);
+        assert_eq!(hub.poll_matching(ID, 1).expect("second").masks, vec![2]);
+        assert!(hub.poll_matching(ID, 2).is_none());
     }
 
     #[test]
     fn ids_are_independent() {
         let hub = TaintHub::new();
-        hub.publish(ID, vec![1]);
+        publish(&hub, 0, vec![1], 0);
         let other = MsgId {
             tag: ID.tag + 1,
             ..ID
         };
-        assert!(hub.poll(other).is_none());
-        assert!(hub.poll(ID).is_some());
+        assert!(hub.poll_matching(other, 0).is_none());
+        assert!(hub.poll_matching(ID, 0).is_some());
     }
 
     #[test]
     fn stats_count_tainted_bytes() {
         let hub = TaintHub::new();
-        hub.publish(ID, vec![0, 0xff, 0, 3]);
+        publish(&hub, 0, vec![0, 0xff, 0, 3], 0);
         assert_eq!(hub.stats().tainted_bytes_published, 2);
         assert_eq!(hub.pending(), 1);
-        hub.reset();
-        assert_eq!(hub.pending(), 0);
-        assert_eq!(hub.stats(), HubStats::default());
-    }
-
-    #[test]
-    fn record_taint_accessors() {
-        let rec = TaintRecord {
-            masks: vec![0, 1, 0],
-            seq: 0,
-            published_at: 0,
-            provs: Vec::new(),
-        };
-        assert!(rec.is_tainted());
-        assert_eq!(rec.tainted_bytes(), 1);
-        let clean = TaintRecord {
-            masks: vec![0, 0],
-            seq: 0,
-            published_at: 0,
-            provs: Vec::new(),
-        };
-        assert!(!clean.is_tainted());
     }
 
     #[test]
     fn gc_expires_only_stale_records() {
         let hub = TaintHub::new();
-        hub.publish_seq_at(ID, 0, vec![1], 0);
-        hub.publish_seq_at(ID, 7, vec![2], 90);
+        publish(&hub, 0, vec![1], 0);
+        publish(&hub, 7, vec![2], 90);
         assert_eq!(hub.published_total(), 2);
         // At round 100 with ttl 50 only the round-0 record is stale.
         assert_eq!(hub.gc(100, 50), 1);
@@ -380,7 +312,7 @@ mod tests {
     fn poll_matching_skips_records_for_later_messages() {
         let hub = TaintHub::new();
         // Message seq 5 was tainted and published; seqs 3 and 4 were clean.
-        hub.publish_seq(ID, 5, vec![0xff]);
+        publish(&hub, 5, vec![0xff], 0);
         assert!(hub.poll_matching(ID, 3).is_none());
         assert!(hub.poll_matching(ID, 4).is_none());
         let rec = hub.poll_matching(ID, 5).expect("record for seq 5");
@@ -391,13 +323,12 @@ mod tests {
     #[test]
     fn snapshot_restore_round_trips_records_and_stats() {
         let hub = TaintHub::new();
-        hub.publish_seq_at(ID, 3, vec![0xff, 0], 10);
-        hub.publish_seq_at(ID, 5, vec![1], 11);
+        publish(&hub, 3, vec![0xff, 0], 10);
+        publish(&hub, 5, vec![1], 11);
         let snap = hub.snapshot();
-        assert_eq!(snap.pending(), 2);
         // Mutate the hub past the capture point...
         hub.poll_matching(ID, 3);
-        hub.publish(ID, vec![9]);
+        publish(&hub, 6, vec![9], 12);
         // ...then restore a fresh hub and check it matches the capture.
         let other = TaintHub::new();
         other.restore(&snap);
@@ -417,8 +348,8 @@ mod tests {
         hub.publish_full(ID, 2, vec![0xff, 0], 5, vec![0b1, 0]);
         let rec = hub.poll_matching(ID, 2).expect("record");
         assert_eq!(rec.provs, vec![0b1, 0]);
-        // Plain publishes leave provenance empty.
-        hub.publish_seq_at(ID, 3, vec![1], 6);
+        // Publishes without provenance leave it empty.
+        publish(&hub, 3, vec![1], 6);
         assert!(hub.poll_matching(ID, 3).expect("record").provs.is_empty());
     }
 

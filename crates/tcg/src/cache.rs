@@ -8,7 +8,6 @@
 //! each guest block once instead of 5 000 times.
 
 use crate::TranslationBlock;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -16,7 +15,7 @@ use std::sync::Arc;
 /// Counters describing cache behaviour; used by the overhead benchmarks to
 /// show the cost of Chaser's cache flushes, and by campaign reports to show
 /// how much translation the shared base layer absorbed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total lookups.
     pub lookups: u64,
@@ -94,14 +93,9 @@ impl BaseLayer {
     }
 
     /// Looks up a block. No validation: callers that might instrument must
-    /// go through [`TbCache::get_or_translate_validated`].
+    /// go through [`TbCache::dispatch_get_or_translate_validated`].
     pub fn get(&self, asid: u64, pc: u64) -> Option<&Arc<TranslationBlock>> {
         self.map.get(&(asid, pc))
-    }
-
-    /// Total guest instructions covered by the layer.
-    pub fn covered_insns(&self) -> u64 {
-        self.map.values().map(|tb| tb.insns().len() as u64).sum()
     }
 }
 
@@ -266,17 +260,23 @@ impl TbCache {
     /// Looks up the block for `pc` in address space `asid`, translating via
     /// `translate` on a miss. Base-layer candidates are accepted without
     /// validation — for callers that never instrument (golden runs, tests).
-    /// Instrumenting callers must use [`Self::get_or_translate_validated`].
+    /// Instrumenting callers must use
+    /// [`Self::dispatch_get_or_translate_validated`].
     pub fn get_or_translate(
         &mut self,
         asid: u64,
         pc: u64,
         translate: impl FnOnce() -> TranslationBlock,
     ) -> Arc<TranslationBlock> {
-        self.get_or_translate_validated(asid, pc, |_| true, translate)
+        Arc::clone(
+            self.dispatch_get_or_translate_validated(asid, pc, |_| true, translate)
+                .tb(),
+        )
     }
 
-    /// Looks up the block for `pc` in address space `asid`.
+    /// Looks up the block for `pc` in address space `asid`, returning the
+    /// cache's [`DispatchBlock`] wrapper so the caller can participate in
+    /// TB chaining ([`Self::chain`] / [`Self::follow`]).
     ///
     /// Resolution order:
     /// 1. overlay hit — returned directly (provenance decides the counter);
@@ -291,22 +291,6 @@ impl TbCache {
     /// (VMI arming the injector, the injector detaching after firing) is
     /// accompanied by a flush: within one flush epoch the hook's decision
     /// for a given block is constant.
-    pub fn get_or_translate_validated(
-        &mut self,
-        asid: u64,
-        pc: u64,
-        base_valid: impl FnOnce(&TranslationBlock) -> bool,
-        translate: impl FnOnce() -> TranslationBlock,
-    ) -> Arc<TranslationBlock> {
-        Arc::clone(
-            self.dispatch_get_or_translate_validated(asid, pc, base_valid, translate)
-                .tb(),
-        )
-    }
-
-    /// [`Self::get_or_translate_validated`], but returning the cache's
-    /// [`DispatchBlock`] wrapper so the caller can participate in TB
-    /// chaining ([`Self::chain`] / [`Self::follow`]).
     pub fn dispatch_get_or_translate_validated(
         &mut self,
         asid: u64,
@@ -543,22 +527,28 @@ mod tests {
 
         let mut cache = TbCache::with_base(base);
         // An "armed injector" rejects the clean block: fresh translation.
-        let tb = cache.get_or_translate_validated(1, CODE_BASE, |_| false, || translate(&code));
+        let db =
+            cache.dispatch_get_or_translate_validated(1, CODE_BASE, |_| false, || translate(&code));
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().base_hits, 0);
         // The fresh block is memoised: the validator must not run again
         // until a flush opens a new hook epoch.
-        let again = cache.get_or_translate_validated(
+        let again = cache.dispatch_get_or_translate_validated(
             1,
             CODE_BASE,
             |_| panic!("validation is memoised within a flush epoch"),
             || panic!("already cached"),
         );
-        assert!(Arc::ptr_eq(&tb, &again));
+        assert!(Arc::ptr_eq(db.tb(), again.tb()));
         assert_eq!(cache.stats().overlay_hits, 1);
         // After the flush ("injector detached"), the base serves it again.
         cache.flush();
-        cache.get_or_translate_validated(1, CODE_BASE, |_| true, || panic!("base serves this"));
+        cache.dispatch_get_or_translate_validated(
+            1,
+            CODE_BASE,
+            |_| true,
+            || panic!("base serves this"),
+        );
         assert_eq!(cache.stats().base_hits, 1);
     }
 
@@ -572,7 +562,7 @@ mod tests {
         let mut cache = TbCache::with_base(base);
         let mut validations = 0;
         for _ in 0..5 {
-            cache.get_or_translate_validated(
+            cache.dispatch_get_or_translate_validated(
                 1,
                 CODE_BASE,
                 |_| {

@@ -1,7 +1,6 @@
 //! The TCG-style intermediate representation.
 
 use chaser_isa::{Cond, FReg, Reg};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A CPU-state-backed IR value ("global" in TCG terms).
@@ -9,7 +8,7 @@ use std::fmt;
 /// Globals alias architectural registers: writing `Global::Reg(R1)` writes
 /// the guest's `r1`. Floating-point globals carry the register's raw bit
 /// pattern — FP semantics are applied only inside [`Helper`] calls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Global {
     /// A general-purpose register.
     Reg(Reg),
@@ -28,7 +27,7 @@ impl fmt::Display for Global {
 
 /// An IR operand: either a global (architectural) value or a block-local
 /// temporary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Temp {
     /// Architectural state.
     Global(Global),
@@ -62,7 +61,7 @@ impl fmt::Display for Temp {
 /// QEMU lowers floating-point guest instructions to helper-function calls
 /// rather than inline IR; Chaser's FP taint extension attaches its
 /// propagation rules to exactly these helpers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Helper {
     /// `d = a + b` (f64).
     Fadd,
@@ -144,7 +143,7 @@ impl fmt::Display for Helper {
 }
 
 /// How a translation block transfers control when it ends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcgOp {
     /// Marks the start of one guest instruction's IR (QEMU's `insn_start`).
     /// Drives the retired-instruction counter and trace sampling.

@@ -2,7 +2,6 @@
 
 use crate::TcgOp;
 use chaser_isa::Instruction;
-use serde::{Deserialize, Serialize};
 
 /// A translated basic block of guest code.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// [`crate::MAX_TB_INSNS`] limit. The decoded guest instructions are kept
 /// alongside the IR so trace logs and injection reports can show guest-level
 /// mnemonics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TranslationBlock {
     start_pc: u64,
     ops: Vec<TcgOp>,

@@ -13,7 +13,6 @@ use chaser_tcg::{
     translate_block, ChainFollow, ChainSlot, CodeFetcher, DispatchBlock, Global, TbCache, TcgOp,
     Temp, TranslateHook, TranslationBlock,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Hot-path execution tuning: selects the interpreter fast paths. All
@@ -45,7 +44,7 @@ impl Default for ExecTuning {
 
 /// Hot-path execution counters, making the fast paths observable in run
 /// reports and campaign results.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Block dispatches served by following a chain link (no cache hash
     /// lookup).

@@ -6,7 +6,6 @@ use crate::paging::AddressSpace;
 use chaser_isa::{CpuState, FReg, Instruction, Reg};
 use chaser_taint::{ProvSet, TaintMask, TaintState};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -63,7 +62,7 @@ pub trait TaintEventSink {
 }
 
 /// How a buffered tainted-memory access touched memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaintAccessKind {
     /// A guest load of tainted memory.
     Read,

@@ -1,10 +1,9 @@
 //! The OS-lite kernel: signals, exit statuses and kernel hypercalls.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A synchronous guest signal (the paper's "OS exceptions").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Signal {
     /// Invalid memory access (unmapped or protection).
     Segv,
@@ -26,7 +25,7 @@ impl fmt::Display for Signal {
 }
 
 /// How a process ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExitStatus {
     /// Clean `exit(code)`.
     Exited(i64),

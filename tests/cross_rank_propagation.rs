@@ -7,13 +7,11 @@ use chaser::{
     RunOptions, Trigger,
 };
 use chaser_isa::InsnClass;
-use chaser_mpi::TaintCarrier;
 use chaser_workloads::{clamr, matvec};
 
-fn matvec_app(carrier: TaintCarrier) -> (AppSpec, matvec::MatvecConfig) {
+fn matvec_app() -> (AppSpec, matvec::MatvecConfig) {
     let cfg = matvec::MatvecConfig::default();
-    let mut app = AppSpec::replicated(matvec::program(&cfg), cfg.ranks as usize, 4);
-    app.cluster.taint_carrier = carrier;
+    let app = AppSpec::replicated(matvec::program(&cfg), cfg.ranks as usize, 4);
     (app, cfg)
 }
 
@@ -38,7 +36,7 @@ fn slave_identity_spec() -> InjectionSpec {
 
 #[test]
 fn slave_fault_reaches_the_master_via_hub() {
-    let (app, cfg) = matvec_app(TaintCarrier::Hub);
+    let (app, cfg) = matvec_app();
     let report = run_app(&app, &RunOptions::inject_traced(slave_identity_spec()));
     assert!(report.injected());
     assert!(report.cluster.all_success(), "{:?}", report.cluster);
@@ -83,31 +81,8 @@ fn slave_fault_reaches_the_master_via_hub() {
 }
 
 #[test]
-fn without_a_carrier_taint_stays_local() {
-    let (app, _) = matvec_app(TaintCarrier::None);
-    let report = run_app(&app, &RunOptions::inject_traced(slave_identity_spec()));
-    assert!(report.injected());
-    assert_eq!(
-        report.cluster.cross_rank_tainted_deliveries, 0,
-        "no carrier, no cross-rank propagation"
-    );
-    assert_eq!(report.hub_stats.published, 0);
-}
-
-#[test]
-fn header_carrier_also_propagates() {
-    let (app, _) = matvec_app(TaintCarrier::Header);
-    let report = run_app(&app, &RunOptions::inject_traced(slave_identity_spec()));
-    assert!(report.injected());
-    assert!(report.cluster.cross_rank_tainted_deliveries > 0);
-    // The header scheme does not touch the hub at all.
-    assert_eq!(report.hub_stats.published, 0);
-    assert_eq!(report.hub_stats.polls, 0);
-}
-
-#[test]
 fn hub_miss_path_is_poll_only_when_fault_free() {
-    let (app, _) = matvec_app(TaintCarrier::Hub);
+    let (app, _) = matvec_app();
     let report = run_app(&app, &RunOptions::golden());
     assert!(report.cluster.all_success());
     let stats = report.hub_stats;
@@ -122,8 +97,7 @@ fn hub_miss_path_is_poll_only_when_fault_free() {
 #[test]
 fn clamr_halo_exchange_spreads_taint_to_neighbours() {
     let cfg = clamr::ClamrConfig::default();
-    let mut app = AppSpec::replicated(clamr::program(&cfg), cfg.ranks as usize, 4);
-    app.cluster.taint_carrier = TaintCarrier::Hub;
+    let app = AppSpec::replicated(clamr::program(&cfg), cfg.ranks as usize, 4);
     // Identity-taint an FP value early in rank 2's solve.
     let spec = InjectionSpec {
         target_program: "clamr_sim".into(),
@@ -149,7 +123,7 @@ fn clamr_halo_exchange_spreads_taint_to_neighbours() {
 /// the reliable hub loses no synchronisation on any run.
 #[test]
 fn traced_slave_fp_campaign_crosses_ranks_without_lost_syncs() {
-    let (app, _) = matvec_app(TaintCarrier::Hub);
+    let (app, _) = matvec_app();
     let cfg = CampaignConfig {
         runs: 15,
         seed: 0xFADE,
