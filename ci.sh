@@ -17,7 +17,20 @@ tree_before=$(git status --porcelain)
 # Warnings are errors for the tier-1 build: rustc must come back clean
 # before clippy gets its adversarial pass below.
 RUSTFLAGS="-D warnings" cargo build --release --offline
-cargo test -q --offline
+
+# Tests make their scratch directories under TMPDIR. Give them a fresh one
+# under the ignored target/ and fail if any `chaser-*` entry is left in it:
+# the clean-tree check at the end cannot see the system temp directory.
+test_tmp="$PWD/target/ci-tmp"
+rm -rf "$test_tmp"
+mkdir -p "$test_tmp"
+TMPDIR="$test_tmp" cargo test -q --offline
+leftover=$(find "$test_tmp" -mindepth 1 -maxdepth 1 -name 'chaser-*')
+if [ -n "$leftover" ]; then
+    echo "cargo test left scratch entries in TMPDIR:" >&2
+    echo "$leftover" >&2
+    exit 1
+fi
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

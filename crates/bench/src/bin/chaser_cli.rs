@@ -531,13 +531,14 @@ fn serve_main(args: &[String]) -> ! {
 
 /// Hidden serve-worker mode: the daemon's and the `campaign … proc`
 /// subprocess shard workers self-exec `chaser_cli serve-worker` with the
-/// shard assignment in the `CHASER_SHARD_*` environment and the campaign
-/// spec in the journal directory's `spec.json`.
+/// shard journal in `CHASER_SHARD_JOURNAL` (its line 2 holds the shard
+/// assignment) and the campaign spec in the journal directory's
+/// `spec.json`.
 fn serve_worker_main() -> ! {
     match chaser_serve::shard_worker_from_spec_env() {
         Ok(true) => std::process::exit(0),
         Ok(false) => {
-            eprintln!("serve-worker: no shard assignment in the environment");
+            eprintln!("serve-worker: no shard journal in the environment");
             std::process::exit(1);
         }
         Err(e) => {

@@ -2,9 +2,7 @@
 //! runs executed in parallel, classified against a golden run.
 
 use crate::injector::InjectionRecord;
-use crate::journal::{
-    golden_digest, CampaignJournal, JournalError, JournalHeader, JournalRow, JOURNAL_VERSION,
-};
+use crate::journal::{golden_digest, CampaignJournal, JournalHeader, JournalRow, JOURNAL_VERSION};
 use crate::outcome::{Outcome, TermCause};
 use crate::provenance::ProvenanceGraph;
 use crate::session::{
@@ -23,7 +21,6 @@ use rand::{Rng, SeedableRng};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, Once};
 
@@ -113,10 +110,9 @@ pub struct CampaignConfig {
     /// finished — or merged — under the shard plan that created it.
     pub shards: u64,
     /// How shard workers execute: in-process threads (default) or self-exec
-    /// subprocess workers driven by the `CHASER_SHARD_*` environment
-    /// protocol. Operational only (like `parallelism`): excluded from the
-    /// config fingerprint, and merged outputs are byte-identical either
-    /// way.
+    /// subprocess workers told their journal through `CHASER_SHARD_JOURNAL`.
+    /// Operational only (like `parallelism`): excluded from the config
+    /// fingerprint, and merged outputs are byte-identical either way.
     pub shard_workers: ShardWorkers,
     /// Liveness and retry policy for shard workers: journal-progress
     /// heartbeat timeout, capped exponential backoff, retry budget.
@@ -654,7 +650,7 @@ impl CampaignResult {
     }
 }
 
-/// Rows replayed from a journal before a resume re-executes the rest.
+/// Journal rows folded into a campaign result ahead of executed runs.
 #[derive(Debug, Default)]
 pub(crate) struct ReplayBase {
     pub(crate) outcomes: Vec<RunOutcome>,
@@ -811,72 +807,6 @@ impl Campaign {
         self.execute(&prepared, &indices, None, ReplayBase::default(), None)
     }
 
-    /// Like [`Campaign::run`], journaling every finished run to `path` as
-    /// an append-only checkpoint. A campaign killed mid-way can be finished
-    /// with [`Campaign::resume`] on the same journal.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError`] on filesystem failures.
-    pub fn run_journaled(&self, path: &Path) -> Result<CampaignResult, JournalError> {
-        let prepared = self.prepare();
-        let journal = CampaignJournal::create_with(
-            path,
-            self.journal_header(&prepared),
-            self.cfg.journal_sync_rows,
-        )?;
-        let indices: Vec<u64> = (0..self.cfg.runs).collect();
-        Ok(self.execute(
-            &prepared,
-            &indices,
-            Some(&journal),
-            ReplayBase::default(),
-            None,
-        ))
-    }
-
-    /// Resumes a journaled campaign: validates that the journal belongs to
-    /// *this* campaign (seed, configuration fingerprint, golden-output
-    /// digest), replays the intact rows, and re-executes only the missing
-    /// run indices. The result is byte-identical to an uninterrupted
-    /// [`Campaign::run`] — per-run outcomes are deterministic functions of
-    /// `(seed, run index)`, so it does not matter which process computed
-    /// each row.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::HeaderMismatch`] when the journal was written by a
-    /// different campaign; [`JournalError::Malformed`] on a damaged
-    /// journal (a truncated final line is tolerated, anything else is not).
-    pub fn resume(&self, path: &Path) -> Result<CampaignResult, JournalError> {
-        let prepared = self.prepare();
-        let expected = self.journal_header(&prepared);
-        let (found, rows) = CampaignJournal::read(path)?;
-        if found != expected {
-            return Err(JournalError::HeaderMismatch {
-                path: path.display().to_string(),
-                expected,
-                found,
-            });
-        }
-        // Last-wins dedup: a killed-and-resumed campaign may have journaled
-        // a run twice; per-run determinism makes the copies identical, but
-        // only one may be replayed.
-        let mut by_idx: BTreeMap<u64, JournalRow> = BTreeMap::new();
-        for row in rows {
-            by_idx.insert(row.run_idx(), row);
-        }
-        let mut base = ReplayBase::default();
-        for row in by_idx.values() {
-            base.absorb(row);
-        }
-        let missing: Vec<u64> = (0..self.cfg.runs)
-            .filter(|i| !by_idx.contains_key(i))
-            .collect();
-        let journal = CampaignJournal::append_to_with(path, self.cfg.journal_sync_rows)?;
-        Ok(self.execute(&prepared, &missing, Some(&journal), base, None))
-    }
-
     /// The header binding a journal to this campaign.
     pub(crate) fn journal_header(&self, prepared: &PreparedApp) -> JournalHeader {
         JournalHeader {
@@ -930,12 +860,12 @@ impl Campaign {
         h.finish()
     }
 
-    /// The shared worker loop behind [`Campaign::run`], `run_journaled`,
-    /// `resume` and the shard workers: executes `indices` across worker
-    /// threads, each run isolated under `catch_unwind` so a harness panic
-    /// quarantines that one run (as [`Outcome::HarnessFault`]) instead of
-    /// poisoning the campaign, and folds the results into `base` (the rows
-    /// a resume replayed from the journal). `ctl`, when present, is the
+    /// The shared worker loop behind [`Campaign::run`] and the shard
+    /// workers: executes `indices` across worker threads, each run isolated
+    /// under `catch_unwind` so a harness panic quarantines that one run (as
+    /// [`Outcome::HarnessFault`]) instead of poisoning the campaign, and
+    /// folds the results into `base` (the merged shard journals' rows, when
+    /// the supervisor assembles its result). `ctl`, when present, is the
     /// shard worker's control block: it counts journal appends for the
     /// supervisor's liveness heartbeat, carries the chaos trigger, and its
     /// stop flag makes workers drain without taking new indices.

@@ -1,12 +1,13 @@
-//! Append-only campaign journal: checkpoint/resume for long campaigns.
+//! Append-only shard journals: checkpoint/resume for long campaigns.
 //!
-//! A campaign writes one JSONL file: a header line binding the journal to
-//! its campaign (seed, config fingerprint, golden-output digest) followed
-//! by one line per finished run, appended as workers complete them. A
-//! killed campaign leaves at worst one truncated trailing line; resuming
-//! validates the header, replays the intact rows, and re-executes only the
-//! missing run indices — reproducing the uninterrupted [`CampaignResult`]
-//! byte for byte.
+//! Each shard of a campaign writes one JSONL file: a header line binding
+//! the journal to its campaign (seed, config fingerprint, golden-output
+//! digest), the shard's [`ShardMeta`] assignment line, then one line per
+//! finished run, appended as workers complete them. A killed campaign
+//! leaves at worst one truncated trailing line; running it again over its
+//! journals replays the intact rows and re-executes only the missing run
+//! indices — reproducing the uninterrupted [`CampaignResult`] byte for
+//! byte.
 //!
 //! The JSON here is hand-rolled: a minimal value model plus explicit
 //! encoders/decoders for exactly the types a [`RunOutcome`] contains.
@@ -757,12 +758,6 @@ pub struct CampaignJournal {
 }
 
 impl CampaignJournal {
-    /// Creates (truncating) a journal at `path` and writes the header,
-    /// with the default fsync interval ([`DEFAULT_SYNC_ROWS`]).
-    pub fn create(path: &Path, header: JournalHeader) -> Result<CampaignJournal, JournalError> {
-        CampaignJournal::create_with(path, header, DEFAULT_SYNC_ROWS)
-    }
-
     /// Creates (truncating) a journal at `path` and writes the header.
     /// `sync_every` is the durability knob: `sync_data` the file every that
     /// many appended rows (0 = flush to the OS only, never fsync).
@@ -797,12 +792,6 @@ impl CampaignJournal {
         journal.append_line(&meta.to_json())?;
         journal.sync_now()?;
         Ok(journal)
-    }
-
-    /// Reopens `path` for appending further rows (resume), with the default
-    /// fsync interval ([`DEFAULT_SYNC_ROWS`]).
-    pub fn append_to(path: &Path) -> Result<CampaignJournal, JournalError> {
-        CampaignJournal::append_to_with(path, DEFAULT_SYNC_ROWS)
     }
 
     /// Reopens `path` for appending further rows (resume). A torn final
@@ -875,29 +864,13 @@ impl CampaignJournal {
         ]))
     }
 
-    /// Reads and validates a journal: returns the header and the intact
-    /// rows. A truncated *final* line (the kill signature) is tolerated and
-    /// dropped; a malformed line anywhere else is an error.
-    pub fn read(path: &Path) -> Result<(JournalHeader, Vec<JournalRow>), JournalError> {
-        let (header, _meta, rows) = CampaignJournal::read_inner(path, false)?;
-        Ok((header, rows))
-    }
-
-    /// Reads and validates a *shard* journal: header, the shard's
-    /// [`ShardMeta`] assignment, then the intact rows (same torn-final-line
-    /// tolerance as [`CampaignJournal::read`]).
+    /// Reads and validates a shard journal: the header, the shard's
+    /// [`ShardMeta`] assignment, then the intact rows. A truncated *final*
+    /// line (the kill signature) is tolerated and dropped; a malformed line
+    /// anywhere else is an error.
     pub fn read_shard(
         path: &Path,
     ) -> Result<(JournalHeader, ShardMeta, Vec<JournalRow>), JournalError> {
-        let (header, meta, rows) = CampaignJournal::read_inner(path, true)?;
-        let meta = meta.expect("read_inner returns meta when expected");
-        Ok((header, meta, rows))
-    }
-
-    fn read_inner(
-        path: &Path,
-        expect_meta: bool,
-    ) -> Result<(JournalHeader, Option<ShardMeta>, Vec<JournalRow>), JournalError> {
         let text =
             std::fs::read_to_string(path).map_err(|e| JournalError::from(e).with_path(path))?;
         let complete = text.ends_with('\n');
@@ -915,21 +888,15 @@ impl CampaignJournal {
         let header = parse_json(header_line)
             .and_then(|v| JournalHeader::from_json(&v))
             .map_err(|e| e.with_line(header_no).with_path(path))?;
-        let mut rest = &lines[1..];
-        let meta = if expect_meta {
-            let Some(&(meta_no, meta_line)) = rest.first() else {
-                return Err(bad("shard journal missing its shard-assignment line")
-                    .with_line(2)
-                    .with_path(path));
-            };
-            let meta = parse_json(meta_line)
-                .and_then(|v| ShardMeta::from_json(&v))
-                .map_err(|e| e.with_line(meta_no).with_path(path))?;
-            rest = &rest[1..];
-            Some(meta)
-        } else {
-            None
+        let Some(&(meta_no, meta_line)) = lines.get(1) else {
+            return Err(bad("shard journal missing its shard-assignment line")
+                .with_line(2)
+                .with_path(path));
         };
+        let meta = parse_json(meta_line)
+            .and_then(|v| ShardMeta::from_json(&v))
+            .map_err(|e| e.with_line(meta_no).with_path(path))?;
+        let rest = &lines[2..];
         let mut rows = Vec::new();
         for (i, &(line_no, line)) in rest.iter().enumerate() {
             let parsed = parse_json(line).and_then(|v| row_from_json(&v));
@@ -1520,28 +1487,34 @@ mod tests {
         ));
     }
 
+    const HEADER: JournalHeader = JournalHeader {
+        version: JOURNAL_VERSION,
+        seed: 1,
+        runs: 10,
+        config_hash: 2,
+        golden_digest: 3,
+        trace_regime: TraceRegime::Full,
+    };
+    const META: ShardMeta = ShardMeta {
+        shard: 0,
+        start: 0,
+        end: 10,
+    };
+
     #[test]
     fn truncated_final_line_is_tolerated() {
         let dir = std::env::temp_dir().join("chaser-journal-test-trunc");
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("j.jsonl");
-        let header = JournalHeader {
-            version: JOURNAL_VERSION,
-            seed: 1,
-            runs: 10,
-            config_hash: 2,
-            golden_digest: 3,
-            trace_regime: TraceRegime::Full,
-        };
-        let j = CampaignJournal::create(&path, header).expect("create");
+        let j = CampaignJournal::create_shard(&path, HEADER, META, 0).expect("create");
         j.append_outcome(&sample_outcome()).expect("append");
         drop(j);
         // Simulate a kill mid-append: add a half-written row.
         let mut text = std::fs::read_to_string(&path).expect("read");
         text.push_str("{\"run_idx\":9,\"outco");
         std::fs::write(&path, &text).expect("write");
-        let (h, rows) = CampaignJournal::read(&path).expect("read back");
-        assert_eq!(h, header);
+        let (h, m, rows) = CampaignJournal::read_shard(&path).expect("read back");
+        assert_eq!((h, m), (HEADER, META));
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].run_idx(), 7);
         std::fs::remove_dir_all(&dir).ok();
@@ -1552,15 +1525,7 @@ mod tests {
         let dir = std::env::temp_dir().join("chaser-journal-test-corrupt");
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("j.jsonl");
-        let header = JournalHeader {
-            version: JOURNAL_VERSION,
-            seed: 1,
-            runs: 10,
-            config_hash: 2,
-            golden_digest: 3,
-            trace_regime: TraceRegime::Full,
-        };
-        let j = CampaignJournal::create(&path, header).expect("create");
+        let j = CampaignJournal::create_shard(&path, HEADER, META, 0).expect("create");
         j.append_skip(0, CacheStats::default()).expect("append");
         drop(j);
         let text = std::fs::read_to_string(&path).expect("read");
@@ -1568,7 +1533,7 @@ mod tests {
         let damaged = text.replace("\"skip\":true", "\"skip\":tr");
         let with_tail = format!("{damaged}{{\"run_idx\":1,\"skip\":true,\"cache_stats\":{{\"lookups\":0,\"misses\":0,\"base_hits\":0,\"overlay_hits\":0,\"flushes\":0,\"asid_flushes\":0,\"translated_insns\":0,\"overlay_blocks\":0,\"base_blocks\":0}}}}\n");
         std::fs::write(&path, &with_tail).expect("write");
-        assert!(CampaignJournal::read(&path).is_err());
+        assert!(CampaignJournal::read_shard(&path).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -96,8 +96,7 @@ pub use session::{
 pub use shard::{
     is_shard_lost, merge_shard_journals, shard_journal_path, ChaosKind, ShardChaos, ShardError,
     ShardPlan, ShardReport, ShardStats, ShardSupervision, ShardWorkers, StopSignal,
-    ENV_SHARD_ATTEMPT, ENV_SHARD_CHAOS, ENV_SHARD_END, ENV_SHARD_INDEX, ENV_SHARD_JOURNAL,
-    ENV_SHARD_START,
+    ENV_SHARD_CHAOS, ENV_SHARD_JOURNAL,
 };
 
 // Re-exported so provenance consumers can name a graph's message edges

@@ -3,21 +3,22 @@
 //! [`Campaign::run_sharded`] splits a campaign's run-index range into a
 //! [`ShardPlan`] of contiguous shards and executes each shard as an
 //! isolated worker — an in-process thread by default, or a self-exec
-//! subprocess ([`ShardWorkers::Subprocess`]) driven by the `CHASER_SHARD_*`
-//! environment protocol. Every shard appends to its own
-//! fingerprint-validated journal (`<base>.shard-K.jsonl`), so worker death
-//! costs at most one torn line.
+//! subprocess ([`ShardWorkers::Subprocess`]) told its journal through
+//! `CHASER_SHARD_JOURNAL`. Every shard appends to its own
+//! fingerprint-validated journal (`<base>.shard-K.jsonl`, its assignment
+//! on line 2), so worker death costs at most one torn line. Running a
+//! campaign again over its journals is how it resumes.
 //!
 //! The supervisor watches each worker's *journal progress* (file growth vs.
 //! [`ShardSupervision::heartbeat_timeout_ms`]): a subprocess that stops
 //! appending is a straggler and gets killed. Dead or incomplete workers are
 //! relaunched with capped exponential backoff; each relaunch *resumes* the
-//! shard journal ([`Campaign::resume`] semantics — replay intact rows,
-//! re-execute only the missing indices), so retries never redo finished
-//! work and never duplicate rows. A shard that exhausts
-//! [`ShardSupervision::max_retries`] is degraded gracefully: its unfinished
-//! run indices become quarantined [`Outcome::HarnessFault`] rows whose
-//! cause is [`TermCause::ShardLost`], and the campaign still completes.
+//! shard journal (replay intact rows, re-execute only the missing
+//! indices), so retries never redo finished work and never duplicate rows.
+//! A shard that exhausts [`ShardSupervision::max_retries`] is degraded
+//! gracefully: its unfinished run indices become quarantined
+//! [`Outcome::HarnessFault`] rows whose cause is [`TermCause::ShardLost`],
+//! and the campaign still completes.
 //!
 //! [`merge_shard_journals`] then stitches the shard journals back together
 //! deterministically: every header must match the campaign fingerprint,
@@ -26,8 +27,8 @@
 //! (deduped — determinism makes re-executed rows identical) or a typed
 //! error. Only a repeated run index is re-encoded for that comparison. The
 //! merged [`CampaignResult`], outcome CSV and stats CSV are
-//! byte-identical to a single-process [`Campaign::run_journaled`] of the
-//! same seed and configuration.
+//! byte-identical to a single-process [`Campaign::run`] of the same seed
+//! and configuration.
 //!
 //! Each shard journal is decoded once at the end: a supervisor's last
 //! completeness check reads the whole journal, and when that read finds
@@ -38,7 +39,7 @@
 use crate::campaign::{quarantined_outcome, Campaign, CampaignResult, ReplayBase};
 use crate::journal::{CampaignJournal, JournalError, JournalHeader, JournalRow, ShardMeta};
 use crate::outcome::{Outcome, TermCause};
-use crate::session::{PreparedApp, TraceRegime};
+use crate::session::PreparedApp;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -46,16 +47,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Env var carrying the shard journal path to a subprocess worker.
+/// Env var carrying the shard journal path to a subprocess worker; the
+/// worker reads its assignment from the journal's line 2.
 pub const ENV_SHARD_JOURNAL: &str = "CHASER_SHARD_JOURNAL";
-/// Env var carrying the shard id to a subprocess worker.
-pub const ENV_SHARD_INDEX: &str = "CHASER_SHARD_INDEX";
-/// Env var carrying the shard's first run index (inclusive).
-pub const ENV_SHARD_START: &str = "CHASER_SHARD_START";
-/// Env var carrying the shard's end run index (exclusive).
-pub const ENV_SHARD_END: &str = "CHASER_SHARD_END";
-/// Env var carrying the 1-based attempt number (first launch = 1).
-pub const ENV_SHARD_ATTEMPT: &str = "CHASER_SHARD_ATTEMPT";
 /// Env var carrying a chaos directive (`kill:<rows>` / `stall:<rows>`) to a
 /// subprocess worker; absent on unharassed launches.
 pub const ENV_SHARD_CHAOS: &str = "CHASER_SHARD_CHAOS";
@@ -70,8 +64,9 @@ pub enum ShardWorkers {
     Thread,
     /// Self-exec subprocess workers: the argv prefix to spawn (program,
     /// then arguments — e.g. `["/path/chaser_cli", "serve-worker"]`).
-    /// The shard assignment itself travels via the `CHASER_SHARD_*`
-    /// environment protocol, so one prefix serves every shard and attempt.
+    /// The worker finds its journal through `CHASER_SHARD_JOURNAL` and its
+    /// assignment on the journal's line 2, so one prefix serves every
+    /// shard and attempt.
     /// Process isolation means a worker crash (OOM, abort, SIGKILL) cannot
     /// take the supervisor down.
     Subprocess(Vec<String>),
@@ -258,8 +253,8 @@ impl ShardPlan {
 pub enum ShardError {
     /// A shard journal failed to read, validate, or write.
     Journal(JournalError),
-    /// A shard journal's assignment line disagrees with the plan (wrong
-    /// shard id or range for its position).
+    /// A shard journal's assignment line disagrees with the campaign's
+    /// [`ShardPlan`] (wrong shard id or range for its position).
     MetaMismatch {
         /// The offending journal file.
         path: String,
@@ -304,19 +299,6 @@ pub enum ShardError {
         path: String,
         /// The contested run index.
         run_idx: u64,
-    },
-    /// A shard journal was written under a different tracing regime than
-    /// the campaign merging it. Checked before the generic header
-    /// comparison: `off`-regime rows carry never-armed zeros in their
-    /// taint counters, so mixing regimes would corrupt the merged result
-    /// silently if only the opaque fingerprint were compared.
-    RegimeMismatch {
-        /// The offending journal file.
-        path: String,
-        /// The regime the merging campaign runs under.
-        expected: TraceRegime,
-        /// The regime the journal was written under.
-        found: TraceRegime,
     },
     /// The merged journals do not cover every run index.
     MissingRuns {
@@ -367,16 +349,6 @@ impl std::fmt::Display for ShardError {
             ShardError::ConflictingDuplicate { path, run_idx } => write!(
                 f,
                 "shard journal {path} holds a conflicting duplicate of run {run_idx}"
-            ),
-            ShardError::RegimeMismatch {
-                path,
-                expected,
-                found,
-            } => write!(
-                f,
-                "shard journal {path} was written under trace regime `{}` but the campaign runs under `{}`",
-                found.name(),
-                expected.name()
             ),
             ShardError::MissingRuns { count, first } => write!(
                 f,
@@ -515,29 +487,8 @@ fn merge_shard_reads<'a>(
             Some(read) => read,
             None => CampaignJournal::read_shard(path)?,
         };
+        check_shard(path, header, meta, expected, None)?;
         let path_str = || path.display().to_string();
-        if header.trace_regime != expected.trace_regime {
-            return Err(ShardError::RegimeMismatch {
-                path: path_str(),
-                expected: expected.trace_regime,
-                found: header.trace_regime,
-            });
-        }
-        if header != *expected {
-            return Err(JournalError::HeaderMismatch {
-                path: path_str(),
-                expected: *expected,
-                found: header,
-            }
-            .into());
-        }
-        if meta.start > meta.end || meta.end > expected.runs {
-            return Err(ShardError::BadRange {
-                path: path_str(),
-                meta,
-                runs: expected.runs,
-            });
-        }
         for prev in &metas {
             if meta.start < prev.end && prev.start < meta.end {
                 return Err(ShardError::OverlappingShards {
@@ -580,6 +531,42 @@ fn merge_shard_reads<'a>(
     Ok(by_idx.into_iter().flatten().collect())
 }
 
+/// The one check a shard journal passes before any of its rows is used:
+/// its header must be `expected` (a mismatch names the fields that differ,
+/// `trace_regime` among them), and its assignment must be `want` where the
+/// caller knows the shard's plan entry, or else lie inside the campaign's
+/// `0..runs`.
+fn check_shard(
+    path: &Path,
+    header: JournalHeader,
+    meta: ShardMeta,
+    expected: &JournalHeader,
+    want: Option<ShardMeta>,
+) -> Result<(), ShardError> {
+    let path = || path.display().to_string();
+    if header != *expected {
+        return Err(JournalError::HeaderMismatch {
+            path: path(),
+            expected: *expected,
+            found: header,
+        }
+        .into());
+    }
+    match want {
+        Some(want) if meta != want => Err(ShardError::MetaMismatch {
+            path: path(),
+            expected: want,
+            found: meta,
+        }),
+        None if meta.start > meta.end || meta.end > expected.runs => Err(ShardError::BadRange {
+            path: path(),
+            meta,
+            runs: expected.runs,
+        }),
+        _ => Ok(()),
+    }
+}
+
 /// Parses a `CHASER_SHARD_CHAOS` directive (`kill:<rows>` / `stall:<rows>`).
 fn parse_chaos_env(text: &str) -> Option<(u64, ChaosAction)> {
     let (kind, rows) = text.split_once(':')?;
@@ -594,7 +581,7 @@ fn parse_chaos_env(text: &str) -> Option<(u64, ChaosAction)> {
 /// The run indices of `meta`'s range with no journal row yet, plus the
 /// read they were computed from. Read failures count as "everything
 /// missing": the journal may be mid-torn from a kill, and the retry's
-/// `append_to` trim will repair it.
+/// `append_to_with` trim will repair it.
 fn shard_progress(path: &Path, meta: ShardMeta) -> (Vec<u64>, Option<ShardRead>) {
     match CampaignJournal::read_shard(path) {
         Ok(read) => {
@@ -608,19 +595,6 @@ fn shard_progress(path: &Path, meta: ShardMeta) -> (Vec<u64>, Option<ShardRead>)
     }
 }
 
-fn env_u64(var: &str) -> Result<u64, JournalError> {
-    let text = std::env::var(var).map_err(|_| JournalError::Malformed {
-        path: String::new(),
-        line: 0,
-        msg: format!("shard worker env var `{var}` missing"),
-    })?;
-    text.parse().map_err(|_| JournalError::Malformed {
-        path: String::new(),
-        line: 0,
-        msg: format!("shard worker env var `{var}` is not a number: `{text}`"),
-    })
-}
-
 impl Campaign {
     /// Executes the campaign sharded: splits `0..runs` into
     /// `cfg.shards` chunks, runs each as a supervised worker with its own
@@ -629,9 +603,10 @@ impl Campaign {
     /// exponential backoff, degrades shards that exhaust their retry
     /// budget into quarantined rows, and deterministically merges the
     /// shard journals. The merged result, outcome CSV and stats CSV are
-    /// byte-identical to [`Campaign::run_journaled`] on the same
-    /// seed/config (absent degradation, which only ever *adds* quarantined
+    /// byte-identical to [`Campaign::run`] on the same seed/config (absent
+    /// degradation, which only ever *adds* quarantined
     /// [`TermCause::ShardLost`] rows for runs no worker could finish).
+    /// `shards` 0 or 1 journals the campaign in `<stem>.shard-0.jsonl`.
     ///
     /// Existing shard journals from a previous (killed) supervisor are
     /// validated and resumed rather than restarted, so the whole campaign
@@ -680,29 +655,8 @@ impl Campaign {
         // assignment mismatch must abort before any worker runs.
         for (meta, path) in plan.ranges.iter().zip(&paths) {
             if path.exists() {
-                let (found_header, found_meta, _) = CampaignJournal::read_shard(path)?;
-                if found_header.trace_regime != header.trace_regime {
-                    return Err(ShardError::RegimeMismatch {
-                        path: path.display().to_string(),
-                        expected: header.trace_regime,
-                        found: found_header.trace_regime,
-                    });
-                }
-                if found_header != header {
-                    return Err(JournalError::HeaderMismatch {
-                        path: path.display().to_string(),
-                        expected: header,
-                        found: found_header,
-                    }
-                    .into());
-                }
-                if found_meta != *meta {
-                    return Err(ShardError::MetaMismatch {
-                        path: path.display().to_string(),
-                        expected: *meta,
-                        found: found_meta,
-                    });
-                }
+                let (found, found_meta, _) = CampaignJournal::read_shard(path)?;
+                check_shard(path, found, found_meta, &header, Some(*meta))?;
             } else {
                 CampaignJournal::create_shard(path, header, *meta, self.cfg.journal_sync_rows)?;
             }
@@ -747,8 +701,8 @@ impl Campaign {
         for row in &rows {
             base.absorb(row);
         }
-        // Fold the merged rows through the same assembly path a resume
-        // uses (execute with nothing left to run), so the result is shaped
+        // Fold the merged rows through the campaign's own assembly path
+        // (execute with nothing left to run), so the result is shaped
         // identically to an unsharded campaign's.
         let mut result = self.execute(prepared, &[], None, base, None);
         result.shard_stats = ShardStats {
@@ -761,17 +715,17 @@ impl Campaign {
         Ok(result)
     }
 
-    /// Entry point for a subprocess shard worker: reads its assignment
-    /// from the `CHASER_SHARD_*` environment, validates the shard journal
-    /// against this campaign's own header, and executes exactly the
-    /// missing run indices of its range (resume semantics). The worker's
-    /// campaign must be configured identically to the supervisor's — the
-    /// journal header check enforces it.
+    /// Entry point for a subprocess shard worker: finds its shard journal
+    /// through `CHASER_SHARD_JOURNAL` and runs one attempt over it, exactly
+    /// as a thread worker does. The worker's campaign must be configured
+    /// identically to the supervisor's — the journal header check enforces
+    /// it.
     ///
     /// # Errors
     ///
-    /// [`ShardError`] when the environment is incomplete or the journal
-    /// does not belong to this campaign.
+    /// [`ShardError`] when the environment names no journal, or the
+    /// journal does not belong to this campaign or carries an assignment
+    /// its plan does not ([`ShardError::MetaMismatch`]).
     pub fn shard_worker_from_env(&self) -> Result<(), ShardError> {
         let path = std::env::var(ENV_SHARD_JOURNAL).map_err(|_| {
             ShardError::Journal(JournalError::Malformed {
@@ -780,48 +734,37 @@ impl Campaign {
                 msg: format!("shard worker env var `{ENV_SHARD_JOURNAL}` missing"),
             })
         })?;
-        let meta = ShardMeta {
-            shard: env_u64(ENV_SHARD_INDEX)?,
-            start: env_u64(ENV_SHARD_START)?,
-            end: env_u64(ENV_SHARD_END)?,
-        };
         let chaos = std::env::var(ENV_SHARD_CHAOS)
             .ok()
             .as_deref()
             .and_then(parse_chaos_env);
         let prepared = self.prepare();
         let ctl = ShardCtl::new(chaos, None);
-        self.run_shard_attempt(&prepared, meta, Path::new(&path), &ctl)
+        self.run_shard_attempt(&prepared, Path::new(&path), &ctl)
     }
 
-    /// One worker attempt over a shard: validate the journal, replay what
-    /// is done, execute what is missing. Shared by thread workers (called
-    /// in-process) and subprocess workers (via
+    /// One worker attempt over a shard journal: check its header and the
+    /// assignment on its line 2 against this campaign's [`ShardPlan`],
+    /// replay what is done, execute what is missing. Shared by thread
+    /// workers (called in-process) and subprocess workers (via
     /// [`Campaign::shard_worker_from_env`]).
     fn run_shard_attempt(
         &self,
         prepared: &PreparedApp,
-        meta: ShardMeta,
         path: &Path,
         ctl: &ShardCtl,
     ) -> Result<(), ShardError> {
+        let (header, meta, rows) = CampaignJournal::read_shard(path)?;
         let expected = self.journal_header(prepared);
-        let (header, found_meta, rows) = CampaignJournal::read_shard(path)?;
-        if header != expected {
-            return Err(JournalError::HeaderMismatch {
-                path: path.display().to_string(),
-                expected,
-                found: header,
-            }
-            .into());
-        }
-        if found_meta != meta {
-            return Err(ShardError::MetaMismatch {
-                path: path.display().to_string(),
-                expected: meta,
-                found: found_meta,
-            });
-        }
+        // A shard id the plan does not have owns no runs.
+        let empty = ShardMeta {
+            start: self.cfg.runs,
+            end: self.cfg.runs,
+            ..meta
+        };
+        let plan = ShardPlan::split(self.cfg.runs, self.cfg.shards);
+        let want = plan.ranges.get(meta.shard as usize).unwrap_or(&empty);
+        check_shard(path, header, meta, &expected, Some(*want))?;
         let done: BTreeSet<u64> = rows.iter().map(JournalRow::run_idx).collect();
         let missing: Vec<u64> = (meta.start..meta.end)
             .filter(|i| !done.contains(i))
@@ -910,10 +853,10 @@ impl Campaign {
                         chaos.map(|c| (c.after_rows, ChaosAction::Bail)),
                         stop.cloned(),
                     );
-                    let _ = self.run_shard_attempt(prepared, meta, path, &ctl);
+                    let _ = self.run_shard_attempt(prepared, path, &ctl);
                 }
                 ShardWorkers::Subprocess(argv) => {
-                    self.run_subprocess_attempt(argv, meta, path, attempts, chaos, sup, stop);
+                    self.run_subprocess_attempt(argv, path, chaos, sup, stop);
                 }
             }
         }
@@ -967,13 +910,10 @@ impl Campaign {
     /// when the heartbeat window passes without the file growing (the
     /// straggler path). Spawn failures simply end the attempt — the
     /// supervisor's completeness check turns them into retries.
-    #[allow(clippy::too_many_arguments)]
     fn run_subprocess_attempt(
         &self,
         argv: &[String],
-        meta: ShardMeta,
         path: &Path,
-        attempt: u64,
         chaos: Option<ShardChaos>,
         sup: ShardSupervision,
         stop: Option<&StopSignal>,
@@ -984,10 +924,6 @@ impl Campaign {
         let mut cmd = Command::new(program);
         cmd.args(rest)
             .env(ENV_SHARD_JOURNAL, path)
-            .env(ENV_SHARD_INDEX, meta.shard.to_string())
-            .env(ENV_SHARD_START, meta.start.to_string())
-            .env(ENV_SHARD_END, meta.end.to_string())
-            .env(ENV_SHARD_ATTEMPT, attempt.to_string())
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(Stdio::null());

@@ -12,6 +12,13 @@ use chaser_isa::InsnClass;
 use chaser_mpi::RunBudget;
 use chaser_workloads::matvec;
 use proptest::prelude::*;
+use resume::{journaled, resume_cut};
+use temp_dir::TempDir;
+
+#[path = "../../../tests/support/resume.rs"]
+mod resume;
+#[path = "../../../tests/support/temp_dir.rs"]
+mod temp_dir;
 
 fn app(quantum: u64) -> AppSpec {
     let mv = matvec::MatvecConfig::default();
@@ -124,18 +131,10 @@ proptest! {
         };
         let straight = Campaign::new(app(200), config.clone()).run();
 
-        let dir = std::env::temp_dir()
-            .join(format!("chaser-prov-prop-{}-{seed:x}-{keep_rows}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("campaign.jsonl");
-        Campaign::new(app(200), config.clone())
-            .run_journaled(&path)
-            .expect("journaled run");
-        let full = std::fs::read_to_string(&path).expect("read journal");
-        let keep: Vec<&str> = full.lines().take(1 + keep_rows).collect();
-        std::fs::write(&path, format!("{}\n", keep.join("\n"))).expect("truncate journal");
-        let resumed = Campaign::new(app(200), config).resume(&path).expect("resume");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new(&format!("prov-prop-{seed:x}-{keep_rows}"));
+        let campaign = Campaign::new(app(200), config);
+        journaled(&campaign, &dir).expect("journaled run");
+        let resumed = resume_cut(&campaign, &dir, keep_rows, 0).expect("resume");
 
         prop_assert_eq!(straight.to_csv(), resumed.to_csv());
         let a: Vec<u64> = straight.outcomes.iter().map(|r| r.prov_digest).collect();

@@ -4,9 +4,19 @@
 //! holds the full equivalence contract; the `warm_start` field these
 //! configs still set is inert.)
 
-use chaser::{run_app, run_warm, AppSpec, Campaign, CampaignConfig, CampaignResult, RankPool};
+use chaser::{
+    run_app, run_warm, AppSpec, Campaign, CampaignConfig, CampaignResult, JournalError, RankPool,
+    ShardError,
+};
 use chaser_isa::InsnClass;
 use chaser_workloads::matvec;
+use resume::{journaled, resume_cut};
+use temp_dir::TempDir;
+
+#[path = "../../../tests/support/resume.rs"]
+mod resume;
+#[path = "../../../tests/support/temp_dir.rs"]
+mod temp_dir;
 
 const RUNS: u64 = 24;
 
@@ -143,31 +153,28 @@ fn warm_campaign_matches_cold_byte_for_byte() {
 
 #[test]
 fn resume_rejects_journal_from_a_different_execution_regime() {
-    let dir = std::env::temp_dir().join(format!("chaser-warm-journal-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("campaign.jsonl");
-    Campaign::new(app(), config(false, false))
-        .run_journaled(&path)
-        .expect("journaled run");
+    let dir = TempDir::new("warm-journal");
+    journaled(&Campaign::new(app(), config(false, false)), &dir).expect("journaled run");
 
     // `warm_start` is no longer a regime: it left the config fingerprint
     // with the choice it used to make.
-    let flipped = Campaign::new(app(), config(true, false)).resume(&path);
+    let flipped = resume_cut(&Campaign::new(app(), config(true, false)), &dir, 5, 0);
     assert!(flipped.is_ok(), "the inert field must not bind a journal");
     // The scheduler's thread count still is one.
     let mut cfg = config(false, false);
     cfg.rank_threads = 2;
-    let threaded = Campaign::new(app(), cfg).resume(&path);
+    let threaded = resume_cut(&Campaign::new(app(), cfg), &dir, 5, 0);
     assert!(
-        matches!(threaded, Err(chaser::JournalError::HeaderMismatch { .. })),
+        matches!(
+            threaded,
+            Err(ShardError::Journal(JournalError::HeaderMismatch { .. }))
+        ),
         "resume accepted a journal from a different rank_threads regime"
     );
 
     // Unchanged config still resumes cleanly.
-    let same = Campaign::new(app(), config(false, false)).resume(&path);
+    let same = resume_cut(&Campaign::new(app(), config(false, false)), &dir, 5, 0);
     assert!(same.is_ok(), "identical config must resume");
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_dir(&dir);
 }
 
 #[test]

@@ -755,11 +755,11 @@ fn run_campaign(shared: &Arc<Shared>, job: u64, spec: &CampaignSpec) -> JobState
 
 /// The subprocess shard worker entry point for served campaigns.
 ///
-/// Returns `Ok(false)` when the shard environment protocol
-/// (`CHASER_SHARD_*`) is absent — the caller is a normal invocation, not
-/// a worker. Otherwise reads `spec.json` from the job directory (the
-/// shard journal's parent), rebuilds the identical campaign, and runs the
-/// assigned shard; the journal header check proves the rebuild matched.
+/// Returns `Ok(false)` when `CHASER_SHARD_JOURNAL` is unset — the caller
+/// is a normal invocation, not a worker. Otherwise reads `spec.json` from
+/// the job directory (the shard journal's parent), rebuilds the identical
+/// campaign, and runs the shard the journal's assignment line names; the
+/// journal header check proves the rebuild matched.
 ///
 /// # Errors
 ///

@@ -22,9 +22,8 @@
 //! finishes it with merged output byte-identical to an uninterrupted run.
 //!
 //! Every served campaign's outcome and stats CSVs are byte-identical to an
-//! equivalent standalone [`chaser::Campaign::run_journaled`] — the service
-//! adds scheduling and pooling around the deterministic core, never inside
-//! it.
+//! equivalent standalone [`chaser::Campaign::run`] — the service adds
+//! scheduling and pooling around the deterministic core, never inside it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -22,6 +22,19 @@ use chaser_mpi::{Cluster, ClusterConfig, RunBudget};
 /// 2-vCPU host, 20 000 ranks of matvec took 1.5 s and 700 MB to launch.
 const MAX_RANKS: u32 = 1024;
 
+/// Bounds on the tenant-set supervision fields, each with its reason. A
+/// stalled subprocess worker holds its daemon executor until the heartbeat
+/// reclaims it, and a killed one until the retry loop's backoff ends, so a
+/// shard whose workers die on every attempt gives its executor back within
+/// 9 heartbeats and 8 backoffs (about 53 minutes) instead of never.
+#[rustfmt::skip]
+const SUPERVISION_BOUNDS: [(&str, u64, &str); 4] = [
+    ("heartbeat_timeout_ms", 300_000, "a stalled worker holds its executor this long"),
+    ("backoff_base_ms", 60_000, "the first retry waits this long"),
+    ("backoff_cap_ms", 60_000, "every later retry may wait this long"),
+    ("max_retries", 8, "each retry may wait out a heartbeat and a backoff"),
+];
+
 /// A rejected campaign spec: which field, and why.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecError {
@@ -469,6 +482,18 @@ impl CampaignSpec {
         if self.bits_per_fault == 0 || self.bits_per_fault > 64 {
             return Err(SpecError::new("bits_per_fault", "must be in 1..=64"));
         }
+        let sup = &self.supervision;
+        let values = [
+            sup.heartbeat_timeout_ms,
+            sup.backoff_base_ms,
+            sup.backoff_cap_ms,
+            sup.max_retries.into(),
+        ];
+        for ((field, max, why), value) in SUPERVISION_BOUNDS.into_iter().zip(values) {
+            if value > max {
+                return Err(SpecError::new(field, format!("at most {max}: {why}")));
+            }
+        }
         Ok(())
     }
 
@@ -629,7 +654,25 @@ mod tests {
     fn validation_rejects_bad_fields() {
         let ok = CampaignSpec::default();
         assert!(ok.validate().is_ok());
+        let supervised = |f: fn(&mut ShardSupervision)| {
+            let mut spec = ok.clone();
+            f(&mut spec.supervision);
+            spec
+        };
         let cases: Vec<(CampaignSpec, &str)> = vec![
+            (
+                supervised(|s| s.heartbeat_timeout_ms = 300_001),
+                "heartbeat_timeout_ms",
+            ),
+            (
+                supervised(|s| s.backoff_base_ms = 60_001),
+                "backoff_base_ms",
+            ),
+            (
+                supervised(|s| s.backoff_cap_ms = u64::MAX),
+                "backoff_cap_ms",
+            ),
+            (supervised(|s| s.max_retries = 9), "max_retries"),
             (
                 CampaignSpec {
                     app: "minesweeper".into(),

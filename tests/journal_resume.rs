@@ -1,14 +1,22 @@
-//! Property test for journaled resume: no matter where a kill lands in the
-//! journal — after any complete row, with any torn prefix of the next row —
-//! resuming reproduces the uninterrupted campaign's outcome CSV byte for
-//! byte.
+//! Journaled resume: a campaign journaled as one shard and run again over
+//! its journal reproduces the uninterrupted campaign's outcome CSV byte for
+//! byte, no matter where a kill lands — after any complete row, with any
+//! torn prefix of the next row — and a journal that does not belong to the
+//! campaign, or is damaged anywhere but its final row, is refused.
 
-use chaser::{AppSpec, Campaign, CampaignConfig, TraceRegime};
+#[path = "support/resume.rs"]
+mod resume;
+#[path = "support/temp_dir.rs"]
+mod temp_dir;
+
+use chaser::{AppSpec, Campaign, CampaignConfig, JournalError, ShardError, TraceRegime};
 use chaser_isa::InsnClass;
 use chaser_workloads::matvec;
 use proptest::prelude::*;
+use resume::{journal_path, journaled, resume_cut};
 use std::fs;
 use std::sync::OnceLock;
+use temp_dir::TempDir;
 
 const RUNS: u64 = 12;
 
@@ -39,25 +47,23 @@ fn clean_csv() -> &'static str {
 }
 
 /// Writes a real journal, hands its text to `mangle`, writes the result
-/// back and returns what `resume` says about it.
-fn resume_mangled(
-    tag: &str,
-    mangle: impl FnOnce(String) -> String,
-) -> Result<chaser::CampaignResult, chaser::JournalError> {
-    let dir = std::env::temp_dir().join(format!("chaser-journal-neg-{}-{tag}", std::process::id()));
-    fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("campaign.jsonl");
-    campaign().run_journaled(&path).expect("journaled run");
+/// back and returns the journal error that running the campaign again
+/// over it ends in.
+fn resume_mangled(tag: &str, mangle: impl FnOnce(String) -> String) -> JournalError {
+    let dir = TempDir::new(&format!("journal-neg-{tag}"));
+    journaled(&campaign(), &dir).expect("journaled run");
+    let path = journal_path(&dir);
     let text = fs::read_to_string(&path).expect("journal readable");
     fs::write(&path, mangle(text)).expect("rewrite journal");
-    let out = campaign().resume(&path);
-    let _ = fs::remove_dir_all(&dir);
-    out
+    match journaled(&campaign(), &dir) {
+        Err(ShardError::Journal(err)) => err,
+        other => panic!("mangled journal resumed: {other:?}"),
+    }
 }
 
 #[test]
 fn resume_rejects_an_empty_journal() {
-    let err = resume_mangled("empty", |_| String::new()).expect_err("empty file must not resume");
+    let err = resume_mangled("empty", |_| String::new());
     assert!(
         err.to_string().contains("empty journal"),
         "unexpected error: {err}"
@@ -80,10 +86,9 @@ fn resume_rejects_a_corrupt_config_fingerprint() {
         }
         h[end - 1] = if h[end - 1] == '9' { '1' } else { '9' };
         format!("{}\n{rest}", h.into_iter().collect::<String>())
-    })
-    .expect_err("corrupt fingerprint must not resume");
+    });
     assert!(
-        matches!(err, chaser::JournalError::HeaderMismatch { .. }),
+        matches!(err, JournalError::HeaderMismatch { .. }),
         "unexpected error: {err}"
     );
 }
@@ -95,10 +100,9 @@ fn resume_rejects_a_v9_journal() {
         let doctored = text.replacen("\"chaser_journal\":10", "\"chaser_journal\":9", 1);
         assert_ne!(doctored, text, "header must carry the version field");
         doctored
-    })
-    .expect_err("a v9 journal must not resume");
+    });
     match &err {
-        chaser::JournalError::HeaderMismatch {
+        JournalError::HeaderMismatch {
             expected, found, ..
         } => assert_eq!(expected.differing_fields(found), ["version"]),
         other => panic!("unexpected error: {other}"),
@@ -109,29 +113,19 @@ fn resume_rejects_a_v9_journal() {
 /// asserting the cross-regime resume is refused with a header mismatch
 /// whose message names the `trace_regime` field.
 fn assert_regime_flip_rejected(wrote: TraceRegime, resumed: TraceRegime) {
-    let dir = std::env::temp_dir().join(format!(
-        "chaser-journal-regime-{}-{}-{}",
-        std::process::id(),
+    let dir = TempDir::new(&format!(
+        "journal-regime-{}-{}",
         wrote.name(),
         resumed.name()
     ));
-    fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("campaign.jsonl");
-    campaign_with(wrote)
-        .run_journaled(&path)
-        .expect("journaled run");
-    let err = campaign_with(resumed)
-        .resume(&path)
-        .expect_err("cross-regime resume must be refused");
-    let _ = fs::remove_dir_all(&dir);
-    assert!(
-        matches!(err, chaser::JournalError::HeaderMismatch { .. }),
-        "unexpected error: {err}"
-    );
-    assert!(
-        err.to_string().contains("trace_regime"),
-        "mismatch must name the regime field: {err}"
-    );
+    journaled(&campaign_with(wrote), &dir).expect("journaled run");
+    match resume_cut(&campaign_with(resumed), &dir, 4, 0) {
+        Err(ShardError::Journal(err @ JournalError::HeaderMismatch { .. })) => assert!(
+            err.to_string().contains("trace_regime"),
+            "mismatch must name the regime field: {err}"
+        ),
+        other => panic!("cross-regime resume must be refused: {other:?}"),
+    }
 }
 
 #[test]
@@ -151,18 +145,20 @@ fn resume_rejects_a_truncated_header() {
     let err = resume_mangled("torn-header", |text| {
         let header = text.split('\n').next().expect("header line");
         header[..header.len() / 2].to_string()
-    })
-    .expect_err("torn header must not resume");
+    });
     match &err {
-        chaser::JournalError::Malformed { path, line, .. } => {
-            // Satellite: errors must name the offending journal and line.
-            assert!(path.ends_with("campaign.jsonl"), "path context: {path:?}");
+        JournalError::Malformed { path, line, .. } => {
+            // Errors must name the offending journal and line.
+            assert!(
+                path.ends_with("campaign.shard-0.jsonl"),
+                "path context: {path:?}"
+            );
             assert_eq!(*line, 1, "header lives on line 1");
         }
         other => panic!("unexpected error: {other}"),
     }
     assert!(
-        err.to_string().contains("campaign.jsonl:1"),
+        err.to_string().contains("campaign.shard-0.jsonl:1"),
         "display carries path:line context: {err}"
     );
 }
@@ -176,11 +172,13 @@ fn resume_rejects_corruption_before_the_final_row() {
         assert!(lines.len() > 3, "need rows to corrupt");
         lines[2] = "{\"run_idx\":bogus";
         format!("{}\n", lines.join("\n"))
-    })
-    .expect_err("mid-journal corruption must not resume");
+    });
     match &err {
-        chaser::JournalError::Malformed { path, line, .. } => {
-            assert!(path.ends_with("campaign.jsonl"), "path context: {path:?}");
+        JournalError::Malformed { path, line, .. } => {
+            assert!(
+                path.ends_with("campaign.shard-0.jsonl"),
+                "path context: {path:?}"
+            );
             assert_eq!(*line, 3, "corrupted row lives on line 3");
         }
         other => panic!("unexpected error: {other}"),
@@ -193,34 +191,11 @@ proptest! {
     #[test]
     fn resume_from_any_kill_point_is_byte_identical(
         keep_rows in 0usize..=(RUNS as usize),
-        tear_frac in 0u64..100,
+        torn_percent in 0usize..100,
     ) {
-        let dir = std::env::temp_dir().join(format!(
-            "chaser-journal-prop-{}-{keep_rows}-{tear_frac}",
-            std::process::id()
-        ));
-        fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("campaign.jsonl");
-
-        campaign().run_journaled(&path).expect("journaled run");
-        let text = fs::read_to_string(&path).expect("journal readable");
-        let lines: Vec<&str> = text.lines().collect();
-
-        // Kill after the header + `keep_rows` complete rows, tearing off a
-        // prefix of the next row when there is one.
-        let keep = (1 + keep_rows).min(lines.len());
-        let mut truncated = lines[..keep].join("\n");
-        truncated.push('\n');
-        if let Some(next) = lines.get(keep) {
-            let cut = (next.len() as u64 * tear_frac / 100) as usize;
-            truncated.push_str(&next[..cut]);
-        }
-        fs::write(&path, truncated).expect("truncate");
-
-        let resumed_csv = campaign().resume(&path).expect("resume").to_csv();
-        prop_assert_eq!(clean_csv(), resumed_csv.as_str());
-
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_dir(&dir);
+        let dir = TempDir::new(&format!("journal-prop-{keep_rows}-{torn_percent}"));
+        journaled(&campaign(), &dir).expect("journaled run");
+        let resumed = resume_cut(&campaign(), &dir, keep_rows, torn_percent).expect("resume");
+        prop_assert_eq!(clean_csv(), resumed.to_csv());
     }
 }

@@ -24,9 +24,15 @@ use chaser_workloads::{clamr, lud, matvec};
 use proptest::prelude::*;
 use std::fs;
 
+#[path = "support/resume.rs"]
+mod resume;
 #[path = "support/contract.rs"]
 mod support;
+#[path = "support/temp_dir.rs"]
+mod temp_dir;
+use resume::{journal_path, journaled, resume_cut};
 use support::contract_diff;
+use temp_dir::TempDir;
 
 const RUNS: u64 = 8;
 
@@ -196,26 +202,16 @@ proptest! {
         prop_assert!(skipped_prefix > 0, "no run restored above rung 0");
 
         // The campaign, in memory and journaled.
-        let dir = std::env::temp_dir().join(format!(
-            "chaser-ladder-prop-{}-{app_kind}-{seed}",
-            std::process::id()
-        ));
-        fs::create_dir_all(&dir).expect("temp dir");
-        let whole = dir.join("whole.jsonl");
-        let cut = dir.join("cut.jsonl");
+        let dir = TempDir::new(&format!("ladder-prop-{app_kind}-{seed}"));
         let in_memory = campaign.run();
-        let journaled = campaign.run_journaled(&whole).expect("journaled run");
-        let text = fs::read_to_string(&whole).expect("journal readable");
-        let lines: Vec<&str> = text.lines().collect();
-        let keep = (1 + keep_rows).min(lines.len());
-        fs::write(&cut, format!("{}\n", lines[..keep].join("\n"))).expect("truncate");
-        let resumed = campaign.resume(&cut).expect("resume");
-        let resumed_text = fs::read_to_string(&cut).expect("journal readable");
-        let _ = fs::remove_dir_all(&dir);
+        let whole = journaled(&campaign, &dir).expect("journaled run");
+        let text = fs::read_to_string(journal_path(&dir)).expect("journal readable");
+        let resumed = resume_cut(&campaign, &dir, keep_rows, 0).expect("resume");
+        let resumed_text = fs::read_to_string(journal_path(&dir)).expect("journal readable");
 
         prop_assert_eq!(&rows(&in_memory), &expected);
         prop_assert_eq!(in_memory.skipped, expected_skips);
-        for other in [&journaled, &resumed] {
+        for other in [&whole, &resumed] {
             prop_assert_eq!(other.to_csv(), in_memory.to_csv());
             prop_assert_eq!(other.stats_csv(), in_memory.stats_csv());
             prop_assert_eq!(other.skipped, in_memory.skipped);

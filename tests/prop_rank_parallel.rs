@@ -15,6 +15,13 @@ use chaser_isa::{InsnClass, Program};
 use chaser_mpi::{BudgetKind, Cluster, ClusterConfig, RunBudget};
 use chaser_workloads::matvec;
 use proptest::prelude::*;
+use resume::{journaled, resume_cut};
+use temp_dir::TempDir;
+
+#[path = "support/resume.rs"]
+mod resume;
+#[path = "support/temp_dir.rs"]
+mod temp_dir;
 
 /// One matvec rank per node, so `rank_threads > 1` genuinely runs
 /// compute slices concurrently (ranks sharing a node stay sequential).
@@ -147,22 +154,10 @@ proptest! {
         prop_assert_eq!(baseline.to_csv(), warm.to_csv());
 
         // Parallel, journaled, truncated after `keep_rows` rows, resumed.
-        let dir = std::env::temp_dir().join(format!(
-            "chaser-rank-par-prop-{}-{seed:x}-{keep_rows}-{threads}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("campaign.jsonl");
-        Campaign::new(app(200), config(threads, warm_start))
-            .run_journaled(&path)
-            .expect("journaled run");
-        let full = std::fs::read_to_string(&path).expect("read journal");
-        let keep: Vec<&str> = full.lines().take(1 + keep_rows).collect();
-        std::fs::write(&path, format!("{}\n", keep.join("\n"))).expect("truncate journal");
-        let resumed = Campaign::new(app(200), config(threads, warm_start))
-            .resume(&path)
-            .expect("resume");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new(&format!("rank-par-prop-{seed:x}-{keep_rows}-{threads}"));
+        let campaign = Campaign::new(app(200), config(threads, warm_start));
+        journaled(&campaign, &dir).expect("journaled run");
+        let resumed = resume_cut(&campaign, &dir, keep_rows, 0).expect("resume");
         prop_assert_eq!(baseline.to_csv(), resumed.to_csv());
 
         let a: Vec<u64> = baseline.outcomes.iter().map(|r| r.prov_digest).collect();

@@ -5,12 +5,18 @@
 //! executions; and the Full-vs-Off outcome CSVs differ **only** in the
 //! trace-derived columns.
 
+#[path = "support/resume.rs"]
+mod resume;
+#[path = "support/temp_dir.rs"]
+mod temp_dir;
+
 use chaser::{AppSpec, Campaign, CampaignConfig, CampaignResult, TraceRegime};
 use chaser_isa::InsnClass;
 use chaser_workloads::matvec;
 use proptest::prelude::*;
+use resume::{journal_path, journaled, resume_cut};
 use std::fs;
-use std::path::Path;
+use temp_dir::TempDir;
 
 const RUNS: u64 = 8;
 
@@ -49,14 +55,11 @@ fn run_leg(
     seed: u64,
     mode: Mode,
     keep_rows: usize,
-    dir: &Path,
 ) -> (CampaignResult, String) {
-    let path = dir.join(format!("{}.jsonl", regime.name()));
-    let warm = matches!(mode, Mode::WarmStart);
-    let mut result = campaign(regime, seed, warm)
-        .run_journaled(&path)
-        .expect("journaled run");
-    let header = fs::read_to_string(&path)
+    let dir = TempDir::new(&format!("regime-prop-{seed}-{}-{keep_rows}", regime.name()));
+    let campaign = campaign(regime, seed, matches!(mode, Mode::WarmStart));
+    let mut result = journaled(&campaign, &dir).expect("journaled run");
+    let header = fs::read_to_string(journal_path(&dir))
         .expect("journal readable")
         .lines()
         .next()
@@ -66,11 +69,7 @@ fn run_leg(
         // Kill the journal after `keep_rows` complete rows and resume it:
         // the regime must survive the fingerprint check and replay to the
         // same result.
-        let text = fs::read_to_string(&path).expect("journal readable");
-        let lines: Vec<&str> = text.lines().collect();
-        let keep = (1 + keep_rows).min(lines.len());
-        fs::write(&path, format!("{}\n", lines[..keep].join("\n"))).expect("truncate");
-        result = campaign(regime, seed, warm).resume(&path).expect("resume");
+        result = resume_cut(&campaign, &dir, keep_rows, 0).expect("resume");
     }
     let at = header.find("\"golden_digest\":").expect("digest field");
     let digest: String = header[at..]
@@ -103,16 +102,9 @@ proptest! {
             1 => Mode::WarmStart,
             _ => Mode::JournalResume,
         };
-        let dir = std::env::temp_dir().join(format!(
-            "chaser-regime-prop-{}-{seed}-{mode_sel}-{keep_rows}",
-            std::process::id()
-        ));
-        fs::create_dir_all(&dir).expect("temp dir");
-
-        let (off, off_digest) = run_leg(TraceRegime::Off, seed, mode, keep_rows, &dir);
-        let (taint, taint_digest) = run_leg(TraceRegime::TaintOnly, seed, mode, keep_rows, &dir);
-        let (full, full_digest) = run_leg(TraceRegime::Full, seed, mode, keep_rows, &dir);
-        let _ = fs::remove_dir_all(&dir);
+        let (off, off_digest) = run_leg(TraceRegime::Off, seed, mode, keep_rows);
+        let (taint, taint_digest) = run_leg(TraceRegime::TaintOnly, seed, mode, keep_rows);
+        let (full, full_digest) = run_leg(TraceRegime::Full, seed, mode, keep_rows);
 
         // Terminal classifications agree run for run across all regimes.
         let reference = classification(&full);

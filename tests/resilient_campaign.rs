@@ -3,12 +3,18 @@
 //! completes, watchdog budgets classify runaways deterministically, and a
 //! journaled campaign killed mid-way resumes to a byte-identical result.
 
-use chaser::{AppSpec, Campaign, CampaignConfig, JournalError, Outcome, TermCause};
+#[path = "support/resume.rs"]
+mod resume;
+#[path = "support/temp_dir.rs"]
+mod temp_dir;
+
+use chaser::{AppSpec, Campaign, CampaignConfig, JournalError, Outcome, ShardError, TermCause};
 use chaser_isa::InsnClass;
 use chaser_mpi::{BudgetKind, RunBudget};
 use chaser_workloads::matvec;
+use resume::{journal_path, journaled, resume_cut};
 use std::fs;
-use std::path::PathBuf;
+use temp_dir::TempDir;
 
 fn campaign(cfg: CampaignConfig) -> Campaign {
     let mv = matvec::MatvecConfig::default();
@@ -24,12 +30,6 @@ fn base_cfg(runs: u64) -> CampaignConfig {
         classes: vec![InsnClass::Mov],
         ..CampaignConfig::default()
     }
-}
-
-fn temp_journal(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("chaser-resilient-{}-{name}", std::process::id()));
-    fs::create_dir_all(&dir).expect("temp dir");
-    dir.join("campaign.jsonl")
 }
 
 /// The ISSUE 2 acceptance campaign: one forced harness panic plus a budget
@@ -143,31 +143,26 @@ fn resume_after_kill_reproduces_the_campaign_byte_for_byte() {
     let cfg = base_cfg(20);
     let clean = campaign(cfg.clone()).run();
 
-    let path = temp_journal("kill");
-    let full = campaign(cfg.clone()).run_journaled(&path).expect("journal");
+    let dir = TempDir::new("resilient-kill");
+    let full = journaled(&campaign(cfg.clone()), &dir).expect("journal");
     assert_eq!(clean.to_csv(), full.to_csv());
 
-    // Simulate the kill: keep the header + the first 6 complete rows +
-    // half of the 7th.
-    let text = fs::read_to_string(&path).expect("journal readable");
-    let lines: Vec<&str> = text.lines().collect();
-    assert!(lines.len() > 8, "journal too short to truncate");
-    let mut truncated = lines[..7].join("\n");
-    truncated.push('\n');
-    truncated.push_str(&lines[7][..lines[7].len() / 2]);
-    fs::write(&path, truncated).expect("truncate");
-
-    let resumed = campaign(cfg.clone()).resume(&path).expect("resume");
+    // Simulate the kill: keep the header, the assignment line, the first
+    // 6 complete rows and half of the 7th.
+    let resumed = resume_cut(&campaign(cfg.clone()), &dir, 6, 50).expect("resume");
     assert_eq!(clean.to_csv(), resumed.to_csv());
     assert_eq!(clean.skipped, resumed.skipped);
     assert_eq!(clean.outcome_counts(), resumed.outcome_counts());
 
     // The journal now holds every run again; a second resume re-executes
     // nothing and still reproduces the result.
-    let re_resumed = campaign(cfg).resume(&path).expect("second resume");
+    let re_resumed = journaled(&campaign(cfg), &dir).expect("second resume");
     assert_eq!(clean.to_csv(), re_resumed.to_csv());
-
-    let _ = fs::remove_file(&path);
+    assert!(re_resumed
+        .shard_stats
+        .per_shard
+        .iter()
+        .all(|s| s.attempts == 0));
 }
 
 /// A journal whose header was tampered with — or that belongs to a
@@ -175,26 +170,27 @@ fn resume_after_kill_reproduces_the_campaign_byte_for_byte() {
 #[test]
 fn tampered_or_foreign_journals_are_rejected() {
     let cfg = base_cfg(8);
-    let path = temp_journal("tamper");
-    campaign(cfg.clone()).run_journaled(&path).expect("journal");
+    let dir = TempDir::new("resilient-tamper");
+    journaled(&campaign(cfg.clone()), &dir).expect("journal");
 
     // Different campaign (other seed): header mismatch.
     let mut other = cfg.clone();
     other.seed ^= 1;
-    match campaign(other).resume(&path) {
-        Err(JournalError::HeaderMismatch {
+    match journaled(&campaign(other), &dir) {
+        Err(ShardError::Journal(JournalError::HeaderMismatch {
             path,
             expected,
             found,
-        }) => {
+        })) => {
             assert_ne!(expected.seed, found.seed);
-            // Satellite: header-mismatch errors name the offending file.
+            // Header-mismatch errors name the offending file.
             assert!(path.ends_with(".jsonl"), "path context: {path:?}");
         }
         other => panic!("foreign journal accepted: {other:?}"),
     }
 
     // Same campaign, doctored golden digest: header mismatch.
+    let path = journal_path(&dir);
     let text = fs::read_to_string(&path).expect("journal readable");
     let (header, rest) = text.split_once('\n').expect("header line");
     let needle = "\"golden_digest\":";
@@ -212,14 +208,12 @@ fn tampered_or_foreign_journals_are_rejected() {
         rest
     );
     fs::write(&path, tampered).expect("tamper");
-    match campaign(cfg).resume(&path) {
-        Err(JournalError::HeaderMismatch {
+    match journaled(&campaign(cfg), &dir) {
+        Err(ShardError::Journal(JournalError::HeaderMismatch {
             expected, found, ..
-        }) => {
+        })) => {
             assert_ne!(expected.golden_digest, found.golden_digest);
         }
         other => panic!("tampered journal accepted: {other:?}"),
     }
-
-    let _ = fs::remove_file(&path);
 }

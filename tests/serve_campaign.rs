@@ -1,7 +1,7 @@
 //! Campaign-as-a-service end-to-end: two tenants submit concurrent
 //! campaigns over a Unix socket and get outcome + stats CSVs byte-identical
-//! to the same campaigns run standalone through
-//! [`Campaign::run_journaled`], across {thread, subprocess} shard workers
+//! to the same campaigns run standalone in memory through
+//! [`Campaign::run`], across {thread, subprocess} shard workers
 //! (one subprocess worker is killed mid-campaign and must be recovered by
 //! the daemon's shard supervisor); a resubmission hits the warmed
 //! prepared-app pool; `drain` checkpoints an in-flight job whose
@@ -12,10 +12,14 @@
 //! must cost its connection, not the daemon.
 //!
 //! Subprocess shard workers self-exec this test binary: the daemon spawns
-//! `current_exe serve_worker_entry --exact` with the shard assignment in
-//! `CHASER_SHARD_*` env vars, and the worker rebuilds the campaign from the
+//! `current_exe serve_worker_entry --exact` with the shard journal in
+//! `CHASER_SHARD_JOURNAL`, and the worker rebuilds the campaign from the
 //! job directory's `spec.json` (the journal header check proves the
-//! rebuild matched the supervisor's).
+//! rebuild matched the supervisor's) and reads its assignment from the
+//! journal's line 2.
+
+#[path = "support/temp_dir.rs"]
+mod temp_dir;
 
 use chaser::{
     shard_journal_path, Campaign, CampaignResult, ChaosKind, OperandSel, ShardChaos, ShardPlan,
@@ -28,15 +32,9 @@ use chaser_serve::{
 };
 use std::fs;
 use std::io::{ErrorKind, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("chaser-serve-{}-{name}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("temp dir");
-    dir
-}
+use temp_dir::TempDir;
 
 /// The argv prefix that re-launches this test binary as a serve worker.
 fn self_exec_argv() -> Vec<String> {
@@ -101,17 +99,14 @@ fn spec_bob(subprocess: bool) -> CampaignSpec {
     spec
 }
 
-/// The standalone reference: the exact same config run through
-/// `run_journaled` (shards is fingerprinted but `run_journaled` executes
-/// unsharded, which is precisely the byte-identity claim under test), with
-/// the chaos directives cleared — chaos is operational, not fingerprinted;
-/// it harasses shard workers, and the reference has none.
-fn standalone(spec: &CampaignSpec, dir: &Path, name: &str) -> CampaignResult {
-    let (app, mut cfg) = spec.build().expect("spec builds");
-    cfg.shard_chaos.clear();
-    Campaign::new(app, cfg)
-        .run_journaled(&dir.join(name))
-        .expect("standalone campaign")
+/// The standalone reference: the exact same config run in memory through
+/// `Campaign::run`, which shares the per-run worker loop with the shard
+/// workers but not the supervisor, the journals or the merge — precisely
+/// the byte-identity claim under test. It has no shard workers, so the
+/// spec's chaos directives (operational, not fingerprinted) go unused.
+fn standalone(spec: &CampaignSpec) -> CampaignResult {
+    let (app, cfg) = spec.build().expect("spec builds");
+    Campaign::new(app, cfg).run()
 }
 
 fn submit_collect(endpoint: &str, spec: &CampaignSpec) -> (u64, Vec<chaser::Json>, Frame) {
@@ -171,7 +166,7 @@ fn check_streamed_rows(
 /// Two tenants, different seeds and fault models, running concurrently on
 /// one daemon: both must match their standalone references byte for byte.
 fn run_pair(tag: &str, subprocess: bool) {
-    let dir = temp_dir(tag);
+    let dir = TempDir::new(&format!("serve-{tag}"));
     let endpoint = dir.join("sock").display().to_string();
     let daemon = Daemon::start(
         &endpoint,
@@ -209,7 +204,7 @@ fn run_pair(tag: &str, subprocess: bool) {
         (&bob, job_b, &rows_b, "bob.jsonl"),
     ] {
         let served = results(&endpoint, job).expect("results");
-        let reference = standalone(spec, &dir, name);
+        let reference = standalone(spec);
         assert_eq!(served.outcome_csv, reference.to_csv(), "{name} outcome CSV");
         assert_eq!(served.stats_csv, reference.stats_csv(), "{name} stats CSV");
         // Every journaled row (outcomes + skips) was streamed; where no
@@ -267,7 +262,7 @@ fn concurrent_tenants_subprocess_workers_match_standalone() {
 /// shard journals, and produces byte-identical merged output.
 #[test]
 fn drain_checkpoints_and_restart_resumes_byte_identically() {
-    let dir = temp_dir("drain-resume");
+    let dir = TempDir::new("serve-drain-resume");
     let endpoint = dir.join("sock").display().to_string();
     let state = dir.join("state");
     let cfg = ServeConfig {
@@ -328,7 +323,7 @@ fn drain_checkpoints_and_restart_resumes_byte_identically() {
         }
     }
     let served = results(&endpoint, job).expect("results");
-    let reference = standalone(&spec, &dir, "carol.jsonl");
+    let reference = standalone(&spec);
     assert_eq!(
         served.outcome_csv,
         reference.to_csv(),
@@ -347,7 +342,7 @@ fn drain_checkpoints_and_restart_resumes_byte_identically() {
 /// byte-identical-to-standalone results.
 #[test]
 fn distinct_trace_regimes_get_distinct_pool_entries() {
-    let dir = temp_dir("regime-pool");
+    let dir = TempDir::new("serve-regime-pool");
     let endpoint = dir.join("sock").display().to_string();
     let daemon = Daemon::start(
         &endpoint,
@@ -391,7 +386,7 @@ fn distinct_trace_regimes_get_distinct_pool_entries() {
             "{term:?}"
         );
         let served = results(&endpoint, job).expect("results");
-        let reference = standalone(spec, &dir, name);
+        let reference = standalone(spec);
         assert_eq!(served.outcome_csv, reference.to_csv(), "{name} outcome CSV");
         assert_eq!(served.stats_csv, reference.stats_csv(), "{name} stats CSV");
         assert_eq!(
@@ -414,7 +409,7 @@ fn distinct_trace_regimes_get_distinct_pool_entries() {
 
 #[test]
 fn admission_rejects_unknown_apps_budgets_and_unknown_jobs() {
-    let dir = temp_dir("admission");
+    let dir = TempDir::new("serve-admission");
     let endpoint = dir.join("sock").display().to_string();
     let daemon = Daemon::start(
         &endpoint,
@@ -476,7 +471,7 @@ fn admission_rejects_unknown_apps_budgets_and_unknown_jobs() {
 /// connection, answers nothing on it, and keeps serving.
 #[test]
 fn a_hostile_frame_costs_its_connection_not_the_daemon() {
-    let dir = temp_dir("hostile-frame");
+    let dir = TempDir::new("serve-hostile-frame");
     let endpoint = dir.join("sock").display().to_string();
     let daemon =
         Daemon::start(&endpoint, &dir.join("state"), ServeConfig::default()).expect("starts");

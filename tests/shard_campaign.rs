@@ -1,27 +1,34 @@
 //! Fault-tolerant sharded campaigns: the shard supervisor's byte-identity
-//! guarantee ({1,2,4} shards × {thread, subprocess} workers merge to the
-//! unsharded journal's exact CSV output), worker-death recovery via
+//! guarantee ({1,2,4} shards × {thread, subprocess} workers merge to
+//! `Campaign::run`'s exact CSV output), worker-death recovery via
 //! retry+resume, straggler reclamation through the journal-progress
-//! heartbeat, graceful degradation after retry exhaustion, and the typed
-//! merge-validation errors (overlap, duplicates, foreign fingerprints,
-//! empty journals).
+//! heartbeat, graceful degradation after retry exhaustion, a journal whose
+//! assignment line the plan does not have refused by supervisor and worker
+//! alike, and the typed merge-validation errors (overlap, duplicates,
+//! foreign fingerprints, empty journals).
 //!
 //! Subprocess workers self-exec this very test binary: the supervisor
-//! spawns `current_exe shard_worker_entry --exact` with the shard
-//! assignment in `CHASER_SHARD_*` env vars and the campaign parameters in
-//! `CHASER_TEST_*` env vars, and the [`shard_worker_entry`] "test" becomes
-//! the worker main.
+//! spawns `current_exe shard_worker_entry --exact` with the shard journal
+//! in `CHASER_SHARD_JOURNAL` (the worker reads its assignment from the
+//! journal's line 2) and the campaign parameters in `CHASER_TEST_*` env
+//! vars, and the [`shard_worker_entry`] "test" becomes the worker main.
+
+#[path = "support/temp_dir.rs"]
+mod temp_dir;
 
 use chaser::{
     merge_shard_journals, shard_journal_path, AppSpec, Campaign, CampaignConfig, ChaosKind,
-    JournalError, Outcome, ShardChaos, ShardError, ShardSupervision, ShardWorkers, TermCause,
+    JournalError, Outcome, ShardChaos, ShardError, ShardMeta, ShardSupervision, ShardWorkers,
+    TermCause,
 };
 use chaser_isa::InsnClass;
 use chaser_workloads::matvec;
 use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
+use std::process::Command;
 use std::sync::Mutex;
+use temp_dir::TempDir;
 
 const RUNS: u64 = 12;
 const SEED: u64 = 0x5EED;
@@ -52,13 +59,6 @@ fn campaign(cfg: CampaignConfig) -> Campaign {
     let mv = matvec::MatvecConfig::default();
     let app = AppSpec::replicated(matvec::program(&mv), mv.ranks as usize, 4);
     Campaign::new(app, cfg)
-}
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("chaser-shard-{}-{name}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("temp dir");
-    dir
 }
 
 /// The argv prefix that re-launches this test binary as a shard worker.
@@ -103,19 +103,17 @@ fn assert_byte_identical(
     name: &str,
     mut config: CampaignConfig,
 ) -> (chaser::CampaignResult, chaser::CampaignResult) {
-    let dir = temp_dir(name);
+    let dir = TempDir::new(&format!("shard-{name}"));
     let sharded = campaign(config.clone())
         .run_sharded(&dir.join("campaign.jsonl"))
         .expect("sharded campaign");
 
-    // The reference is the same campaign with sharding off; `shards` is
-    // fingerprinted, so the reference keeps the same value and just runs
-    // unsharded through run_journaled.
+    // The reference is the same campaign in memory: `Campaign::run` shares
+    // the per-run worker loop with the shard workers, not the supervisor,
+    // its journals or its merge.
     config.shard_chaos.clear();
     config.shard_workers = ShardWorkers::Thread;
-    let reference = campaign(config)
-        .run_journaled(&dir.join("reference.jsonl"))
-        .expect("reference campaign");
+    let reference = campaign(config).run();
 
     assert_eq!(
         sharded.to_csv(),
@@ -127,16 +125,15 @@ fn assert_byte_identical(
         reference.stats_csv(),
         "stats CSV must be byte-identical ({name})"
     );
-    let _ = fs::remove_dir_all(&dir);
     (sharded, reference)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// ISSUE 7 acceptance: merged sharded output is byte-identical to the
-    /// unsharded `run_journaled` run across {1,2,4} shards × {thread,
-    /// subprocess} workers.
+    /// Merged sharded output is byte-identical to the in-memory
+    /// `Campaign::run` across {1,2,4} shards × {thread, subprocess}
+    /// workers.
     #[test]
     fn sharded_output_is_byte_identical_to_unsharded(
         shards in prop_oneof![Just(1u64), Just(2), Just(4)],
@@ -265,7 +262,7 @@ fn stalled_subprocess_worker_is_reclaimed_by_the_heartbeat() {
 /// a hang or abort.
 #[test]
 fn retry_exhaustion_degrades_to_quarantined_rows() {
-    let dir = temp_dir("degrade");
+    let dir = TempDir::new("shard-degrade");
     let mut config = cfg(RUNS, SEED, 2);
     config.shard_supervision = ShardSupervision {
         max_retries: 1,
@@ -313,7 +310,6 @@ fn retry_exhaustion_degrades_to_quarantined_rows() {
         result.outcome_counts().harness_faults as usize,
         degraded.len()
     );
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// A sharded campaign whose supervisor was killed resumes: re-running
@@ -321,7 +317,7 @@ fn retry_exhaustion_degrades_to_quarantined_rows() {
 /// them instead of restarting.
 #[test]
 fn rerun_over_existing_shard_journals_resumes() {
-    let dir = temp_dir("rerun");
+    let dir = TempDir::new("shard-rerun");
     let base = dir.join("campaign.jsonl");
     let config = cfg(RUNS, SEED, 2);
     let first = campaign(config.clone())
@@ -336,7 +332,54 @@ fn rerun_over_existing_shard_journals_resumes() {
     for s in &second.shard_stats.per_shard {
         assert_eq!(s.attempts, 0, "already-complete shard relaunched: {s:?}");
     }
-    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A shard journal whose assignment line disagrees with the campaign's
+/// plan is refused with `MetaMismatch`: by the supervisor before any
+/// worker runs, and by a self-exec subprocess worker launched on it
+/// directly, which has no other copy of its assignment to go by. Neither
+/// appends a row.
+#[test]
+fn an_assignment_the_plan_does_not_have_is_refused() {
+    let (dir, paths, _) = merged_fixture("wrong-assignment");
+    // 12 runs in 2 shards: the plan gives shard 1 the runs 6..12.
+    let mut lines = journal_lines(&paths[1]);
+    let doctored = lines[1].replace("\"start\":6", "\"start\":5");
+    assert_ne!(doctored, lines[1], "assignment line carries the range");
+    lines[1] = doctored;
+    let text = format!("{}\n", lines.join("\n"));
+    fs::write(&paths[1], &text).expect("rewrite");
+
+    match campaign(cfg(RUNS, SEED, 2)).run_sharded(&dir.join("campaign.jsonl")) {
+        Err(ShardError::MetaMismatch {
+            expected, found, ..
+        }) => {
+            assert_eq!((expected.start, expected.end), (6, 12));
+            assert_eq!(
+                found,
+                ShardMeta {
+                    start: 5,
+                    ..expected
+                }
+            );
+        }
+        other => panic!("supervisor accepted the assignment: {other:?}"),
+    }
+
+    let argv = self_exec_argv();
+    let worker = Command::new(&argv[0])
+        .args(&argv[1..])
+        .env(chaser::ENV_SHARD_JOURNAL, &paths[1])
+        .env(ENV_TEST_SEED, SEED.to_string())
+        .env(ENV_TEST_RUNS, RUNS.to_string())
+        .env(ENV_TEST_SHARDS, "2")
+        .output()
+        .expect("spawn worker");
+    let report = String::from_utf8_lossy(&worker.stdout) + String::from_utf8_lossy(&worker.stderr);
+    assert!(!worker.status.success(), "worker accepted the assignment");
+    assert!(report.contains("MetaMismatch"), "{report}");
+    let after = fs::read_to_string(&paths[1]).expect("journal readable");
+    assert_eq!(after, text, "a refused journal gains no row");
 }
 
 // ---------------------------------------------------------------------------
@@ -345,8 +388,8 @@ fn rerun_over_existing_shard_journals_resumes() {
 // ---------------------------------------------------------------------------
 
 /// Runs a 2-shard campaign and returns (dir, shard paths, campaign header).
-fn merged_fixture(name: &str) -> (PathBuf, Vec<PathBuf>, chaser::JournalHeader) {
-    let dir = temp_dir(name);
+fn merged_fixture(name: &str) -> (TempDir, Vec<PathBuf>, chaser::JournalHeader) {
+    let dir = TempDir::new(&format!("shard-{name}"));
     let base = dir.join("campaign.jsonl");
     campaign(cfg(RUNS, SEED, 2))
         .run_sharded(&base)
@@ -367,7 +410,7 @@ fn journal_lines(path: &PathBuf) -> Vec<String> {
 
 #[test]
 fn merge_accepts_exact_duplicate_rows_by_dedup() {
-    let (dir, paths, header) = merged_fixture("dup-exact");
+    let (_dir, paths, header) = merged_fixture("dup-exact");
     let clean = merge_shard_journals(&paths, &header).expect("clean merge");
 
     // Append a byte-identical copy of an existing row: determinism says a
@@ -381,12 +424,11 @@ fn merge_accepts_exact_duplicate_rows_by_dedup() {
         clean.len(),
         "dedup must not change the row set"
     );
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn merge_rejects_conflicting_duplicate_rows() {
-    let (dir, paths, header) = merged_fixture("dup-conflict");
+    let (_dir, paths, header) = merged_fixture("dup-conflict");
     // Forge a second row for shard 0's first run index out of a different
     // row's bytes: same index, different content.
     let lines = journal_lines(&paths[0]);
@@ -409,7 +451,6 @@ fn merge_rejects_conflicting_duplicate_rows() {
         }
         other => panic!("conflicting duplicate accepted: {other:?}"),
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -427,12 +468,11 @@ fn merge_rejects_overlapping_shard_ranges() {
         Err(ShardError::OverlappingShards { shard: 5, other: 0 }) => {}
         other => panic!("overlapping ranges accepted: {other:?}"),
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn merge_rejects_a_foreign_fingerprint() {
-    let (dir, paths, header) = merged_fixture("foreign");
+    let (_dir, paths, header) = merged_fixture("foreign");
     let lines = journal_lines(&paths[1]);
     let at = lines[0].find("\"config_hash\":").expect("hash field") + "\"config_hash\":".len();
     let end = lines[0][at..]
@@ -450,12 +490,11 @@ fn merge_rejects_a_foreign_fingerprint() {
         }
         other => panic!("foreign journal accepted: {other:?}"),
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn merge_rejects_a_v9_shard_journal() {
-    let (dir, paths, header) = merged_fixture("v9-shard");
+    let (_dir, paths, header) = merged_fixture("v9-shard");
     assert_eq!(header.version, 10);
     let lines = journal_lines(&paths[1]);
     let doctored = lines[0].replace("\"chaser_journal\":10", "\"chaser_journal\":9");
@@ -474,15 +513,14 @@ fn merge_rejects_a_v9_shard_journal() {
         }
         other => panic!("v9 shard journal accepted: {other:?}"),
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn merge_rejects_mixed_trace_regimes() {
-    let (dir, paths, header) = merged_fixture("mixed-regime");
+    let (_dir, paths, header) = merged_fixture("mixed-regime");
     // Doctor shard-1's header to claim it ran trace=off while the campaign
-    // (and shard 0) ran the default full regime. The regime check is typed
-    // and fires before the generic fingerprint comparison.
+    // (and shard 0) ran the default full regime: the header mismatch names
+    // the regime field.
     let lines = journal_lines(&paths[1]);
     let doctored = lines[0].replace("\"trace_regime\":\"full\"", "\"trace_regime\":\"off\"");
     assert_ne!(doctored, lines[0], "header must carry the regime field");
@@ -490,23 +528,22 @@ fn merge_rejects_mixed_trace_regimes() {
     all[0] = doctored;
     fs::write(&paths[1], format!("{}\n", all.join("\n"))).expect("rewrite");
     match merge_shard_journals(&paths, &header) {
-        Err(ShardError::RegimeMismatch {
+        Err(ShardError::Journal(JournalError::HeaderMismatch {
             path,
             expected,
             found,
-        }) => {
+        })) => {
             assert!(path.ends_with("campaign.shard-1.jsonl"), "{path}");
-            assert_eq!(expected, chaser::TraceRegime::Full);
-            assert_eq!(found, chaser::TraceRegime::Off);
+            assert_eq!(expected.differing_fields(&found), ["trace_regime"]);
+            assert_eq!(found.trace_regime, chaser::TraceRegime::Off);
         }
         other => panic!("mixed-regime merge accepted: {other:?}"),
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn merge_rejects_an_empty_shard_journal() {
-    let (dir, paths, header) = merged_fixture("empty");
+    let (_dir, paths, header) = merged_fixture("empty");
     fs::write(&paths[1], "").expect("truncate");
     match merge_shard_journals(&paths, &header) {
         Err(ShardError::Journal(JournalError::Malformed { path, .. })) => {
@@ -514,12 +551,11 @@ fn merge_rejects_an_empty_shard_journal() {
         }
         other => panic!("empty journal accepted: {other:?}"),
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn merge_rejects_a_journal_missing_its_shard_assignment() {
-    let (dir, paths, header) = merged_fixture("no-meta");
+    let (_dir, paths, header) = merged_fixture("no-meta");
     // Header only — the shard-assignment line never made it to disk.
     let lines = journal_lines(&paths[1]);
     fs::write(&paths[1], format!("{}\n", lines[0])).expect("rewrite");
@@ -530,12 +566,11 @@ fn merge_rejects_a_journal_missing_its_shard_assignment() {
         }
         other => panic!("meta-less journal accepted: {other:?}"),
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn merge_reports_missing_runs() {
-    let (dir, paths, header) = merged_fixture("missing");
+    let (_dir, paths, header) = merged_fixture("missing");
     let mut lines = journal_lines(&paths[0]);
     lines.remove(2); // drop one row
     fs::write(&paths[0], format!("{}\n", lines.join("\n"))).expect("rewrite");
@@ -543,12 +578,11 @@ fn merge_reports_missing_runs() {
         Err(ShardError::MissingRuns { count: 1, .. }) => {}
         other => panic!("incomplete merge accepted: {other:?}"),
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn merge_rejects_rows_outside_their_shard_range() {
-    let (dir, paths, header) = merged_fixture("out-of-range");
+    let (_dir, paths, header) = merged_fixture("out-of-range");
     // Graft a shard-1 row into shard-0's journal: valid bytes, wrong file.
     let stray = journal_lines(&paths[1])[2].clone();
     let lines = journal_lines(&paths[0]);
@@ -559,5 +593,4 @@ fn merge_rejects_rows_outside_their_shard_range() {
         }
         other => panic!("out-of-range row accepted: {other:?}"),
     }
-    let _ = fs::remove_dir_all(&dir);
 }
