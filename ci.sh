@@ -31,6 +31,13 @@ if [ -n "$leftover" ]; then
     echo "$leftover" >&2
     exit 1
 fi
+
+# The engine against its independent reference executor once more, in
+# release mode: campaigns and the ledger run release code, where the
+# taint-regime `debug_assert!`s that `cargo test` keeps on are compiled
+# out (DESIGN.md §9, §15).
+cargo test --release -q --offline -p chaser-vm --test prop_semantics
+
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

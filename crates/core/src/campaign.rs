@@ -503,9 +503,8 @@ impl CampaignResult {
 
     /// Renders the per-run hot-path engine counters as CSV. Kept separate
     /// from [`CampaignResult::to_csv`] on purpose: outcome CSVs must stay
-    /// byte-identical across `rank_threads` and the test-only
-    /// `ExecTuning` reference paths, while these counters are exactly what
-    /// those change.
+    /// byte-identical across `rank_threads`, while these counters are
+    /// exactly what it changes.
     pub fn stats_csv(&self) -> String {
         let mut out = String::from(
             "run_idx,tb_chain_hits,chain_severs,fast_path_insns,slow_path_insns,tb_lookups,tb_misses,rank_threads,parallel_rounds,max_worker_insns,total_worker_insns
@@ -1013,7 +1012,6 @@ impl Campaign {
             hook_mpi_symbols: false,
             budget: self.cfg.run_budget,
             rank_threads: self.cfg.rank_threads,
-            ..RunOptions::default()
         }
     }
 

@@ -15,8 +15,8 @@ use chaser_mpi::{
 use chaser_tainthub::HubStats;
 use chaser_tcg::{BaseLayer, CacheStats};
 use chaser_vm::{
-    EngineStats, ExecTuning, InjectCountdown, InjectSink, SharedFnHookSink, SharedInjectSink,
-    SharedTaintSink, SharedTranslateHook, SharedVmiSink, VmiSink,
+    EngineStats, InjectCountdown, InjectSink, SharedFnHookSink, SharedInjectSink, SharedTaintSink,
+    SharedTranslateHook, SharedVmiSink, VmiSink,
 };
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -159,11 +159,6 @@ pub struct RunOptions {
     /// Per-run watchdog budget, merged (tighter bound wins) with the
     /// cluster configuration's own [`RunBudget`].
     pub budget: RunBudget,
-    /// Hot-path engine paths (TB chaining, clean-block regime). Test-only:
-    /// no campaign surface sets it; the knobs-off paths are the reference
-    /// the inertness tests compare the defaults against — see `DESIGN.md`
-    /// §9 and §16.
-    pub exec_tuning: ExecTuning,
     /// Worker threads the cluster scheduler's compute phase may fan nodes
     /// out over. `0` inherits the application's own
     /// [`ClusterConfig::rank_threads`]; any other value overrides it.
@@ -410,7 +405,6 @@ fn effective_cluster_cfg(app: &AppSpec, opts: &RunOptions) -> ClusterConfig {
         cluster_cfg.taint_policy = chaser_taint::TaintPolicy::Disabled;
     }
     cluster_cfg.run_budget = cluster_cfg.run_budget.merge(opts.budget);
-    cluster_cfg.exec_tuning = opts.exec_tuning;
     if opts.rank_threads != 0 {
         cluster_cfg.rank_threads = opts.rank_threads;
     }

@@ -19,7 +19,7 @@
 //!   recorder collects as the cluster's MPI observer.
 
 use crate::provenance::{kind_name, ProvenanceGraph, PROV_LOG_CAPACITY, UNRESOLVED_RANK};
-use chaser_mpi::{CrossRankEdge, Envelope, MpiObserver};
+use chaser_mpi::{CrossRankEdge, MpiObserver};
 pub use chaser_vm::TaintAccessKind as AccessKind;
 use chaser_vm::{BufferedTaintEvent, TaintEventSink};
 use std::collections::HashMap;
@@ -245,10 +245,6 @@ impl TaintEventSink for TaintRecorder {
 }
 
 impl MpiObserver for TaintRecorder {
-    fn on_send(&mut self, _env: &Envelope, _tainted_bytes: usize) {}
-
-    fn on_delivered(&mut self, _env: &Envelope, _tainted_bytes: usize) {}
-
     fn on_tainted_delivery(&mut self, edge: &CrossRankEdge) {
         self.msg_edges.push(*edge);
     }

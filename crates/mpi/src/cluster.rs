@@ -11,8 +11,8 @@ use chaser_taint::{ProvSet, TaintPolicy};
 use chaser_tainthub::{HubSnapshot, MsgId, TaintHub};
 use chaser_tcg::{BaseLayer, CacheStats};
 use chaser_vm::{
-    BufferedTaintEvent, EngineStats, ExecTuning, ExitStatus, MpiRequest, Node, NodeSnapshot,
-    ProcState, ProcessFiles, SharedTaintSink, Signal, SliceExit,
+    BufferedTaintEvent, EngineStats, ExitStatus, MpiRequest, Node, NodeSnapshot, ProcState,
+    ProcessFiles, SharedTaintSink, Signal, SliceExit,
 };
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -113,9 +113,6 @@ pub struct ClusterConfig {
     pub quantum: u64,
     /// Interconnect delivery latency in scheduler rounds.
     pub net_latency: u64,
-    /// Interconnect bandwidth in bytes per scheduler round (`0` =
-    /// infinite): large messages take proportionally longer to arrive.
-    pub net_bytes_per_round: u64,
     /// Abort the run as hung past this many total guest instructions.
     pub max_total_insns: u64,
     /// Abort the run as hung after this many progress-free rounds (see the
@@ -127,9 +124,6 @@ pub struct ClusterConfig {
     pub taint_policy: TaintPolicy,
     /// Per-run watchdog budgets (instructions / rounds); default unlimited.
     pub run_budget: RunBudget,
-    /// Hot-path execution tuning for every node (TB chaining, clean-block
-    /// regime); default all on, turned off only by tests.
-    pub exec_tuning: ExecTuning,
     /// Worker threads the compute phase of [`Cluster::step_round`] may fan
     /// nodes out over (`0` and `1` both mean serial). Observationally
     /// inert: every thread count produces byte-identical outcomes, state
@@ -143,13 +137,11 @@ impl Default for ClusterConfig {
             nodes: 4,
             quantum: 10_000,
             net_latency: 1,
-            net_bytes_per_round: 0,
             max_total_insns: 500_000_000,
             hang_rounds: 64,
             phys_bytes: chaser_vm::DEFAULT_PHYS_BYTES,
             taint_policy: TaintPolicy::Precise,
             run_budget: RunBudget::default(),
-            exec_tuning: ExecTuning::default(),
             rank_threads: 1,
         }
     }
@@ -180,15 +172,9 @@ pub struct CrossRankEdge {
 /// Observer of cluster-level MPI traffic (Chaser's tracer hooks in here to
 /// log cross-rank propagation).
 pub trait MpiObserver {
-    /// A point-to-point message was accepted from the sender.
-    fn on_send(&mut self, env: &Envelope, tainted_bytes: usize);
-    /// A point-to-point message was copied into the receiver's buffer;
-    /// `tainted_bytes` is how many payload bytes carried taint across.
-    fn on_delivered(&mut self, env: &Envelope, tainted_bytes: usize);
-    /// A delivery carried taint across a rank boundary (fires after
-    /// [`MpiObserver::on_delivered`], and also for tainted collective
-    /// fan-outs, which `on_delivered` does not see).
-    fn on_tainted_delivery(&mut self, _edge: &CrossRankEdge) {}
+    /// A delivery carried taint across a rank boundary: a point-to-point
+    /// message copied into the receiver's buffer, or a collective fan-out.
+    fn on_tainted_delivery(&mut self, edge: &CrossRankEdge);
 }
 
 /// A shared, `Send`-clean MPI observer handle. Observers only ever fire in
@@ -409,17 +395,13 @@ impl Cluster {
     /// An empty cluster with `cfg.nodes` machines.
     pub fn new(cfg: ClusterConfig) -> Cluster {
         let nodes = (0..cfg.nodes)
-            .map(|i| {
-                let mut node = Node::with_config(i as u32, cfg.phys_bytes, cfg.taint_policy);
-                node.set_exec_tuning(cfg.exec_tuning);
-                node
-            })
+            .map(|i| Node::with_config(i as u32, cfg.phys_bytes, cfg.taint_policy))
             .collect();
         Cluster {
             nodes,
             ranks: Vec::new(),
             state: Vec::new(),
-            net: Interconnect::new(0, cfg.net_latency).with_bandwidth(cfg.net_bytes_per_round),
+            net: Interconnect::new(0, cfg.net_latency),
             coll: None,
             hub: Arc::new(TaintHub::new()),
             observers: Vec::new(),
@@ -452,8 +434,7 @@ impl Cluster {
             self.ranks.push((node_idx, pid));
             self.state.push(RankState::default());
         }
-        self.net = Interconnect::new(self.ranks.len(), self.cfg.net_latency)
-            .with_bandwidth(self.cfg.net_bytes_per_round);
+        self.net = Interconnect::new(self.ranks.len(), self.cfg.net_latency);
         if let Some(slot) = &self.coll {
             debug_assert!(slot.is_empty());
         }
@@ -783,10 +764,8 @@ impl Cluster {
         // Hang threshold: a round with zero progress anywhere is only
         // conclusive once every message that was in flight at the start of
         // the stall has had time to land. Messages mature after
-        // `net_latency` rounds (plus bandwidth serialisation, which itself
-        // counts as progress when a delivery completes), so we wait
-        // `hang_rounds` grace rounds *plus* `net_latency` drain rounds
-        // before declaring a hang. A budget stop takes precedence: a run
+        // `net_latency` rounds, so we wait `hang_rounds` grace rounds
+        // *plus* `net_latency` drain rounds before declaring a hang. A budget stop takes precedence: a run
         // that exhausted its watchdog budget is classified as
         // BudgetExhausted, never as a hang.
         if self.budget_exhausted.is_none()
@@ -1008,15 +987,7 @@ impl Cluster {
         let hub = TaintHub::new();
         hub.restore(&snap.hub);
         Cluster {
-            nodes: snap
-                .nodes
-                .iter()
-                .map(|ns| {
-                    let mut node = Node::from_snapshot(ns);
-                    node.set_exec_tuning(cfg.exec_tuning);
-                    node
-                })
-                .collect(),
+            nodes: snap.nodes.iter().map(Node::from_snapshot).collect(),
             ranks: snap.ranks.clone(),
             state: snap.state.clone(),
             net: snap.net.clone(),
@@ -1512,9 +1483,6 @@ impl Cluster {
             data,
             seq,
         };
-        for obs in &self.observers {
-            obs.lock().on_send(&env, tainted_bytes);
-        }
         self.net.send(env, self.round);
         self.complete(rank, ret);
     }
@@ -1633,9 +1601,6 @@ impl Cluster {
         }
         if tainted_bytes > 0 {
             self.cross_rank_tainted_deliveries += 1;
-        }
-        for obs in &self.observers {
-            obs.lock().on_delivered(&env, tainted_bytes);
         }
         if tainted_bytes > 0 {
             let edge = CrossRankEdge {

@@ -39,28 +39,19 @@ struct InFlight {
 pub struct Interconnect {
     queues: Vec<Vec<InFlight>>,
     latency: u64,
-    /// Bytes transferable per scheduler round; `0` = infinite bandwidth.
-    bytes_per_round: u64,
     next_seq: u64,
     stats: NetStats,
 }
 
 impl Interconnect {
     /// A network for `ranks` endpoints with the given delivery latency (in
-    /// scheduler rounds) and infinite bandwidth.
+    /// scheduler rounds).
     pub fn new(ranks: usize, latency: u64) -> Interconnect {
         Interconnect {
             queues: vec![Vec::new(); ranks],
             latency,
             ..Interconnect::default()
         }
-    }
-
-    /// Adds a bandwidth model: a message of `b` bytes takes an extra
-    /// `b / bytes_per_round` rounds to arrive (serialisation delay).
-    pub fn with_bandwidth(mut self, bytes_per_round: u64) -> Interconnect {
-        self.bytes_per_round = bytes_per_round;
-        self
     }
 
     /// Accepts a message at time `now`.
@@ -74,11 +65,7 @@ impl Interconnect {
         self.stats.bytes += env.len_bytes();
         let seq = self.next_seq;
         self.next_seq += 1;
-        let serialisation = match self.bytes_per_round {
-            0 => 0,
-            bw => env.len_bytes() / bw,
-        };
-        let deliver_at = now + self.latency + serialisation;
+        let deliver_at = now + self.latency;
         self.queues[env.dest as usize].push(InFlight {
             deliver_at,
             seq,
@@ -199,17 +186,6 @@ mod tests {
             net.try_match(1, Some(0), Some(7), 5).expect("2nd").data,
             b"second"
         );
-    }
-
-    #[test]
-    fn bandwidth_delays_large_messages() {
-        let mut net = Interconnect::new(2, 1).with_bandwidth(8);
-        net.send(env(0, 1, 7, &[0u8; 32]), 0); // 32 bytes / 8 per round = 4
-        assert!(net.try_match(1, Some(0), Some(7), 4).is_none());
-        assert!(net.try_match(1, Some(0), Some(7), 5).is_some());
-        // A small message on the same link is fast.
-        net.send(env(0, 1, 8, b"x"), 0);
-        assert!(net.try_match(1, Some(0), Some(8), 1).is_some());
     }
 
     #[test]

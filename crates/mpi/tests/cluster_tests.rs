@@ -2,8 +2,8 @@
 
 use chaser_isa::{abi, Asm, Cond, Program, Reg, PAGE_SIZE};
 use chaser_mpi::{
-    BudgetKind, Cluster, ClusterConfig, CrossRankEdge, Envelope, MpiErrorKind, MpiObserver,
-    PendingOp, RunBudget,
+    BudgetKind, Cluster, ClusterConfig, CrossRankEdge, MpiErrorKind, MpiObserver, PendingOp,
+    RunBudget,
 };
 use chaser_taint::{ProvSet, TaintMask};
 use chaser_vm::{ExitStatus, Signal};
@@ -973,8 +973,6 @@ fn coll_edge_of(src: u32, dest: u32, (masks, provs): &Pattern) -> (u32, u32, usi
 struct EdgeLog(Vec<CrossRankEdge>);
 
 impl MpiObserver for EdgeLog {
-    fn on_send(&mut self, _env: &Envelope, _tainted_bytes: usize) {}
-    fn on_delivered(&mut self, _env: &Envelope, _tainted_bytes: usize) {}
     fn on_tainted_delivery(&mut self, edge: &CrossRankEdge) {
         self.0.push(*edge);
     }

@@ -12,19 +12,23 @@
 //! op; tainted memory loads and stores are reported back to Chaser's tracer
 //! (the paper's `DECAF_READ_TAINTMEM_CB` / `DECAF_WRITE_TAINTMEM_CB`).
 //!
-//! Two propagation policies are provided (an ablation the paper's design
-//! discussion motivates):
+//! Propagation ([`TaintPolicy::Precise`]) uses value-aware bitwise rules
+//! (DECAF-style), and every rule is clean-in ⇒ clean-out:
 //!
-//! * [`TaintPolicy::Precise`] — value-aware bitwise rules (DECAF-style):
-//!   logical ops use controlling-value rules, arithmetic spreads upward from
-//!   the lowest tainted bit (carry propagation), constant shifts shift the
-//!   mask.
-//! * [`TaintPolicy::Conservative`] — any tainted input bit taints all 64
-//!   output bits.
+//! * a copy carries the mask as it is;
+//! * `and` / `or` use controlling values: a clean 0 (for `and`) or a clean
+//!   1 (for `or`) in one operand forces the result bit and kills its taint;
+//!   `xor` and `not` take the union of the operand masks;
+//! * add, sub, neg and mul spread the union upward from its lowest tainted
+//!   bit (the carry chain);
+//! * a shift by a clean count shifts the mask (an arithmetic right shift
+//!   replicates a tainted sign bit); a tainted count saturates;
+//! * division and remainder saturate: any tainted input bit taints all 64
+//!   result bits.
 //!
-//! Floating-point helpers always taint the whole result when any operand
-//! bit is tainted: an exponent or mantissa bit influences every bit of an
-//! IEEE-754 result in general.
+//! Floating-point helpers and int↔float conversions saturate too: an
+//! exponent or mantissa bit influences every bit of an IEEE-754 result in
+//! general. [`TaintPolicy::Disabled`] turns propagation off.
 //!
 //! # Example
 //!

@@ -1,9 +1,9 @@
-//! Taint propagation policies.
+//! Taint propagation rules.
 
 use crate::TaintMask;
 
 /// The operation kind being propagated through, with the value context the
-/// precise policy needs.
+/// bitwise rules need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PropKind {
     /// Plain copy (`mov`, loads into registers keep the memory mask as-is).
@@ -55,14 +55,11 @@ pub enum PropKind {
     Cvt,
 }
 
-/// How aggressively taint propagates.
+/// Whether taint propagates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaintPolicy {
     /// DECAF-style value-aware bitwise propagation.
     Precise,
-    /// Whole-value propagation: any tainted input bit taints every output
-    /// bit. Never under-taints relative to `Precise`.
-    Conservative,
     /// No propagation at all — the whole taint machinery is off, like
     /// running DECAF++ with elastic tainting disabled. This is the paper's
     /// "fault propagation tracing disabled" configuration (its Fig. 10
@@ -73,7 +70,7 @@ pub enum TaintPolicy {
 impl TaintPolicy {
     /// Computes the output mask for a (possibly unary) operation.
     ///
-    /// For unary operations pass [`TaintMask::CLEAN`] as `tb`. Both policies
+    /// For unary operations pass [`TaintMask::CLEAN`] as `tb`. The rules
     /// guarantee *clean-in ⇒ clean-out*: if every input mask is clean the
     /// result is clean (taint is only ever created by an injector).
     pub fn propagate(self, kind: PropKind, ta: TaintMask, tb: TaintMask) -> TaintMask {
@@ -81,47 +78,43 @@ impl TaintPolicy {
         if union.is_clean() || self == TaintPolicy::Disabled {
             return TaintMask::CLEAN;
         }
-        match self {
-            TaintPolicy::Disabled => TaintMask::CLEAN,
-            TaintPolicy::Conservative => union.saturate(),
-            TaintPolicy::Precise => match kind {
-                PropKind::Mov => ta,
-                PropKind::Xor | PropKind::Not => union,
-                PropKind::And { a, b } => {
-                    // A bit of the result is tainted if that bit is tainted
-                    // in one operand and not masked off by a clean 0 in the
-                    // other (a clean 0 forces the output bit to 0).
-                    TaintMask((ta.0 & tb.0) | (ta.0 & b) | (tb.0 & a))
-                }
-                PropKind::Or { a, b } => {
-                    // Dual rule: a clean 1 forces the output bit to 1.
-                    TaintMask((ta.0 & tb.0) | (ta.0 & !b) | (tb.0 & !a))
-                }
-                PropKind::AddSub | PropKind::Neg | PropKind::Mul => union.spread_up(),
-                PropKind::Div => union.saturate(),
-                PropKind::Shl { amount } => match amount {
-                    Some(c) => TaintMask(ta.0 << (c & 63)),
-                    None => union.saturate(),
-                },
-                PropKind::Shr { amount } => match amount {
-                    Some(c) => TaintMask(ta.0 >> (c & 63)),
-                    None => union.saturate(),
-                },
-                PropKind::Sar { amount } => match amount {
-                    Some(c) => {
-                        let c = c & 63;
-                        let mut m = ta.0 >> c;
-                        // A tainted sign bit replicates into the vacated
-                        // high bits.
-                        if ta.0 & (1 << 63) != 0 && c > 0 {
-                            m |= !0u64 << (64 - c);
-                        }
-                        TaintMask(m)
-                    }
-                    None => union.saturate(),
-                },
-                PropKind::Fp | PropKind::Cvt => union.saturate(),
+        match kind {
+            PropKind::Mov => ta,
+            PropKind::Xor | PropKind::Not => union,
+            PropKind::And { a, b } => {
+                // A bit of the result is tainted if that bit is tainted
+                // in one operand and not masked off by a clean 0 in the
+                // other (a clean 0 forces the output bit to 0).
+                TaintMask((ta.0 & tb.0) | (ta.0 & b) | (tb.0 & a))
+            }
+            PropKind::Or { a, b } => {
+                // Dual rule: a clean 1 forces the output bit to 1.
+                TaintMask((ta.0 & tb.0) | (ta.0 & !b) | (tb.0 & !a))
+            }
+            PropKind::AddSub | PropKind::Neg | PropKind::Mul => union.spread_up(),
+            PropKind::Div => union.saturate(),
+            PropKind::Shl { amount } => match amount {
+                Some(c) => TaintMask(ta.0 << (c & 63)),
+                None => union.saturate(),
             },
+            PropKind::Shr { amount } => match amount {
+                Some(c) => TaintMask(ta.0 >> (c & 63)),
+                None => union.saturate(),
+            },
+            PropKind::Sar { amount } => match amount {
+                Some(c) => {
+                    let c = c & 63;
+                    let mut m = ta.0 >> c;
+                    // A tainted sign bit replicates into the vacated
+                    // high bits.
+                    if ta.0 & (1 << 63) != 0 && c > 0 {
+                        m |= !0u64 << (64 - c);
+                    }
+                    TaintMask(m)
+                }
+                None => union.saturate(),
+            },
+            PropKind::Fp | PropKind::Cvt => union.saturate(),
         }
     }
 }
@@ -131,7 +124,6 @@ mod tests {
     use super::*;
 
     const P: TaintPolicy = TaintPolicy::Precise;
-    const C: TaintPolicy = TaintPolicy::Conservative;
 
     #[test]
     fn clean_in_clean_out_for_every_kind() {
@@ -151,14 +143,12 @@ mod tests {
             PropKind::Fp,
             PropKind::Cvt,
         ];
-        for policy in [P, C] {
-            for kind in kinds {
-                assert_eq!(
-                    policy.propagate(kind, TaintMask::CLEAN, TaintMask::CLEAN),
-                    TaintMask::CLEAN,
-                    "{policy:?}/{kind:?}"
-                );
-            }
+        for kind in kinds {
+            assert_eq!(
+                P.propagate(kind, TaintMask::CLEAN, TaintMask::CLEAN),
+                TaintMask::CLEAN,
+                "{kind:?}"
+            );
         }
     }
 
@@ -223,37 +213,5 @@ mod tests {
     fn fp_taints_whole_result() {
         let out = P.propagate(PropKind::Fp, TaintMask::bit(51), TaintMask::CLEAN);
         assert_eq!(out, TaintMask::ALL);
-    }
-
-    #[test]
-    fn conservative_never_under_taints_precise() {
-        // For a sample of kinds and masks, conservative ⊇ precise.
-        let masks = [
-            TaintMask::CLEAN,
-            TaintMask::bit(0),
-            TaintMask::bit(63),
-            TaintMask(0xff00),
-        ];
-        let kinds = [
-            PropKind::Mov,
-            PropKind::Xor,
-            PropKind::AddSub,
-            PropKind::Mul,
-            PropKind::Fp,
-            PropKind::And {
-                a: 0xffff,
-                b: 0xffff,
-            },
-            PropKind::Shl { amount: Some(7) },
-        ];
-        for ta in masks {
-            for tb in masks {
-                for kind in kinds {
-                    let p = P.propagate(kind, ta, tb);
-                    let c = C.propagate(kind, ta, tb);
-                    assert_eq!(p.0 & !c.0, 0, "precise ⊆ conservative: {kind:?}");
-                }
-            }
-        }
     }
 }

@@ -433,7 +433,7 @@ mod tests {
 
     #[test]
     fn fully_clean_accounting() {
-        let mut s = TaintState::new(TaintPolicy::Conservative);
+        let mut s = TaintState::new(TaintPolicy::Precise);
         assert!(s.is_fully_clean());
         s.mem_mut().set_byte(100, 1);
         assert!(!s.is_fully_clean());

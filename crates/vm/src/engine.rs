@@ -15,33 +15,6 @@ use chaser_tcg::{
 };
 use std::sync::Arc;
 
-/// Hot-path execution tuning: selects the interpreter fast paths. All
-/// default to on and no campaign surface turns one off; the off paths stay
-/// as the reference the tests prove the fast paths byte-identical against
-/// (`DESIGN.md` §16).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecTuning {
-    /// TB chaining / direct block linking: steady-state execution jumps
-    /// block-to-block through patched successor slots instead of hashing
-    /// into the translation cache at every block boundary.
-    pub tb_chaining: bool,
-    /// The two fast taint regimes: a block that starts with no tainted
-    /// register runs with no per-op shadow bookkeeping — its memory ops
-    /// skip the shadow entirely while memory is clean too (fully clean),
-    /// and take the page-gated shadow path otherwise (clean-register). Off,
-    /// every op of a taint-enabled node runs its shadow path.
-    pub taint_fast_path: bool,
-}
-
-impl Default for ExecTuning {
-    fn default() -> ExecTuning {
-        ExecTuning {
-            tb_chaining: true,
-            taint_fast_path: true,
-        }
-    }
-}
-
 /// Hot-path execution counters, making the fast paths observable in run
 /// reports and campaign results.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -244,7 +217,6 @@ pub(crate) fn run_slice(
     proc: &mut Process,
     quantum: u64,
     insn_budget: u64,
-    tuning: ExecTuning,
     stats: &mut EngineStats,
     taint_buf: &mut Vec<BufferedTaintEvent>,
     locals_home: &mut Vec<u64>,
@@ -278,8 +250,6 @@ pub(crate) fn run_slice(
     });
     let has_fn_hooks = !hooks.fn_hooks.is_empty();
     let countdown = &*hooks.inject_countdown;
-    let chaining = tuning.tb_chaining;
-    let fast_path = tuning.taint_fast_path;
     // The quantum and the run budget are checked at the same resume point;
     // fusing them into one bound leaves a single compare per instruction.
     let limit = quantum.min(insn_budget);
@@ -338,19 +308,17 @@ pub(crate) fn run_slice(
         // patch the slot afterwards.
         macro_rules! chain_exit {
             ($slot:expr) => {
-                if chaining {
-                    match cache.follow(&db, $slot) {
-                        ChainFollow::Hit(succ) => {
-                            hot.chain_hits += 1;
-                            next_block = Some(succ);
-                        }
-                        ChainFollow::Severed => {
-                            hot.chain_severs += 1;
-                            pending_patch = Some((Arc::clone(&db), $slot));
-                        }
-                        ChainFollow::Unlinked => {
-                            pending_patch = Some((Arc::clone(&db), $slot));
-                        }
+                match cache.follow(&db, $slot) {
+                    ChainFollow::Hit(succ) => {
+                        hot.chain_hits += 1;
+                        next_block = Some(succ);
+                    }
+                    ChainFollow::Severed => {
+                        hot.chain_severs += 1;
+                        pending_patch = Some((Arc::clone(&db), $slot));
+                    }
+                    ChainFollow::Unlinked => {
+                        pending_patch = Some((Arc::clone(&db), $slot));
                     }
                 }
             };
@@ -377,8 +345,8 @@ pub(crate) fn run_slice(
             taint_on || taint.fully_idle(),
             "a disabled taint state carries taint"
         );
-        let mut clean = fast_path && taint.regs_idle();
-        let mut shadow_mem = taint_on && !(fast_path && taint.fully_idle());
+        let mut clean = taint.regs_idle();
+        let mut shadow_mem = taint_on && !taint.fully_idle();
         if !clean {
             taint.begin_block(tb.n_locals());
         }
@@ -924,8 +892,12 @@ fn handle_kernel_call(num: u16, phys: &mut PhysMemory, proc: &mut Process) -> Ke
         abi::SYS_SBRK => {
             let old = proc.brk;
             let new = old.saturating_add(a1);
-            let map_from = old.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-            let map_to = new.div_ceil(PAGE_SIZE) * PAGE_SIZE;
+            // A break whose page end does not fit in the address space
+            // cannot be mapped (`old` is a break that could).
+            let Some(map_to) = new.checked_next_multiple_of(PAGE_SIZE) else {
+                return KernelOutcome::Exit(ExitStatus::Signaled(Signal::Segv));
+            };
+            let map_from = old.next_multiple_of(PAGE_SIZE);
             if map_to > map_from {
                 // Extend the heap; running out of guest RAM is fatal.
                 let aligned_from = old / PAGE_SIZE * PAGE_SIZE;

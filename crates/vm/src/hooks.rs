@@ -222,13 +222,9 @@ impl GuestCtx<'_> {
     ///
     /// # Errors
     ///
-    /// Returns a [`MemFault`] if the address does not translate.
+    /// Returns a [`MemFault`] if one of the bytes does not translate.
     pub fn taint_mem(&mut self, vaddr: u64, mask: TaintMask) -> Result<(), MemFault> {
-        let paddr = self.aspace.translate_read(vaddr)?;
-        if self.taint.is_enabled() {
-            self.taint.mem_mut().store8(paddr, mask);
-        }
-        Ok(())
+        self.taint_word(vaddr, mask, None)
     }
 
     /// Marks a register as a taint source attributed to fault `prov`.
@@ -250,17 +246,42 @@ impl GuestCtx<'_> {
     ///
     /// # Errors
     ///
-    /// Returns a [`MemFault`] if the address does not translate.
+    /// Returns a [`MemFault`] if one of the bytes does not translate.
     pub fn taint_mem_with_prov(
         &mut self,
         vaddr: u64,
         mask: TaintMask,
         prov: ProvSet,
     ) -> Result<(), MemFault> {
-        let paddr = self.aspace.translate_read(vaddr)?;
+        self.taint_word(vaddr, mask, Some(prov))
+    }
+
+    /// Gives the 8 bytes at `vaddr` the masks of `mask` and, with `prov`,
+    /// that provenance on each tainted byte. Every byte translates on its
+    /// own, before anything is written: a word may cross into a page whose
+    /// frame is not the next one.
+    fn taint_word(
+        &mut self,
+        vaddr: u64,
+        mask: TaintMask,
+        prov: Option<ProvSet>,
+    ) -> Result<(), MemFault> {
+        let mut paddrs = [0u64; 8];
+        for (i, p) in paddrs.iter_mut().enumerate() {
+            *p = self.aspace.translate_read(vaddr.wrapping_add(i as u64))?;
+        }
         if self.taint.is_enabled() {
-            self.taint.mem_mut().store8(paddr, mask);
-            self.taint.prov_store8(paddr, mask, prov);
+            for (i, &p) in paddrs.iter().enumerate() {
+                self.taint.mem_mut().set_byte(p, mask.byte(i));
+                if let Some(pv) = prov {
+                    let byte_prov = if mask.byte(i) != 0 {
+                        pv
+                    } else {
+                        ProvSet::EMPTY
+                    };
+                    self.taint.set_prov_byte(p, byte_prov);
+                }
+            }
         }
         Ok(())
     }
@@ -341,5 +362,80 @@ impl std::fmt::Debug for NodeHooks {
             .field("vmi_sinks", &self.vmi.len())
             .field("fn_hooks", &self.fn_hooks.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::paging::PagePerms;
+    use chaser_isa::PAGE_SIZE;
+    use chaser_taint::TaintPolicy;
+
+    /// Guest pages mapped at `vaddrs`, in that order: one frame each, so
+    /// virtual neighbours need not be physical ones.
+    fn mapped(vaddrs: &[u64]) -> (PhysMemory, AddressSpace) {
+        let mut phys = PhysMemory::new(8 * PAGE_SIZE);
+        let mut aspace = AddressSpace::new(1);
+        for &vaddr in vaddrs {
+            aspace
+                .map_region(&mut phys, vaddr, PAGE_SIZE, PagePerms::RW)
+                .expect("map");
+        }
+        (phys, aspace)
+    }
+
+    /// Runs `f` on a context over `aspace` and returns the taint state.
+    fn with_ctx(
+        phys: &mut PhysMemory,
+        aspace: &AddressSpace,
+        f: impl FnOnce(&mut GuestCtx<'_>),
+    ) -> TaintState {
+        let mut cpu = CpuState::new(0);
+        let mut taint = TaintState::new(TaintPolicy::Precise);
+        f(&mut GuestCtx {
+            cpu: &mut cpu,
+            aspace,
+            phys,
+            taint: &mut taint,
+            node: 0,
+            pid: 1,
+            icount: 0,
+            pc: 0,
+        });
+        taint
+    }
+
+    /// A fault word across a page boundary whose next virtual page is not
+    /// the next physical frame: each byte's taint and provenance land in
+    /// its own page's frame, none in the frame between.
+    #[test]
+    fn a_word_across_a_page_boundary_taints_both_pages() {
+        let (mut phys, aspace) = mapped(&[0x1000, 0x5000, 0x2000]);
+        let p = ProvSet::single(0);
+        let taint = with_ctx(&mut phys, &aspace, |ctx| {
+            ctx.taint_mem_with_prov(0x1ffc, TaintMask::ALL, p)
+                .expect("mapped");
+        });
+        for v in 0x1ffc..0x2004 {
+            let paddr = aspace.translate_read(v).expect("mapped");
+            assert_eq!(taint.mem().byte(paddr), 0xff, "{v:#x}");
+            assert_eq!(taint.prov_byte(paddr), p, "{v:#x}");
+        }
+        assert_eq!(
+            taint.mem().tainted_bytes(),
+            8,
+            "nothing in the frame between"
+        );
+    }
+
+    /// A word whose second page is unmapped is an error and taints nothing.
+    #[test]
+    fn a_word_into_an_unmapped_page_taints_nothing() {
+        let (mut phys, aspace) = mapped(&[0x1000]);
+        let taint = with_ctx(&mut phys, &aspace, |ctx| {
+            assert!(ctx.taint_mem(0x1ffc, TaintMask::ALL).is_err());
+        });
+        assert_eq!(taint.mem().tainted_bytes(), 0);
     }
 }

@@ -23,6 +23,13 @@
 //! a cluster. Guest execution proceeds in slices ([`Node::run_slice`]) so a
 //! cluster scheduler can interleave ranks deterministically.
 //!
+//! The engine's fast paths — TB chaining and the taint regimes that skip
+//! shadow work while no register (or nothing at all) is tainted — are
+//! always on. The crate's tests check them against an independent
+//! reference executor (`tests/support/oracle.rs`) that steps decoded
+//! instructions over a flat byte map with per-byte taint masks and shares
+//! nothing with the engine but the ISA types.
+//!
 //! # Example
 //!
 //! Run a tiny program to completion on a single node:
@@ -58,7 +65,7 @@ mod paging;
 mod process;
 mod vmi;
 
-pub use engine::{EngineStats, ExecTuning};
+pub use engine::EngineStats;
 pub use hooks::{
     BufferedTaintEvent, FnHookSink, GuestCtx, InjectAction, InjectCountdown, InjectSink, NodeHooks,
     NodeTranslateHook, SharedFnHookSink, SharedInjectSink, SharedTaintSink, SharedTranslateHook,

@@ -1,7 +1,7 @@
 //! A simulated machine: physical memory, processes, translation cache,
 //! taint state and hooks.
 
-use crate::engine::{self, EngineStats, ExecTuning};
+use crate::engine::{self, EngineStats};
 use crate::hooks::{BufferedTaintEvent, NodeHooks};
 use crate::kernel::ExitStatus;
 use crate::mem::{MemFault, MemSnapshot, MemStats, PhysMemory};
@@ -61,8 +61,6 @@ pub struct Node {
     /// Remaining run-level instruction budget (`u64::MAX` = unlimited).
     /// Set by the watchdog owner (the cluster scheduler) before each slice.
     insn_budget: u64,
-    /// Hot-path tuning knobs applied to every slice (default: all on).
-    tuning: ExecTuning,
     /// Accumulated hot-path counters over every slice this node ran.
     engine_stats: EngineStats,
     /// Taint memory events buffered during slices (gated by
@@ -91,22 +89,10 @@ impl Node {
             hooks: NodeHooks::default(),
             next_pid: 1,
             insn_budget: u64::MAX,
-            tuning: ExecTuning::default(),
             engine_stats: EngineStats::default(),
             taint_buf: Vec::new(),
             locals: Vec::new(),
         }
-    }
-
-    /// Sets the hot-path tuning knobs (TB chaining, fast taint regimes)
-    /// applied to every subsequent slice.
-    pub fn set_exec_tuning(&mut self, tuning: ExecTuning) {
-        self.tuning = tuning;
-    }
-
-    /// The active hot-path tuning knobs.
-    pub fn exec_tuning(&self) -> ExecTuning {
-        self.tuning
     }
 
     /// Hot-path execution counters accumulated over every slice.
@@ -210,7 +196,6 @@ impl Node {
             proc,
             quantum,
             self.insn_budget,
-            self.tuning,
             &mut self.engine_stats,
             &mut self.taint_buf,
             &mut self.locals,
@@ -479,7 +464,6 @@ impl Node {
             hooks: NodeHooks::default(),
             next_pid: snap.next_pid,
             insn_budget: u64::MAX,
-            tuning: ExecTuning::default(),
             engine_stats: EngineStats::default(),
             taint_buf: Vec::new(),
             locals: Vec::new(),
@@ -550,6 +534,11 @@ fn poke(aspace: &AddressSpace, phys: &mut PhysMemory, vaddr: u64, data: &[u8]) {
 fn prealloc(len: u64) -> usize {
     len.min(PAGE_SIZE) as usize
 }
+
+/// The reference executor the engine tests compare against.
+#[cfg(test)]
+#[path = "../tests/support/oracle.rs"]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -824,9 +813,11 @@ mod tests {
 
 #[cfg(test)]
 mod more_engine_tests {
+    use super::oracle::{Access, Fault, Oracle, Site, Stop};
     use super::*;
     use crate::kernel::Signal;
     use chaser_isa::{abi, Asm, FReg, Reg};
+    use chaser_taint::ProvSet;
 
     fn run_to_exit(node: &mut Node, pid: u64, quantum: u64) -> ExitStatus {
         loop {
@@ -944,6 +935,23 @@ mod more_engine_tests {
         assert!(files.output.is_empty());
     }
 
+    /// A break whose page end would pass `u64::MAX` cannot be mapped: the
+    /// process dies with SIGSEGV, as the reference executor says, instead
+    /// of overflowing the page rounding.
+    #[test]
+    fn sbrk_past_the_address_space_is_sigsegv() {
+        let mut a = Asm::new("hugebrk");
+        a.movi(Reg::R1, -1);
+        a.hypercall(abi::SYS_SBRK);
+        a.exit(0);
+        let prog = a.assemble().expect("assemble");
+        let (mut node, pid, status) = run(&prog);
+        assert_eq!(status, ExitStatus::Signaled(Signal::Segv));
+        let (reference, stop) = reference_run(&prog, None);
+        assert_eq!(stop, Stop::Segv);
+        assert_matches_reference(&mut node, pid, &reference);
+    }
+
     #[test]
     fn stack_overflow_is_sigsegv() {
         // Push in an endless loop: sp walks off the mapped stack.
@@ -972,69 +980,149 @@ mod more_engine_tests {
         a.assemble().expect("assemble")
     }
 
-    fn run_tuned(tuning: ExecTuning) -> (Node, ExitStatus) {
-        let mut node = Node::new(0);
-        node.set_exec_tuning(tuning);
-        let pid = node.spawn(&loop_prog(100)).expect("spawn");
-        let status = run_to_exit(&mut node, pid, 1000);
-        (node, status)
+    /// The engine's end state against the reference executor's
+    /// (`tests/support/oracle.rs`) after both ran the same process: CPU,
+    /// `icount`, output, every register and memory mask, provenance, every
+    /// mapped byte, and the ordered tainted-access log, which it drains and
+    /// returns.
+    fn assert_matches_reference(
+        node: &mut Node,
+        pid: u64,
+        reference: &Oracle,
+    ) -> Vec<(crate::hooks::TaintAccessKind, crate::hooks::TaintMemEvent)> {
+        let proc = node.process(pid).expect("proc");
+        assert_eq!(proc.cpu, reference.cpu, "CPU state");
+        assert_eq!(proc.icount, reference.icount, "icount");
+        assert_eq!(proc.files.stdout, reference.stdout, "stdout");
+        assert_eq!(proc.files.output, reference.output, "output");
+        let taint = node.taint();
+        for r in Reg::ALL {
+            assert_eq!(taint.reg(r).0, reference.reg_mask[r.index()], "{r} mask");
+            assert_eq!(
+                !taint.reg_prov(r).is_empty(),
+                reference.reg_prov[r.index()],
+                "{r} provenance"
+            );
+        }
+        for f in FReg::ALL {
+            assert_eq!(taint.freg(f).0, reference.freg_mask[f.index()], "{f} mask");
+        }
+        assert_eq!(
+            taint.mem().tainted_bytes(),
+            reference.tainted_bytes(),
+            "tainted memory bytes"
+        );
+        for &vpn in reference.pages.keys() {
+            let base = vpn * PAGE_SIZE;
+            let bytes = node.read_guest(pid, base, PAGE_SIZE).expect("mapped");
+            let masks = node.read_guest_taint(pid, base, PAGE_SIZE).expect("mapped");
+            let provs = node.read_guest_prov(pid, base, PAGE_SIZE).expect("mapped");
+            for i in 0..PAGE_SIZE as usize {
+                let a = base + i as u64;
+                assert_eq!(bytes[i], reference.byte(a), "byte at {a:#x}");
+                assert_eq!(masks[i], reference.byte_mask(a), "mask at {a:#x}");
+                assert_eq!(
+                    !provs[i].is_empty(),
+                    reference.mem_prov.contains(&a),
+                    "provenance at {a:#x}"
+                );
+            }
+        }
+        let events = events(node);
+        let accesses: Vec<Access> = events
+            .iter()
+            .map(|(kind, ev)| Access {
+                write: *kind == crate::hooks::TaintAccessKind::Write,
+                pc: ev.eip,
+                vaddr: ev.vaddr,
+                mask: ev.taint.0,
+                value: ev.value,
+                icount: ev.icount,
+                prov: !ev.prov.is_empty(),
+            })
+            .collect();
+        assert_eq!(accesses, reference.accesses, "tainted accesses");
+        events
+    }
+
+    /// The reference run of `prog` to its exit, with `fault` armed.
+    fn reference_run(prog: &chaser_isa::Program, fault: Option<Fault>) -> (Oracle, Stop) {
+        let mut reference = Oracle::new(prog, crate::mem::DEFAULT_PHYS_BYTES);
+        if let Some(fault) = fault {
+            reference.inject(fault);
+        }
+        let stop = reference.run(u64::MAX);
+        (reference, stop)
     }
 
     #[test]
     fn tb_chaining_hits_links_and_preserves_results() {
-        let off = ExecTuning {
-            tb_chaining: false,
-            taint_fast_path: false,
-        };
-        let (chained, s1) = run_tuned(ExecTuning::default());
-        let (unchained, s2) = run_tuned(off);
-        assert_eq!(s1, ExitStatus::Exited(4950));
-        assert_eq!(s2, s1, "ablation must not change the outcome");
-        let cs = chained.engine_stats();
-        let us = unchained.engine_stats();
+        let prog = loop_prog(100);
+        let mut node = Node::new(0);
+        node.hooks_mut().taint_events = true;
+        let pid = node.spawn(&prog).expect("spawn");
+        let status = run_to_exit(&mut node, pid, 1000);
+        assert_eq!(status, ExitStatus::Exited(4950));
+        let (reference, stop) = reference_run(&prog, None);
+        assert_eq!(stop, Stop::Exited(4950));
+        assert_matches_reference(&mut node, pid, &reference);
+        let cs = node.engine_stats();
         assert!(cs.tb_chain_hits > 50, "loop re-dispatch must follow links");
-        assert_eq!(us.tb_chain_hits, 0, "knob off must never chain");
-        // Chaining removes hash lookups: the chained run does strictly
-        // fewer cache lookups for the same instruction stream.
-        assert!(chained.cache_stats().lookups < unchained.cache_stats().lookups);
-        // Two memory tiers: with no taint anywhere every block runs in the
-        // clean regime and all 201 memory ops (100 × ld + st, one final
-        // ld) skip the shadow; with the regime switched off every one of
-        // them takes the page-gated shadow path.
+        // Chaining removes hash lookups: most dispatches follow a link.
+        assert!(node.cache_stats().lookups < cs.tb_chain_hits);
+        // With no taint anywhere every block runs in the fully-clean
+        // regime and all 201 memory ops (100 × ld + st, one final ld) skip
+        // the shadow.
         assert_eq!((cs.fast_path_insns, cs.slow_path_insns), (201, 0));
-        assert_eq!((us.fast_path_insns, us.slow_path_insns), (0, 201));
     }
 
+    /// Flips bit 0 of R2 (tainted, with provenance 0) at the 41st
+    /// execution of the instruction at `pc`, then detaches like the
+    /// campaign injector.
+    struct FlipR2 {
+        pc: u64,
+        execs: u64,
+    }
+    impl crate::hooks::NodeTranslateHook for FlipR2 {
+        fn inject_point(
+            &self,
+            _n: u32,
+            _p: u64,
+            pc: u64,
+            _insn: &chaser_isa::Instruction,
+        ) -> Option<u64> {
+            (pc == self.pc).then_some(1)
+        }
+    }
+    impl crate::hooks::InjectSink for FlipR2 {
+        fn on_inject_point(
+            &mut self,
+            _point: u64,
+            _insn: &chaser_isa::Instruction,
+            ctx: &mut crate::hooks::GuestCtx<'_>,
+        ) -> crate::hooks::InjectAction {
+            self.execs += 1;
+            if self.execs == FLIP_R2_AT {
+                ctx.set_reg(Reg::R2, ctx.reg(Reg::R2) ^ 1);
+                ctx.taint_reg_with_prov(
+                    Reg::R2,
+                    chaser_taint::TaintMask::bit(0),
+                    chaser_taint::ProvSet::single(0),
+                );
+            }
+            crate::hooks::InjectAction::default()
+        }
+    }
+    const FLIP_R2_AT: u64 = 41;
+
     /// Injection flipping the taint regime in the middle of a hot, chained
-    /// loop must be exact under every tuning: outcome (here the final
-    /// icount via SYS_CLOCK), callback count and taint reach match the
-    /// all-knobs-off run, and the fast/slow memory-op split depends on
-    /// `taint_fast_path` alone.
+    /// loop must be exact: outcome (here the final icount via SYS_CLOCK),
+    /// callback count, taint reach and the tainted-access log match the
+    /// reference executor, and the fast/slow memory-op split follows the
+    /// regime change.
     #[test]
     fn injection_mid_hot_loop_matches_all_knobs_off_run() {
-        use crate::hooks::{GuestCtx, InjectAction, InjectSink};
-        use chaser_isa::Instruction;
-        use chaser_taint::TaintMask;
         use parking_lot::Mutex;
-
-        struct TaintR2Late {
-            fired: u32,
-        }
-        impl InjectSink for TaintR2Late {
-            fn on_inject_point(
-                &mut self,
-                _point: u64,
-                _insn: &Instruction,
-                ctx: &mut GuestCtx<'_>,
-            ) -> InjectAction {
-                // Fire well into the loop, after its back-edge is chained.
-                if self.fired == 40 {
-                    ctx.taint_reg(Reg::R2, TaintMask::bit(0));
-                }
-                self.fired += 1;
-                InjectAction::default()
-            }
-        }
 
         let mut a = Asm::new("sbflip");
         a.bss("buf", 64);
@@ -1043,6 +1131,7 @@ mod more_engine_tests {
         a.label("loop");
         a.ld(Reg::R2, Reg::R5, 0);
         a.add(Reg::R2, Reg::R1);
+        a.label("store");
         a.st(Reg::R2, Reg::R5, 0);
         a.addi(Reg::R1, 1);
         a.cmpi(Reg::R1, 100);
@@ -1050,57 +1139,44 @@ mod more_engine_tests {
         a.hypercall(abi::SYS_CLOCK);
         a.exit_with(Reg::R0);
         let prog = a.assemble().expect("assemble");
+        let store = prog.symbol("store").expect("label");
 
-        let run_with = |tuning: ExecTuning| {
-            let mut node = Node::new(0);
-            node.set_exec_tuning(tuning);
-            node.hooks_mut().translate = Some(Arc::new(TargetStores));
-            let sink = Arc::new(Mutex::new(TaintR2Late { fired: 0 }));
-            node.hooks_mut().inject = Some(sink.clone());
-            let pid = node.spawn(&prog).expect("spawn");
-            let status = run_to_exit(&mut node, pid, 1000);
-            let fired = sink.lock().fired;
-            (node, status, fired)
-        };
-
-        let (tuned, s_on, fired_on) = run_with(ExecTuning::default());
-        let (plain, s_off, fired_off) = run_with(ExecTuning {
-            tb_chaining: false,
-            taint_fast_path: false,
-        });
-        let (unchained, s_un, fired_un) = run_with(ExecTuning {
-            tb_chaining: false,
-            ..ExecTuning::default()
-        });
+        let mut node = Node::new(0);
+        node.hooks_mut().taint_events = true;
+        node.hooks_mut().translate = Some(Arc::new(FlipR2 {
+            pc: store,
+            execs: 0,
+        }));
+        let sink = Arc::new(Mutex::new(FlipR2 {
+            pc: store,
+            execs: 0,
+        }));
+        node.hooks_mut().inject = Some(sink.clone());
+        let pid = node.spawn(&prog).expect("spawn");
+        let status = run_to_exit(&mut node, pid, 1000);
         // Exact icount: lea + movi, 100 six-instruction iterations, and
         // the SYS_CLOCK hypercall itself.
-        assert_eq!(s_on, ExitStatus::Exited(603));
-        assert_eq!(s_off, s_on, "tuning must not perturb icount");
-        assert_eq!(s_un, s_on);
-        assert_eq!(fired_on, 100, "one callback per store execution");
-        assert_eq!(fired_off, fired_on);
-        assert_eq!(fired_un, fired_on);
-        assert!(tuned.taint().mem().tainted_bytes() > 0);
-        for other in [&plain, &unchained] {
-            assert_eq!(
-                tuned.taint().mem().tainted_bytes(),
-                other.taint().mem().tainted_bytes(),
-                "injected taint must reach the same shadow bytes"
-            );
-        }
-        let ts = tuned.engine_stats();
-        let us = unchained.engine_stats();
-        let ps = plain.engine_stats();
+        assert_eq!(status, ExitStatus::Exited(603));
+        assert_eq!(sink.lock().execs, 100, "one callback per store execution");
+
+        let (reference, stop) = reference_run(
+            &prog,
+            Some(Fault {
+                pc: store,
+                nth: FLIP_R2_AT,
+                site: Site::Reg(Reg::R2, 0),
+            }),
+        );
+        assert_eq!(stop, Stop::Exited(603));
+        assert!(reference.tainted_bytes() > 0);
+        assert_matches_reference(&mut node, pid, &reference);
+        let ts = node.engine_stats();
         assert!(ts.tb_chain_hits > 50, "the loop back-edge must be chained");
         // The clean regime holds through 40 iterations and the load of the
         // 41st (81 memory ops); from the store the callback tainted
         // onwards, every memory op takes the shadow path (119).
         assert_eq!((ts.fast_path_insns, ts.slow_path_insns), (81, 119));
-        assert_eq!(ts.fast_path_insns, us.fast_path_insns);
-        assert_eq!(ts.slow_path_insns, us.slow_path_insns);
-        assert_eq!((ps.fast_path_insns, ps.slow_path_insns), (0, 200));
     }
-
     /// The injector sees the victim's retired-instruction count at the
     /// injection point — what `SYS_CLOCK` would read there — however the
     /// run is sliced.
@@ -1308,29 +1384,48 @@ mod more_engine_tests {
         assert_eq!((after.fast_path_insns, after.slow_path_insns), (1, 1));
     }
 
-    /// Per-op reference for the fast taint regimes.
-    const PER_OP: ExecTuning = ExecTuning {
-        tb_chaining: true,
-        taint_fast_path: false,
-    };
+    /// Host-side taint a process receives while parked at its first
+    /// `MPI_BARRIER`: the masks of the bytes from `offset` into `buf` on,
+    /// and which of them derive from fault 3.
+    struct HostTaint {
+        offset: u64,
+        masks: Vec<u8>,
+        prov: Vec<bool>,
+    }
 
-    /// Runs `prog` under `tuning` with taint events on, up to its first
-    /// `MPI_BARRIER` park; `setup` then taints the parked node from the
-    /// host, and the process runs to a successful exit.
-    fn run_parked(
-        prog: &chaser_isa::Program,
-        tuning: ExecTuning,
-        setup: impl Fn(&mut Node, u64),
-    ) -> (Node, u64) {
+    /// Runs `prog` up to its first `MPI_BARRIER` park on the engine (taint
+    /// events on) and on the reference, applies `host` to both, runs both
+    /// to a successful exit and checks that they agree.
+    fn run_parked(prog: &chaser_isa::Program, host: &HostTaint) -> (Node, u64, Oracle) {
+        let vaddr = prog.symbol("buf").expect("buf") + host.offset;
+        let provs: Vec<ProvSet> = host
+            .prov
+            .iter()
+            .map(|p| {
+                if *p {
+                    ProvSet::single(3)
+                } else {
+                    ProvSet::EMPTY
+                }
+            })
+            .collect();
         let mut node = Node::new(0);
-        node.set_exec_tuning(tuning);
         node.hooks_mut().taint_events = true;
         let pid = node.spawn(prog).expect("spawn");
         assert!(matches!(node.run_slice(pid, 1000), SliceExit::MpiCall(_)));
-        setup(&mut node, pid);
+        node.write_guest_taint(pid, vaddr, &host.masks)
+            .expect("taint");
+        node.write_guest_prov(pid, vaddr, &provs).expect("prov");
         node.complete_mpi(pid, 0);
         assert!(run_to_exit(&mut node, pid, 1000).is_success());
-        (node, pid)
+
+        let mut reference = Oracle::new(prog, crate::mem::DEFAULT_PHYS_BYTES);
+        assert_eq!(reference.run(u64::MAX), Stop::Mpi(abi::MPI_BARRIER));
+        reference.taint_bytes(vaddr, &host.masks);
+        reference.prov_bytes(vaddr, &host.prov);
+        reference.complete(0);
+        assert_eq!(reference.run(u64::MAX), Stop::Exited(0));
+        (node, pid, reference)
     }
 
     fn events(
@@ -1345,11 +1440,11 @@ mod more_engine_tests {
     /// With taint in memory only, a block runs in the clean-register
     /// regime until a load reads a tainted mask: that load must record the
     /// exact read event, and the ops after it must propagate — the same
-    /// events, register shadows and memory shadow as the per-op run.
+    /// events, register shadows and memory shadow as the reference.
     #[test]
     fn tainted_load_mid_block_leaves_the_clean_register_regime() {
         use crate::hooks::TaintAccessKind;
-        use chaser_taint::{ProvSet, TaintMask};
+        use chaser_taint::TaintMask;
 
         let mut a = Asm::new("taintedload");
         a.bss("buf", 64);
@@ -1367,16 +1462,14 @@ mod more_engine_tests {
         let prog = a.assemble().expect("assemble");
         let buf = prog.symbol("buf").expect("buf");
         let p = ProvSet::single(3);
-        let setup = |node: &mut Node, pid: u64| {
-            node.write_guest_taint(pid, buf + 8, &[0x01, 0, 0x80])
-                .expect("taint");
-            node.write_guest_prov(pid, buf + 8, &[p, ProvSet::EMPTY, p])
-                .expect("prov");
+        let host = HostTaint {
+            offset: 8,
+            masks: vec![0x01, 0, 0x80],
+            prov: vec![true, false, true],
         };
-        let (mut fast, pid) = run_parked(&prog, ExecTuning::default(), setup);
-        let (mut per_op, _) = run_parked(&prog, PER_OP, setup);
+        let (mut node, pid, reference) = run_parked(&prog, &host);
 
-        let fast_events = events(&mut fast);
+        let fast_events = assert_matches_reference(&mut node, pid, &reference);
         let reads: Vec<_> = fast_events
             .iter()
             .filter(|(kind, _)| *kind == TaintAccessKind::Read)
@@ -1400,39 +1493,19 @@ mod more_engine_tests {
             .any(|(kind, ev)| *kind == TaintAccessKind::Write
                 && ev.vaddr == buf + 16
                 && ev.prov == p));
-        assert_eq!(fast_events, events(&mut per_op));
-
         for r in [Reg::R3, Reg::R4] {
             assert!(
-                fast.taint().reg(r).is_tainted(),
+                node.taint().reg(r).is_tainted(),
                 "{r:?} must carry the load's taint"
             );
-            assert_eq!(fast.taint().reg_prov(r), p);
+            assert_eq!(node.taint().reg_prov(r), p);
         }
-        for r in [Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R5] {
-            assert_eq!(fast.taint().reg(r), per_op.taint().reg(r), "{r:?}");
-            assert_eq!(
-                fast.taint().reg_prov(r),
-                per_op.taint().reg_prov(r),
-                "{r:?}"
-            );
-        }
-        assert_eq!(
-            fast.read_guest_taint(pid, buf, 24).expect("taint"),
-            per_op.read_guest_taint(pid, buf, 24).expect("taint")
-        );
-        assert_eq!(
-            fast.read_guest_prov(pid, buf, 24).expect("prov"),
-            per_op.read_guest_prov(pid, buf, 24).expect("prov")
-        );
     }
 
     /// In the clean-register regime a store writes a clean mask with empty
     /// provenance, clearing whatever taint the bytes held.
     #[test]
     fn clean_store_over_tainted_bytes_clears_mask_and_provenance() {
-        use chaser_taint::ProvSet;
-
         let mut a = Asm::new("cleanstore");
         a.bss("buf", 64);
         a.lea(Reg::R5, "buf");
@@ -1442,29 +1515,29 @@ mod more_engine_tests {
         a.exit(0);
         let prog = a.assemble().expect("assemble");
         let buf = prog.symbol("buf").expect("buf");
-        let setup = |node: &mut Node, pid: u64| {
-            node.write_guest_taint(pid, buf, &[0xff; 8]).expect("taint");
-            node.write_guest_prov(pid, buf, &[ProvSet::single(1); 8])
-                .expect("prov");
+        let host = HostTaint {
+            offset: 0,
+            masks: vec![0xff; 8],
+            prov: vec![true; 8],
         };
-        for tuning in [ExecTuning::default(), PER_OP] {
-            let (mut node, pid) = run_parked(&prog, tuning, setup);
-            assert_eq!(node.read_guest_taint(pid, buf, 8).expect("taint"), [0; 8]);
-            assert_eq!(
-                node.read_guest_prov(pid, buf, 8).expect("prov"),
-                [ProvSet::EMPTY; 8]
-            );
-            assert!(node.taint().fully_idle(), "{tuning:?}");
-            assert!(
-                events(&mut node).is_empty(),
-                "a clean store records no event"
-            );
-        }
+        let (mut node, pid, reference) = run_parked(&prog, &host);
+        assert_eq!(node.read_guest_taint(pid, buf, 8).expect("taint"), [0; 8]);
+        assert_eq!(
+            node.read_guest_prov(pid, buf, 8).expect("prov"),
+            [ProvSet::EMPTY; 8]
+        );
+        assert!(node.taint().fully_idle());
+        assert!(
+            reference.accesses.is_empty(),
+            "a clean store records no event"
+        );
+        assert_matches_reference(&mut node, pid, &reference);
     }
 
     /// Tainted memory and clean registers: the clean-register regime drops
     /// the per-op shadow work but not the memory shadow, so every memory op
-    /// still takes the page-gated shadow path, as under the per-op run.
+    /// still takes the page-gated shadow path, and the end state is the
+    /// reference's.
     #[test]
     fn clean_register_regime_keeps_the_memory_op_tiers() {
         let mut a = Asm::new("tiers");
@@ -1477,18 +1550,17 @@ mod more_engine_tests {
         a.ld(Reg::R3, Reg::R5, 8);
         a.exit(0);
         let prog = a.assemble().expect("assemble");
-        let buf = prog.symbol("buf").expect("buf");
-        let setup = |node: &mut Node, pid: u64| {
-            node.write_guest_taint(pid, buf + 32, &[0xff])
-                .expect("taint");
+        let host = HostTaint {
+            offset: 32,
+            masks: vec![0xff],
+            prov: vec![false],
         };
-        for tuning in [ExecTuning::default(), PER_OP] {
-            let (node, _) = run_parked(&prog, tuning, setup);
-            let s = node.engine_stats();
-            assert_eq!((s.fast_path_insns, s.slow_path_insns), (0, 3), "{tuning:?}");
-            assert!(node.taint().regs_idle());
-            assert_eq!(node.taint().mem().tainted_bytes(), 1);
-        }
+        let (mut node, pid, reference) = run_parked(&prog, &host);
+        let s = node.engine_stats();
+        assert_eq!((s.fast_path_insns, s.slow_path_insns), (0, 3));
+        assert!(node.taint().regs_idle());
+        assert_eq!(node.taint().mem().tainted_bytes(), 1);
+        assert_matches_reference(&mut node, pid, &reference);
     }
 
     /// An injection callback is the one in-block taint source: firing
