@@ -75,12 +75,13 @@ done
 # Ledger smoke: the benchmark's correctness gate at 1/10 size (golden
 # output == host reference, outcome CSV identical across repetitions,
 # traced rows == untraced rows, no failed run) on the two halves of the
-# engine loop: the rank-parallel trace=off workload (fully-clean regime
-# throughout) and the trace=taint lud workload (regime flips at the
+# engine loop: the trace=off clamr workload, warm-started from the
+# checkpoint ladder (fully-clean regime throughout), with its rank-parallel
+# twin, and the trace=taint lud workload (regime flips at the
 # injection and at tainted loads; about a third of its memory ops take the
 # page-gated shadow path, with provenance pages live, but its ALU ops pay
 # for shadow work only in blocks that start with a tainted register,
-# DESIGN.md §9). The third run is the
+# DESIGN.md §9). The fourth run is the
 # traced half of the checkpoint ladder: on matvec4_full_cold (trace=full +
 # provenance) the frozen traced driver executes every run from launch while
 # `Campaign::run` restores from the ladder, and their rows must match.
@@ -88,12 +89,13 @@ done
 # every payload's taint and provenance crosses ranks one guest page at a
 # time, so its golden output and its traced rows == ladder rows check that
 # exchange end to end on the one ledger workload whose messages carry taint.
-# The fourth is the served path: short bfs runs, where the injector's
+# The fifth is the served path: short bfs runs, where the injector's
 # trigger countdown carries most of each run's saving, submitted by two
 # tenants to the daemon; its rows must equal the standalone campaign's
 # CSV and every row must stream back.
 # Exits non-zero on any check; the numbers it prints are not comparable
 # (`--quick`).
+cargo run --release --offline -p chaser-bench --bin ledger -- --quick --workload clamr4_off_warm
 cargo run --release --offline -p chaser-bench --bin ledger -- --quick --workload clamr4_off_rankpar
 cargo run --release --offline -p chaser-bench --bin ledger -- --quick --workload lud1_taint_cold
 cargo run --release --offline -p chaser-bench --bin ledger -- --quick --workload matvec4_full_cold

@@ -122,6 +122,23 @@ impl CpuState {
         self.fregs[r.index()] = bits;
     }
 
+    /// Copies both register files into `frame`: the general-purpose
+    /// registers, then the FP registers' raw bits (the register slots of
+    /// an execution engine's operand frame).
+    pub fn copy_regs_to(&self, frame: &mut [u64; NUM_REGS + NUM_FREGS]) {
+        let (regs, fregs) = frame.split_at_mut(NUM_REGS);
+        regs.copy_from_slice(&self.regs);
+        fregs.copy_from_slice(&self.fregs);
+    }
+
+    /// Loads both register files from `frame`, laid out as
+    /// [`CpuState::copy_regs_to`] writes it.
+    pub fn load_regs_from(&mut self, frame: &[u64; NUM_REGS + NUM_FREGS]) {
+        let (regs, fregs) = frame.split_at(NUM_REGS);
+        self.regs.copy_from_slice(regs);
+        self.fregs.copy_from_slice(fregs);
+    }
+
     /// The stack pointer.
     pub fn sp(&self) -> u64 {
         self.reg(Reg::SP)
@@ -176,6 +193,19 @@ mod tests {
         cpu.set_freg_bits(FReg::F1, 0x7ff8_1234_5678_9abc);
         assert!(cpu.freg(FReg::F1).is_nan());
         assert_eq!(cpu.freg_bits(FReg::F1), 0x7ff8_1234_5678_9abc);
+    }
+
+    #[test]
+    fn register_frame_round_trips() {
+        let mut cpu = CpuState::new(0);
+        cpu.set_reg(Reg::R3, 7);
+        cpu.set_freg_bits(FReg::F3, 9);
+        let mut frame = [0; NUM_REGS + NUM_FREGS];
+        cpu.copy_regs_to(&mut frame);
+        assert_eq!((frame[3], frame[NUM_REGS + 3]), (7, 9));
+        let mut back = CpuState::new(0);
+        back.load_regs_from(&frame);
+        assert_eq!(back, cpu);
     }
 
     #[test]

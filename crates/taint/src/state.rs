@@ -1,9 +1,10 @@
-//! Whole-CPU taint state: shadow registers, shadow temporaries and shadow
-//! memory under one policy, with fault provenance carried in parallel.
+//! Whole-CPU taint state: a shadow operand frame (registers and the
+//! current block's temporaries) and shadow memory under one policy, with
+//! fault provenance carried in parallel.
 
 use crate::{ProvMem, ProvSet, ShadowMem, TaintMask, TaintPolicy};
-use chaser_isa::{FReg, Reg, NUM_FREGS, NUM_REGS};
-use chaser_tcg::{Global, Temp};
+use chaser_isa::{FReg, Reg};
+use chaser_tcg::Temp;
 
 /// Shadow state for one guest process plus the node's physical memory.
 ///
@@ -11,33 +12,27 @@ use chaser_tcg::{Global, Temp};
 /// value computation: for every IR op it reads operand masks, calls
 /// [`TaintPolicy::propagate`], and writes the result mask back.
 ///
-/// Alongside each mask the state carries a [`ProvSet`] naming the injected
-/// fault(s) the taint derives from. Provenance follows the masks (a clean
-/// result always has empty provenance) and is gated behind a `prov_any`
-/// flag so runs that never inject pay one branch per shadow write.
+/// The operand shadow has the engine's frame layout: one mask per
+/// [`Temp::slot`], registers first ([`Temp::GLOBALS`] of them), then the
+/// current block's locals. Alongside each mask the state carries a
+/// [`ProvSet`] naming the injected fault(s) the taint derives from.
+/// Provenance follows the masks (a clean result always has empty
+/// provenance) and is gated behind a `prov_any` flag so runs that never
+/// inject pay one branch per shadow write. Both frames are fixed-size, so
+/// a new state allocates nothing for them.
 #[derive(Debug, Clone)]
 pub struct TaintState {
     policy: TaintPolicy,
-    regs: [TaintMask; NUM_REGS],
-    fregs: [TaintMask; NUM_FREGS],
-    locals: Vec<TaintMask>,
+    masks: [TaintMask; Temp::FRAME_SLOTS],
     mem: ShadowMem,
-    prov_regs: [ProvSet; NUM_REGS],
-    prov_fregs: [ProvSet; NUM_FREGS],
-    prov_locals: Vec<ProvSet>,
+    provs: [ProvSet; Temp::FRAME_SLOTS],
     prov_mem: ProvMem,
     /// True once any non-empty provenance has been written; while false,
     /// every provenance shadow is known-empty and reads/writes short-circuit.
     prov_any: bool,
-    /// Number of tainted global shadows (regs + fregs), maintained at every
-    /// mask write so [`TaintState::regs_idle`] is O(1).
+    /// Number of tainted global shadows (slots below [`Temp::GLOBALS`]),
+    /// maintained at every mask write so [`TaintState::regs_idle`] is O(1).
     tainted_globals: u32,
-}
-
-/// Updates a population counter for a mask overwrite.
-#[inline]
-fn repop(count: &mut u32, old: TaintMask, new: TaintMask) {
-    *count = *count - old.is_tainted() as u32 + new.is_tainted() as u32;
 }
 
 impl TaintState {
@@ -52,13 +47,9 @@ impl TaintState {
     pub fn with_capacity(policy: TaintPolicy, phys_bytes: u64) -> TaintState {
         TaintState {
             policy,
-            regs: [TaintMask::CLEAN; NUM_REGS],
-            fregs: [TaintMask::CLEAN; NUM_FREGS],
-            locals: Vec::new(),
+            masks: [TaintMask::CLEAN; Temp::FRAME_SLOTS],
             mem: ShadowMem::with_capacity(phys_bytes),
-            prov_regs: [ProvSet::EMPTY; NUM_REGS],
-            prov_fregs: [ProvSet::EMPTY; NUM_FREGS],
-            prov_locals: Vec::new(),
+            provs: [ProvSet::EMPTY; Temp::FRAME_SLOTS],
             prov_mem: ProvMem::with_capacity(phys_bytes),
             prov_any: false,
             tainted_globals: 0,
@@ -75,24 +66,20 @@ impl TaintState {
         self.policy != TaintPolicy::Disabled
     }
 
-    /// Prepares the local-temp shadow for a translation block with
-    /// `n_locals` temporaries (all clean: temps never outlive a block).
+    /// Cleans the shadow of a translation block's `n_locals` temporaries
+    /// (temps never outlive a block); the register slots are untouched.
     pub fn begin_block(&mut self, n_locals: u16) {
-        self.locals.clear();
-        self.locals.resize(n_locals as usize, TaintMask::CLEAN);
+        let locals = Temp::GLOBALS..Temp::GLOBALS + usize::from(n_locals);
+        self.masks[locals.clone()].fill(TaintMask::CLEAN);
         if self.prov_any {
-            self.prov_locals.clear();
-            self.prov_locals.resize(n_locals as usize, ProvSet::EMPTY);
+            self.provs[locals].fill(ProvSet::EMPTY);
         }
     }
 
     /// Reads the mask of an IR operand.
+    #[inline]
     pub fn temp(&self, t: Temp) -> TaintMask {
-        match t {
-            Temp::Global(Global::Reg(r)) => self.regs[r.index()],
-            Temp::Global(Global::FReg(r)) => self.fregs[r.index()],
-            Temp::Local(i) => self.locals.get(i as usize).copied().unwrap_or_default(),
-        }
+        self.masks[t.slot()]
     }
 
     /// Writes the mask of an IR operand. Provenance at the destination is
@@ -101,7 +88,7 @@ impl TaintState {
     pub fn set_temp(&mut self, t: Temp, m: TaintMask) {
         self.write_temp_mask(t, m);
         if self.prov_any {
-            self.write_temp_prov(t, ProvSet::EMPTY);
+            self.provs[t.slot()] = ProvSet::EMPTY;
         }
     }
 
@@ -112,7 +99,7 @@ impl TaintState {
             self.prov_any = true;
         }
         if self.prov_any {
-            self.write_temp_prov(t, if m.is_tainted() { p } else { ProvSet::EMPTY });
+            self.provs[t.slot()] = if m.is_tainted() { p } else { ProvSet::EMPTY };
         }
     }
 
@@ -123,12 +110,12 @@ impl TaintState {
     pub fn set_temp2(&mut self, d: Temp, m: TaintMask, a: Temp, b: Temp) {
         if self.prov_any {
             let p = if m.is_tainted() {
-                self.temp_prov(a).union(self.temp_prov(b))
+                self.provs[a.slot()].union(self.provs[b.slot()])
             } else {
                 ProvSet::EMPTY
             };
             self.write_temp_mask(d, m);
-            self.write_temp_prov(d, p);
+            self.provs[d.slot()] = p;
         } else {
             self.write_temp_mask(d, m);
         }
@@ -139,52 +126,26 @@ impl TaintState {
     pub fn set_temp1(&mut self, d: Temp, m: TaintMask, a: Temp) {
         if self.prov_any {
             let p = if m.is_tainted() {
-                self.temp_prov(a)
+                self.provs[a.slot()]
             } else {
                 ProvSet::EMPTY
             };
             self.write_temp_mask(d, m);
-            self.write_temp_prov(d, p);
+            self.provs[d.slot()] = p;
         } else {
             self.write_temp_mask(d, m);
         }
     }
 
+    #[inline]
     fn write_temp_mask(&mut self, t: Temp, m: TaintMask) {
-        match t {
-            Temp::Global(Global::Reg(r)) => {
-                repop(&mut self.tainted_globals, self.regs[r.index()], m);
-                self.regs[r.index()] = m;
-            }
-            Temp::Global(Global::FReg(r)) => {
-                repop(&mut self.tainted_globals, self.fregs[r.index()], m);
-                self.fregs[r.index()] = m;
-            }
-            Temp::Local(i) => {
-                let i = i as usize;
-                if i >= self.locals.len() {
-                    self.locals.resize(i + 1, TaintMask::CLEAN);
-                }
-                self.locals[i] = m;
-            }
+        let slot = t.slot();
+        let old = self.masks[slot];
+        if slot < Temp::GLOBALS {
+            self.tainted_globals =
+                self.tainted_globals - old.is_tainted() as u32 + m.is_tainted() as u32;
         }
-    }
-
-    fn write_temp_prov(&mut self, t: Temp, p: ProvSet) {
-        match t {
-            Temp::Global(Global::Reg(r)) => self.prov_regs[r.index()] = p,
-            Temp::Global(Global::FReg(r)) => self.prov_fregs[r.index()] = p,
-            Temp::Local(i) => {
-                let i = i as usize;
-                if i >= self.prov_locals.len() {
-                    if p.is_empty() {
-                        return;
-                    }
-                    self.prov_locals.resize(i + 1, ProvSet::EMPTY);
-                }
-                self.prov_locals[i] = p;
-            }
-        }
+        self.masks[slot] = m;
     }
 
     /// Reads the provenance of an IR operand.
@@ -192,72 +153,42 @@ impl TaintState {
         if !self.prov_any {
             return ProvSet::EMPTY;
         }
-        match t {
-            Temp::Global(Global::Reg(r)) => self.prov_regs[r.index()],
-            Temp::Global(Global::FReg(r)) => self.prov_fregs[r.index()],
-            Temp::Local(i) => self
-                .prov_locals
-                .get(i as usize)
-                .copied()
-                .unwrap_or_default(),
-        }
+        self.provs[t.slot()]
     }
 
     /// Reads a general-purpose register's mask.
     pub fn reg(&self, r: Reg) -> TaintMask {
-        self.regs[r.index()]
+        self.temp(Temp::reg(r))
     }
 
     /// Taints (or cleans) a general-purpose register — an injection source.
     pub fn set_reg(&mut self, r: Reg, m: TaintMask) {
-        repop(&mut self.tainted_globals, self.regs[r.index()], m);
-        self.regs[r.index()] = m;
-        if self.prov_any {
-            self.prov_regs[r.index()] = ProvSet::EMPTY;
-        }
+        self.set_temp(Temp::reg(r), m);
     }
 
     /// Reads an FP register's mask.
     pub fn freg(&self, r: FReg) -> TaintMask {
-        self.fregs[r.index()]
+        self.temp(Temp::freg(r))
     }
 
     /// Taints (or cleans) an FP register — an injection source.
     pub fn set_freg(&mut self, r: FReg, m: TaintMask) {
-        repop(&mut self.tainted_globals, self.fregs[r.index()], m);
-        self.fregs[r.index()] = m;
-        if self.prov_any {
-            self.prov_fregs[r.index()] = ProvSet::EMPTY;
-        }
+        self.set_temp(Temp::freg(r), m);
     }
 
     /// Taints a general-purpose register as fault `p`'s injection site.
     pub fn set_reg_with_prov(&mut self, r: Reg, m: TaintMask, p: ProvSet) {
-        repop(&mut self.tainted_globals, self.regs[r.index()], m);
-        self.regs[r.index()] = m;
-        if !p.is_empty() {
-            self.prov_any = true;
-        }
-        if self.prov_any {
-            self.prov_regs[r.index()] = if m.is_tainted() { p } else { ProvSet::EMPTY };
-        }
+        self.set_temp_with_prov(Temp::reg(r), m, p);
     }
 
     /// Taints an FP register as fault `p`'s injection site.
     pub fn set_freg_with_prov(&mut self, r: FReg, m: TaintMask, p: ProvSet) {
-        repop(&mut self.tainted_globals, self.fregs[r.index()], m);
-        self.fregs[r.index()] = m;
-        if !p.is_empty() {
-            self.prov_any = true;
-        }
-        if self.prov_any {
-            self.prov_fregs[r.index()] = if m.is_tainted() { p } else { ProvSet::EMPTY };
-        }
+        self.set_temp_with_prov(Temp::freg(r), m, p);
     }
 
     /// A general-purpose register's provenance.
     pub fn reg_prov(&self, r: Reg) -> ProvSet {
-        self.prov_regs[r.index()]
+        self.temp_prov(Temp::reg(r))
     }
 
     /// Shadow memory (physical-address keyed).
@@ -345,8 +276,7 @@ impl TaintState {
 
     /// Total tainted register bits across both files (diagnostics).
     pub fn tainted_reg_bits(&self) -> u32 {
-        self.regs.iter().map(|m| m.count()).sum::<u32>()
-            + self.fregs.iter().map(|m| m.count()).sum::<u32>()
+        self.masks[..Temp::GLOBALS].iter().map(|m| m.count()).sum()
     }
 
     /// True when *memory* carries no taint and no provenance. Two counter
@@ -381,20 +311,14 @@ impl TaintState {
 
     /// True when no register, temp or memory byte carries taint.
     pub fn is_fully_clean(&self) -> bool {
-        self.tainted_reg_bits() == 0
-            && self.locals.iter().all(|m| m.is_clean())
-            && self.mem.tainted_bytes() == 0
+        self.masks.iter().all(|m| m.is_clean()) && self.mem.tainted_bytes() == 0
     }
 
     /// Removes all taint and provenance (registers, temps and memory).
     pub fn clear(&mut self) {
-        self.regs = [TaintMask::CLEAN; NUM_REGS];
-        self.fregs = [TaintMask::CLEAN; NUM_FREGS];
-        self.locals.clear();
+        self.masks = [TaintMask::CLEAN; Temp::FRAME_SLOTS];
         self.mem.clear();
-        self.prov_regs = [ProvSet::EMPTY; NUM_REGS];
-        self.prov_fregs = [ProvSet::EMPTY; NUM_FREGS];
-        self.prov_locals.clear();
+        self.provs = [ProvSet::EMPTY; Temp::FRAME_SLOTS];
         self.prov_mem.clear();
         self.prov_any = false;
         self.tainted_globals = 0;
@@ -409,9 +333,9 @@ mod tests {
     #[test]
     fn temps_are_clean_at_block_start() {
         let mut s = TaintState::new(TaintPolicy::Precise);
-        s.set_temp(Temp::Local(3), TaintMask::ALL);
+        s.set_temp(Temp::local(3), TaintMask::ALL);
         s.begin_block(8);
-        assert!(s.temp(Temp::Local(3)).is_clean());
+        assert!(s.temp(Temp::local(3)).is_clean());
     }
 
     #[test]
@@ -444,7 +368,7 @@ mod tests {
     #[test]
     fn idle_gates_read_registers_and_memory_not_temps() {
         let mut s = TaintState::new(TaintPolicy::Precise);
-        s.set_temp(Temp::Local(0), TaintMask::ALL);
+        s.set_temp(Temp::local(0), TaintMask::ALL);
         assert!(
             s.regs_idle() && s.fully_idle(),
             "a tainted temp is dead at the block end"
@@ -458,11 +382,16 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_local_write_grows() {
+    fn every_local_slot_up_to_the_bound_is_addressable() {
         let mut s = TaintState::new(TaintPolicy::Precise);
         s.begin_block(1);
-        s.set_temp(Temp::Local(5), TaintMask::bit(1));
-        assert_eq!(s.temp(Temp::Local(5)), TaintMask::bit(1));
+        let last = Temp::local(chaser_tcg::MAX_TB_LOCALS as u16 - 1);
+        s.set_temp_with_prov(last, TaintMask::bit(1), ProvSet::single(3));
+        assert_eq!(s.temp(last), TaintMask::bit(1));
+        assert_eq!(s.temp_prov(last), ProvSet::single(3));
+        assert!(s.regs_idle(), "a local is not a global");
+        s.begin_block(chaser_tcg::MAX_TB_LOCALS as u16);
+        assert!(s.temp(last).is_clean() && s.temp_prov(last).is_empty());
     }
 
     #[test]

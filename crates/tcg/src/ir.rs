@@ -1,58 +1,66 @@
 //! The TCG-style intermediate representation.
 
-use chaser_isa::{Cond, FReg, Reg};
+use crate::translate::MAX_TB_LOCALS;
+use chaser_isa::{Cond, FReg, Reg, NUM_FREGS, NUM_REGS};
 use std::fmt;
 
-/// A CPU-state-backed IR value ("global" in TCG terms).
+/// An IR operand: a slot of the engine's flat `[u64]` operand frame,
+/// resolved when the block is translated (TCG's fixed `CPUArchState`
+/// offsets for globals, frame slots for temps).
 ///
-/// Globals alias architectural registers: writing `Global::Reg(R1)` writes
-/// the guest's `r1`. Floating-point globals carry the register's raw bit
-/// pattern — FP semantics are applied only inside [`Helper`] calls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Global {
-    /// A general-purpose register.
-    Reg(Reg),
-    /// A floating-point register (raw bits).
-    FReg(FReg),
-}
-
-impl fmt::Display for Global {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Global::Reg(r) => write!(f, "{r}"),
-            Global::FReg(r) => write!(f, "{r}"),
-        }
-    }
-}
-
-/// An IR operand: either a global (architectural) value or a block-local
-/// temporary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Temp {
-    /// Architectural state.
-    Global(Global),
-    /// Block-local temporary, dead at TB exit.
-    Local(u16),
-}
+/// Slots `0..16` alias the general-purpose registers (writing
+/// `Temp::reg(R1)` writes the guest's `r1`), `16..32` the FP registers'
+/// raw bit patterns (FP semantics are applied only inside [`Helper`]
+/// calls), and `32..` the block's locals, dead at TB exit.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Temp(u16);
 
 impl Temp {
-    /// Shorthand for a general-purpose-register global.
+    /// Number of global slots (both register files); locals start here.
+    pub const GLOBALS: usize = NUM_REGS + NUM_FREGS;
+    /// Slots in a frame: the globals plus the most locals one block uses.
+    pub const FRAME_SLOTS: usize = Temp::GLOBALS + MAX_TB_LOCALS;
+
+    /// A general-purpose register.
     pub fn reg(r: Reg) -> Temp {
-        Temp::Global(Global::Reg(r))
+        Temp(r.index() as u16)
     }
 
-    /// Shorthand for an FP-register global.
+    /// An FP register (raw bits).
     pub fn freg(r: FReg) -> Temp {
-        Temp::Global(Global::FReg(r))
+        Temp((NUM_REGS + r.index()) as u16)
+    }
+
+    /// Block-local temporary number `i`.
+    pub fn local(i: u16) -> Temp {
+        Temp(Temp::GLOBALS as u16 + i)
+    }
+
+    /// The operand's frame slot.
+    #[inline(always)]
+    pub fn slot(self) -> usize {
+        usize::from(self.0)
+    }
+
+    /// The local's number, or `None` for a register.
+    pub(crate) fn local_index(self) -> Option<usize> {
+        self.slot().checked_sub(Temp::GLOBALS)
     }
 }
 
 impl fmt::Display for Temp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Temp::Global(g) => write!(f, "{g}"),
-            Temp::Local(i) => write!(f, "tmp{i}"),
+        match self.slot() {
+            s if s < NUM_REGS => write!(f, "{}", Reg::ALL[s]),
+            s if s < Temp::GLOBALS => write!(f, "{}", FReg::ALL[s - NUM_REGS]),
+            s => write!(f, "tmp{}", s - Temp::GLOBALS),
         }
+    }
+}
+
+impl fmt::Debug for Temp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self, f)
     }
 }
 
@@ -410,6 +418,47 @@ pub enum TcgOp {
     },
 }
 
+impl TcgOp {
+    /// The operands whose values this op reads, and the one it writes.
+    /// A unary helper reads its `b` as well: the engine evaluates both.
+    pub(crate) fn operands(&self) -> ([Option<Temp>; 2], Option<Temp>) {
+        use TcgOp as O;
+        match *self {
+            O::Movi { d, .. } => ([None, None], Some(d)),
+            O::Mov { d, s: a }
+            | O::Addi { d, a, .. }
+            | O::Neg { d, a }
+            | O::Not { d, a }
+            | O::QemuLd { d, addr: a, .. } => ([Some(a), None], Some(d)),
+            O::Add { d, a, b }
+            | O::Sub { d, a, b }
+            | O::Mul { d, a, b }
+            | O::Divs { d, a, b }
+            | O::Divu { d, a, b }
+            | O::Remu { d, a, b }
+            | O::And { d, a, b }
+            | O::Or { d, a, b }
+            | O::Xor { d, a, b }
+            | O::Shl { d, a, b }
+            | O::Shr { d, a, b }
+            | O::Sar { d, a, b }
+            | O::CallHelper { d, a, b, .. } => ([Some(a), Some(b)], Some(d)),
+            O::SetFlagsInt { a, b } | O::SetFlagsFp { a, b } | O::QemuSt { s: a, addr: b, .. } => {
+                ([Some(a), Some(b)], None)
+            }
+            O::SetFlagsInti { a, .. } | O::ExitTbIndirect { addr: a } => ([Some(a), None], None),
+            O::InsnStart { .. }
+            | O::CallInject { .. }
+            | O::ExitTb { .. }
+            | O::ExitTbCond { .. }
+            | O::Hypercall { .. }
+            | O::Halt
+            | O::BadFetch { .. }
+            | O::BadDecode { .. } => ([None, None], None),
+        }
+    }
+}
+
 impl fmt::Display for TcgOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         use TcgOp as O;
@@ -512,10 +561,15 @@ mod tests {
     #[test]
     fn display_matches_qemu_flavour() {
         let op = TcgOp::Movi {
-            d: Temp::Local(3),
+            d: Temp::local(3),
             imm: 0xfe,
         };
         assert_eq!(op.to_string(), "movi_i64 tmp3, 0xfe");
+        let op = TcgOp::Mov {
+            d: Temp::freg(FReg::F15),
+            s: Temp::reg(Reg::R0),
+        };
+        assert_eq!(op.to_string(), "mov_i64 f15, r0");
         let op = TcgOp::CallInject { point: 1, idx: 0 };
         assert!(op.to_string().contains("DECAF_inject_fault"));
     }

@@ -50,8 +50,9 @@ mod tb;
 mod translate;
 
 pub use cache::{BaseLayer, CacheStats, ChainFollow, ChainSlot, DispatchBlock, TbCache};
-pub use ir::{Global, Helper, TcgOp, Temp};
+pub use ir::{Helper, TcgOp, Temp};
 pub use tb::TranslationBlock;
 pub use translate::{
     translate_block, CodeFetcher, InjectPointId, SliceFetcher, TranslateHook, MAX_TB_INSNS,
+    MAX_TB_LOCALS,
 };

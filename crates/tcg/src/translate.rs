@@ -7,6 +7,12 @@ use chaser_isa::{decode, Instruction, INSN_LEN};
 /// Maximum number of guest instructions per translation block.
 pub const MAX_TB_INSNS: usize = 32;
 
+/// Maximum number of block-local temporaries per translation block: no
+/// instruction lowers to more than three (an indexed access: the scale
+/// constant, the scaled index and the address). The engine's operand
+/// frame holds exactly this many local slots.
+pub const MAX_TB_LOCALS: usize = 3 * MAX_TB_INSNS;
+
 /// Identifier of a spliced injection point, assigned by the
 /// [`TranslateHook`] and handed back to the engine's injector callback.
 pub type InjectPointId = u64;
@@ -61,7 +67,7 @@ struct Ctx {
 
 impl Ctx {
     fn tmp(&mut self) -> Temp {
-        let t = Temp::Local(self.n_locals);
+        let t = Temp::local(self.n_locals);
         self.n_locals += 1;
         t
     }
@@ -149,6 +155,11 @@ pub fn translate_block(
         }
     }
 
+    assert!(
+        usize::from(ctx.n_locals) <= MAX_TB_LOCALS,
+        "a block at {start_pc:#x} needs {} locals, the frame holds {MAX_TB_LOCALS}",
+        ctx.n_locals
+    );
     TranslationBlock::new(start_pc, ctx.ops, insns, ctx.n_locals, instrumented)
 }
 
@@ -666,10 +677,7 @@ mod tests {
             .rposition(|op| {
                 matches!(
                     op,
-                    TcgOp::Mov {
-                        d: Temp::Global(crate::Global::Reg(Reg::R15)),
-                        ..
-                    }
+                    TcgOp::Mov { d, .. } if *d == Temp::reg(Reg::R15)
                 )
             })
             .expect("mov into sp");

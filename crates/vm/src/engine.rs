@@ -10,8 +10,8 @@ use crate::process::{MpiRequest, ProcState, Process};
 use chaser_isa::{abi, Flags, Instruction, PAGE_SIZE};
 use chaser_taint::{PropKind, ProvSet, TaintMask, TaintState};
 use chaser_tcg::{
-    translate_block, ChainFollow, ChainSlot, CodeFetcher, DispatchBlock, Global, TbCache, TcgOp,
-    Temp, TranslateHook, TranslationBlock,
+    translate_block, ChainFollow, ChainSlot, CodeFetcher, DispatchBlock, TbCache, TcgOp, Temp,
+    TranslateHook, TranslationBlock,
 };
 use std::sync::Arc;
 
@@ -177,29 +177,6 @@ fn store_u64_tainted(
     Ok(paddr)
 }
 
-/// The node's TB-temporaries buffer, held by one slice as a plain local and
-/// handed back on every exit path. The dispatch loop indexes the buffer on
-/// every op: as a local its pointer and length live in registers, behind
-/// the node's `&mut Vec` they would be reloaded (measured: -9 % on the
-/// clean hot loop).
-struct LocalsLease<'a> {
-    home: &'a mut Vec<u64>,
-    buf: Vec<u64>,
-}
-
-impl<'a> LocalsLease<'a> {
-    fn take(home: &'a mut Vec<u64>) -> LocalsLease<'a> {
-        let buf = std::mem::take(home);
-        LocalsLease { home, buf }
-    }
-}
-
-impl Drop for LocalsLease<'_> {
-    fn drop(&mut self) {
-        *self.home = std::mem::take(&mut self.buf);
-    }
-}
-
 /// Executes up to `quantum` guest instructions of `proc`, additionally
 /// capped by the run-level `insn_budget` (`u64::MAX` = unlimited). The
 /// budget is checked at the same safe resume point as the quantum; when it
@@ -219,7 +196,6 @@ pub(crate) fn run_slice(
     insn_budget: u64,
     stats: &mut EngineStats,
     taint_buf: &mut Vec<BufferedTaintEvent>,
-    locals_home: &mut Vec<u64>,
 ) -> SliceExit {
     match proc.state {
         ProcState::Runnable => {}
@@ -236,8 +212,21 @@ pub(crate) fn run_slice(
     // contexts, taint events, kernel calls and slice exits).
     let icount_base = proc.icount;
     let mut hot = HotCounters::default();
-    let mut lease = LocalsLease::take(locals_home);
-    let locals = &mut lease.buf;
+    // The operand frame (DESIGN §9): every IR operand is one slot of it,
+    // resolved at translation ([`Temp::slot`]). The register slots are the
+    // live registers for the whole slice; `proc.cpu` is brought up to date
+    // wherever code outside the dispatch loop reads or writes it (every
+    // slice exit, the guest-context callbacks, kernel calls). A stack
+    // array: its address is a fixed offset from the stack pointer.
+    let mut frame = [0u64; Temp::FRAME_SLOTS];
+    macro_rules! regs_in_frame {
+        () => {
+            frame
+                .first_chunk_mut()
+                .expect("the frame holds the registers")
+        };
+    }
+    proc.cpu.copy_regs_to(regs_in_frame!());
 
     // Per-slice hoists: the hook wiring cannot change while we hold
     // `&NodeHooks`, so presence checks and the translate-hook adapter are
@@ -350,45 +339,45 @@ pub(crate) fn run_slice(
         if !clean {
             taint.begin_block(tb.n_locals());
         }
-        locals.clear();
-        locals.resize(tb.n_locals() as usize, 0u64);
+        // The frame's local slots still hold the previous block's values:
+        // nothing clears them, because the translator writes every local
+        // before reading it.
+        debug_assert!(
+            tb.locals_defined_before_use(),
+            "block {start_pc:#x} reads a local it has not written"
+        );
 
         let mut cur_pc = start_pc;
 
         macro_rules! val {
             ($t:expr) => {
-                match $t {
-                    Temp::Global(Global::Reg(r)) => proc.cpu.reg(r),
-                    Temp::Global(Global::FReg(r)) => proc.cpu.freg_bits(r),
-                    Temp::Local(i) => locals[i as usize],
-                }
+                frame[$t.slot()]
             };
         }
         macro_rules! setval {
             ($t:expr, $v:expr) => {
-                match $t {
-                    Temp::Global(Global::Reg(r)) => proc.cpu.set_reg(r, $v),
-                    Temp::Global(Global::FReg(r)) => proc.cpu.set_freg_bits(r, $v),
-                    Temp::Local(i) => locals[i as usize] = $v,
-                }
+                frame[$t.slot()] = $v
             };
         }
         // Materializes everything an observer outside the dispatch loop may
-        // read: `proc.icount` (kept as `icount_base + executed` while
-        // dispatching) and the engine counters (kept in `hot`). Invoked at
-        // every slice exit.
-        macro_rules! sync_counters {
+        // read: the registers (live in the frame), `proc.icount` (kept as
+        // `icount_base + executed` while dispatching) and the engine
+        // counters (kept in `hot`). Invoked at every slice exit.
+        macro_rules! sync_out {
             () => {
+                proc.cpu.load_regs_from(regs_in_frame!());
                 proc.icount = icount_base + executed;
                 hot.flush_into(stats);
             };
         }
-        // What a guest-function hook or the injector sees at the
-        // instruction at `$pc`, with `icount` materialized like everywhere
-        // else.
-        macro_rules! guest_ctx {
-            ($pc:expr) => {
-                GuestCtx {
+        // Hands the guest function hook or the injector what it sees at the
+        // instruction at `$pc` — the registers written back from the frame,
+        // `icount` materialized like everywhere else — and reloads the
+        // frame from the registers it may have changed.
+        macro_rules! with_guest_ctx {
+            ($pc:expr, |$ctx:ident| $call:expr) => {{
+                proc.cpu.load_regs_from(regs_in_frame!());
+                let mut $ctx = GuestCtx {
                     cpu: &mut proc.cpu,
                     aspace: &proc.aspace,
                     phys,
@@ -397,12 +386,15 @@ pub(crate) fn run_slice(
                     pid,
                     icount: icount_base + executed,
                     pc: $pc,
-                }
-            };
+                };
+                let out = $call;
+                proc.cpu.copy_regs_to(regs_in_frame!());
+                out
+            }};
         }
         macro_rules! fault {
             ($sig:expr) => {{
-                sync_counters!();
+                sync_out!();
                 proc.terminate(ExitStatus::Signaled($sig));
                 return SliceExit::Exited(ExitStatus::Signaled($sig));
             }};
@@ -460,7 +452,7 @@ pub(crate) fn run_slice(
                     if executed >= limit {
                         // Safe resume point: the instruction has not begun.
                         proc.cpu.pc = pc;
-                        sync_counters!();
+                        sync_out!();
                         // The budget binding is terminal for the run, so it
                         // wins over a simultaneous quantum expiry.
                         return if executed >= insn_budget {
@@ -480,8 +472,9 @@ pub(crate) fn run_slice(
                     if has_fn_hooks {
                         if let Some(&hook_id) = hooks.fn_hooks.get(&(pid, pc)) {
                             if let Some(sink) = &hooks.fn_hook_sink {
-                                let mut ctx = guest_ctx!(pc);
-                                sink.lock().on_fn_entry(hook_id, &mut ctx);
+                                with_guest_ctx!(pc, |ctx| sink
+                                    .lock()
+                                    .on_fn_entry(hook_id, &mut ctx));
                                 // The hook may have tainted registers or
                                 // memory.
                                 recheck_regime!(pc);
@@ -771,10 +764,9 @@ pub(crate) fn run_slice(
                     }
                     if let Some(sink) = &hooks.inject {
                         let (pc, insn) = tb.insns()[idx as usize];
-                        let action = {
-                            let mut ctx = guest_ctx!(pc);
-                            sink.lock().on_inject_point(point, &insn, &mut ctx)
-                        };
+                        let action = with_guest_ctx!(pc, |ctx| sink
+                            .lock()
+                            .on_inject_point(point, &insn, &mut ctx));
                         countdown.arm(action.skip);
                         if action.flush_tb {
                             cache.flush();
@@ -814,6 +806,9 @@ pub(crate) fn run_slice(
                 TcgOp::Hypercall { num, next } => {
                     assert_regime_at_exit!();
                     proc.cpu.pc = next;
+                    // Both kinds of call read their arguments from, and
+                    // kernel calls observe `icount` in, the process.
+                    sync_out!();
                     if num >= abi::MPI_BASE {
                         let args = [
                             proc.cpu.reg(chaser_isa::Reg::R1),
@@ -830,13 +825,15 @@ pub(crate) fn run_slice(
                         };
                         proc.state = ProcState::BlockedMpi;
                         proc.pending_mpi = Some(req);
-                        sync_counters!();
                         return SliceExit::MpiCall(req);
                     }
-                    // Kernel calls observe `icount` (SYS_CLOCK).
-                    sync_counters!();
                     match handle_kernel_call(num, phys, proc) {
-                        KernelOutcome::Continue => continue 'outer,
+                        KernelOutcome::Continue => {
+                            // The call may have written a register (its
+                            // result in R0).
+                            proc.cpu.copy_regs_to(regs_in_frame!());
+                            continue 'outer;
+                        }
                         KernelOutcome::Exit(status) => {
                             proc.terminate(status);
                             return SliceExit::Exited(status);
@@ -844,7 +841,7 @@ pub(crate) fn run_slice(
                     }
                 }
                 TcgOp::Halt => {
-                    sync_counters!();
+                    sync_out!();
                     proc.terminate(ExitStatus::Halted);
                     return SliceExit::Exited(ExitStatus::Halted);
                 }

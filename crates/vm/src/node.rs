@@ -67,9 +67,6 @@ pub struct Node {
     /// `hooks.taint_events`); the owner drains them in deterministic order
     /// at its round barrier via [`Node::take_taint_events`].
     taint_buf: Vec<BufferedTaintEvent>,
-    /// The engine's TB-local temporaries, kept across slices so a slice
-    /// does not start with an allocation. Dead between slices.
-    locals: Vec<u64>,
 }
 
 impl Node {
@@ -91,7 +88,6 @@ impl Node {
             insn_budget: u64::MAX,
             engine_stats: EngineStats::default(),
             taint_buf: Vec::new(),
-            locals: Vec::new(),
         }
     }
 
@@ -198,7 +194,6 @@ impl Node {
             self.insn_budget,
             &mut self.engine_stats,
             &mut self.taint_buf,
-            &mut self.locals,
         );
         if let SliceExit::Exited(status) = exit {
             let sinks = self.hooks.vmi.clone();
@@ -466,7 +461,6 @@ impl Node {
             insn_budget: u64::MAX,
             engine_stats: EngineStats::default(),
             taint_buf: Vec::new(),
-            locals: Vec::new(),
         }
     }
 
@@ -1373,7 +1367,7 @@ mod more_engine_tests {
         let mid = node.engine_stats();
         assert_eq!((mid.fast_path_insns, mid.slow_path_insns), (0, 1));
         assert!(
-            node.taint().temp(Temp::Local(2)).is_tainted(),
+            node.taint().temp(Temp::local(2)).is_tainted(),
             "a dead temp holds taint"
         );
         assert!(node.taint().regs_idle() && node.taint().mem_idle());
@@ -1382,6 +1376,52 @@ mod more_engine_tests {
         assert!(run_to_exit(&mut node, pid, 100).is_success());
         let after = node.engine_stats();
         assert_eq!((after.fast_path_insns, after.slow_path_insns), (1, 1));
+    }
+
+    /// A function hook on an instruction in the middle of a block sees the
+    /// registers the block's earlier ops wrote, and the op after it reads
+    /// what the hook wrote: the engine's operand frame is written back to
+    /// the CPU before the hook runs and reloaded from it afterwards.
+    #[test]
+    fn fn_hook_mid_block_sees_and_sets_the_live_registers() {
+        use crate::hooks::GuestCtx;
+        use parking_lot::Mutex;
+
+        struct Swap {
+            seen: Option<(u64, f64)>,
+        }
+        impl crate::hooks::FnHookSink for Swap {
+            fn on_fn_entry(&mut self, hook_id: u64, ctx: &mut GuestCtx<'_>) {
+                assert_eq!(hook_id, 9);
+                self.seen = Some((ctx.reg(Reg::R1), f64::from_bits(ctx.freg_bits(FReg::F1))));
+                ctx.set_reg(Reg::R1, 100);
+                ctx.set_freg_bits(FReg::F1, 10.0f64.to_bits());
+            }
+        }
+
+        let mut a = Asm::new("fnhook");
+        a.movi(Reg::R1, 5);
+        a.fmovi(FReg::F1, 1.5);
+        a.label("hooked");
+        a.addi(Reg::R1, 1);
+        a.cvtfi(Reg::R2, FReg::F1);
+        a.add(Reg::R1, Reg::R2);
+        a.exit_with(Reg::R1);
+        let prog = a.assemble().expect("assemble");
+        let hooked = prog.symbol("hooked").expect("hooked");
+
+        let mut node = Node::new(0);
+        let pid = node.spawn(&prog).expect("spawn");
+        let sink = Arc::new(Mutex::new(Swap { seen: None }));
+        node.hooks_mut().fn_hooks.insert((pid, hooked), 9);
+        node.hooks_mut().fn_hook_sink = Some(sink.clone());
+        // One slice, one block: the hooked instruction is its third.
+        assert_eq!(
+            run_to_exit(&mut node, pid, 1_000_000),
+            ExitStatus::Exited(111)
+        );
+        assert_eq!(node.cache_stats().misses, 1, "the program is one block");
+        assert_eq!(sink.lock().seen, Some((5, 1.5)));
     }
 
     /// Host-side taint a process receives while parked at its first

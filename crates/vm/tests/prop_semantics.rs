@@ -15,7 +15,7 @@ use chaser_isa::{
     abi, Asm, Cond, CpuState, FReg, Instruction, Program, Reg, CODE_BASE, INSN_LEN, PAGE_SIZE,
 };
 use chaser_taint::{ProvSet, TaintMask};
-use chaser_tcg::Temp;
+use chaser_tcg::{translate_block, SliceFetcher, Temp, TranslateHook, MAX_TB_LOCALS};
 use chaser_vm::{
     ExitStatus, GuestCtx, InjectAction, InjectSink, Node, NodeTranslateHook, Signal, SliceExit,
     TaintAccessKind, DEFAULT_PHYS_BYTES,
@@ -295,8 +295,9 @@ fn compare(
     Ok(())
 }
 
-/// Runs `prog` with `fault` on both executors and compares them.
-fn check(prog: &Program, fault: Option<Fault>, quantum: u64, budget: u64) -> Result<(), String> {
+/// Runs `prog` with `fault` on both executors and compares them; returns
+/// how many tainted memory accesses the run made.
+fn check(prog: &Program, fault: Option<Fault>, quantum: u64, budget: u64) -> Result<usize, String> {
     let (mut node, pid, sink) = engine_node(prog, fault);
     let stop = run_engine(&mut node, pid, quantum, budget);
     let mut reference = Oracle::new(prog, DEFAULT_PHYS_BYTES);
@@ -306,7 +307,8 @@ fn check(prog: &Program, fault: Option<Fault>, quantum: u64, budget: u64) -> Res
     let ref_stop = reference.run(budget);
     let fired_at = sink.and_then(|s| s.lock().fired_at);
     same!(fired_at, reference.fired_at, "fault fired at");
-    compare(&mut node, pid, stop, &reference, ref_stop)
+    compare(&mut node, pid, stop, &reference, ref_stop)?;
+    Ok(reference.accesses.len())
 }
 
 // ---- random programs ----
@@ -724,7 +726,9 @@ fn build(g: &Gen) -> Program {
 /// the fault-free run retires (`at` picks which, modulo its length); some
 /// on any instruction of the text (which may never run, or run fewer than
 /// `nth` times); some runs have none. The site is a register, an FP
-/// register or a buffer word at any offset.
+/// register, a buffer word at any offset, or — for half of the faults
+/// that land mid-run — the value the next store writes: that value is
+/// stored tainted, and a later load may bring it back.
 #[derive(Debug, Clone, Copy)]
 struct RawFault {
     mode: u32,
@@ -740,7 +744,7 @@ struct RawFault {
 fn arb_raw_fault() -> impl Strategy<Value = RawFault> {
     (
         (0u32..100, any::<u64>(), 1u64..4),
-        0u32..4,
+        0u32..8,
         // The registers random code uses, plus the buffer base and SP.
         proptest::sample::select(
             REGS.iter()
@@ -772,15 +776,25 @@ fn arb_raw_fault() -> impl Strategy<Value = RawFault> {
 impl RawFault {
     fn resolve(self, prog: &Program) -> Option<Fault> {
         let site = match self.kind {
-            0 => Site::Reg(self.reg, self.bit),
             1 => Site::FReg(self.freg, self.bit),
-            _ => Site::Mem(prog.symbol("buf").expect("buf") + self.off as u64, self.bit),
+            2 | 3 => Site::Mem(prog.symbol("buf").expect("buf") + self.off as u64, self.bit),
+            _ => Site::Reg(self.reg, self.bit),
         };
         match self.mode {
             0..=69 => {
                 let mut golden = Oracle::new(prog, DEFAULT_PHYS_BYTES);
                 golden.run(BUDGET);
-                (golden.icount > 0).then(|| mid_run_fault(prog, self.at % golden.icount, site))
+                if golden.icount == 0 {
+                    return None;
+                }
+                let at = self.at % golden.icount;
+                let (at, site) = match self.kind {
+                    4.. => next_store(prog, at, self.bit)
+                        .or_else(|| next_store(prog, 0, self.bit))
+                        .unwrap_or((at, site)),
+                    _ => (at, site),
+                };
+                Some(mid_run_fault(prog, at, site))
             }
             70..=84 => Some(Fault {
                 pc: CODE_BASE + self.at % prog.insn_count() as u64 * INSN_LEN,
@@ -795,20 +809,48 @@ impl RawFault {
 /// Instructions a random program may retire: loops end at the budget.
 const BUDGET: u64 = 3_000;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(160))]
+/// Random programs the reference property runs.
+const CASES: usize = 160;
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    /// The engine against the reference on `CASES` random programs, each
+    /// with its own fault and quantum. At least one case in three must
+    /// reach a tainted memory access: there the operand shadow's register
+    /// and local slots meet the memory shadow.
     #[test]
     fn engine_matches_reference_semantics(
-        g in arb_gen(),
-        raw in arb_raw_fault(),
-        quantum in proptest::sample::select(vec![1u64, 7, 100, 100_000]),
+        cases in proptest::collection::vec(
+            (
+                arb_gen(),
+                arb_raw_fault(),
+                proptest::sample::select(vec![1u64, 7, 100, 100_000]),
+            ),
+            CASES,
+        ),
     ) {
-        let prog = build(&g);
-        let fault = raw.resolve(&prog);
-        let diff = check(&prog, fault, quantum, BUDGET);
-        prop_assert!(diff.is_ok(), "{}\nfault {:?}, quantum {}\n{:#?}", diff.unwrap_err(), fault, quantum, g);
+        let mut reached = 0;
+        for (i, (g, raw, quantum)) in cases.iter().enumerate() {
+            let prog = build(g);
+            let fault = raw.resolve(&prog);
+            match check(&prog, fault, *quantum, BUDGET) {
+                Ok(accesses) => reached += usize::from(accesses > 0),
+                Err(diff) => prop_assert!(
+                    false,
+                    "case {i}: {diff}\nfault {fault:?}, quantum {quantum}\n{g:#?}"
+                ),
+            }
+        }
+        prop_assert!(
+            3 * reached >= CASES,
+            "only {reached} of {CASES} cases reached a tainted memory access"
+        );
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
 
     #[test]
     fn no_fault_means_no_taint(g in arb_gen()) {
@@ -872,6 +914,29 @@ fn mid_run_fault(prog: &Program, at: u64, site: Site) -> Fault {
     }
 }
 
+/// The first store the fault-free run retires as instruction `at + 1` or
+/// later: its position and the register it writes to memory, for a fault
+/// on the stored value.
+fn next_store(prog: &Program, at: u64, bit: u32) -> Option<(u64, Site)> {
+    use Instruction as I;
+    let mut probe = Oracle::new(prog, DEFAULT_PHYS_BYTES);
+    for at in at..BUDGET {
+        if probe.run(at) != Stop::Budget {
+            return None;
+        }
+        let off = (probe.cpu.pc - CODE_BASE) as usize;
+        let bytes = prog.code().get(off..off + INSN_LEN as usize)?;
+        match chaser_isa::decode(bytes).ok()? {
+            I::St { src, .. } | I::StIdx { src, .. } | I::Push { src } => {
+                return Some((at, Site::Reg(src, bit)))
+            }
+            I::FSt { src, .. } | I::FStIdx { src, .. } => return Some((at, Site::FReg(src, bit))),
+            _ => {}
+        }
+    }
+    None
+}
+
 fn golden_icount(prog: &Program) -> u64 {
     let mut golden = Oracle::new(prog, DEFAULT_PHYS_BYTES);
     assert_eq!(golden.run(u64::MAX), Stop::Exited(0));
@@ -907,5 +972,68 @@ proptest! {
         let fault = mid_run_fault(&prog, 1 + (at * (golden - 1) as f64) as u64, site);
         let diff = check(&prog, Some(fault), quantum, 2 * golden);
         prop_assert!(diff.is_ok(), "{}\n{} fault {:?}, quantum {}", diff.unwrap_err(), prog.name(), fault, quantum);
+    }
+}
+
+// ---- the translator invariant the operand frame rests on ----
+
+/// Instruments every instruction, so that blocks with the injection
+/// callback spliced in are checked too.
+struct EveryInsn;
+
+impl TranslateHook for EveryInsn {
+    fn inject_point(&self, pc: u64, _insn: &Instruction) -> Option<u64> {
+        Some(pc)
+    }
+}
+
+/// Every block the translator makes of `prog` — one starting at each
+/// instruction of its text, with and without injection callbacks — writes
+/// each local before it reads it, and fits the frame's local slots. The
+/// engine relies on both to reuse those slots across blocks without
+/// clearing them.
+fn check_block_locals(prog: &Program) -> Result<(), String> {
+    let fetcher = SliceFetcher::new(CODE_BASE, prog.code());
+    for i in 0..prog.insn_count() as u64 {
+        let pc = CODE_BASE + i * INSN_LEN;
+        for hook in [None, Some(&EveryInsn as &dyn TranslateHook)] {
+            let tb = translate_block(&fetcher, pc, hook);
+            if usize::from(tb.n_locals()) > MAX_TB_LOCALS || !tb.locals_defined_before_use() {
+                return Err(format!(
+                    "{}: the block at {pc:#x} ({} locals) reads a local before writing it \
+                     or overflows the frame:\n{:#?}",
+                    prog.name(),
+                    tb.n_locals(),
+                    tb.ops()
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn workload_blocks_write_every_local_before_reading_it() {
+    use chaser_workloads as w;
+    for prog in [
+        w::matvec::program(&w::matvec::MatvecConfig::default()),
+        w::clamr::program(&w::clamr::ClamrConfig::default()),
+        w::bfs::program(&w::bfs::BfsConfig::default()),
+        w::kmeans::program(&w::kmeans::KmeansConfig::default()),
+        w::lud::program(&w::lud::LudConfig::default()),
+    ] {
+        if let Err(e) = check_block_locals(&prog) {
+            panic!("{e}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn random_program_blocks_write_every_local_before_reading_it(g in arb_gen()) {
+        let diff = check_block_locals(&build(&g));
+        prop_assert!(diff.is_ok(), "{}", diff.unwrap_err());
     }
 }
