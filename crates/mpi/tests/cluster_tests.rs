@@ -1142,3 +1142,218 @@ fn taint_moves_through_every_collective() {
     want.sort_unstable();
     assert_eq!(edges, want);
 }
+
+/// Runs `prog` on `ranks` ranks of a two-node cluster.
+fn run_replicated(prog: &Program, ranks: usize) -> chaser_mpi::ClusterRun {
+    let mut cluster = Cluster::new(small_config(2));
+    cluster.launch_replicated(prog, ranks).expect("launch");
+    cluster.run()
+}
+
+/// The check order of DESIGN §6: a rank that never called `MPI_Init` and
+/// makes a malformed call gets `NotInitialized` from a point-to-point call
+/// (state is checked first) but `InvalidDatatype` from a collective
+/// (datatype and operator are checked first).
+#[test]
+fn uninitialised_malformed_call_is_not_initialized_for_p2p_but_invalid_datatype_for_collectives() {
+    for (call, want) in [
+        (abi::MPI_SEND, MpiErrorKind::NotInitialized),
+        (abi::MPI_RECV, MpiErrorKind::NotInitialized),
+        (abi::MPI_ISEND, MpiErrorKind::NotInitialized),
+        (abi::MPI_IRECV, MpiErrorKind::NotInitialized),
+        (abi::MPI_BCAST, MpiErrorKind::InvalidDatatype),
+        (abi::MPI_REDUCE, MpiErrorKind::InvalidDatatype),
+        (abi::MPI_ALLREDUCE, MpiErrorKind::InvalidDatatype),
+        (abi::MPI_SCATTER, MpiErrorKind::InvalidDatatype),
+        (abi::MPI_GATHER, MpiErrorKind::InvalidDatatype),
+    ] {
+        let mut a = Asm::new("noinit");
+        a.data_i64("buf", &[0]);
+        a.lea(Reg::R1, "buf");
+        a.lea(Reg::R2, "buf");
+        // Datatype 77 in both datatype positions: R3 (point-to-point and
+        // bcast) and R4 (the other collectives).
+        a.movi(Reg::R3, 77);
+        a.movi(Reg::R4, 77);
+        a.movi(Reg::R5, 1);
+        a.movi(Reg::R6, 0);
+        a.hypercall(call);
+        a.exit(0);
+        let run = run_replicated(&a.assemble().expect("assemble"), 2);
+        assert_eq!(run.mpi_error.expect("MPI error").kind, want, "call {call}");
+    }
+}
+
+/// DESIGN §6: a collective `root` is truncated to 32 bits before its range
+/// check, so root `1 << 32` acts as root 0, while `dest` and `source` are
+/// checked on all 64 bits, so `1 << 32` is `InvalidRank`.
+#[test]
+fn collective_root_is_truncated_to_32_bits_but_dest_and_source_are_not() {
+    let mut a = Asm::new("root32");
+    a.data_i64("buf", &[0]);
+    a.hypercall(abi::MPI_INIT);
+    a.hypercall(abi::MPI_COMM_RANK);
+    a.cmpi(Reg::R0, 0);
+    a.jcc(Cond::Ne, "bcast");
+    a.lea(Reg::R8, "buf");
+    a.movi(Reg::R9, 5);
+    a.st(Reg::R9, Reg::R8, 0);
+    a.label("bcast");
+    a.lea(Reg::R1, "buf");
+    a.movi(Reg::R2, 1);
+    a.movi(Reg::R3, 1);
+    a.movi(Reg::R4, 1 << 32);
+    a.hypercall(abi::MPI_BCAST);
+    a.lea(Reg::R8, "buf");
+    a.ld(Reg::R9, Reg::R8, 0);
+    a.exit_with(Reg::R9);
+    let run = run_replicated(&a.assemble().expect("assemble"), 2);
+    assert_eq!(run.mpi_error, None);
+    assert!(
+        run.rank_exits
+            .iter()
+            .all(|e| *e == Some(ExitStatus::Exited(5))),
+        "{run:?}"
+    );
+
+    for call in [abi::MPI_SEND, abi::MPI_RECV] {
+        let mut a = Asm::new("peer32");
+        a.data_i64("buf", &[0]);
+        a.hypercall(abi::MPI_INIT);
+        a.lea(Reg::R1, "buf");
+        a.movi(Reg::R2, 1);
+        a.movi(Reg::R3, 1);
+        a.movi(Reg::R4, 1 << 32);
+        a.movi(Reg::R5, 7);
+        a.hypercall(call);
+        a.exit(0);
+        let run = run_replicated(&a.assemble().expect("assemble"), 2);
+        assert_eq!(
+            run.mpi_error.expect("MPI error").kind,
+            MpiErrorKind::InvalidRank,
+            "call {call}"
+        );
+    }
+}
+
+/// Hostile-guest finding: an `MPI_Irecv` that matches a mature message of
+/// the wrong datatype aborts the job inside the call. The runtime then
+/// returned the request handle to the aborted rank, and panicked.
+#[test]
+fn irecv_matching_a_mistyped_message_aborts_the_job() {
+    let mut a = Asm::new("irecvtype");
+    a.data_i64("buf", &[0]);
+    a.hypercall(abi::MPI_INIT);
+    a.hypercall(abi::MPI_COMM_RANK);
+    a.cmpi(Reg::R0, 0);
+    a.jcc(Cond::Ne, "receiver");
+    emit_send(&mut a, "buf", 1, 3, 1, 7); // one byte
+    a.hypercall(abi::MPI_BARRIER);
+    a.exit(0);
+    a.label("receiver");
+    // The barrier holds the receive back until the message has matured.
+    a.hypercall(abi::MPI_BARRIER);
+    a.lea(Reg::R1, "buf");
+    a.movi(Reg::R2, 1);
+    a.movi(Reg::R3, 1); // I64
+    a.movi(Reg::R4, 0);
+    a.movi(Reg::R5, 7);
+    a.hypercall(abi::MPI_IRECV);
+    a.exit(0);
+    let run = run_replicated(&a.assemble().expect("assemble"), 2);
+    let err = run.mpi_error.expect("MPI error");
+    assert_eq!((err.rank, err.kind), (1, MpiErrorKind::TypeMismatch));
+    assert_eq!(run.rank_exits[1], Some(ExitStatus::MpiAborted));
+}
+
+/// Hostile-guest finding: an `MPI_Wait` whose request delivers into an
+/// unmapped buffer kills the rank with SIGSEGV. The runtime then completed
+/// the dead rank's wait, and panicked.
+#[test]
+fn wait_delivering_into_an_unmapped_buffer_is_an_os_exception() {
+    let mut a = Asm::new("waitsegv");
+    a.data_i64("buf", &[3]);
+    a.hypercall(abi::MPI_INIT);
+    a.hypercall(abi::MPI_COMM_RANK);
+    a.cmpi(Reg::R0, 0);
+    a.jcc(Cond::Ne, "receiver");
+    emit_send(&mut a, "buf", 1, 1, 1, 7);
+    a.exit(0);
+    a.label("receiver");
+    a.movi(Reg::R1, 0x6000_0000);
+    a.movi(Reg::R2, 1);
+    a.movi(Reg::R3, 1);
+    a.movi(Reg::R4, 0);
+    a.movi(Reg::R5, 7);
+    a.hypercall(abi::MPI_IRECV);
+    a.mov(Reg::R1, Reg::R0);
+    a.hypercall(abi::MPI_WAIT);
+    a.exit(0);
+    let run = run_replicated(&a.assemble().expect("assemble"), 2);
+    assert_eq!(run.mpi_error, None);
+    assert_eq!(
+        run.rank_exits,
+        vec![
+            Some(ExitStatus::Exited(0)),
+            Some(ExitStatus::Signaled(Signal::Segv))
+        ]
+    );
+}
+
+/// Bcast and scatter read the root's own send buffer. They read the root's
+/// memory at the lowest rank's buffer address, so a non-root rank's bad
+/// pointer killed the root, and a scatter failed on a send buffer that
+/// only the root's matters for.
+#[test]
+fn bcast_and_scatter_read_the_roots_own_buffer() {
+    let mut a = Asm::new("rootbuf");
+    a.data_i64("s", &[10, 20]);
+    a.data_i64("r", &[0]);
+    a.hypercall(abi::MPI_INIT);
+    a.hypercall(abi::MPI_COMM_RANK);
+    a.mov(Reg::R7, Reg::R0);
+    a.lea(Reg::R1, "s");
+    a.cmpi(Reg::R7, 0);
+    a.jcc(Cond::Ne, "scatter");
+    a.movi(Reg::R1, 0x6000_0000); // rank 0's send buffer: not the root's
+    a.label("scatter");
+    a.lea(Reg::R2, "r");
+    a.movi(Reg::R3, 1);
+    a.movi(Reg::R4, 1);
+    a.movi(Reg::R5, 1); // root
+    a.hypercall(abi::MPI_SCATTER);
+    a.lea(Reg::R8, "r");
+    a.ld(Reg::R9, Reg::R8, 0);
+    a.exit_with(Reg::R9);
+    let run = run_replicated(&a.assemble().expect("assemble"), 2);
+    assert_eq!(run.mpi_error, None);
+    assert_eq!(
+        run.rank_exits,
+        vec![Some(ExitStatus::Exited(10)), Some(ExitStatus::Exited(20))]
+    );
+
+    let mut a = Asm::new("rootbcast");
+    a.data_i64("buf", &[7]);
+    a.hypercall(abi::MPI_INIT);
+    a.hypercall(abi::MPI_COMM_RANK);
+    a.lea(Reg::R1, "buf");
+    a.cmpi(Reg::R0, 0);
+    a.jcc(Cond::Ne, "bcast");
+    a.movi(Reg::R1, 0x6000_0000); // rank 0 receives into a bad buffer
+    a.label("bcast");
+    a.movi(Reg::R2, 1);
+    a.movi(Reg::R3, 1);
+    a.movi(Reg::R4, 1); // root
+    a.hypercall(abi::MPI_BCAST);
+    a.exit(0);
+    let run = run_replicated(&a.assemble().expect("assemble"), 2);
+    let err = run.mpi_error.expect("MPI error");
+    assert_eq!((err.rank, err.kind), (0, MpiErrorKind::RankDied));
+    assert_eq!(
+        run.rank_exits,
+        vec![
+            Some(ExitStatus::Signaled(Signal::Segv)),
+            Some(ExitStatus::MpiAborted)
+        ]
+    );
+}
