@@ -40,6 +40,10 @@ cargo test --release -q --offline -p chaser-vm --test prop_semantics
 # The hostile-MPI property too: release builds wrap the arithmetic that
 # debug builds panic on, so a corrupted argument must classify in both.
 cargo test --release -q --offline -p chaser-mpi --test prop_hostile_mpi
+# And the paged shadow against its byte models: in release the page-summary
+# `debug_assert`s compile out and the `u32` summary arithmetic wraps instead
+# of panicking, so only the model comparison catches a drifted count.
+cargo test --release -q --offline -p chaser-taint --test prop_shadow
 
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -137,12 +137,6 @@ impl InjectionSpec {
         self.target_rank = rank;
         self
     }
-
-    /// Returns a copy with a different seed.
-    pub fn with_seed(mut self, seed: u64) -> InjectionSpec {
-        self.seed = seed;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -174,10 +168,8 @@ mod tests {
 
     #[test]
     fn builder_style_modifiers() {
-        let spec = InjectionSpec::deterministic("x", InsnClass::Fadd, 1, vec![0])
-            .with_rank(3)
-            .with_seed(99);
+        let spec = InjectionSpec::deterministic("x", InsnClass::Fadd, 1, vec![0]).with_rank(3);
         assert_eq!(spec.target_rank, 3);
-        assert_eq!(spec.seed, 99);
+        assert_eq!(spec.seed, 0);
     }
 }

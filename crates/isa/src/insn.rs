@@ -543,43 +543,6 @@ impl Instruction {
             ),
         }
     }
-
-    /// Is this instruction a translation-block terminator (a control-flow
-    /// transfer, a trap, or a halt)?
-    pub fn ends_block(&self) -> bool {
-        use Instruction as I;
-        matches!(
-            self,
-            I::Jmp { .. }
-                | I::Jcc { .. }
-                | I::Call { .. }
-                | I::CallR { .. }
-                | I::Ret
-                | I::Hypercall { .. }
-                | I::Halt
-        )
-    }
-
-    /// Does the instruction read or write guest memory?
-    pub fn touches_memory(&self) -> bool {
-        use Instruction as I;
-        matches!(
-            self,
-            I::Ld { .. }
-                | I::St { .. }
-                | I::LdIdx { .. }
-                | I::StIdx { .. }
-                | I::Push { .. }
-                | I::Pop { .. }
-                | I::FLd { .. }
-                | I::FSt { .. }
-                | I::FLdIdx { .. }
-                | I::FStIdx { .. }
-                | I::Call { .. }
-                | I::CallR { .. }
-                | I::Ret
-        )
-    }
 }
 
 #[cfg(test)]
@@ -607,15 +570,5 @@ mod tests {
             off: 16,
         };
         assert!(ld.is_in_class(InsnClass::Mov));
-        assert!(ld.touches_memory());
-        assert!(!ld.ends_block());
-    }
-
-    #[test]
-    fn block_terminators() {
-        assert!(Instruction::Ret.ends_block());
-        assert!(Instruction::Hypercall { num: 1 }.ends_block());
-        assert!(Instruction::Jmp { target: 0 }.ends_block());
-        assert!(!Instruction::Nop.ends_block());
     }
 }

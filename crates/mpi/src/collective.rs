@@ -85,12 +85,12 @@ impl CollectiveSlot {
         self.arrived.get(rank as usize)?.as_ref()
     }
 
-    /// Are all of `live` (a per-rank liveness mask) present?
-    pub fn complete(&self, live: &[bool]) -> bool {
+    /// Has every rank that `awaited` names joined?
+    pub fn complete(&self, awaited: impl Fn(u32) -> bool) -> bool {
         self.arrived
             .iter()
-            .zip(live)
-            .all(|(slot, alive)| slot.is_some() || !alive)
+            .enumerate()
+            .all(|(rank, slot)| slot.is_some() || !awaited(rank as u32))
     }
 
     /// True if nobody has joined yet.
@@ -144,17 +144,15 @@ impl Cluster {
         if slot.is_empty() {
             return false;
         }
-        let n = self.ranks.len();
-        let all = vec![true; n];
-        let live: Vec<bool> = (0..n as u32).map(|r| self.rank_alive(r)).collect();
-        if slot.complete(&all) {
+        if slot.complete(|_| true) {
             let slot = self.coll.take().expect("checked above");
             self.execute_collective(slot);
             return true;
         }
-        if slot.complete(&live) {
+        if slot.complete(|r| self.rank_alive(r)) {
             // Every live rank is waiting on a dead one.
-            let waiter = (0..n as u32).find(|&r| live[r as usize]).unwrap_or(0);
+            let n = self.ranks.len() as u32;
+            let waiter = (0..n).find(|&r| self.rank_alive(r)).unwrap_or(0);
             self.mpi_abort(waiter, MpiErrorKind::RankDied);
             return true;
         }
@@ -317,11 +315,11 @@ mod tests {
         let mut slot = CollectiveSlot::new(3);
         let live = [true, true, true];
         assert!(slot.join(0, req(CollKind::Barrier)));
-        assert!(!slot.complete(&live));
+        assert!(!slot.complete(|r| live[r as usize]));
         assert!(slot.join(2, req(CollKind::Barrier)));
-        assert!(!slot.complete(&live));
+        assert!(!slot.complete(|r| live[r as usize]));
         assert!(slot.join(1, req(CollKind::Barrier)));
-        assert!(slot.complete(&live));
+        assert!(slot.complete(|r| live[r as usize]));
     }
 
     #[test]
@@ -330,7 +328,7 @@ mod tests {
         let live = [true, false, true];
         slot.join(0, req(CollKind::Barrier));
         slot.join(2, req(CollKind::Barrier));
-        assert!(slot.complete(&live));
+        assert!(slot.complete(|r| live[r as usize]));
     }
 
     #[test]

@@ -322,17 +322,10 @@ impl Cluster {
     /// returns `true` on progress.
     pub(crate) fn pump_requests(&mut self, rank: u32) -> bool {
         let mut progress = false;
-        let ids: Vec<usize> = self.state[rank as usize]
-            .requests
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| matches!(r, Request::RecvPending(_)))
-            .map(|(i, _)| i)
-            .collect();
-        for id in ids {
-            if self.try_complete_request(rank, id) {
-                progress = true;
-            }
+        // No request is added while the pump runs, and each one is checked
+        // for a pending receive at its turn.
+        for id in 0..self.state[rank as usize].requests.len() {
+            progress |= self.try_complete_request(rank, id);
         }
         if let Some(id) = self.state[rank as usize].waiting_on {
             if matches!(
@@ -394,7 +387,7 @@ impl Cluster {
             tag: env.tag,
         };
         let rec = self.hub.poll_matching(id, env.seq);
-        let p = Payload::received(env.data, rec, self.taint_on());
+        let p = Payload::received(env.data, rec);
         if self.taint_on() {
             p.write_taint(&mut self.nodes[ni], pid, args.buf);
         }
@@ -524,10 +517,10 @@ impl Cluster {
 }
 
 /// A payload on its way from one rank's buffer into another's: the bytes,
-/// their taint masks (none under `TaintPolicy::Disabled`) and their
-/// provenance (none unless the payload is tainted and its source tracks
-/// provenance, so a clean payload allocates none). Borrowed for one rank's
-/// part of a scatter.
+/// their taint masks (none under `TaintPolicy::Disabled`, nor for a clean
+/// point-to-point message) and their provenance (none unless the payload
+/// is tainted and its source tracks provenance, so a clean payload
+/// allocates none). Borrowed for one rank's part of a scatter.
 #[derive(Default)]
 pub(crate) struct Payload<'a> {
     data: Cow<'a, [u8]>,
@@ -540,19 +533,15 @@ pub(crate) struct Payload<'a> {
 impl Payload<'_> {
     /// A point-to-point payload at its receiver: the envelope's bytes with
     /// the taint its sender published to the hub, clean on a miss.
-    fn received(data: Vec<u8>, rec: Option<TaintRecord>, taint_on: bool) -> Payload<'static> {
+    fn received(data: Vec<u8>, rec: Option<TaintRecord>) -> Payload<'static> {
         let mut p = Payload {
             data: data.into(),
             ..Payload::default()
         };
-        match rec {
-            Some(rec) => {
-                p.tainted = tainted_count(&rec.masks);
-                p.masks = rec.masks.into();
-                p.provs = rec.provs.into_iter().map(ProvSet::from_bits).collect();
-            }
-            None if taint_on => p.masks = vec![0; p.data.len()].into(),
-            None => {}
+        if let Some(rec) = rec {
+            p.tainted = tainted_count(&rec.masks);
+            p.masks = rec.masks.into();
+            p.provs = rec.provs.into_iter().map(ProvSet::from_bits).collect();
         }
         p
     }
@@ -601,13 +590,18 @@ impl Payload<'_> {
     }
 
     /// Writes the masks and provenance over the buffer at `addr` (whose
-    /// bytes are already written, so neither write can fault).
+    /// bytes are already written, so no write can fault). Clean bytes, or
+    /// tainted ones without provenance, first clean whatever the buffer
+    /// held, allocating nothing.
     fn write_taint(&self, node: &mut Node, pid: u64, addr: u64) {
-        let _ = node.write_guest_taint(pid, addr, &self.masks);
+        if self.tainted == 0 || self.provs.is_empty() {
+            let _ = node.clear_guest_taint(pid, addr, self.data.len() as u64);
+        }
+        if self.tainted > 0 {
+            let _ = node.write_guest_taint(pid, addr, &self.masks);
+        }
         if !self.provs.is_empty() {
             let _ = node.write_guest_prov(pid, addr, &self.provs);
-        } else if node.taint().prov_any() {
-            let _ = node.write_guest_prov(pid, addr, &vec![ProvSet::EMPTY; self.data.len()]);
         }
     }
 }

@@ -463,6 +463,56 @@ fn clean_then_tainted_messages_stay_aligned() {
     );
 }
 
+/// A clean message into a buffer that held taint and provenance leaves
+/// both clean on every page the buffer spans.
+#[test]
+fn clean_message_clears_the_receive_buffers_taint_and_provenance() {
+    const WORDS: usize = 1100; // 8 800 bytes: the buffer spans three pages
+    let mut a = Asm::new("clean_over_tainted");
+    a.data_i64("buf", &[7; WORDS]);
+    a.hypercall(abi::MPI_INIT);
+    a.hypercall(abi::MPI_COMM_RANK);
+    a.cmpi(Reg::R0, 0);
+    a.jcc(Cond::Ne, "slave");
+    emit_send(&mut a, "buf", WORDS as i64, 1, 1, 7);
+    a.hypercall(abi::MPI_FINALIZE);
+    a.exit(0);
+    a.label("slave");
+    emit_recv(&mut a, "buf", WORDS as i64, 1, 0, 7);
+    a.hypercall(abi::MPI_FINALIZE);
+    a.exit(0);
+    let prog = a.assemble().expect("assemble");
+
+    let mut cluster = Cluster::new(small_config(2));
+    cluster.launch_replicated(&prog, 2).expect("launch");
+    let buf = prog.symbol("buf").expect("buf");
+    let len = WORDS * 8;
+    assert_ne!(buf / PAGE_SIZE, (buf + len as u64 - 1) / PAGE_SIZE);
+    let (ni, pid) = cluster.rank_location(1);
+    let node = cluster.node_mut(ni);
+    node.write_guest_taint(pid, buf, &vec![0xff; len])
+        .expect("taint");
+    node.write_guest_prov(pid, buf, &vec![ProvSet::single(2); len])
+        .expect("prov");
+
+    let run = cluster.run();
+    assert!(!run.hang);
+    assert_eq!(run.mpi_error, None);
+    assert_eq!(run.cross_rank_tainted_deliveries, 0);
+    let node = cluster.node(ni);
+    assert_eq!(
+        node.read_guest_taint(pid, buf, len as u64).expect("masks"),
+        vec![0; len]
+    );
+    assert_eq!(
+        node.read_guest_prov(pid, buf, len as u64)
+            .expect("provenance"),
+        vec![ProvSet::EMPTY; len]
+    );
+    assert!(node.taint().mem().is_idle());
+    assert!(node.taint().prov_mem().is_idle());
+}
+
 /// A receive with a smaller buffer than the matched message must abort
 /// with a truncation error.
 #[test]

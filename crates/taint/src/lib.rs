@@ -30,6 +30,13 @@
 //! exponent or mantissa bit influences every bit of an IEEE-754 result in
 //! general. [`TaintPolicy::Disabled`] turns propagation off.
 //!
+//! Memory taint lives in one paged shadow, [`Shadow`]: a cell per byte of
+//! guest physical memory in frame-indexed pages that are allocated on the
+//! first live write and carry a live-cell count each. Its two
+//! instantiations are the taint masks ([`ShadowMem`], one `u8` per byte)
+//! and the fault provenance ([`ProvMem`], one [`ProvSet`] per byte); only
+//! their 8-byte guest accesses (`load8`/`store8`) differ.
+//!
 //! # Example
 //!
 //! ```
@@ -54,5 +61,5 @@ mod state;
 pub use mask::TaintMask;
 pub use policy::{PropKind, TaintPolicy};
 pub use prov::{ProvMem, ProvSet};
-pub use shadow::ShadowMem;
+pub use shadow::{Shadow, ShadowCell, ShadowMem};
 pub use state::TaintState;

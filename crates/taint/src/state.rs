@@ -202,7 +202,8 @@ impl TaintState {
         &mut self.mem
     }
 
-    /// Provenance shadow memory.
+    /// Provenance shadow memory: empty while [`TaintState::prov_any`] is
+    /// false.
     pub fn prov_mem(&self) -> &ProvMem {
         &self.prov_mem
     }
@@ -247,16 +248,6 @@ impl TaintState {
         }
     }
 
-    /// The provenance of the `out.len()` bytes at `paddr`, inside one page
-    /// (the bulk twin of [`TaintState::prov_byte`]).
-    pub fn prov_read_in_page(&self, paddr: u64, out: &mut [ProvSet]) {
-        if self.prov_any {
-            self.prov_mem.read_in_page(paddr, out);
-        } else {
-            out.fill(ProvSet::EMPTY);
-        }
-    }
-
     /// Sets (or clears) the provenance of the `sets.len()` bytes at
     /// `paddr`, inside one page (the bulk twin of
     /// [`TaintState::set_prov_byte`]).
@@ -269,14 +260,17 @@ impl TaintState {
         }
     }
 
+    /// Cleans the taint and provenance of the `len` bytes at `paddr`,
+    /// inside one page. A page holding neither returns at once, and nothing
+    /// is allocated.
+    pub fn clear_in_page(&mut self, paddr: u64, len: usize) {
+        self.mem.clear_in_page(paddr, len);
+        self.prov_mem.clear_in_page(paddr, len);
+    }
+
     /// True once any non-empty provenance has been recorded.
     pub fn prov_any(&self) -> bool {
         self.prov_any
-    }
-
-    /// Total tainted register bits across both files (diagnostics).
-    pub fn tainted_reg_bits(&self) -> u32 {
-        self.masks[..Temp::GLOBALS].iter().map(|m| m.count()).sum()
     }
 
     /// True when *memory* carries no taint and no provenance. Two counter
@@ -492,7 +486,8 @@ mod tests {
     }
 
     /// One bulk operation: `(kind, paddr, len, segments)`; kinds 0/1 write
-    /// masks/provenance, 2/3 read them. The range stays inside one page.
+    /// masks/provenance, 2/3 read them, 4 cleans both. The range stays
+    /// inside one page.
     type BulkOp = (u8, u64, usize, Vec<(usize, u8, u8)>);
 
     fn arb_bulk_op() -> impl Strategy<Value = BulkOp> {
@@ -504,7 +499,7 @@ mod tests {
             ),
             0..4,
         );
-        (0u8..4, 0..FRAMES * PAGE, 0..=PAGE as usize, segs).prop_map(|(kind, paddr, len, segs)| {
+        (0u8..5, 0..FRAMES * PAGE, 0..=PAGE as usize, segs).prop_map(|(kind, paddr, len, segs)| {
             let len = len.min((PAGE - paddr % PAGE) as usize);
             (kind, paddr, len, segs)
         })
@@ -524,9 +519,9 @@ mod tests {
     }
 
     proptest! {
-        /// The in-page bulk reads and writes against the per-byte
-        /// operations as reference: same contents, counters, page
-        /// summaries, `prov_any` and index length, with and without
+        /// The in-page bulk reads, writes and clean-range writes against
+        /// the per-byte operations as reference: same contents, counters,
+        /// page summaries, `prov_any` and index length, with and without
         /// provenance, including tainted-then-clean overwrites.
         #[test]
         fn bulk_in_page_ops_match_per_byte_ops(
@@ -558,12 +553,19 @@ mod tests {
                             (0..len as u64).map(|i| byte.mem().byte(paddr + i)).collect();
                         prop_assert_eq!(got, want);
                     }
-                    _ => {
+                    3 => {
                         let mut got = vec![ProvSet::single(7); len];
-                        bulk.prov_read_in_page(paddr, &mut got);
+                        bulk.prov_mem().read_in_page(paddr, &mut got);
                         let want: Vec<ProvSet> =
                             (0..len as u64).map(|i| byte.prov_byte(paddr + i)).collect();
                         prop_assert_eq!(got, want);
+                    }
+                    _ => {
+                        bulk.clear_in_page(paddr, len);
+                        for i in 0..len as u64 {
+                            byte.mem_mut().set_byte(paddr + i, 0);
+                            byte.set_prov_byte(paddr + i, ProvSet::EMPTY);
+                        }
                     }
                 }
                 prop_assert_eq!(bulk.mem().tainted_bytes(), byte.mem().tainted_bytes());

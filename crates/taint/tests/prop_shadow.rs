@@ -220,6 +220,55 @@ proptest! {
         prop_assert!(rebuilt == mem);
     }
 
+    /// A clean-range write equals cleaning every byte of the range, for
+    /// masks and provenance alike: counters, per-page summaries and the
+    /// visits against the byte maps.
+    #[test]
+    fn clean_range_writes_match_model(
+        stores in proptest::collection::vec((arb_addr(), arb_mask(), arb_prov()), 1..80),
+        clears in proptest::collection::vec((arb_addr(), 0..=PAGE as usize), 1..8),
+    ) {
+        let (mut shadow, mut prov) = (ShadowMem::new(), ProvMem::new());
+        let mut masks: HashMap<u64, u8> = HashMap::new();
+        let mut provs: HashMap<u64, ProvSet> = HashMap::new();
+        for &(addr, mask, p) in &stores {
+            shadow.store8(addr, TaintMask(mask));
+            prov.store8(addr, TaintMask(mask), p);
+            for i in 0..8u64 {
+                let byte = (mask >> (8 * i)) as u8;
+                model_mask_set(&mut masks, addr + i, byte);
+                model_set(&mut provs, addr + i, if byte != 0 { p } else { ProvSet::EMPTY });
+            }
+        }
+        for &(addr, len) in &clears {
+            let len = len.min((PAGE - addr % PAGE) as usize);
+            shadow.clear_in_page(addr, len);
+            prov.clear_in_page(addr, len);
+            for a in addr..addr + len as u64 {
+                masks.remove(&a);
+                provs.remove(&a);
+            }
+        }
+        prop_assert_eq!(shadow.tainted_bytes(), masks.len());
+        prop_assert_eq!(prov.provenanced_bytes(), provs.len());
+        for frame in [0, 1, 2, 3, FAR / PAGE, FAR / PAGE + 1, FAR / PAGE + 2] {
+            let in_frame = |a: &u64| *a / PAGE == frame;
+            prop_assert_eq!(
+                shadow.page_tainted_bytes(frame * PAGE) as usize,
+                masks.keys().filter(|a| in_frame(a)).count()
+            );
+            prop_assert_eq!(
+                prov.page_tainted_bytes(frame * PAGE) as usize,
+                provs.keys().filter(|a| in_frame(a)).count()
+            );
+        }
+        let (mut seen_masks, mut seen_provs) = (Vec::new(), Vec::new());
+        shadow.for_each(|a, m| seen_masks.push((a, m)));
+        prov.for_each(|a, p| seen_provs.push((a, p)));
+        prop_assert_eq!(seen_masks, masks.into_iter().collect::<BTreeMap<_, _>>().into_iter().collect::<Vec<_>>());
+        prop_assert_eq!(seen_provs, provs.into_iter().collect::<BTreeMap<_, _>>().into_iter().collect::<Vec<_>>());
+    }
+
     /// `mem_idle` holds exactly when the model has neither a tainted nor a
     /// provenanced byte.
     #[test]

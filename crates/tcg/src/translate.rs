@@ -619,6 +619,26 @@ mod tests {
     }
 
     #[test]
+    fn block_terminators() {
+        // A control transfer, a trap or a halt ends the block; a nop does not.
+        type Emit = fn(&mut Asm) -> &mut Asm;
+        let cases: [(Emit, usize); 5] = [
+            (Asm::ret, 1),
+            (|a| a.hypercall(1), 1),
+            (|a| a.jmp("next"), 1),
+            (Asm::halt, 1),
+            (Asm::nop, 3),
+        ];
+        for (first, insns) in cases {
+            let code = assemble(|a| {
+                first(a).label("next").nop().halt();
+            });
+            let tb = translate_block(&SliceFetcher::new(CODE_BASE, &code), CODE_BASE, None);
+            assert_eq!(tb.insns().len(), insns);
+        }
+    }
+
+    #[test]
     fn block_respects_max_insns() {
         let code = assemble(|a| {
             for _ in 0..(MAX_TB_INSNS + 10) {

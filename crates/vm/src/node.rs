@@ -9,7 +9,7 @@ use crate::paging::{AddressSpace, PagePerms};
 use crate::process::{MpiRequest, ProcState, Process};
 use crate::vmi::VmiAction;
 use chaser_isa::{CpuState, Program, CODE_BASE, DATA_BASE, PAGE_SIZE, STACK_SIZE, STACK_TOP};
-use chaser_taint::{TaintPolicy, TaintState};
+use chaser_taint::{ProvSet, Shadow, ShadowCell, TaintPolicy, TaintState};
 use chaser_tcg::{BaseLayer, CacheStats, TbCache};
 use std::fmt;
 use std::sync::Arc;
@@ -283,15 +283,22 @@ impl Node {
     ///
     /// Propagates the guest [`MemFault`] of the first unmapped page.
     pub fn read_guest_taint(&self, pid: u64, vaddr: u64, len: u64) -> Result<Vec<u8>, MemFault> {
-        let proc = self.process(pid).expect("unknown pid");
-        let shadow = self.taint.mem();
-        let mut out = Vec::with_capacity(prealloc(len));
-        proc.aspace
-            .for_each_page(vaddr, len, false, |paddr, at, n| {
-                out.resize(at + n, 0);
-                shadow.read_in_page(paddr, &mut out[at..]);
-            })?;
-        Ok(out)
+        self.read_guest_shadow(pid, vaddr, len, self.taint.mem())
+    }
+
+    /// Reads the per-byte fault provenance of a guest buffer, as
+    /// [`Node::read_guest_taint`] reads its masks.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the guest [`MemFault`] of the first unmapped page.
+    pub fn read_guest_prov(
+        &self,
+        pid: u64,
+        vaddr: u64,
+        len: u64,
+    ) -> Result<Vec<ProvSet>, MemFault> {
+        self.read_guest_shadow(pid, vaddr, len, self.taint.prov_mem())
     }
 
     /// Writes the per-byte taint shadow of a guest buffer (applying an
@@ -308,59 +315,73 @@ impl Node {
         vaddr: u64,
         masks: &[u8],
     ) -> Result<(), MemFault> {
-        let idx = self.index(pid).expect("unknown pid");
-        let shadow = self.taint.mem_mut();
-        self.procs[idx]
-            .aspace
-            .for_each_page(vaddr, masks.len() as u64, false, |paddr, at, n| {
-                shadow.write_in_page(paddr, &masks[at..at + n])
-            })
+        self.for_guest_pages(pid, vaddr, masks.len() as u64, |taint, paddr, at, n| {
+            taint.mem_mut().write_in_page(paddr, &masks[at..at + n])
+        })
     }
 
-    /// Reads the per-byte fault provenance of a guest buffer, one page at a
-    /// time: a page with no provenance reads as empty sets without its sets
-    /// being touched.
+    /// Writes the per-byte fault provenance of a guest buffer, as
+    /// [`Node::write_guest_taint`] writes its masks.
     ///
     /// # Errors
     ///
-    /// Propagates the guest [`MemFault`] of the first unmapped page.
-    pub fn read_guest_prov(
-        &self,
-        pid: u64,
-        vaddr: u64,
-        len: u64,
-    ) -> Result<Vec<chaser_taint::ProvSet>, MemFault> {
-        let proc = self.process(pid).expect("unknown pid");
-        let mut out = Vec::with_capacity(prealloc(len));
-        proc.aspace
-            .for_each_page(vaddr, len, false, |paddr, at, n| {
-                out.resize(at + n, chaser_taint::ProvSet::EMPTY);
-                self.taint.prov_read_in_page(paddr, &mut out[at..]);
-            })?;
-        Ok(out)
-    }
-
-    /// Writes the per-byte fault provenance of a guest buffer (applying an
-    /// incoming message's provenance on the receiver), one page at a time:
-    /// an all-empty chunk on a page without provenance is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the guest [`MemFault`] of the first unmapped page; every
-    /// page before it has been written.
+    /// As [`Node::write_guest_taint`].
     pub fn write_guest_prov(
         &mut self,
         pid: u64,
         vaddr: u64,
-        provs: &[chaser_taint::ProvSet],
+        provs: &[ProvSet],
+    ) -> Result<(), MemFault> {
+        self.for_guest_pages(pid, vaddr, provs.len() as u64, |taint, paddr, at, n| {
+            taint.prov_write_in_page(paddr, &provs[at..at + n])
+        })
+    }
+
+    /// Cleans the taint and provenance of a guest buffer (a clean message
+    /// landing on the receiver), one page at a time and allocating nothing:
+    /// a page holding neither is left after one index.
+    ///
+    /// # Errors
+    ///
+    /// As [`Node::write_guest_taint`].
+    pub fn clear_guest_taint(&mut self, pid: u64, vaddr: u64, len: u64) -> Result<(), MemFault> {
+        self.for_guest_pages(pid, vaddr, len, |taint, paddr, _, n| {
+            taint.clear_in_page(paddr, n)
+        })
+    }
+
+    /// One cell of `shadow` per byte of a guest buffer, read page by page.
+    fn read_guest_shadow<C: ShadowCell>(
+        &self,
+        pid: u64,
+        vaddr: u64,
+        len: u64,
+        shadow: &Shadow<C>,
+    ) -> Result<Vec<C>, MemFault> {
+        let proc = self.process(pid).expect("unknown pid");
+        let mut out = Vec::with_capacity(prealloc(len));
+        proc.aspace
+            .for_each_page(vaddr, len, false, |paddr, at, n| {
+                out.resize(at + n, C::CLEAN);
+                shadow.read_in_page(paddr, &mut out[at..]);
+            })?;
+        Ok(out)
+    }
+
+    /// Runs `f(taint, paddr, at, n)` on each page of a guest buffer, whose
+    /// bytes `at..at + n` lie at physical `paddr`.
+    fn for_guest_pages(
+        &mut self,
+        pid: u64,
+        vaddr: u64,
+        len: u64,
+        mut f: impl FnMut(&mut TaintState, u64, usize, usize),
     ) -> Result<(), MemFault> {
         let idx = self.index(pid).expect("unknown pid");
         let taint = &mut self.taint;
         self.procs[idx]
             .aspace
-            .for_each_page(vaddr, provs.len() as u64, false, |paddr, at, n| {
-                taint.prov_write_in_page(paddr, &provs[at..at + n])
-            })
+            .for_each_page(vaddr, len, false, |paddr, at, n| f(taint, paddr, at, n))
     }
 
     /// The node's taint state.

@@ -1,6 +1,7 @@
 //! A guest-supplied length is never allocated up front: reading the taint
 //! or provenance of an absurdly long guest range faults at the first
-//! unmapped page after allocating at most one page's worth of entries.
+//! unmapped page after allocating at most one page's worth of entries, and
+//! cleaning a buffer's taint allocates nothing at all.
 //!
 //! The test binary counts allocations through its own global allocator
 //! (per thread, so the harness's other threads do not disturb it).
@@ -82,5 +83,36 @@ fn absurd_lengths_fault_without_a_length_sized_allocation() {
             let bound = page * std::mem::size_of::<ProvSet>();
             assert!(largest <= bound, "provenance read allocated {largest} B");
         }
+    }
+}
+
+#[test]
+fn clearing_a_multi_page_buffer_allocates_nothing() {
+    let mut a = Asm::new("three_pages");
+    a.data_i64("buf", &[0; 3 * 512]);
+    a.exit(0);
+    let prog = a.assemble().expect("assemble");
+    let mut node = Node::new(0);
+    let pid = node.spawn(&prog).expect("spawn");
+    // Straddles three pages, starting and ending mid-page.
+    let (vaddr, len) = (prog.symbol("buf").expect("buf") + 8, 2 * PAGE_SIZE);
+
+    // Nothing to clean yet, then taint and provenance on every byte.
+    for tainted in [false, true] {
+        if tainted {
+            let n = len as usize;
+            node.write_guest_taint(pid, vaddr, &vec![0xff; n])
+                .expect("taint");
+            node.write_guest_prov(pid, vaddr, &vec![ProvSet::single(1); n])
+                .expect("prov");
+        }
+        let (res, largest) = largest_alloc(|| node.clear_guest_taint(pid, vaddr, len));
+        res.expect("mapped");
+        assert_eq!(
+            largest, 0,
+            "clearing allocated {largest} B (tainted: {tainted})"
+        );
+        assert!(node.taint().mem().is_idle());
+        assert!(node.taint().prov_mem().is_idle());
     }
 }
