@@ -20,11 +20,6 @@ use parking_lot::Mutex;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
-/// Scheduler rounds a published hub record survives before
-/// [`TaintHub::gc`] (run every 64 rounds) may expire it: records for
-/// receivers that died mid-communication are never polled.
-const HUB_RECORD_TTL: u64 = 4096;
-
 /// Per-run watchdog budgets, enforced by the scheduler (rounds) and down in
 /// the `chaser-vm` engine loop (instructions). `0` disables a bound.
 ///
@@ -714,9 +709,6 @@ impl Cluster {
             && !self.finished()
         {
             self.budget_exhausted.get_or_insert(BudgetKind::Rounds);
-        }
-        if self.round.is_multiple_of(64) {
-            self.hub.gc(self.round, HUB_RECORD_TTL);
         }
         if progress {
             self.stuck_rounds = 0;

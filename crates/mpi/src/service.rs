@@ -285,7 +285,7 @@ impl Cluster {
                 tag,
             };
             self.hub
-                .publish_full(id, seq, p.masks.into_owned(), self.round, provs);
+                .publish_full(id, seq, p.masks.into_owned(), 0, provs);
         }
         let env = Envelope {
             src: rank,

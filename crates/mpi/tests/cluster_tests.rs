@@ -402,6 +402,58 @@ fn taint_crosses_ranks_via_hub() {
     assert!(stats.hits >= 1);
 }
 
+/// A tainted message received long after its send still delivers its
+/// taint: the hub keeps the record until the receive polls it, however
+/// many rounds that takes (here about 4 200 at quantum 10).
+#[test]
+fn late_receive_still_gets_the_senders_taint() {
+    let mut a = Asm::new("late");
+    a.data_i64("buf", &[1, 2, 3, 4]);
+    a.hypercall(abi::MPI_INIT);
+    a.hypercall(abi::MPI_COMM_RANK);
+    a.cmpi(Reg::R0, 0);
+    a.jcc(Cond::Ne, "slave");
+    emit_send(&mut a, "buf", 4, 1, 1, 5);
+    a.exit(0);
+    a.label("slave");
+    a.movi(Reg::R6, 14_000);
+    a.label("spin");
+    a.addi(Reg::R6, -1);
+    a.cmpi(Reg::R6, 0);
+    a.jcc(Cond::Gt, "spin");
+    emit_recv(&mut a, "buf", 4, 1, 0, 5);
+    a.exit(0);
+    let prog = a.assemble().expect("assemble");
+
+    let mut cluster = Cluster::new(ClusterConfig {
+        quantum: 10,
+        ..small_config(2)
+    });
+    cluster.launch_replicated(&prog, 2).expect("launch");
+    let buf = prog.symbol("buf").expect("buf");
+    let (ni, pid) = cluster.rank_location(0);
+    cluster
+        .node_mut(ni)
+        .write_guest_taint(pid, buf, &[0xff; 32])
+        .expect("taint");
+
+    let run = cluster.run();
+    assert!(!run.hang);
+    assert_eq!(run.rank_exits[1], Some(ExitStatus::Exited(0)));
+    let (ni1, pid1) = cluster.rank_location(1);
+    let masks = cluster
+        .node(ni1)
+        .read_guest_taint(pid1, buf, 32)
+        .expect("receiver taint");
+    assert_eq!(masks.iter().filter(|&&m| m != 0).count(), 32);
+    assert_eq!(run.cross_rank_tainted_deliveries, 1);
+    assert_eq!(
+        cluster.hub().pending(),
+        0,
+        "the receive consumed the record"
+    );
+}
+
 /// The hub must not mis-apply a later tainted message's record to an
 /// earlier clean message (seq alignment).
 #[test]

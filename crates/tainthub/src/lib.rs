@@ -67,10 +67,6 @@ pub struct TaintRecord {
     /// lets [`TaintHub::poll_matching`] recognise that the front record
     /// belongs to a *later* message than the one just received.
     pub seq: u64,
-    /// Publication timestamp in the publisher's clock (scheduler rounds for
-    /// the cluster), consulted by [`TaintHub::gc`] to expire records whose
-    /// receiver will never poll (e.g. it died mid-communication).
-    pub published_at: u64,
     /// Per-byte fault provenance of the payload (`ProvSet` bitmasks from
     /// `chaser-taint`, stored raw to keep the hub dependency-light). Empty
     /// when the publisher does not track provenance; otherwise parallel to
@@ -89,8 +85,6 @@ pub struct HubStats {
     pub hits: u64,
     /// Total tainted payload bytes published.
     pub tainted_bytes_published: u64,
-    /// Records dropped by [`TaintHub::gc`] after their TTL lapsed.
-    pub expired: u64,
 }
 
 #[derive(Debug, Default)]
@@ -112,22 +106,26 @@ impl TaintHub {
     }
 
     /// Sender side: records the taint masks of in-flight message `seq`
-    /// (see [`TaintRecord::seq`]), published at time `now` (see
-    /// [`TaintHub::gc`]), with its per-byte fault provenance (see
-    /// [`TaintRecord::provs`]).
+    /// (see [`TaintRecord::seq`]), with its per-byte fault provenance (see
+    /// [`TaintRecord::provs`]). `_now` is ignored.
+    ///
+    /// A record lives exactly as long as its message is undelivered: the
+    /// receive that delivers the message polls it, however late that is.
+    /// The queued records are therefore bounded by the messages in flight,
+    /// plus at most one per receive that killed or aborted its own receiver
+    /// before polling.
     ///
     /// Multiple messages with the same id queue in FIFO order, matching the
     /// non-overtaking delivery of the simulated interconnect.
-    pub fn publish_full(&self, id: MsgId, seq: u64, masks: Vec<u8>, now: u64, provs: Vec<u32>) {
+    pub fn publish_full(&self, id: MsgId, seq: u64, masks: Vec<u8>, _now: u64, provs: Vec<u32>) {
         let mut inner = self.inner.lock();
         inner.stats.published += 1;
         inner.stats.tainted_bytes_published += masks.iter().filter(|&&m| m != 0).count() as u64;
-        inner.map.entry(id).or_default().push_back(TaintRecord {
-            masks,
-            seq,
-            published_at: now,
-            provs,
-        });
+        inner
+            .map
+            .entry(id)
+            .or_default()
+            .push_back(TaintRecord { masks, seq, provs });
     }
 
     /// Receiver side: consumes the front record for `id` only when it
@@ -163,24 +161,6 @@ impl TaintHub {
     /// drains instead of accumulating records invisibly.
     pub fn published_total(&self) -> u64 {
         self.inner.lock().stats.published
-    }
-
-    /// Drops every record older than `ttl` at time `now` (both in the
-    /// publisher's clock; see [`TaintRecord::published_at`]) and returns
-    /// how many were expired. Records for receivers that died or aborted
-    /// mid-communication are never polled; without a TTL they would pin
-    /// their payload masks for the rest of the run.
-    pub fn gc(&self, now: u64, ttl: u64) -> usize {
-        let mut inner = self.inner.lock();
-        let mut expired = 0;
-        inner.map.retain(|_, q| {
-            let before = q.len();
-            q.retain(|r| now.saturating_sub(r.published_at) <= ttl);
-            expired += before - q.len();
-            !q.is_empty()
-        });
-        inner.stats.expired += expired as u64;
-        expired
     }
 
     /// Counter snapshot.
@@ -248,9 +228,9 @@ mod tests {
         tag: 9,
     };
 
-    /// Publishes message `seq` of [`ID`] at time `now`, without provenance.
-    fn publish(hub: &TaintHub, seq: u64, masks: Vec<u8>, now: u64) {
-        hub.publish_full(ID, seq, masks, now, Vec::new());
+    /// Publishes message `seq` of [`ID`] without provenance.
+    fn publish(hub: &TaintHub, seq: u64, masks: Vec<u8>) {
+        hub.publish_full(ID, seq, masks, 0, Vec::new());
     }
 
     #[test]
@@ -265,8 +245,8 @@ mod tests {
     #[test]
     fn records_are_fifo_per_id() {
         let hub = TaintHub::new();
-        publish(&hub, 0, vec![1], 0);
-        publish(&hub, 1, vec![2], 0);
+        publish(&hub, 0, vec![1]);
+        publish(&hub, 1, vec![2]);
         assert_eq!(hub.poll_matching(ID, 0).expect("first").masks, vec![1]);
         assert_eq!(hub.poll_matching(ID, 1).expect("second").masks, vec![2]);
         assert!(hub.poll_matching(ID, 2).is_none());
@@ -275,7 +255,7 @@ mod tests {
     #[test]
     fn ids_are_independent() {
         let hub = TaintHub::new();
-        publish(&hub, 0, vec![1], 0);
+        publish(&hub, 0, vec![1]);
         let other = MsgId {
             tag: ID.tag + 1,
             ..ID
@@ -287,32 +267,16 @@ mod tests {
     #[test]
     fn stats_count_tainted_bytes() {
         let hub = TaintHub::new();
-        publish(&hub, 0, vec![0, 0xff, 0, 3], 0);
+        publish(&hub, 0, vec![0, 0xff, 0, 3]);
         assert_eq!(hub.stats().tainted_bytes_published, 2);
         assert_eq!(hub.pending(), 1);
-    }
-
-    #[test]
-    fn gc_expires_only_stale_records() {
-        let hub = TaintHub::new();
-        publish(&hub, 0, vec![1], 0);
-        publish(&hub, 7, vec![2], 90);
-        assert_eq!(hub.published_total(), 2);
-        // At round 100 with ttl 50 only the round-0 record is stale.
-        assert_eq!(hub.gc(100, 50), 1);
-        assert_eq!(hub.pending(), 1);
-        assert_eq!(hub.stats().expired, 1);
-        // The surviving record is still consumable by its seq.
-        assert_eq!(hub.poll_matching(ID, 7).expect("survivor").masks, vec![2]);
-        // Idempotent once drained.
-        assert_eq!(hub.gc(1000, 0), 0);
     }
 
     #[test]
     fn poll_matching_skips_records_for_later_messages() {
         let hub = TaintHub::new();
         // Message seq 5 was tainted and published; seqs 3 and 4 were clean.
-        publish(&hub, 5, vec![0xff], 0);
+        publish(&hub, 5, vec![0xff]);
         assert!(hub.poll_matching(ID, 3).is_none());
         assert!(hub.poll_matching(ID, 4).is_none());
         let rec = hub.poll_matching(ID, 5).expect("record for seq 5");
@@ -323,12 +287,12 @@ mod tests {
     #[test]
     fn snapshot_restore_round_trips_records_and_stats() {
         let hub = TaintHub::new();
-        publish(&hub, 3, vec![0xff, 0], 10);
-        publish(&hub, 5, vec![1], 11);
+        publish(&hub, 3, vec![0xff, 0]);
+        publish(&hub, 5, vec![1]);
         let snap = hub.snapshot();
         // Mutate the hub past the capture point...
         hub.poll_matching(ID, 3);
-        publish(&hub, 6, vec![9], 12);
+        publish(&hub, 6, vec![9]);
         // ...then restore a fresh hub and check it matches the capture.
         let other = TaintHub::new();
         other.restore(&snap);
@@ -349,7 +313,7 @@ mod tests {
         let rec = hub.poll_matching(ID, 2).expect("record");
         assert_eq!(rec.provs, vec![0b1, 0]);
         // Publishes without provenance leave it empty.
-        publish(&hub, 3, vec![1], 6);
+        publish(&hub, 3, vec![1]);
         assert!(hub.poll_matching(ID, 3).expect("record").provs.is_empty());
     }
 
