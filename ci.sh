@@ -37,6 +37,9 @@ fi
 # taint-regime `debug_assert!`s that `cargo test` keeps on are compiled
 # out (DESIGN.md §9, §15).
 cargo test --release -q --offline -p chaser-vm --test prop_semantics
+# The layered cache too: looping programs re-dispatch blocks from the jump
+# cache across mid-run overlay flushes, warmed node against fresh node.
+cargo test --release -q --offline -p chaser-vm --test prop_layered_cache
 # The hostile-MPI property too: release builds wrap the arithmetic that
 # debug builds panic on, so a corrupted argument must classify in both.
 cargo test --release -q --offline -p chaser-mpi --test prop_hostile_mpi

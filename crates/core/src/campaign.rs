@@ -182,8 +182,8 @@ pub struct RunOutcome {
     /// Tainted point-to-point deliveries (fault crossed ranks).
     pub cross_rank: u64,
     /// Always 0: the TaintHub is a reliable service, so no tainted
-    /// delivery loses its sync. Kept as a column because journal v10 rows
-    /// and the stats CSV carry it.
+    /// delivery loses its sync. Kept as a column because journal rows and
+    /// the outcome CSV carry it.
     pub taint_sync_lost: u64,
     /// Ranks the fault reached, per the provenance graph (0 when
     /// provenance recording was off).
@@ -204,8 +204,8 @@ pub struct RunOutcome {
     /// Like the two counter structs below, it covers the suffix executed
     /// after the run's ladder rung, not the skipped prefix.
     pub cache_stats: CacheStats,
-    /// Hot-path engine counters for this run (all nodes combined): chain
-    /// hits/severs and fast- vs slow-path memory operations.
+    /// Hot-path engine counters for this run (all nodes combined):
+    /// jump-cache hits and fast- vs slow-path memory operations.
     pub engine_stats: EngineStats,
     /// Scheduler-parallelism counters for this run (threads used, rounds
     /// fanned out, per-worker instruction balance).
@@ -507,18 +507,17 @@ impl CampaignResult {
     /// exactly what it changes.
     pub fn stats_csv(&self) -> String {
         let mut out = String::from(
-            "run_idx,tb_chain_hits,chain_severs,fast_path_insns,slow_path_insns,tb_lookups,tb_misses,rank_threads,parallel_rounds,max_worker_insns,total_worker_insns
+            "run_idx,tb_chain_hits,fast_path_insns,slow_path_insns,tb_lookups,tb_misses,rank_threads,parallel_rounds,max_worker_insns,total_worker_insns
 ",
         );
         for run in &self.outcomes {
             let e = run.engine_stats;
             let p = run.parallel;
             out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{}
+                "{},{},{},{},{},{},{},{},{},{}
 ",
                 run.run_idx,
                 e.tb_chain_hits,
-                e.chain_severs,
                 e.fast_path_insns,
                 e.slow_path_insns,
                 run.cache_stats.lookups,

@@ -595,7 +595,11 @@ pub struct JournalHeader {
 /// from the config fingerprint with the campaign knobs themselves (DESIGN
 /// §16): no campaign can run with them off, so a journal has nothing to
 /// record.
-pub const JOURNAL_VERSION: u64 = 10;
+/// Version 11 removed `chain_severs` from the rows' `engine_stats` with TB
+/// chaining (the jump cache replaced it, DESIGN §9) and `asid_flushes` from
+/// their `cache_stats` with `TbCache::flush_asid`; `tb_chain_hits` now
+/// counts jump-cache hits.
+pub const JOURNAL_VERSION: u64 = 11;
 
 /// Line 2 of a *shard* journal: which contiguous slice of the campaign's
 /// run-index range this file owns. The merge uses it to prove coverage
@@ -921,7 +925,6 @@ fn cache_stats_to_json(c: &CacheStats) -> Json {
         ("base_hits".into(), Json::Num(c.base_hits as i128)),
         ("overlay_hits".into(), Json::Num(c.overlay_hits as i128)),
         ("flushes".into(), Json::Num(c.flushes as i128)),
-        ("asid_flushes".into(), Json::Num(c.asid_flushes as i128)),
         (
             "translated_insns".into(),
             Json::Num(c.translated_insns as i128),
@@ -938,7 +941,6 @@ fn cache_stats_from_json(v: &Json) -> Result<CacheStats, JournalError> {
         base_hits: v.u64("base_hits")?,
         overlay_hits: v.u64("overlay_hits")?,
         flushes: v.u64("flushes")?,
-        asid_flushes: v.u64("asid_flushes")?,
         translated_insns: v.u64("translated_insns")?,
         overlay_blocks: v.u64("overlay_blocks")?,
         base_blocks: v.u64("base_blocks")?,
@@ -948,7 +950,6 @@ fn cache_stats_from_json(v: &Json) -> Result<CacheStats, JournalError> {
 fn engine_stats_to_json(e: &EngineStats) -> Json {
     Json::Obj(vec![
         ("tb_chain_hits".into(), Json::Num(e.tb_chain_hits as i128)),
-        ("chain_severs".into(), Json::Num(e.chain_severs as i128)),
         (
             "fast_path_insns".into(),
             Json::Num(e.fast_path_insns as i128),
@@ -963,7 +964,6 @@ fn engine_stats_to_json(e: &EngineStats) -> Json {
 fn engine_stats_from_json(v: &Json) -> Result<EngineStats, JournalError> {
     Ok(EngineStats {
         tb_chain_hits: v.u64("tb_chain_hits")?,
-        chain_severs: v.u64("chain_severs")?,
         fast_path_insns: v.u64("fast_path_insns")?,
         slow_path_insns: v.u64("slow_path_insns")?,
         ..EngineStats::default()
@@ -1354,7 +1354,6 @@ mod tests {
             },
             engine_stats: EngineStats {
                 tb_chain_hits: 42,
-                chain_severs: 1,
                 fast_path_insns: 800,
                 slow_path_insns: 7,
                 ..EngineStats::default()
@@ -1531,7 +1530,7 @@ mod tests {
         let text = std::fs::read_to_string(&path).expect("read");
         // Damage the middle line, keep a valid complete line after it.
         let damaged = text.replace("\"skip\":true", "\"skip\":tr");
-        let with_tail = format!("{damaged}{{\"run_idx\":1,\"skip\":true,\"cache_stats\":{{\"lookups\":0,\"misses\":0,\"base_hits\":0,\"overlay_hits\":0,\"flushes\":0,\"asid_flushes\":0,\"translated_insns\":0,\"overlay_blocks\":0,\"base_blocks\":0}}}}\n");
+        let with_tail = format!("{damaged}{{\"run_idx\":1,\"skip\":true,\"cache_stats\":{{\"lookups\":0,\"misses\":0,\"base_hits\":0,\"overlay_hits\":0,\"flushes\":0,\"translated_insns\":0,\"overlay_blocks\":0,\"base_blocks\":0}}}}\n");
         std::fs::write(&path, &with_tail).expect("write");
         assert!(CampaignJournal::read_shard(&path).is_err());
         std::fs::remove_dir_all(&dir).ok();

@@ -256,8 +256,8 @@ pub struct RunReport {
     pub fn_hook_hits: Vec<(u64, u64, [u64; 6])>,
     /// Translation-cache statistics aggregated over the run's nodes.
     pub cache_stats: CacheStats,
-    /// Hot-path engine counters aggregated over the run's nodes (chain
-    /// hits/severs, fast- vs slow-path memory operations).
+    /// Hot-path engine counters aggregated over the run's nodes (jump-cache
+    /// hits, fast- vs slow-path memory operations).
     pub engine_stats: EngineStats,
     /// Snapshot/restore counters (all zero on runs executed from launch).
     pub snapshot: SnapshotStats,

@@ -49,7 +49,7 @@ mod ir;
 mod tb;
 mod translate;
 
-pub use cache::{BaseLayer, CacheStats, ChainFollow, ChainSlot, DispatchBlock, TbCache};
+pub use cache::{BaseLayer, CacheStats, DispatchBlock, TbCache};
 pub use ir::{Helper, TcgOp, Temp};
 pub use tb::TranslationBlock;
 pub use translate::{

@@ -10,21 +10,17 @@ use crate::process::{MpiRequest, ProcState, Process};
 use chaser_isa::{abi, Flags, Instruction, PAGE_SIZE};
 use chaser_taint::{PropKind, ProvSet, TaintMask, TaintState};
 use chaser_tcg::{
-    translate_block, ChainFollow, ChainSlot, CodeFetcher, DispatchBlock, TbCache, TcgOp, Temp,
-    TranslateHook, TranslationBlock,
+    translate_block, CodeFetcher, TbCache, TcgOp, Temp, TranslateHook, TranslationBlock,
 };
-use std::sync::Arc;
 
 /// Hot-path execution counters, making the fast paths observable in run
 /// reports and campaign results.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Block dispatches served by following a chain link (no cache hash
-    /// lookup).
+    /// Block dispatches the translation cache's jump cache served (no
+    /// hash lookup). The name predates the jump cache, which replaced TB
+    /// chaining: the frozen ledger reads it as `vm.chain_hit_share`.
     pub tb_chain_hits: u64,
-    /// Stale chain links encountered and discarded (the predecessor was
-    /// patched in an earlier flush epoch, or its successor was dropped).
-    pub chain_severs: u64,
     /// Guest memory operations that skipped the shadow entirely: taint
     /// disabled, or the fully-clean regime (nothing carries taint).
     pub fast_path_insns: u64,
@@ -47,7 +43,6 @@ impl EngineStats {
     /// aggregation).
     pub fn absorb(&mut self, other: EngineStats) {
         self.tb_chain_hits += other.tb_chain_hits;
-        self.chain_severs += other.chain_severs;
         self.fast_path_insns += other.fast_path_insns;
         self.slow_path_insns += other.slow_path_insns;
     }
@@ -60,8 +55,7 @@ impl EngineStats {
 /// op. They are folded into the shared stats at every slice exit.
 #[derive(Default)]
 struct HotCounters {
-    chain_hits: u64,
-    chain_severs: u64,
+    jump_hits: u64,
     fast: u64,
     slow: u64,
 }
@@ -69,8 +63,7 @@ struct HotCounters {
 impl HotCounters {
     #[inline]
     fn flush_into(&mut self, stats: &mut EngineStats) {
-        stats.tb_chain_hits += self.chain_hits;
-        stats.chain_severs += self.chain_severs;
+        stats.tb_chain_hits += self.jump_hits;
         stats.fast_path_insns += self.fast;
         stats.slow_path_insns += self.slow;
         *self = HotCounters::default();
@@ -243,75 +236,39 @@ pub(crate) fn run_slice(
     // fusing them into one bound leaves a single compare per instruction.
     let limit = quantum.min(insn_budget);
 
-    // TB chaining state: a successor resolved by following a chain link
-    // (dispatched without a cache lookup), and a predecessor slot awaiting
-    // its first patch (filled right after the lookup that resolves it).
-    let mut next_block: Option<Arc<DispatchBlock>> = None;
-    let mut pending_patch: Option<(Arc<DispatchBlock>, ChainSlot)> = None;
-
     'outer: loop {
         let start_pc = proc.cpu.pc;
-        let db: Arc<DispatchBlock> = match next_block.take() {
-            Some(db) => db,
-            None => {
-                let fetcher = AspaceFetcher {
-                    aspace: &proc.aspace,
-                    phys,
-                };
-                let db = cache.dispatch_get_or_translate_validated(
-                    pid,
-                    start_pc,
-                    // A clean block from the shared base layer is reusable
-                    // only if the active hook would leave every instruction
-                    // in it uninstrumented; otherwise it must be
-                    // retranslated so the injection callback gets spliced
-                    // in.
-                    |tb| match &adapter {
-                        Some(a) => tb
-                            .insns()
-                            .iter()
-                            .all(|(pc, insn)| a.inject_point(*pc, insn).is_none()),
-                        None => true,
-                    },
-                    || {
-                        translate_block(
-                            &fetcher,
-                            start_pc,
-                            adapter.as_ref().map(|a| a as &dyn TranslateHook),
-                        )
-                    },
-                );
-                if let Some((pred, slot)) = pending_patch.take() {
-                    cache.chain(&pred, slot, &db);
-                }
-                db
-            }
+        let fetcher = AspaceFetcher {
+            aspace: &proc.aspace,
+            phys,
         };
+        let (db, jumped) = cache.dispatch_get_or_translate_validated(
+            pid,
+            start_pc,
+            // A clean block from the shared base layer is reusable only if
+            // the active hook would leave every instruction in it
+            // uninstrumented; otherwise it must be retranslated so the
+            // injection callback gets spliced in.
+            |tb| match &adapter {
+                Some(a) => tb
+                    .insns()
+                    .iter()
+                    .all(|(pc, insn)| a.inject_point(*pc, insn).is_none()),
+                None => true,
+            },
+            || {
+                translate_block(
+                    &fetcher,
+                    start_pc,
+                    adapter.as_ref().map(|a| a as &dyn TranslateHook),
+                )
+            },
+        );
+        hot.jump_hits += u64::from(jumped);
         // Borrow the TB out of the dispatch block: `db` is a local `Arc`
         // that outlives the block body, so no refcount traffic is needed
         // (an `Arc::clone` here costs two atomic RMWs per block dispatch).
         let tb: &TranslationBlock = db.tb();
-
-        // Resolves a direct-jump exit to `slot`: dispatch through the live
-        // link when one exists, otherwise fall back to the cache lookup and
-        // patch the slot afterwards.
-        macro_rules! chain_exit {
-            ($slot:expr) => {
-                match cache.follow(&db, $slot) {
-                    ChainFollow::Hit(succ) => {
-                        hot.chain_hits += 1;
-                        next_block = Some(succ);
-                    }
-                    ChainFollow::Severed => {
-                        hot.chain_severs += 1;
-                        pending_patch = Some((Arc::clone(&db), $slot));
-                    }
-                    ChainFollow::Unlinked => {
-                        pending_patch = Some((Arc::clone(&db), $slot));
-                    }
-                }
-            };
-        }
 
         // Three per-block taint regimes, chosen from O(1) counters over
         // registers and memory (temps are dead at every block boundary):
@@ -779,7 +736,6 @@ pub(crate) fn run_slice(
                 TcgOp::ExitTb { next } => {
                     assert_regime_at_exit!();
                     proc.cpu.pc = next;
-                    chain_exit!(ChainSlot::Taken);
                     continue 'outer;
                 }
                 TcgOp::ExitTbCond {
@@ -788,14 +744,11 @@ pub(crate) fn run_slice(
                     fallthrough,
                 } => {
                     assert_regime_at_exit!();
-                    let slot = if proc.cpu.flags.holds(cond) {
-                        proc.cpu.pc = taken;
-                        ChainSlot::Taken
+                    proc.cpu.pc = if proc.cpu.flags.holds(cond) {
+                        taken
                     } else {
-                        proc.cpu.pc = fallthrough;
-                        ChainSlot::Fallthrough
+                        fallthrough
                     };
-                    chain_exit!(slot);
                     continue 'outer;
                 }
                 TcgOp::ExitTbIndirect { addr } => {
@@ -849,8 +802,8 @@ pub(crate) fn run_slice(
                 TcgOp::BadDecode { .. } => fault!(Signal::Ill),
             }
         }
-        // A well-formed TB always ends in a terminator; reaching here means
-        // the translator emitted a chained ExitTb which `continue`s above.
+        // A well-formed TB always ends in a terminator, and every
+        // terminator `continue`s or returns above.
         unreachable!("translation block fell through without a terminator");
     }
 }

@@ -23,9 +23,10 @@
 //! a cluster. Guest execution proceeds in slices ([`Node::run_slice`]) so a
 //! cluster scheduler can interleave ranks deterministically.
 //!
-//! The engine's fast paths — TB chaining and the taint regimes that skip
-//! shadow work while no register (or nothing at all) is tainted — are
-//! always on. The crate's tests check them against an independent
+//! The engine finds every block through one translation-cache lookup,
+//! fronted by the cache's direct-mapped jump cache. Its fast paths — the
+//! taint regimes that skip shadow work while no register (or nothing at
+//! all) is tainted — are always on. The crate's tests check them against an independent
 //! reference executor (`tests/support/oracle.rs`) that steps decoded
 //! instructions over a flat byte map with per-byte taint masks and shares
 //! nothing with the engine but the ISA types.

@@ -1,20 +1,21 @@
 //! Property tests for the layered translation cache.
 //!
 //! A node born with a warmed, `Arc`-shared base layer of clean translation
-//! blocks must interpret random straight-line programs step-for-step
-//! identically to a node translating everything fresh — including when a
-//! VMI target match flushes the overlay at spawn, and when the overlay is
-//! flushed mid-run (Chaser's disarm path). The warmed node must also serve
-//! essentially every lookup from the base layer.
+//! blocks must interpret random looping programs step-for-step identically
+//! to a node translating everything fresh — including when a VMI target
+//! match flushes the overlay at spawn, and when the overlay is flushed
+//! mid-run (Chaser's disarm path), between re-dispatches of the same
+//! blocks. The warmed node must also serve essentially every lookup from
+//! the base layer, and its loop iterations from the jump cache.
 
-use chaser_isa::{Asm, FReg, Instruction, Reg};
+use chaser_isa::{Asm, Cond, FReg, Instruction, Reg};
 use chaser_vm::{Node, SliceExit, VmiAction, VmiSink};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Registers the generator uses (avoids SP so the stack stays sane, and R1
-/// because `exit_with` clobbers it).
+/// Registers the generator uses (avoids SP so the stack stays sane, and R1:
+/// it counts the loop).
 const REGS: [Reg; 6] = [Reg::R2, Reg::R3, Reg::R4, Reg::R5, Reg::R6, Reg::R7];
 const FREGS: [FReg; 4] = [FReg::F0, FReg::F1, FReg::F2, FReg::F3];
 
@@ -50,11 +51,17 @@ fn arb_insn() -> impl Strategy<Value = Instruction> {
     ]
 }
 
-fn build_program(insns: &[Instruction]) -> chaser_isa::Program {
+/// `insns` as the body of a loop run `iters` times, then `exit(0)`.
+fn build_program(insns: &[Instruction], iters: i64) -> chaser_isa::Program {
     let mut a = Asm::new("prop");
+    a.movi(Reg::R1, iters);
+    a.label("loop");
     for insn in insns {
         a.insn(*insn);
     }
+    a.addi(Reg::R1, -1);
+    a.cmpi(Reg::R1, 0);
+    a.jcc(Cond::Gt, "loop");
     a.exit(0);
     a.assemble().expect("assemble")
 }
@@ -100,8 +107,9 @@ proptest! {
     #[test]
     fn warmed_base_matches_fresh_translation(
         insns in proptest::collection::vec(arb_insn(), 1..60),
+        iters in 1i64..5,
     ) {
-        let prog = build_program(&insns);
+        let prog = build_program(&insns, iters);
         let base = warm_base(&prog);
 
         let mut fresh = Node::new(0);
@@ -132,21 +140,26 @@ proptest! {
         }
 
         // The warmed node never translated: every block came from the base
-        // layer (first adoption and overlay re-hits both count as base hits).
+        // layer, and every later iteration's blocks from the jump cache.
         let stats = warmed.cache_stats();
         prop_assert_eq!(stats.misses, 0, "warmed node translated fresh blocks");
         prop_assert!(stats.base_hits > 0);
         prop_assert!(stats.base_hit_rate() > 0.9);
+        if iters > 1 {
+            prop_assert!(warmed.engine_stats().tb_chain_hits > 0, "no jump-cache hit");
+        }
     }
 
-    /// A mid-run overlay flush (Chaser disarming injection) must neither
-    /// change interpretation nor force retranslation while the base holds.
+    /// Mid-run overlay flushes (Chaser disarming injection), one every
+    /// `flush_every` slices, must neither change interpretation nor force
+    /// retranslation while the base holds.
     #[test]
     fn overlay_flush_mid_run_keeps_equivalence(
         insns in proptest::collection::vec(arb_insn(), 1..60),
-        flush_after in 0u32..8,
+        iters in 1i64..5,
+        flush_every in 1u32..40,
     ) {
-        let prog = build_program(&insns);
+        let prog = build_program(&insns, iters);
         let base = warm_base(&prog);
 
         let mut fresh = Node::new(0);
@@ -158,7 +171,7 @@ proptest! {
 
         let mut step = 0u32;
         loop {
-            if step == flush_after {
+            if step % flush_every == flush_every - 1 {
                 warmed.flush_cache();
             }
             step += 1;

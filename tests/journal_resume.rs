@@ -94,10 +94,10 @@ fn resume_rejects_a_corrupt_config_fingerprint() {
 }
 
 #[test]
-fn resume_rejects_a_v9_journal() {
-    assert_eq!(chaser::JOURNAL_VERSION, 10);
-    let err = resume_mangled("v9", |text| {
-        let doctored = text.replacen("\"chaser_journal\":10", "\"chaser_journal\":9", 1);
+fn resume_rejects_a_v10_journal() {
+    assert_eq!(chaser::JOURNAL_VERSION, 11);
+    let err = resume_mangled("v10", |text| {
+        let doctored = text.replacen("\"chaser_journal\":11", "\"chaser_journal\":10", 1);
         assert_ne!(doctored, text, "header must carry the version field");
         doctored
     });

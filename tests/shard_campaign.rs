@@ -495,9 +495,9 @@ fn merge_rejects_a_foreign_fingerprint() {
 #[test]
 fn merge_rejects_a_v9_shard_journal() {
     let (_dir, paths, header) = merged_fixture("v9-shard");
-    assert_eq!(header.version, 10);
+    assert_eq!(header.version, 11);
     let lines = journal_lines(&paths[1]);
-    let doctored = lines[0].replace("\"chaser_journal\":10", "\"chaser_journal\":9");
+    let doctored = lines[0].replace("\"chaser_journal\":11", "\"chaser_journal\":9");
     assert_ne!(doctored, lines[0], "header must carry the version field");
     let mut all = lines.clone();
     all[0] = doctored;

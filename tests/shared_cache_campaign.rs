@@ -52,10 +52,12 @@ fn shared_cache_preserves_outcomes_bit_for_bit() {
     }
 
     // The reference never sees a base layer; the shared path avoids most
-    // of its translation work.
+    // of its translation work. `avoided` is the share of the reference's
+    // translations that the base layer made unnecessary.
     assert_eq!(cold.base_hits, 0);
     assert!(cold.misses > 0);
-    assert!(shared.base_hit_rate() > 0.9);
+    let avoided = 1.0 - shared.misses as f64 / cold.misses as f64;
+    assert!(avoided > 0.85, "the base layer avoided {avoided:.3}");
     assert!(shared.misses < cold.misses / 2);
 }
 
