@@ -149,7 +149,7 @@ pub fn translate_block(
             break;
         }
         pc = next;
-        // Hit the block-size limit without a terminator: chain to `pc`.
+        // Hit the block-size limit without a terminator: exit to `pc`.
         if insns.len() == MAX_TB_INSNS {
             ctx.emit(TcgOp::ExitTb { next: pc });
         }

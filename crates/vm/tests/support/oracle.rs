@@ -3,8 +3,8 @@
 //! It runs decoded `chaser_isa` instructions one at a time over a flat
 //! byte map and a plain register file, and tracks bitwise taint with one
 //! mask per register and one per memory byte. It shares nothing with the
-//! execution engine but the ISA types: no translator, IR, translation
-//! cache or chaining, no paging or soft TLB, and no `chaser-taint` state or
+//! execution engine but the ISA types: no translator, IR or translation
+//! cache, no paging or soft TLB, and no `chaser-taint` state or
 //! policy. Its propagation rules are written from the `chaser-taint` crate
 //! docs and DESIGN.md §9, per guest instruction:
 //!

@@ -56,6 +56,36 @@ fn identity_injection_is_behaviour_preserving_but_tainted() {
     );
 }
 
+/// Detaching the injector flushes the target's translations (the paper's
+/// `fi_clean_cb`), so every block the target runs again after the fault is
+/// translated again, clean. An identity fault keeps the golden path: its
+/// run translates the golden run's blocks plus exactly those.
+#[test]
+fn detaching_the_injector_retranslates_the_blocks_run_after_the_fault() {
+    let cfg = lud::LudConfig::default();
+    let app = AppSpec::single(lud::program(&cfg));
+    let golden = run_app(&app, &RunOptions::golden());
+    let spec = InjectionSpec {
+        target_program: "lud".into(),
+        target_rank: 0,
+        class: InsnClass::Fmul,
+        trigger: Trigger::AfterN(50),
+        corruption: Corruption::Identity,
+        operand: OperandSel::Dst,
+        max_injections: 1,
+        seed: 0,
+    };
+    let report = run_app(&app, &RunOptions::inject(spec));
+    assert!(report.injected());
+    assert_eq!(report.outputs, golden.outputs);
+    assert!(
+        report.cache_stats.misses > golden.cache_stats.misses,
+        "no block was retranslated after the detach flush: {} vs golden {}",
+        report.cache_stats.misses,
+        golden.cache_stats.misses
+    );
+}
+
 #[test]
 fn tracer_logs_carry_the_paper_fields() {
     let cfg = lud::LudConfig::default();
